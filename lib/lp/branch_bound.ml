@@ -40,7 +40,11 @@
    function of the problem, reproducible run to run.  In the default
    (opportunistic) mode workers steal seeds from a shared cursor and
    prune against an atomically published global incumbent, trading
-   reproducibility for strictly more pruning. *)
+   reproducibility for strictly more pruning.
+
+   The caller solves the root relaxation and hands it over as [~root]:
+   the solver, at the root optimum when the status is [Optimal], and the
+   status.  The search starts from that solver and its basis. *)
 
 type status = Optimal | Infeasible | Limit
 
@@ -65,7 +69,6 @@ type result = {
   solution : float array;
   nodes : int;
   root_objective : float;
-  root_time : float; (* seconds to solve the root relaxation *)
   total_time : float;
   simplex_iterations : int;
   best_bound : float; (* proven lower bound on the optimum at exit *)
@@ -310,10 +313,9 @@ let m_incumbents = Support.Metrics.counter "lp.bb.incumbents"
 let m_heur = Support.Metrics.counter "lp.bb.heuristic_incumbents"
 
 let solve_sequential ~time_limit ~node_limit ~rel_gap ~use_heuristic
-    ~heur_period ~warm (p : Problem.t) =
-  let t0 = Clock.now () in
+    ~heur_period ~warm ~t0 ~root (p : Problem.t) =
   let n = Problem.num_vars p in
-  let solver = Revised.create p in
+  let solver, root_status = root in
   let orig_lo = Array.init n (Problem.var_lo p) in
   let orig_hi = Array.init n (Problem.var_hi p) in
   let pc = pc_create n in
@@ -341,7 +343,6 @@ let solve_sequential ~time_limit ~node_limit ~rel_gap ~use_heuristic
   let heur_found = ref 0 in
   let limit_hit = ref false in
   let root_objective = ref nan in
-  let root_time = ref 0. in
   (* The gap is taken relative to max(1, |incumbent|): the regalloc
      objectives carry 1e-7-scale symmetry-breaking perturbations, so a
      near-zero objective would otherwise keep the search alive chasing
@@ -389,12 +390,7 @@ let solve_sequential ~time_limit ~node_limit ~rel_gap ~use_heuristic
                 ("incumbent", !incumbent_obj);
               ];
           let lp_result =
-            (* the root relaxation is a pipeline stage of its own in the
-               paper's Figure 7; give it a dedicated span *)
-            if nd.depth = 0 then
-              Support.Trace.with_span "root-lp" (fun () ->
-                  Revised.solve solver)
-            else Revised.solve solver
+            if nd.depth = 0 then root_status else Revised.solve solver
           in
           match lp_result with
           | Revised.Iteration_limit ->
@@ -404,10 +400,7 @@ let solve_sequential ~time_limit ~node_limit ~rel_gap ~use_heuristic
           | Revised.Infeasible -> ()
           | Revised.Optimal ->
               let obj = Revised.objective solver in
-              if nd.depth = 0 then begin
-                root_objective := obj;
-                root_time := Clock.since t0
-              end;
+              if nd.depth = 0 then root_objective := obj;
               pc_learn pc nd obj;
               if obj < cutoff () then begin
                 let x = Revised.primal solver in
@@ -520,7 +513,6 @@ let solve_sequential ~time_limit ~node_limit ~rel_gap ~use_heuristic
         solution = x;
         nodes = !nodes;
         root_objective = !root_objective;
-        root_time = !root_time;
         total_time;
         simplex_iterations;
         best_bound;
@@ -536,7 +528,6 @@ let solve_sequential ~time_limit ~node_limit ~rel_gap ~use_heuristic
         solution = Array.make n 0.;
         nodes = !nodes;
         root_objective = !root_objective;
-        root_time = !root_time;
         total_time;
         simplex_iterations;
         best_bound = (if !limit_hit then !lb_at_exit else infinity);
@@ -573,8 +564,7 @@ type wout = {
 }
 
 let solve_parallel ~domains ~deterministic ~time_limit ~node_limit ~rel_gap
-    ~use_heuristic ~heur_period ~warm (p : Problem.t) =
-  let t0 = Clock.now () in
+    ~use_heuristic ~heur_period ~warm ~t0 ~root (p : Problem.t) =
   let n = Problem.num_vars p in
   let orig_lo = Array.init n (Problem.var_lo p) in
   let orig_hi = Array.init n (Problem.var_hi p) in
@@ -599,7 +589,7 @@ let solve_parallel ~domains ~deterministic ~time_limit ~node_limit ~rel_gap
   in
   let root_pc = pc_create n in
   pc_import root_pc n warm;
-  let finish status ~nodes ~iters ~root_objective ~root_time ~best_bound =
+  let finish status ~nodes ~iters ~root_objective ~best_bound =
     let objective = match !incumbent with Some _ -> !incumbent_obj | None -> infinity in
     {
       status;
@@ -608,7 +598,6 @@ let solve_parallel ~domains ~deterministic ~time_limit ~node_limit ~rel_gap
         (match !incumbent with Some x -> x | None -> Array.make n 0.);
       nodes;
       root_objective;
-      root_time;
       total_time = Clock.since t0;
       simplex_iterations = iters;
       best_bound;
@@ -621,19 +610,17 @@ let solve_parallel ~domains ~deterministic ~time_limit ~node_limit ~rel_gap
     }
   in
   (* ---- root relaxation on the coordinator ---- *)
-  let root_solver = Revised.create p in
+  let root_solver, root_status = root in
   Support.Metrics.incr m_nodes;
-  match Support.Trace.with_span "root-lp" (fun () -> Revised.solve root_solver) with
+  match root_status with
   | Revised.Iteration_limit ->
       finish Limit ~nodes:1 ~iters:(Revised.iterations root_solver)
-        ~root_objective:nan ~root_time:(Clock.since t0)
-        ~best_bound:neg_infinity
+        ~root_objective:nan ~best_bound:neg_infinity
   | Revised.Infeasible ->
       finish Infeasible ~nodes:1 ~iters:(Revised.iterations root_solver)
-        ~root_objective:nan ~root_time:(Clock.since t0) ~best_bound:infinity
+        ~root_objective:nan ~best_bound:infinity
   | Revised.Optimal ->
       let root_objective = Revised.objective root_solver in
-      let root_time = Clock.since t0 in
       let x = Revised.primal root_solver in
       let heap = Heap.create () in
       (match select_branch p root_pc n x with
@@ -699,7 +686,6 @@ let solve_parallel ~domains ~deterministic ~time_limit ~node_limit ~rel_gap
         finish
           (if !incumbent = None then Infeasible else Optimal)
           ~nodes:1 ~iters:(Revised.iterations root_solver) ~root_objective
-          ~root_time
           ~best_bound:
             (if !incumbent = None then infinity else !incumbent_obj)
       else begin
@@ -982,20 +968,21 @@ let solve_parallel ~domains ~deterministic ~time_limit ~node_limit ~rel_gap
               else !incumbent_obj
             in
             finish status ~nodes:!total_nodes ~iters ~root_objective
-              ~root_time ~best_bound
+              ~best_bound
         | None ->
             finish
               (if !limit_hit then Limit else Infeasible)
-              ~nodes:!total_nodes ~iters ~root_objective ~root_time
+              ~nodes:!total_nodes ~iters ~root_objective
               ~best_bound:(if !limit_hit then !lb_at_exit else infinity)
       end
 
 let solve ?(time_limit = 600.) ?(node_limit = 500_000) ?(rel_gap = 1e-4)
     ?(use_heuristic = true) ?(heur_period = 128) ?(domains = 1)
-    ?(deterministic = false) ?(warm = no_warm) (p : Problem.t) =
+    ?(deterministic = false) ?(warm = no_warm) ~root (p : Problem.t) =
+  let t0 = Clock.now () in
   if domains <= 1 then
     solve_sequential ~time_limit ~node_limit ~rel_gap ~use_heuristic
-      ~heur_period ~warm p
+      ~heur_period ~warm ~t0 ~root p
   else
     solve_parallel ~domains ~deterministic ~time_limit ~node_limit ~rel_gap
-      ~use_heuristic ~heur_period ~warm p
+      ~use_heuristic ~heur_period ~warm ~t0 ~root p

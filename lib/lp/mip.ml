@@ -5,12 +5,14 @@
    statistics that Figure 7 of the paper tabulates (model size, root-LP
    and integer solve times).
 
-   Root cutting planes: after presolve, a few rounds of cover/clique
-   separation (see [Cuts]) run against the fractional root optimum and
-   the violated cuts are appended to the reduced problem as ordinary
-   rows, so branch and bound starts from a tighter relaxation.  All
-   budgets are wall-clock seconds ([Clock]); the cut rounds spend from
-   the same [time_limit] as the search. *)
+   The root LP is solved after presolve (span "root-lp").  A few rounds
+   of cover/clique separation (see [Cuts], span "root-cuts") run against
+   its fractional optimum; violated cuts are appended to a private copy
+   of the problem as ordinary rows, and only a round that appends cuts
+   re-solves the root.  The final solved root goes to branch and bound
+   ([Branch_bound.solve ~root]), which starts its search from that
+   solver.  All budgets are wall-clock seconds ([Clock]); the cut rounds
+   spend from the same [time_limit] as the search. *)
 
 type status = Optimal | Infeasible | Limit
 
@@ -35,7 +37,7 @@ type stats = {
   rows_after : int;
   obj_terms : int;
   nonzeros : int;
-  root_time : float;
+  root_time : float; (* root LP and cut rounds, up to the final root *)
   total_time : float;
   root_objective : float;
   nodes : int;
@@ -80,38 +82,49 @@ let default_stats =
 
 let int_tol = 1e-6
 
-(* Separate and append root cuts until no violated cut is found, the
-   round budget runs out, or the root comes back integral.  Returns
-   (rounds run, cuts added).  Each round re-solves the root LP from
-   scratch; with the sparse basis this costs well under a second even on
-   the largest allocation models. *)
-let root_cut_pass ?(max_rounds = 3) ~deadline (p : Problem.t) =
-  let n = Problem.num_vars p in
-  let rounds = ref 0 in
-  let added = ref 0 in
-  let continue_ = ref true in
-  while !continue_ && !rounds < max_rounds && Clock.now () < deadline do
-    incr rounds;
-    let solver = Revised.create p in
-    match Revised.solve solver with
-    | Revised.Infeasible | Revised.Iteration_limit -> continue_ := false
-    | Revised.Optimal ->
-        let x = Revised.primal solver in
-        let fractional = ref false in
-        for j = 0 to n - 1 do
-          if Problem.var_integer p j then begin
-            let f = Float.abs (x.(j) -. Float.round x.(j)) in
-            if f > int_tol then fractional := true
-          end
-        done;
-        if not !fractional then continue_ := false
-        else begin
-          let cuts = Cuts.generate p x in
-          if cuts = [] then continue_ := false
-          else added := !added + Cuts.apply p cuts
-        end
-  done;
-  (!rounds, !added)
+let m_root_solves = Support.Metrics.counter "lp.root_solves"
+
+(* The root relaxation of [p], built and solved from scratch: the solver
+   (at the root optimum when the status is [Optimal]) and the status. *)
+let solve_root (p : Problem.t) =
+  Support.Metrics.incr m_root_solves;
+  Support.Trace.with_span "root-lp" (fun () ->
+      let solver = Revised.create p in
+      (solver, Revised.solve solver))
+
+(* Separate cuts on the root optimum [root] and append the violated
+   ones to [p], until none is found, the round budget runs out, or the
+   root is integral.  Only a round that appends cuts re-solves the root
+   (from scratch: the new rows change the basis dimension).  Returns the
+   final root with the rounds run and the cuts added.  On the allocation
+   models no cut fires, so this costs one scan of the root point. *)
+let root_cut_pass ?(max_rounds = 3) ~deadline (p : Problem.t) root =
+  let fractional x =
+    let frac = ref false in
+    for j = 0 to Problem.num_vars p - 1 do
+      if
+        Problem.var_integer p j
+        && Float.abs (x.(j) -. Float.round x.(j)) > int_tol
+      then frac := true
+    done;
+    !frac
+  in
+  let rec round ((solver, status) as root) rounds added =
+    if rounds >= max_rounds || Clock.now () >= deadline then
+      (root, rounds, added)
+    else
+      let cuts =
+        if status <> Revised.Optimal then []
+        else
+          let x = Revised.primal solver in
+          if fractional x then Cuts.generate p x else []
+      in
+      if cuts = [] then (root, rounds + 1, added)
+      else
+        let k = Cuts.apply p cuts in
+        round (solve_root p) (rounds + 1) (added + k)
+  in
+  round root 0 0
 
 let solve ?(presolve = true) ?(cuts = true) ?(time_limit = 600.)
     ?(node_limit = 500_000) ?(rel_gap = 1e-4) ?(domains = 1)
@@ -156,12 +169,15 @@ let solve ?(presolve = true) ?(cuts = true) ?(time_limit = 600.)
      Identity when presolve is off. *)
   let branch_and_bound sub ~after_stats ~postsolve_fn ~map_orig_to_sub
       ~sub_to_orig =
-    let cut_rounds, cuts_added =
+    let root_t0 = Clock.now () in
+    let root = solve_root sub in
+    let root, cut_rounds, cuts_added =
       if cuts then
         Support.Trace.with_span "root-cuts" (fun () ->
-            root_cut_pass ~deadline:(t0 +. (0.25 *. time_limit)) sub)
-      else (0, 0)
+            root_cut_pass ~deadline:(t0 +. (0.25 *. time_limit)) sub root)
+      else (root, 0, 0)
     in
+    let root_time = Clock.since root_t0 in
     Support.Metrics.add (Support.Metrics.counter "lp.cuts.added") cuts_added;
     let remaining = Float.max 1. (time_limit -. Clock.since t0) in
     let bb_warm =
@@ -181,7 +197,7 @@ let solve ?(presolve = true) ?(cuts = true) ?(time_limit = 600.)
     let r =
       Support.Trace.with_span "branch-and-bound" (fun () ->
           Branch_bound.solve ~time_limit:remaining ~node_limit ~rel_gap
-            ~domains ~deterministic ~warm:bb_warm sub)
+            ~domains ~deterministic ~warm:bb_warm ~root sub)
     in
     let status =
       match r.Branch_bound.status with
@@ -226,7 +242,7 @@ let solve ?(presolve = true) ?(cuts = true) ?(time_limit = 600.)
       if status = Optimal then Float.max r.Branch_bound.best_bound objective
       else r.Branch_bound.best_bound
     in
-    finish status objective solution ~root_time:r.Branch_bound.root_time
+    finish status objective solution ~root_time
       ~root_obj:r.Branch_bound.root_objective ~nodes:r.Branch_bound.nodes
       ~iters:r.Branch_bound.simplex_iterations ~cut_rounds ~cuts_added
       ~best_bound ~heur:r.Branch_bound.heuristic_incumbents ~after_stats
@@ -270,7 +286,8 @@ let solve ?(presolve = true) ?(cuts = true) ?(time_limit = 600.)
         end
   end
   else
-    branch_and_bound p ~after_stats:(Problem.stats p)
+    (* root cuts append rows: give them a private copy of [p] *)
+    branch_and_bound (Problem.copy p) ~after_stats:(Problem.stats p)
       ~postsolve_fn:(fun s -> s)
       ~map_orig_to_sub:(fun j ->
         if j >= 0 && j < Problem.num_vars p then Some j else None)

@@ -61,10 +61,56 @@ let drop_tol = 1e-13
 let abs_pivot_tol = 1e-11
 let rel_pivot_tol = 0.1 (* threshold pivoting within the chosen column *)
 
+(* A column bucket of the Markowitz search: a ring buffer read and
+   written at one end only, its head, with a bit saying which end that
+   is, so reversing the bucket is O(1). *)
+type bucket = {
+  mutable ring : int array; (* capacity 0 or a power of two *)
+  mutable lo : int; (* ring index of the low end *)
+  mutable len : int;
+  mutable head_hi : bool; (* the head is the high end *)
+}
+
+let bucket_push b x =
+  let cap = Array.length b.ring in
+  if b.len = cap then begin
+    let ring = Array.make (max 8 (2 * cap)) 0 in
+    for k = 0 to b.len - 1 do
+      ring.(k) <- b.ring.((b.lo + k) land (cap - 1))
+    done;
+    b.ring <- ring;
+    b.lo <- 0
+  end;
+  let mask = Array.length b.ring - 1 in
+  if b.head_hi then b.ring.((b.lo + b.len) land mask) <- x
+  else begin
+    b.lo <- (b.lo - 1) land mask;
+    b.ring.(b.lo) <- x
+  end;
+  b.len <- b.len + 1
+
+let bucket_pop b =
+  let mask = Array.length b.ring - 1 in
+  b.len <- b.len - 1;
+  if b.head_hi then b.ring.((b.lo + b.len) land mask)
+  else begin
+    let x = b.ring.(b.lo) in
+    b.lo <- (b.lo + 1) land mask;
+    x
+  end
+
+(* Resolved once at module initialization; [Metrics.reset] keeps the
+   handle valid. *)
+let h_factorize_us = Support.Metrics.histogram "lp.lu.factorize_us"
+let m_search_reads = Support.Metrics.counter "lp.lu.search_reads"
+
 (* [factorize m column] factors the m x m matrix whose [j]-th column is
    the sparse vector [column j] (a (row, value) array).  Raises
-   [Singular] when no acceptable pivot remains. *)
+   [Singular] when no acceptable pivot remains.  Each successful call
+   records its duration in the [lp.lu.factorize_us] histogram and adds
+   the bucket entries its pivot search read to [lp.lu.search_reads]. *)
 let factorize m column =
+  let t0 = Clock.now () in
   (* Active submatrix: per-column hashtables row -> value, plus a
      row -> column-set index and entry counts, all maintained under
      elimination. *)
@@ -87,12 +133,36 @@ let factorize m column =
   let colcnt = Array.map Hashtbl.length acols in
   let rowcnt = Array.map Hashtbl.length rowcols in
   let col_active = Array.make m true in
-  (* Columns bucketed by current entry count; stale entries (count since
-     changed) are discarded lazily when a bucket is scanned. *)
-  let buckets = Array.make (m + 1) [] in
+  (* Columns bucketed by current entry count.  A bucket holds entry ids;
+     ids are handed out in push order, so an id is also its push time.
+     An entry goes stale when its column is pivoted, or when a scan of
+     its bucket finds the column's count elsewhere: [departed.(c)] lists
+     the columns whose count left c since c's last scan, and [killed]
+     maps (c, column) to the first id that scan left alive.  Stale
+     entries are dropped when a scan reaches them, so a bucket's live
+     entries keep the order a full filter on every scan would give.  The
+     order is kept on purpose: another pivot order rounds differently
+     and can steer the simplex to a different equal-cost optimum. *)
+  let buckets =
+    Array.init (m + 1) (fun _ ->
+        { ring = [||]; lo = 0; len = 0; head_hi = false })
+  in
+  let entry_col = Support.Vec.create () in
+  let departed = Array.make (m + 1) [] in
+  let killed = Hashtbl.create 64 in
+  let key c j = (c * m) + j in
   let push_bucket j =
     let c = colcnt.(j) in
-    if c >= 0 && c <= m then buckets.(c) <- j :: buckets.(c)
+    if c >= 0 && c <= m then begin
+      bucket_push buckets.(c) (Support.Vec.length entry_col);
+      Support.Vec.push entry_col j
+    end
+  in
+  let live_entry c e =
+    let j = Support.Vec.get entry_col e in
+    col_active.(j)
+    && colcnt.(j) = c
+    && e >= Option.value ~default:0 (Hashtbl.find_opt killed (key c j))
   in
   for j = 0 to m - 1 do
     push_bucket j
@@ -124,34 +194,46 @@ let factorize m column =
   in
   (* Markowitz pivot selection: scan buckets in increasing column count,
      stop at the first zero-cost candidate or after a handful of
-     candidates (partial pricing of pivots, GLPK-style). *)
+     candidates (partial pricing of pivots, GLPK-style).  A scan pops
+     entries off the bucket's head until it stops, pushes the live ones
+     back and reverses the bucket, so it reads only the entries it needs
+     ([reads] counts them), however long the bucket is. *)
+  let reads = ref 0 in
   let select () =
     let best = ref None in
     let ncand = ref 0 in
     let stop = ref false in
     let cnt = ref 1 in
     while (not !stop) && !cnt <= m do
-      let lst = buckets.(!cnt) in
-      if lst <> [] then begin
-        buckets.(!cnt) <- [];
-        let keep = ref [] in
+      let b = buckets.(!cnt) in
+      if b.len > 0 then begin
         List.iter
           (fun j ->
-            if col_active.(j) && colcnt.(j) = !cnt then begin
-              keep := j :: !keep;
-              if not !stop then
-                match best_in_col j with
-                | None -> ()
-                | Some (i, v, rc) ->
-                    let cost = (!cnt - 1) * (rc - 1) in
-                    (match !best with
-                    | Some (c0, _, _, _) when c0 <= cost -> ()
-                    | _ -> best := Some (cost, j, i, v));
-                    incr ncand;
-                    if cost = 0 || !ncand >= 4 then stop := true
-            end)
-          lst;
-        buckets.(!cnt) <- !keep
+            if colcnt.(j) <> !cnt then
+              Hashtbl.replace killed (key !cnt j)
+                (Support.Vec.length entry_col))
+          departed.(!cnt);
+        departed.(!cnt) <- [];
+        let live = ref [] in
+        while (not !stop) && b.len > 0 do
+          let e = bucket_pop b in
+          incr reads;
+          if live_entry !cnt e then begin
+            let j = Support.Vec.get entry_col e in
+            live := e :: !live;
+            match best_in_col j with
+            | None -> ()
+            | Some (i, v, rc) ->
+                let cost = (!cnt - 1) * (rc - 1) in
+                (match !best with
+                | Some (c0, _, _, _) when c0 <= cost -> ()
+                | _ -> best := Some (cost, j, i, v));
+                incr ncand;
+                if cost = 0 || !ncand >= 4 then stop := true
+          end
+        done;
+        List.iter (bucket_push b) !live;
+        b.head_hi <- not b.head_hi
       end;
       if !best <> None then stop := true;
       incr cnt
@@ -201,6 +283,7 @@ let factorize m column =
         List.iter
           (fun (j', u) ->
             let tbl = acols.(j') in
+            let c0 = colcnt.(j') in
             Hashtbl.remove tbl i;
             colcnt.(j') <- colcnt.(j') - 1;
             List.iter
@@ -224,6 +307,7 @@ let factorize m column =
                       rowcnt.(r) <- rowcnt.(r) + 1
                     end)
               mults;
+            if colcnt.(j') <> c0 then departed.(c0) <- j' :: departed.(c0);
             push_bucket j')
           urow;
         Hashtbl.reset rowcols.(i);
@@ -246,6 +330,8 @@ let factorize m column =
     Array.iter (fun a -> s := !s + Array.length a) umat;
     !s
   in
+  Support.Metrics.observe h_factorize_us (Clock.since t0 *. 1e6);
+  Support.Metrics.add m_search_reads !reads;
   {
     m;
     pr;

@@ -535,8 +535,7 @@ let test_bb_domains_agree () =
   List.iter
     (fun seed ->
       let run d det =
-        (* fresh problem per solve (root cuts mutate it in place); cuts
-           off so the search has to prove the optimum by branching *)
+        (* cuts off so the search has to prove the optimum by branching *)
         Mip.solve ~cuts:false ~rel_gap:0. ~domains:d ~deterministic:det
           (seeded_cover_mip seed)
       in
@@ -571,6 +570,55 @@ let test_bb_deterministic_nodes () =
     b.Mip.objective;
   checki "simplex iterations reproduce" a.Mip.stats.Mip.simplex_iterations
     b.Mip.stats.Mip.simplex_iterations
+
+(* Seeded random packing instance: negative costs, <= 1 or <= 2 rows
+   over small random subsets.  Cover and clique cuts fire at its root. *)
+let seeded_packing_mip seed =
+  let st = Random.State.make [| seed |] in
+  let p = Problem.create () in
+  let n = 20 in
+  for j = 0 to n - 1 do
+    ignore
+      (Problem.add_binary p
+         ~obj:(-.float_of_int (1 + Random.State.int st 9))
+         (Printf.sprintf "x%d" j))
+  done;
+  for _ = 1 to 25 do
+    let k = 3 + Random.State.int st 4 in
+    let terms = List.init k (fun _ -> (Random.State.int st n, 1.)) in
+    Problem.add_row p Problem.Le
+      (float_of_int (1 + Random.State.int st 2))
+      (List.sort_uniq compare terms)
+  done;
+  p
+
+(* Root cuts are appended to a private copy: with presolve off (so the
+   solve works on the caller's problem directly), the caller's problem
+   keeps its rows, and solving it again proves the same optimum. *)
+let test_mip_leaves_problem_untouched () =
+  let p = seeded_packing_mip 11 in
+  let rows = Problem.num_rows p in
+  let r = Mip.solve ~presolve:false p in
+  checkb "cuts fired" true (r.Mip.stats.Mip.cuts_added > 0);
+  checki "caller's rows unchanged" rows (Problem.num_rows p);
+  let again = Mip.solve ~presolve:false p in
+  check (Alcotest.float 1e-9) "re-solve proves the same optimum"
+    r.Mip.objective again.Mip.objective
+
+(* The root LP is solved once: when no cut fires on a fractional root,
+   branch and bound starts from the solver the cut pass separated on. *)
+let test_mip_root_solved_once () =
+  let solves = Support.Metrics.counter "lp.root_solves" in
+  let before = Support.Metrics.counter_value solves in
+  let r = Mip.solve (seeded_cover_mip 11) in
+  let s = r.Mip.stats in
+  checkb "optimal" true (r.Mip.status = Mip.Optimal);
+  checkb "root is fractional" true
+    (s.Mip.root_objective < r.Mip.objective -. 1e-6);
+  checki "one separation round" 1 s.Mip.cut_rounds;
+  checki "no cut fires" 0 s.Mip.cuts_added;
+  checki "root LP solved once" 1
+    (Support.Metrics.counter_value solves - before)
 
 (* Warm starts: re-solving a slightly edited instance seeded with the
    previous solve's solution and pseudocost history must prove exactly
@@ -667,99 +715,188 @@ let incumbent_publication_is_monotone =
 (* Sparse LU kernel                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Random sparse well-conditioned matrices: a shuffled permutation
-   diagonal (entries in [1,3]) plus a little off-diagonal noise.  FTRAN
-   and BTRAN must invert a dense multiply, both on the base factors and
-   after product-form eta updates. *)
+(* FTRAN and BTRAN must invert a multiply by the basis [cols] (one
+   sparse column per basis position), both on the base factors and
+   after each of [updates] product-form eta updates, which replace a
+   random position [r] by [fresh_col r].  Returns the number of updates
+   the kernel refused as singular. *)
+let lu_roundtrip st ~tag cols ~fresh_col ~updates =
+  let m = Array.length cols in
+  let lu = Sparse_lu.factorize m (fun j -> cols.(j)) in
+  let mat_vec x =
+    let b = Array.make m 0. in
+    Array.iteri
+      (fun j col ->
+        Array.iter (fun (i, v) -> b.(i) <- b.(i) +. (v *. x.(j))) col)
+      cols;
+    b
+  in
+  let mat_tvec y =
+    Array.map
+      (fun col -> Array.fold_left (fun s (i, v) -> s +. (v *. y.(i))) 0. col)
+      cols
+  in
+  let check_roundtrip stage =
+    let expect what truth got =
+      Array.iteri
+        (fun i v ->
+          if Float.abs (v -. truth.(i)) > 1e-6 then
+            Alcotest.failf "%s %s %s drift %g at %d (m=%d)" tag stage what
+              (Float.abs (v -. truth.(i)))
+              i m)
+        got
+    in
+    let x_true = Array.init m (fun _ -> Random.State.float st 4. -. 2.) in
+    let b = mat_vec x_true in
+    Sparse_lu.ftran lu b;
+    expect "ftran" x_true b;
+    let y_true = Array.init m (fun _ -> Random.State.float st 4. -. 2.) in
+    let c = mat_tvec y_true in
+    Sparse_lu.btran lu c;
+    expect "btran" y_true c
+  in
+  check_roundtrip "base";
+  let refused = ref 0 in
+  for _u = 1 to updates do
+    let r = Random.State.int st m in
+    let newcol = fresh_col r in
+    let w = Array.make m 0. in
+    Array.iter (fun (i, v) -> w.(i) <- w.(i) +. v) newcol;
+    Sparse_lu.ftran lu w;
+    (* the random replacement can make B singular; the kernel must
+       refuse it, and skipping keeps the reference basis in sync *)
+    match Sparse_lu.update lu ~r ~w with
+    | () ->
+        cols.(r) <- newcol;
+        check_roundtrip "eta"
+    | exception Sparse_lu.Singular -> incr refused
+  done;
+  !refused
+
+let shuffled st m =
+  let perm = Array.init m (fun i -> i) in
+  for i = m - 1 downto 1 do
+    let j = Random.State.int st (i + 1) in
+    let tmp = perm.(i) in
+    perm.(i) <- perm.(j);
+    perm.(j) <- tmp
+  done;
+  perm
+
+(* A column with [diag] at row [row] plus [k] entries in [-0.5, 0.5) at
+   random rows. *)
+let noisy_col st m ~row ~diag k =
+  Array.append
+    [| (row, diag) |]
+    (Array.init k (fun _ ->
+         (Random.State.int st m, Random.State.float st 1. -. 0.5)))
+
+(* The nonzeros of a dense column, by row. *)
+let sparse_of_dense col =
+  let entries = ref [] in
+  for i = Array.length col - 1 downto 0 do
+    if col.(i) <> 0. then entries := (i, col.(i)) :: !entries
+  done;
+  Array.of_list !entries
+
+(* Two families of sparse bases, each a shuffled permutation diagonal
+   plus a little off-diagonal noise:
+   - small random matrices (m <= 12), diagonal entries in [1, 3].  A
+     replacement column has its dominant entry at row [r], not at the
+     leaving column's diagonal row, and noise on a quarter of the other
+     rows, so updates often change the basis structure or make it
+     singular;
+   - slack-heavy bases of 200 to 2 000 rows shaped like the allocation
+     models': about four columns in five are unit slack columns, the
+     rest short structural columns.  30 eta updates each; a third of the
+     entering columns put their dominant entry on a random row, so some
+     updates leave the leaving column's row uncovered and are refused. *)
 let test_sparse_lu_roundtrip () =
   let st = Random.State.make [| 42 |] in
-  for _case = 1 to 25 do
+  for case = 1 to 25 do
     let m = 1 + Random.State.int st 12 in
-    let perm = Array.init m (fun i -> i) in
-    for i = m - 1 downto 1 do
-      let j = Random.State.int st (i + 1) in
-      let tmp = perm.(i) in
-      perm.(i) <- perm.(j);
-      perm.(j) <- tmp
-    done;
+    let perm = shuffled st m in
     let dense = Array.make_matrix m m 0. in
     for j = 0 to m - 1 do
-      dense.(perm.(j)).(j) <- 1. +. Random.State.float st 2.;
+      dense.(j).(perm.(j)) <- 1. +. Random.State.float st 2.;
       if m > 1 && Random.State.bool st then begin
         let r = Random.State.int st m in
-        dense.(r).(j) <- dense.(r).(j) +. Random.State.float st 1. -. 0.5
+        dense.(j).(r) <- dense.(j).(r) +. Random.State.float st 1. -. 0.5
       end
     done;
-    let col_of j =
-      let entries = ref [] in
-      for i = m - 1 downto 0 do
-        if dense.(i).(j) <> 0. then entries := (i, dense.(i).(j)) :: !entries
-      done;
-      Array.of_list !entries
-    in
-    let lu = Sparse_lu.factorize m col_of in
-    let mat_vec x =
-      Array.init m (fun i ->
-          let s = ref 0. in
-          for j = 0 to m - 1 do
-            s := !s +. (dense.(i).(j) *. x.(j))
-          done;
-          !s)
-    in
-    let mat_tvec y =
-      Array.init m (fun j ->
-          let s = ref 0. in
-          for i = 0 to m - 1 do
-            s := !s +. (dense.(i).(j) *. y.(i))
-          done;
-          !s)
-    in
-    let check_roundtrip tag =
-      let x_true = Array.init m (fun _ -> Random.State.float st 4. -. 2.) in
-      let b = mat_vec x_true in
-      Sparse_lu.ftran lu b;
-      Array.iteri
-        (fun i v ->
-          if Float.abs (v -. x_true.(i)) > 1e-6 then
-            Alcotest.failf "%s ftran drift %g at %d (m=%d)" tag
-              (Float.abs (v -. x_true.(i)))
-              i m)
-        b;
-      let y_true = Array.init m (fun _ -> Random.State.float st 4. -. 2.) in
-      let c = mat_tvec y_true in
-      Sparse_lu.btran lu c;
-      Array.iteri
-        (fun i v ->
-          if Float.abs (v -. y_true.(i)) > 1e-6 then
-            Alcotest.failf "%s btran drift %g at %d (m=%d)" tag
-              (Float.abs (v -. y_true.(i)))
-              i m)
-        c
-    in
-    check_roundtrip "base";
-    (* a few eta updates: replace random columns with fresh ones *)
-    for _u = 1 to 3 do
-      let r = Random.State.int st m in
-      let newcol =
-        Array.init m (fun i ->
-            if i = r then 1.5 +. Random.State.float st 1.
-            else if Random.State.int st 4 = 0 then
-              Random.State.float st 1. -. 0.5
-            else 0.)
-      in
-      let w = Array.copy newcol in
-      Sparse_lu.ftran lu w;
-      (* the random replacement can make B singular; the kernel must
-         refuse it, and skipping keeps the reference matrix in sync *)
-      match Sparse_lu.update lu ~r ~w with
-      | () ->
-          for i = 0 to m - 1 do
-            dense.(i).(r) <- newcol.(i)
-          done;
-          check_roundtrip "eta"
-      | exception Sparse_lu.Singular -> ()
-    done
-  done
+    ignore
+      (lu_roundtrip st
+         ~tag:(Printf.sprintf "small case %d" case)
+         (Array.map sparse_of_dense dense)
+         ~updates:3
+         ~fresh_col:(fun r ->
+           sparse_of_dense
+             (Array.init m (fun i ->
+                  if i = r then 1.5 +. Random.State.float st 1.
+                  else if Random.State.int st 4 = 0 then
+                    Random.State.float st 1. -. 0.5
+                  else 0.))))
+  done;
+  let refused =
+    List.fold_left
+      (fun refused m ->
+        let perm = shuffled st m in
+        let structural ~row =
+          noisy_col st m ~row
+            ~diag:(1. +. Random.State.float st 2.)
+            (1 + Random.State.int st 3)
+        in
+        let col j =
+          if Random.State.int st 5 > 0 then [| (perm.(j), 1.) |]
+          else structural ~row:perm.(j)
+        in
+        let fresh_col r =
+          if Random.State.int st 3 = 0 then
+            structural ~row:(Random.State.int st m)
+          else col r
+        in
+        refused
+        + lu_roundtrip st
+            ~tag:(Printf.sprintf "slack-heavy m=%d" m)
+            (Array.init m col) ~fresh_col ~updates:30)
+      0 [ 200; 700; 2000 ]
+  in
+  checkb "some slack-heavy updates refused" true (refused > 0)
+
+(* The Markowitz search reads a bounded number of column entries per
+   pivot, so a 50 000-row basis of unit columns plus short structural
+   columns factors in a fraction of a second.  A search that re-read the
+   whole count-1 bucket for every pivot would read about m^2 / 2 entries
+   and take tens of seconds. *)
+let test_sparse_lu_scale () =
+  let m = 50_000 in
+  let st = Random.State.make [| 7 |] in
+  let perm = shuffled st m in
+  let cols =
+    Array.init m (fun j ->
+        if Random.State.int st 10 > 0 then [| (perm.(j), 1.) |]
+        else noisy_col st m ~row:perm.(j) ~diag:2. 2)
+  in
+  let reads = Support.Metrics.counter "lp.lu.search_reads" in
+  let reads0 = Support.Metrics.counter_value reads in
+  let t0 = Clock.now () in
+  let lu = Sparse_lu.factorize m (fun j -> cols.(j)) in
+  let secs = Clock.since t0 in
+  let read = Support.Metrics.counter_value reads - reads0 in
+  if read > 4 * m then
+    Alcotest.failf "pivot search read %d entries for %d rows (limit %d)" read
+      m (4 * m);
+  if secs >= 2. then
+    Alcotest.failf "factorizing %d rows took %.2f s (limit 2 s)" m secs;
+  (* and the factors solve: B x = B 1 gives x = 1 *)
+  let b = Array.make m 0. in
+  Array.iter (Array.iter (fun (i, v) -> b.(i) <- b.(i) +. v)) cols;
+  Sparse_lu.ftran lu b;
+  Array.iteri
+    (fun i v ->
+      if Float.abs (v -. 1.) > 1e-9 then
+        Alcotest.failf "ftran drift %g at %d" (Float.abs (v -. 1.)) i)
+    b
 
 (* ------------------------------------------------------------------ *)
 (* Seeded float-vs-rational cross-check (larger LPs)                   *)
@@ -1025,6 +1162,8 @@ let suites =
           test_revised_equality_system;
         Alcotest.test_case "revised warm restart" `Quick test_revised_warm_restart;
         Alcotest.test_case "sparse LU roundtrip" `Quick test_sparse_lu_roundtrip;
+        Alcotest.test_case "sparse LU scales linearly" `Quick
+          test_sparse_lu_scale;
         Alcotest.test_case "revised vs exact (seeded, large)" `Quick
           test_revised_vs_exact_seeded;
         Alcotest.test_case "warm-restart chains match cold solves" `Quick
@@ -1057,6 +1196,10 @@ let suites =
           test_bb_deterministic_nodes;
         Alcotest.test_case "warm start proves the cold objective" `Quick
           test_mip_warm_start_equivalence;
+        Alcotest.test_case "solve leaves the caller's problem untouched"
+          `Quick test_mip_leaves_problem_untouched;
+        Alcotest.test_case "root LP solved once when no cut fires" `Quick
+          test_mip_root_solved_once;
         QCheck_alcotest.to_alcotest incumbent_publication_is_monotone;
       ] );
     ( "lp.format",

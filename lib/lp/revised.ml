@@ -40,7 +40,16 @@ type t = {
   cost : float array; (* length n+m; slacks cost 0 *)
   lo : float array; (* length n+m, mutable via set_bounds *)
   hi : float array;
-  cols : (int * float) array array; (* sparse column per variable *)
+  (* Column j of [A | I] is entries [col_start.(j)] ..
+     [col_start.(j+1) - 1] of [col_row]/[col_val], by increasing row. *)
+  col_start : int array; (* length n+m+1 *)
+  col_row : int array;
+  col_val : float array;
+  (* The same matrix by rows: row i holds its structural terms, then
+     its slack. *)
+  row_start : int array; (* length m+1 *)
+  row_col : int array;
+  row_val : float array;
   rhs : float array; (* length m *)
   mutable lu : Sparse_lu.t; (* factored basis *)
   basis : int array; (* length m: variable in basis position i *)
@@ -57,6 +66,12 @@ type t = {
   mutable bound_deltas : (int * float) list;
   rho : float array; (* workspace: BTRAN pivot row, length m *)
   wcol : float array; (* workspace: FTRAN entering column, length m *)
+  rho_nz : int array; (* workspace: nonzero positions of [rho] *)
+  w_nz : int array; (* workspace: nonzero positions of [wcol] *)
+  alpha : float array; (* workspace: pivot row, length n+m; zero between
+                          iterations *)
+  in_row : bool array; (* workspace: column is listed in [row_cols] *)
+  row_cols : int array; (* workspace: columns the pivot row touched *)
   pricing : pricing;
   dw : float array; (* devex reference weights, one per basis row *)
   mutable iters : int;
@@ -68,6 +83,14 @@ let feas_tol = 1e-7
 let dual_tol = 1e-7
 let pivot_tol = 1e-9
 
+(* The column of basis position [k], in the form [Sparse_lu.factorize]
+   reads. *)
+let basis_column col_start col_row col_val basis k f =
+  let j = basis.(k) in
+  for p = col_start.(j) to col_start.(j + 1) - 1 do
+    f col_row.(p) col_val.(p)
+  done
+
 let create ?(pricing = Devex) (p : Problem.t) =
   let n = Problem.num_vars p in
   let m = Problem.num_rows p in
@@ -75,7 +98,6 @@ let create ?(pricing = Devex) (p : Problem.t) =
   let cost = Array.make nm 0. in
   let lo = Array.make nm 0. in
   let hi = Array.make nm 0. in
-  let cols = Array.make nm [||] in
   let rhs = Array.make m 0. in
   for j = 0 to n - 1 do
     cost.(j) <- Problem.var_obj p j;
@@ -88,11 +110,18 @@ let create ?(pricing = Devex) (p : Problem.t) =
     if cost.(j) < 0. && not (Float.is_finite hi.(j)) then
       invalid_arg "Revised.create: negative cost needs a finite upper bound"
   done;
-  (* Build structural columns row-wise then transpose. *)
-  let col_build = Array.make n [] in
   let rows = ref [] in
   Problem.iter_rows (fun r -> rows := r :: !rows) p;
   let rows = Array.of_list (List.rev !rows) in
+  (* Row-wise copy first, then its transpose: scanning the rows in order
+     lists each column's entries by increasing row. *)
+  let row_start = Array.make (m + 1) 0 in
+  Array.iteri
+    (fun i (r : Problem.row) ->
+      row_start.(i + 1) <- row_start.(i) + List.length r.terms + 1)
+    rows;
+  let nnz = row_start.(m) in
+  let row_col = Array.make nnz 0 and row_val = Array.make nnz 0. in
   Array.iteri
     (fun i (r : Problem.row) ->
       rhs.(i) <- r.rhs;
@@ -106,13 +135,30 @@ let create ?(pricing = Devex) (p : Problem.t) =
       | Problem.Eq ->
           lo.(n + i) <- 0.;
           hi.(n + i) <- 0.);
-      List.iter (fun (v, c) -> col_build.(v) <- (i, c) :: col_build.(v)) r.terms)
+      let p = ref row_start.(i) in
+      List.iter
+        (fun (v, c) ->
+          row_col.(!p) <- v;
+          row_val.(!p) <- c;
+          incr p)
+        r.terms;
+      row_col.(!p) <- n + i;
+      row_val.(!p) <- 1.0)
     rows;
-  for j = 0 to n - 1 do
-    cols.(j) <- Array.of_list (List.rev col_build.(j))
+  let col_start = Array.make (nm + 1) 0 in
+  Array.iter (fun j -> col_start.(j + 1) <- col_start.(j + 1) + 1) row_col;
+  for j = 0 to nm - 1 do
+    col_start.(j + 1) <- col_start.(j + 1) + col_start.(j)
   done;
+  let col_row = Array.make nnz 0 and col_val = Array.make nnz 0. in
+  let fill = Array.sub col_start 0 nm in
   for i = 0 to m - 1 do
-    cols.(n + i) <- [| (i, 1.0) |]
+    for p = row_start.(i) to row_start.(i + 1) - 1 do
+      let j = row_col.(p) in
+      col_row.(fill.(j)) <- i;
+      col_val.(fill.(j)) <- row_val.(p);
+      fill.(j) <- fill.(j) + 1
+    done
   done;
   let basis = Array.init m (fun i -> n + i) in
   let in_basis = Array.make nm (-1) in
@@ -126,9 +172,10 @@ let create ?(pricing = Devex) (p : Problem.t) =
     else if not (Float.is_finite lo.(j)) then at_upper.(j) <- true
   done;
   (* All-slack basis: the identity factors trivially. *)
-  let lu = Sparse_lu.factorize m (fun i -> cols.(basis.(i))) in
+  let lu = Sparse_lu.factorize m (basis_column col_start col_row col_val basis) in
   {
-    n; m; cost; lo; hi; cols; rhs; lu; basis; in_basis; at_upper;
+    n; m; cost; lo; hi; col_start; col_row; col_val; row_start; row_col;
+    row_val; rhs; lu; basis; in_basis; at_upper;
     xb = Array.make m 0.;
     dvals = Array.make nm 0.;
     dvals_fresh = false;
@@ -136,6 +183,11 @@ let create ?(pricing = Devex) (p : Problem.t) =
     bound_deltas = [];
     rho = Array.make m 0.;
     wcol = Array.make m 0.;
+    rho_nz = Array.make m 0;
+    w_nz = Array.make m 0;
+    alpha = Array.make nm 0.;
+    in_row = Array.make nm false;
+    row_cols = Array.make nm 0;
     pricing;
     dw = Array.make m 1.;
     iters = 0;
@@ -152,7 +204,10 @@ let m_refactorizations = Support.Metrics.counter "lp.lu.refactorizations"
 let refactorize t =
   t.factorizations <- t.factorizations + 1;
   Support.Metrics.incr m_refactorizations;
-  match Sparse_lu.factorize t.m (fun i -> t.cols.(t.basis.(i))) with
+  match
+    Sparse_lu.factorize t.m
+      (basis_column t.col_start t.col_row t.col_val t.basis)
+  with
   | lu -> t.lu <- lu
   | exception Sparse_lu.Singular -> failwith "Revised.refactorize: singular basis"
 
@@ -163,7 +218,10 @@ let recompute_xb t =
     if t.in_basis.(j) < 0 then begin
       let xj = nonbasic_value t j in
       if xj <> 0. then
-        Array.iter (fun (i, c) -> t.xb.(i) <- t.xb.(i) -. (c *. xj)) t.cols.(j)
+        for p = t.col_start.(j) to t.col_start.(j + 1) - 1 do
+          let i = t.col_row.(p) in
+          t.xb.(i) <- t.xb.(i) -. (t.col_val.(p) *. xj)
+        done
     end
   done;
   Sparse_lu.ftran t.lu t.xb;
@@ -180,7 +238,9 @@ let refresh_dvals t =
     if t.in_basis.(j) >= 0 then t.dvals.(j) <- 0.
     else begin
       let d = ref t.cost.(j) in
-      Array.iter (fun (i, c) -> d := !d -. (y.(i) *. c)) t.cols.(j);
+      for p = t.col_start.(j) to t.col_start.(j + 1) - 1 do
+        d := !d -. (y.(t.col_row.(p)) *. t.col_val.(p))
+      done;
       t.dvals.(j) <- !d
     end
   done;
@@ -208,7 +268,9 @@ let fix_placement t j =
 (* FTRAN of the sparse column of variable [q] into the [wcol] workspace. *)
 let ftran_col t q =
   Array.fill t.wcol 0 t.m 0.;
-  Array.iter (fun (i, c) -> t.wcol.(i) <- c) t.cols.(q);
+  for p = t.col_start.(q) to t.col_start.(q + 1) - 1 do
+    t.wcol.(t.col_row.(p)) <- t.col_val.(p)
+  done;
   Sparse_lu.ftran t.lu t.wcol
 
 let set_bounds t j ~lo ~hi =
@@ -228,6 +290,31 @@ let bounds t j =
   (t.lo.(j), t.hi.(j))
 
 exception Done of status
+
+(* Kernel split of the simplex iterations: microseconds spent in leaving-
+   row pricing, the BTRAN of the pivot row of Binv, building the pivot
+   row and its ratio test, the FTRAN of the entering column, and the
+   dual / primal / devex / eta updates; the summed nonzero counts of
+   rho, of the pivot row over nonbasic columns, and of the FTRAN
+   column; and the row entries the pivot-row pass read.  Each solve
+   adds its totals once, when it returns. *)
+let m_price_us = Support.Metrics.counter "lp.simplex.price_us"
+let m_btran_us = Support.Metrics.counter "lp.simplex.btran_us"
+let m_row_us = Support.Metrics.counter "lp.simplex.row_us"
+let m_ftran_us = Support.Metrics.counter "lp.simplex.ftran_us"
+let m_update_us = Support.Metrics.counter "lp.simplex.update_us"
+let m_rho_nnz = Support.Metrics.counter "lp.simplex.rho_nnz"
+let m_alpha_nnz = Support.Metrics.counter "lp.simplex.alpha_nnz"
+let m_w_nnz = Support.Metrics.counter "lp.simplex.w_nnz"
+let m_row_reads = Support.Metrics.counter "lp.simplex.row_reads"
+
+(* Zero the pivot-row workspace at the columns in [cols]. *)
+let clear_pivot_row t cols =
+  Array.iter
+    (fun j ->
+      t.alpha.(j) <- 0.;
+      t.in_row.(j) <- false)
+    cols
 
 let solve ?(max_iters = 200_000) t =
   if not t.dvals_fresh then refresh_dvals t;
@@ -254,8 +341,11 @@ let solve ?(max_iters = 200_000) t =
   end;
   t.bound_deltas <- [];
   t.iters <- 0;
-  let nm = t.n + t.m in
-  let alphas = Array.make nm 0. in
+  let price_s = ref 0. and btran_s = ref 0. and row_s = ref 0. in
+  let ftran_s = ref 0. and update_s = ref 0. in
+  let rho_nnz = ref 0 and alpha_nnz = ref 0 and w_nnz = ref 0 in
+  let row_reads = ref 0 in
+  let alpha = t.alpha and in_row = t.in_row and row_cols = t.row_cols in
   (try
      while true do
        if t.iters >= max_iters then raise (Done Iteration_limit);
@@ -266,6 +356,7 @@ let solve ?(max_iters = 200_000) t =
          recompute_xb t;
          refresh_dvals t
        end;
+       let t0 = Clock.now () in
        (* Leaving variable: among primal-infeasible basic variables,
           Dantzig takes the worst infeasibility; Devex scores each row
           by infeasibility^2 / weight, the reference-framework estimate
@@ -276,10 +367,11 @@ let solve ?(max_iters = 200_000) t =
        for i = 0 to t.m - 1 do
          let v = Array.unsafe_get t.basis i in
          let x = Array.unsafe_get t.xb i in
-         let infeas, s =
-           if x > t.hi.(v) +. feas_tol then (x -. t.hi.(v), 1.0)
-           else if x < t.lo.(v) -. feas_tol then (t.lo.(v) -. x, -1.0)
-           else (0., 0.)
+         let above = x > t.hi.(v) +. feas_tol in
+         let infeas =
+           if above then x -. t.hi.(v)
+           else if x < t.lo.(v) -. feas_tol then t.lo.(v) -. x
+           else 0.
          in
          if infeas > feas_tol then begin
            let score =
@@ -290,10 +382,12 @@ let solve ?(max_iters = 200_000) t =
            if score > !best_score then begin
              r := i;
              best_score := score;
-             sigma := s
+             sigma := if above then 1.0 else -1.0
            end
          end
        done;
+       let t1 = Clock.now () in
+       price_s := !price_s +. (t1 -. t0);
        if !r < 0 then raise (Done Optimal);
        let r = !r and sigma = !sigma in
        (* Pivot row of Binv: rho = e_r' Binv via one sparse BTRAN. *)
@@ -301,22 +395,45 @@ let solve ?(max_iters = 200_000) t =
        Array.fill rho 0 t.m 0.;
        rho.(r) <- 1.0;
        Sparse_lu.btran t.lu rho;
-       (* Ratio test over nonbasic columns, using the maintained reduced
-          costs; alphas are cached for the incremental dual update. *)
+       let t2 = Clock.now () in
+       btran_s := !btran_s +. (t2 -. t1);
+       (* Pivot row alpha_j = rho . a_j over the rows with rho_i <> 0,
+          in increasing row order: each alpha_j adds the same nonzero
+          products in the same order as a dot product down column j,
+          and every column no such row reaches has alpha_j = 0. *)
+       let nrho = Sparse_lu.nonzeros rho t.rho_nz in
+       rho_nnz := !rho_nnz + nrho;
+       let ntouched = ref 0 in
+       for k = 0 to nrho - 1 do
+         let i = Array.unsafe_get t.rho_nz k in
+         let rho_i = Array.unsafe_get rho i in
+         row_reads := !row_reads + t.row_start.(i + 1) - t.row_start.(i);
+         for p = t.row_start.(i) to t.row_start.(i + 1) - 1 do
+           let j = Array.unsafe_get t.row_col p in
+           if not (Array.unsafe_get in_row j) then begin
+             Array.unsafe_set in_row j true;
+             Array.unsafe_set row_cols !ntouched j;
+             incr ntouched
+           end;
+           Array.unsafe_set alpha j
+             (Array.unsafe_get alpha j
+             +. (rho_i *. Array.unsafe_get t.row_val p))
+         done
+       done;
+       (* The ratio test breaks near-ties by scan order, so it scans the
+          touched columns in increasing index order. *)
+       let cols = Array.sub row_cols 0 !ntouched in
+       Array.sort Int.compare cols;
        let best_j = ref (-1) in
        let best_ratio = ref infinity in
        let best_alpha = ref 0. in
-       for j = 0 to nm - 1 do
+       for k = 0 to Array.length cols - 1 do
+         let j = Array.unsafe_get cols k in
          if t.in_basis.(j) < 0 then begin
-           let alpha = ref 0. in
-           let col = t.cols.(j) in
-           for k = 0 to Array.length col - 1 do
-             let i, c = Array.unsafe_get col k in
-             alpha := !alpha +. (Array.unsafe_get rho i *. c)
-           done;
-           Array.unsafe_set alphas j !alpha;
+           let alpha_j = Array.unsafe_get alpha j in
+           if alpha_j <> 0. then incr alpha_nnz;
            if t.lo.(j) < t.hi.(j) -. 1e-15 then begin
-             let a = sigma *. !alpha in
+             let a = sigma *. alpha_j in
              let eligible =
                if t.at_upper.(j) then a < -.pivot_tol else a > pivot_tol
              in
@@ -330,18 +447,28 @@ let solve ?(max_iters = 200_000) t =
                then begin
                  best_j := j;
                  best_ratio := ratio;
-                 best_alpha := !alpha
+                 best_alpha := alpha_j
                end
              end
            end
          end
        done;
-       if !best_j < 0 then raise (Done Infeasible);
+       let t3 = Clock.now () in
+       row_s := !row_s +. (t3 -. t2);
+       if !best_j < 0 then begin
+         clear_pivot_row t cols;
+         raise (Done Infeasible)
+       end;
        let q = !best_j in
        (* Full entering column. *)
        ftran_col t q;
        let w = t.wcol in
+       let nw = Sparse_lu.nonzeros w t.w_nz in
+       w_nnz := !w_nnz + nw;
+       let t4 = Clock.now () in
+       ftran_s := !ftran_s +. (t4 -. t3);
        if Float.abs w.(r) < pivot_tol then begin
+         clear_pivot_row t cols;
          (* The FTRAN image disagrees with the BTRAN-side alpha: the
             factors have drifted.  Refactorize and redo the iteration. *)
          if Sparse_lu.n_etas t.lu = 0 then
@@ -351,15 +478,18 @@ let solve ?(max_iters = 200_000) t =
          refresh_dvals t
        end
        else begin
-         (* incremental dual update: d_j -= (d_q / alpha_q) * alpha_j *)
-         let theta = t.dvals.(q) /. alphas.(q) in
+         (* incremental dual update: d_j -= (d_q / alpha_q) * alpha_j;
+            it leaves the columns outside the pivot row unchanged *)
+         let theta = t.dvals.(q) /. alpha.(q) in
          if theta <> 0. then
-           for j = 0 to nm - 1 do
+           for k = 0 to Array.length cols - 1 do
+             let j = Array.unsafe_get cols k in
              if t.in_basis.(j) < 0 && j <> q then
                Array.unsafe_set t.dvals j
                  (Array.unsafe_get t.dvals j
-                 -. (theta *. Array.unsafe_get alphas j))
+                 -. (theta *. Array.unsafe_get alpha j))
            done;
+         clear_pivot_row t cols;
          let wr = w.(r) in
          let leaving = t.basis.(r) in
          let target =
@@ -367,12 +497,13 @@ let solve ?(max_iters = 200_000) t =
          in
          let step = (t.xb.(r) -. target) /. wr in
          (* Update basic values. *)
-         for i = 0 to t.m - 1 do
+         for k = 0 to nw - 1 do
+           let i = Array.unsafe_get t.w_nz k in
            t.xb.(i) <- t.xb.(i) -. (step *. w.(i))
          done;
          let entering_old = nonbasic_value t q in
          (* Absorb the basis change as a product-form eta. *)
-         Sparse_lu.update t.lu ~r ~w;
+         Sparse_lu.update t.lu ~r ~w ~nz:t.w_nz ~nnz:nw;
          (* Swap basis membership. *)
          t.basis.(r) <- q;
          t.in_basis.(q) <- r;
@@ -391,25 +522,34 @@ let solve ?(max_iters = 200_000) t =
            let gr = t.dw.(r) /. (wr *. wr) in
            if gr > 1e12 then Array.fill t.dw 0 t.m 1.
            else begin
-             for i = 0 to t.m - 1 do
+             for k = 0 to nw - 1 do
+               let i = Array.unsafe_get t.w_nz k in
                if i <> r then begin
                  let wi = Array.unsafe_get w i in
-                 if wi <> 0. then begin
-                   let cand = wi *. wi *. gr in
-                   if cand > Array.unsafe_get t.dw i then
-                     Array.unsafe_set t.dw i cand
-                 end
+                 let cand = wi *. wi *. gr in
+                 if cand > Array.unsafe_get t.dw i then
+                   Array.unsafe_set t.dw i cand
                end
              done;
              t.dw.(r) <- Float.max gr 1.0
            end
-         end
+         end;
+         update_s := !update_s +. Clock.since t4
        end
      done;
      assert false
    with Done s ->
-     (match s with
-     | Optimal | Infeasible | Iteration_limit -> s))
+     let us secs = int_of_float (secs *. 1e6) in
+     Support.Metrics.add m_price_us (us !price_s);
+     Support.Metrics.add m_btran_us (us !btran_s);
+     Support.Metrics.add m_row_us (us !row_s);
+     Support.Metrics.add m_ftran_us (us !ftran_s);
+     Support.Metrics.add m_update_us (us !update_s);
+     Support.Metrics.add m_rho_nnz !rho_nnz;
+     Support.Metrics.add m_alpha_nnz !alpha_nnz;
+     Support.Metrics.add m_w_nnz !w_nnz;
+     Support.Metrics.add m_row_reads !row_reads;
+     s)
 
 let primal t =
   let x = Array.make t.n 0. in

@@ -17,9 +17,11 @@
      E B = U        (Gaussian elimination, Markowitz-ordered pivoting)
 
    where E is the product of the recorded elementary row operations
-   (stored column-wise per elimination step, [lmat]) and U is the sparse
+   (stored column-wise per elimination step, [l_*]) and U is the sparse
    upper-triangular matrix of pivot rows (stored row-wise per step,
-   [umat], with entries indexed by *elimination step* of their column).
+   [u_*], with entries indexed by *elimination step* of their column).
+   Both are flat index/value arrays, so the solves read no boxed
+   entries, and the L passes skip the steps with no multipliers.
    Slack columns are unit vectors, and the structural columns of the
    allocation models are short, so the greedy singleton-first Markowitz
    order dissolves almost the whole basis with no fill-in; only a small
@@ -40,21 +42,28 @@ exception Singular
 type eta = {
   e_r : int; (* basis position whose column was replaced *)
   e_wr : float; (* w_r, the pivot element of the replacement *)
-  e_entries : (int * float) array; (* (i, w_i) for i <> r, |w_i| > drop *)
+  e_idx : int array; (* positions i <> r with |w_i| > drop, descending *)
+  e_val : float array; (* w_i, parallel to [e_idx] *)
 }
 
+(* L and U are stored compressed by elimination step: step k's entries
+   are [start.(k)] .. [start.(k+1) - 1] of parallel index/value arrays. *)
 type t = {
   m : int;
   pr : int array; (* elimination step -> pivot row *)
   pc : int array; (* elimination step -> pivot column (basis position) *)
   pivots : float array; (* elimination step -> pivot value *)
-  lmat : (int * float) array array; (* step -> (row, multiplier) list *)
-  umat : (int * float) array array; (* step -> (later step, value) list *)
+  l_start : int array; (* length m+1 *)
+  l_row : int array; (* row of each multiplier *)
+  l_mult : float array;
+  l_steps : int array; (* the steps whose L column is not empty, ascending *)
+  u_start : int array; (* length m+1 *)
+  u_step : int array; (* later elimination step of each U entry *)
+  u_val : float array;
   lu_nnz : int;
   etas : eta Support.Vec.t;
   mutable eta_nnz : int;
   ws : float array; (* step-space workspace, length m *)
-  ws2 : float array; (* row-space workspace, length m *)
 }
 
 let drop_tol = 1e-13
@@ -99,13 +108,31 @@ let bucket_pop b =
     x
   end
 
+(* Pack per-step entry lists into one index/value array pair in list
+   order, mapping each index through [f]. *)
+let compress lists f =
+  let steps = Array.length lists in
+  let start = Array.make (steps + 1) 0 in
+  Array.iteri (fun k l -> start.(k + 1) <- start.(k) + List.length l) lists;
+  let idx = Array.make start.(steps) 0 in
+  let value = Array.make start.(steps) 0. in
+  Array.iteri
+    (fun k l ->
+      List.iteri
+        (fun p (i, v) ->
+          idx.(start.(k) + p) <- f i;
+          value.(start.(k) + p) <- v)
+        l)
+    lists;
+  (start, idx, value)
+
 (* Resolved once at module initialization; [Metrics.reset] keeps the
    handle valid. *)
 let h_factorize_us = Support.Metrics.histogram "lp.lu.factorize_us"
 let m_search_reads = Support.Metrics.counter "lp.lu.search_reads"
 
-(* [factorize m column] factors the m x m matrix whose [j]-th column is
-   the sparse vector [column j] (a (row, value) array).  Raises
+(* [factorize m column] factors the m x m matrix whose [j]-th column has
+   the entries that [column j f] passes to [f row value].  Raises
    [Singular] when no acceptable pivot remains.  Each successful call
    records its duration in the [lp.lu.factorize_us] histogram and adds
    the bucket entries its pivot search read to [lp.lu.search_reads]. *)
@@ -117,13 +144,11 @@ let factorize m column =
   let acols =
     Array.init m (fun j ->
         let tbl = Hashtbl.create 8 in
-        Array.iter
-          (fun (i, v) ->
+        column j (fun i v ->
             if v <> 0. then
               match Hashtbl.find_opt tbl i with
               | Some prev -> Hashtbl.replace tbl i (prev +. v)
-              | None -> Hashtbl.replace tbl i v)
-          (column j);
+              | None -> Hashtbl.replace tbl i v);
         tbl)
   in
   let rowcols = Array.init m (fun _ -> Hashtbl.create 8) in
@@ -243,7 +268,7 @@ let factorize m column =
   let pr = Array.make m (-1) in
   let pc = Array.make m (-1) in
   let pivots = Array.make m 0. in
-  let lmat = Array.make m [||] in
+  let lmat = Array.make m [] in
   let umat_cols = Array.make m [] in
   for k = 0 to m - 1 do
     match select () with
@@ -258,7 +283,7 @@ let factorize m column =
             (fun r v acc -> if r = i then acc else (r, v /. piv) :: acc)
             tbl_j []
         in
-        lmat.(k) <- Array.of_list mults;
+        lmat.(k) <- mults;
         let urow =
           Hashtbl.fold
             (fun j' () acc ->
@@ -319,17 +344,13 @@ let factorize m column =
   for k = 0 to m - 1 do
     pos_of_col.(pc.(k)) <- k
   done;
-  let umat =
-    Array.map
-      (fun l -> Array.of_list (List.map (fun (j', u) -> (pos_of_col.(j'), u)) l))
-      umat_cols
+  let l_start, l_row, l_mult = compress lmat Fun.id in
+  let u_start, u_step, u_val = compress umat_cols (fun j' -> pos_of_col.(j')) in
+  let l_steps =
+    Array.of_list
+      (List.filter (fun k -> l_start.(k + 1) > l_start.(k)) (List.init m Fun.id))
   in
-  let lu_nnz =
-    let s = ref m in
-    Array.iter (fun a -> s := !s + Array.length a) lmat;
-    Array.iter (fun a -> s := !s + Array.length a) umat;
-    !s
-  in
+  let lu_nnz = m + Array.length l_row + Array.length u_step in
   Support.Metrics.observe h_factorize_us (Clock.since t0 *. 1e6);
   Support.Metrics.add m_search_reads !reads;
   {
@@ -337,13 +358,17 @@ let factorize m column =
     pr;
     pc;
     pivots;
-    lmat;
-    umat;
+    l_start;
+    l_row;
+    l_mult;
+    l_steps;
+    u_start;
+    u_step;
+    u_val;
     lu_nnz;
     etas = Support.Vec.create ();
     eta_nnz = 0;
     ws = Array.make m 0.;
-    ws2 = Array.make m 0.;
   }
 
 let n_etas t = Support.Vec.length t.etas
@@ -353,24 +378,27 @@ let n_etas t = Support.Vec.length t.etas
 let ftran t b =
   let m = t.m in
   (* forward elimination: b := E b *)
-  for k = 0 to m - 1 do
+  let l_start = t.l_start and l_row = t.l_row and l_mult = t.l_mult in
+  for s = 0 to Array.length t.l_steps - 1 do
+    let k = Array.unsafe_get t.l_steps s in
     let tv = Array.unsafe_get b t.pr.(k) in
-    if tv <> 0. then begin
-      let lm = t.lmat.(k) in
-      for idx = 0 to Array.length lm - 1 do
-        let r, mu = Array.unsafe_get lm idx in
-        Array.unsafe_set b r (Array.unsafe_get b r -. (mu *. tv))
+    if tv <> 0. then
+      for p = l_start.(k) to l_start.(k + 1) - 1 do
+        let r = Array.unsafe_get l_row p in
+        Array.unsafe_set b r
+          (Array.unsafe_get b r -. (Array.unsafe_get l_mult p *. tv))
       done
-    end
   done;
   (* back substitution: U xs = b, xs indexed by elimination step *)
   let xs = t.ws in
+  let u_start = t.u_start and u_step = t.u_step and u_val = t.u_val in
   for k = m - 1 downto 0 do
     let s = ref b.(t.pr.(k)) in
-    let um = t.umat.(k) in
-    for idx = 0 to Array.length um - 1 do
-      let l, u = Array.unsafe_get um idx in
-      s := !s -. (u *. Array.unsafe_get xs l)
+    for p = u_start.(k) to u_start.(k + 1) - 1 do
+      s :=
+        !s
+        -. (Array.unsafe_get u_val p
+           *. Array.unsafe_get xs (Array.unsafe_get u_step p))
     done;
     xs.(k) <- !s /. t.pivots.(k)
   done;
@@ -384,9 +412,11 @@ let ftran t b =
       let xr = b.(e.e_r) /. e.e_wr in
       b.(e.e_r) <- xr;
       if xr <> 0. then
-        Array.iter
-          (fun (i, wi) -> b.(i) <- b.(i) -. (wi *. xr))
-          e.e_entries)
+        for p = 0 to Array.length e.e_idx - 1 do
+          let i = Array.unsafe_get e.e_idx p in
+          Array.unsafe_set b i
+            (Array.unsafe_get b i -. (Array.unsafe_get e.e_val p *. xr))
+        done)
     t.etas
 
 (* BTRAN: overwrite the dense basis-position-space vector [c] with the
@@ -397,56 +427,83 @@ let btran t c =
   for idx = Support.Vec.length t.etas - 1 downto 0 do
     let e = Support.Vec.get t.etas idx in
     let s = ref 0. in
-    Array.iter (fun (i, wi) -> s := !s +. (c.(i) *. wi)) e.e_entries;
+    for p = 0 to Array.length e.e_idx - 1 do
+      s :=
+        !s
+        +. (Array.unsafe_get c (Array.unsafe_get e.e_idx p)
+           *. Array.unsafe_get e.e_val p)
+    done;
     c.(e.e_r) <- (c.(e.e_r) -. !s) /. e.e_wr
   done;
-  (* U' v = c (forward over steps, scatter style) *)
-  let accs = t.ws and v = t.ws2 in
+  (* U' v = c (forward over steps, scatter style); once [accs] holds c
+     by step, v overwrites c *)
+  let accs = t.ws and v = c in
   for k = 0 to m - 1 do
     accs.(k) <- c.(t.pc.(k))
   done;
+  let u_start = t.u_start and u_step = t.u_step and u_val = t.u_val in
   for k = 0 to m - 1 do
     let vk = accs.(k) /. t.pivots.(k) in
     v.(t.pr.(k)) <- vk;
-    if vk <> 0. then begin
-      let um = t.umat.(k) in
-      for idx = 0 to Array.length um - 1 do
-        let l, u = Array.unsafe_get um idx in
-        Array.unsafe_set accs l (Array.unsafe_get accs l -. (u *. vk))
+    if vk <> 0. then
+      for p = u_start.(k) to u_start.(k + 1) - 1 do
+        let l = Array.unsafe_get u_step p in
+        Array.unsafe_set accs l
+          (Array.unsafe_get accs l -. (Array.unsafe_get u_val p *. vk))
       done
-    end
   done;
   (* y = v E (apply the recorded row operations transposed, in reverse) *)
-  for k = m - 1 downto 0 do
-    let lm = t.lmat.(k) in
-    if Array.length lm > 0 then begin
-      let s = ref 0. in
-      for idx = 0 to Array.length lm - 1 do
-        let r, mu = Array.unsafe_get lm idx in
-        s := !s +. (mu *. Array.unsafe_get v r)
-      done;
-      v.(t.pr.(k)) <- v.(t.pr.(k)) -. !s
+  let l_start = t.l_start and l_row = t.l_row and l_mult = t.l_mult in
+  for s = Array.length t.l_steps - 1 downto 0 do
+    let k = Array.unsafe_get t.l_steps s in
+    let acc = ref 0. in
+    for p = l_start.(k) to l_start.(k + 1) - 1 do
+      acc :=
+        !acc
+        +. (Array.unsafe_get l_mult p
+           *. Array.unsafe_get v (Array.unsafe_get l_row p))
+    done;
+    v.(t.pr.(k)) <- v.(t.pr.(k)) -. !acc
+  done
+
+(* Write the positions of [v]'s nonzeros, ascending, to the front of
+   [nz] and return how many there are. *)
+let nonzeros v nz =
+  let n = ref 0 in
+  for i = 0 to Array.length v - 1 do
+    if Array.unsafe_get v i <> 0. then begin
+      nz.(!n) <- i;
+      incr n
     end
   done;
-  Array.blit v 0 c 0 m
+  !n
 
 (* Record the replacement of basis position [r] by the column whose
-   FTRAN image is [w] (dense, position space).  [w] must be the image
-   under the *current* factorization, i.e. computed before this call. *)
-let update t ~r ~w =
+   FTRAN image is [w] (dense, position space); the first [nnz] entries
+   of [nz] are [w]'s nonzero positions, ascending.  [w] must be the
+   image under the *current* factorization, i.e. computed before this
+   call.  The eta lists its entries by descending position, the order
+   BTRAN sums them in. *)
+let update t ~r ~w ~nz ~nnz =
   let wr = w.(r) in
   if Float.abs wr < abs_pivot_tol then raise Singular;
-  let entries = ref [] in
-  let nnz = ref 0 in
-  for i = 0 to t.m - 1 do
-    if i <> r && Float.abs w.(i) > drop_tol then begin
-      entries := (i, w.(i)) :: !entries;
-      incr nnz
+  let kept i = i <> r && Float.abs w.(i) > drop_tol in
+  let count = ref 0 in
+  for p = 0 to nnz - 1 do
+    if kept nz.(p) then incr count
+  done;
+  let e_idx = Array.make !count 0 and e_val = Array.make !count 0. in
+  let k = ref 0 in
+  for p = nnz - 1 downto 0 do
+    let i = nz.(p) in
+    if kept i then begin
+      e_idx.(!k) <- i;
+      e_val.(!k) <- w.(i);
+      incr k
     end
   done;
-  Support.Vec.push t.etas
-    { e_r = r; e_wr = wr; e_entries = Array.of_list !entries };
-  t.eta_nnz <- t.eta_nnz + !nnz + 1
+  Support.Vec.push t.etas { e_r = r; e_wr = wr; e_idx; e_val };
+  t.eta_nnz <- t.eta_nnz + !count + 1
 
 (* Heuristic refactorization trigger: the eta file has grown past the
    point where replaying it costs more than a fresh factorization. *)

@@ -451,10 +451,46 @@ let fp_alloc (o : options) =
     ]
 
 (* In-process memos.  Small and process-global: the daemon's hot cache.
-   Eviction is size-capped and bumps the shared cache.evict counter. *)
+   Each holds at most [memo_cap] entries; adding one more evicts the
+   least recently used entry and bumps the shared cache.evict counter. *)
 let memo_cap = 8
 
-let memo_front : (string, front) Hashtbl.t = Hashtbl.create 8
+type 'a memo_slot = { value : 'a; mutable last_use : int }
+type 'a memo = (string, 'a memo_slot) Hashtbl.t
+
+(* Use ticks: every lookup hit and every insertion takes the next one. *)
+let memo_clock = ref 0
+
+let memo_tick () =
+  incr memo_clock;
+  !memo_clock
+
+let memo_find (tbl : 'a memo) key =
+  match Hashtbl.find_opt tbl key with
+  | Some slot ->
+      slot.last_use <- memo_tick ();
+      Some slot.value
+  | None -> None
+
+let memo_add (tbl : 'a memo) key value =
+  Hashtbl.replace tbl key { value; last_use = memo_tick () };
+  if Hashtbl.length tbl > memo_cap then begin
+    let lru =
+      Hashtbl.fold
+        (fun k slot acc ->
+          match acc with
+          | Some (_, used) when used <= slot.last_use -> acc
+          | _ -> Some (k, slot.last_use))
+        tbl None
+    in
+    Option.iter
+      (fun (k, _) ->
+        Hashtbl.remove tbl k;
+        Metrics.incr m_evict)
+      lru
+  end
+
+let memo_front : front memo = Hashtbl.create 8
 
 type model_entry = {
   me_graph : Ident.t Ixp.Flowgraph.t; (* identity guard, see below *)
@@ -463,21 +499,8 @@ type model_entry = {
   me_fp : string;
 }
 
-let memo_model : (string, model_entry) Hashtbl.t = Hashtbl.create 8
-let memo_full : (string, compiled * cache_report) Hashtbl.t = Hashtbl.create 8
-
-let memo_trim (tbl : (string, 'a) Hashtbl.t) =
-  let excess = Hashtbl.length tbl - memo_cap in
-  if excess > 0 then begin
-    let keys = Hashtbl.fold (fun k _ acc -> k :: acc) tbl [] in
-    List.iteri
-      (fun i k ->
-        if i < excess then begin
-          Hashtbl.remove tbl k;
-          Metrics.incr m_evict
-        end)
-      keys
-  end
+let memo_model : model_entry memo = Hashtbl.create 8
+let memo_full : (compiled * cache_report) memo = Hashtbl.create 8
 
 (* Reset the in-process memos (tests; `novac serve` cache control). *)
 let clear_memos () =
@@ -587,7 +610,7 @@ let cached_model_solve ~(store : Cache.Store.t) ~file ~key_front
      from (ident stamps!), so a physical-identity guard backs the key *)
   let mk = Cache.Key.combine [ key_front; variant; obj_tag options.objective ] in
   let entry =
-    match Hashtbl.find_opt memo_model mk with
+    match memo_find memo_model mk with
     | Some e when e.me_graph == graph ->
         report_model_hit ();
         Metrics.incr m_hit;
@@ -604,8 +627,7 @@ let cached_model_solve ~(store : Cache.Store.t) ~file ~key_front
               Modelhash.fingerprint ilp.Ilp.instance.Ampl.Model.problem)
         in
         let e = { me_graph = graph; me_mg = mg; me_ilp = ilp; me_fp = fp } in
-        Hashtbl.replace memo_model mk e;
-        memo_trim memo_model;
+        memo_add memo_model mk e;
         let st = Lp.Problem.stats ilp.Ilp.instance.Ampl.Model.problem in
         Cache.Store.store store ~stage:"model" ~key:mk
           (Json.Obj
@@ -692,7 +714,7 @@ let compile_incremental ?(options = default_options) ?store ~file source :
   @@ fun () ->
   let kf = front_key options source in
   let kfull = Cache.Key.combine [ kf; fp_alloc options ] in
-  match Hashtbl.find_opt memo_full kfull with
+  match memo_find memo_full kfull with
   | Some (c, r) ->
       Metrics.incr m_hit;
       ( c,
@@ -712,7 +734,7 @@ let compile_incremental ?(options = default_options) ?store ~file source :
       and warm_used = ref false
       and model_fp = ref "" in
       let front =
-        match Hashtbl.find_opt memo_front kf with
+        match memo_find memo_front kf with
         | Some f ->
             front_hit := true;
             Metrics.incr m_hit;
@@ -724,8 +746,7 @@ let compile_incremental ?(options = default_options) ?store ~file source :
                 ~rematerialize:options.rematerialize
                 ~verify_each:options.verify_each ~file source
             in
-            Hashtbl.replace memo_front kf f;
-            memo_trim memo_front;
+            memo_add memo_front kf f;
             (* provenance stamp: front IR itself is memo-only *)
             Cache.Store.store store ~stage:"front" ~key:kf
               (Json.Obj
@@ -758,8 +779,7 @@ let compile_incremental ?(options = default_options) ?store ~file source :
           model_fingerprint = !model_fp;
         }
       in
-      Hashtbl.replace memo_full kfull (compiled, report);
-      memo_trim memo_full;
+      memo_add memo_full kfull (compiled, report);
       (compiled, report)
 
 (* Static-analysis lint over a compiled program: cross-context races,

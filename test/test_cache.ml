@@ -234,6 +234,35 @@ let test_stage_invalidation () =
     (r5.Regalloc.Driver.model_fingerprint
     = r0.Regalloc.Driver.model_fingerprint)
 
+(* The in-process memos evict their least recently used entry.  After
+   eight distinct compiles and a resend of the first, a ninth distinct
+   compile evicts one entry from each memo (front, model and full); in
+   the full memo that is the second program, while the first, just
+   resent, and the ninth, just compiled, still hit in full. *)
+let test_memo_lru () =
+  Regalloc.Driver.clear_memos ();
+  let store = Cache.Store.create ~dir:(fresh_dir ()) () in
+  let variant i = small_src ^ Printf.sprintf "\n// variant %d\n" i in
+  for i = 1 to 8 do
+    ignore (compile_inc store (variant i))
+  done;
+  let _, r1 = compile_inc store (variant 1) in
+  checkb "resent first: full hit" true r1.Regalloc.Driver.full_hit;
+  let evict = Support.Metrics.counter "cache.evict" in
+  let evict0 = Support.Metrics.counter_value evict in
+  let _, r9 = compile_inc store (variant 9) in
+  checkb "ninth: no full hit" false r9.Regalloc.Driver.full_hit;
+  checki "ninth: one eviction per memo" 3
+    (Support.Metrics.counter_value evict - evict0);
+  let _, r9' = compile_inc store (variant 9) in
+  checkb "ninth resent: full hit" true r9'.Regalloc.Driver.full_hit;
+  let _, r1' = compile_inc store (variant 1) in
+  checkb "recently used first: still a full hit" true
+    r1'.Regalloc.Driver.full_hit;
+  let _, r2 = compile_inc store (variant 2) in
+  checkb "least recently used second: evicted" false
+    r2.Regalloc.Driver.full_hit
+
 let suites =
   [
     ( "cache.key",
@@ -256,5 +285,7 @@ let suites =
     ( "cache.driver",
       [
         Alcotest.test_case "stage invalidation" `Quick test_stage_invalidation;
+        Alcotest.test_case "memo evicts least recently used" `Quick
+          test_memo_lru;
       ] );
   ]

@@ -715,6 +715,11 @@ let incumbent_publication_is_monotone =
 (* Sparse LU kernel                                                    *)
 (* ------------------------------------------------------------------ *)
 
+(* Factor the basis whose position j holds the sparse column [cols.(j)]. *)
+let factorize cols =
+  Sparse_lu.factorize (Array.length cols) (fun j f ->
+      Array.iter (fun (i, v) -> f i v) cols.(j))
+
 (* FTRAN and BTRAN must invert a multiply by the basis [cols] (one
    sparse column per basis position), both on the base factors and
    after each of [updates] product-form eta updates, which replace a
@@ -722,7 +727,7 @@ let incumbent_publication_is_monotone =
    the kernel refused as singular. *)
 let lu_roundtrip st ~tag cols ~fresh_col ~updates =
   let m = Array.length cols in
-  let lu = Sparse_lu.factorize m (fun j -> cols.(j)) in
+  let lu = factorize cols in
   let mat_vec x =
     let b = Array.make m 0. in
     Array.iteri
@@ -765,7 +770,9 @@ let lu_roundtrip st ~tag cols ~fresh_col ~updates =
     Sparse_lu.ftran lu w;
     (* the random replacement can make B singular; the kernel must
        refuse it, and skipping keeps the reference basis in sync *)
-    match Sparse_lu.update lu ~r ~w with
+    let nz = Array.make m 0 in
+    let nnz = Sparse_lu.nonzeros w nz in
+    match Sparse_lu.update lu ~r ~w ~nz ~nnz with
     | () ->
         cols.(r) <- newcol;
         check_roundtrip "eta"
@@ -880,7 +887,7 @@ let test_sparse_lu_scale () =
   let reads = Support.Metrics.counter "lp.lu.search_reads" in
   let reads0 = Support.Metrics.counter_value reads in
   let t0 = Clock.now () in
-  let lu = Sparse_lu.factorize m (fun j -> cols.(j)) in
+  let lu = factorize cols in
   let secs = Clock.since t0 in
   let read = Support.Metrics.counter_value reads - reads0 in
   if read > 4 * m then
@@ -897,6 +904,41 @@ let test_sparse_lu_scale () =
       if Float.abs (v -. 1.) > 1e-9 then
         Alcotest.failf "ftran drift %g at %d" (Float.abs (v -. 1.)) i)
     b
+
+(* The pivot row is built from the nonzeros of rho = e_r' Binv alone.
+   On a 20 000-row LP whose bases stay mostly slack -- 400 covering rows
+   spread among packing rows, each row over three of 20 000 binaries --
+   rho has a handful of nonzeros, so the pivot-row pass reads a tiny
+   share of the iterations x nnz(A) entries that a dot product down
+   every column would read.  The guard counts entries, not seconds. *)
+let test_revised_pivot_row_hypersparse () =
+  let n = 20_000 and m = 20_000 in
+  let st = Random.State.make [| 5 |] in
+  let p = Problem.create () in
+  for j = 0 to n - 1 do
+    ignore
+      (Problem.add_binary p
+         ~obj:(1. +. Random.State.float st 1.)
+         (Printf.sprintf "x%d" j))
+  done;
+  for i = 0 to m - 1 do
+    let terms = List.init 3 (fun _ -> (Random.State.int st n, 1.)) in
+    if i mod 50 = 0 then Problem.add_row p Problem.Ge 1. terms
+    else Problem.add_row p Problem.Le 1. terms
+  done;
+  let nnz = (Problem.stats p).Problem.n_nonzeros in
+  let reads = Support.Metrics.counter "lp.simplex.row_reads" in
+  let reads0 = Support.Metrics.counter_value reads in
+  let lp = Revised.create p in
+  checkb "optimal" true (Revised.solve lp = Revised.Optimal);
+  let read = Support.Metrics.counter_value reads - reads0 in
+  let iters = Revised.iterations lp in
+  checkb "the covering rows take hundreds of pivots" true (iters >= 200);
+  if 1000 * read > iters * nnz then
+    Alcotest.failf
+      "pivot-row pass read %d row entries in %d iterations (nnz(A) = %d, \
+       limit 0.1%% of iterations x nnz(A))"
+      read iters nnz
 
 (* ------------------------------------------------------------------ *)
 (* Seeded float-vs-rational cross-check (larger LPs)                   *)
@@ -1164,6 +1206,8 @@ let suites =
         Alcotest.test_case "sparse LU roundtrip" `Quick test_sparse_lu_roundtrip;
         Alcotest.test_case "sparse LU scales linearly" `Quick
           test_sparse_lu_scale;
+        Alcotest.test_case "pivot row reads only rho's rows" `Quick
+          test_revised_pivot_row_hypersparse;
         Alcotest.test_case "revised vs exact (seeded, large)" `Quick
           test_revised_vs_exact_seeded;
         Alcotest.test_case "warm-restart chains match cold solves" `Quick

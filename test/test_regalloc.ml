@@ -379,6 +379,35 @@ fun main () : word {
   in
   checkb "remat not slower" true (cycles remat <= cycles plain)
 
+(* Cold compiles of Kasumi and LPM, as a fresh `novac compile` runs
+   them, are proved optimal at the root along one fixed pivot path.  The
+   simplex iteration counts and the move costs are pinned exactly: a
+   solver change that reorders a floating-point sum or breaks a ratio-
+   test tie differently moves them. *)
+let test_cold_pivot_path () =
+  List.iter
+    (fun (name, source, iters, cost) ->
+      Support.Ident.reset ();
+      let options =
+        {
+          Regalloc.Driver.default_options with
+          node_limit = 128;
+          time_limit = 1e9;
+        }
+      in
+      let c = Regalloc.Driver.compile ~options ~file:name source in
+      let s = c.Regalloc.Driver.stats in
+      let mip = Option.get s.Regalloc.Driver.mip in
+      checki (name ^ ": simplex iterations") iters mip.Lp.Mip.simplex_iterations;
+      checki (name ^ ": nodes") 1 mip.Lp.Mip.nodes;
+      let got = s.Regalloc.Driver.weighted_move_cost in
+      if got <> cost then
+        Alcotest.failf "%s: move cost %.17g, expected %.17g" name got cost)
+    [
+      ("kasumi.nova", Workloads.Kasumi.source, 534, 0.14308868091327917);
+      ("lpm.nova", Workloads.Lpm.source, 128, 0.1018688700318731);
+    ]
+
 let suites =
   [
     ( "regalloc.pipeline",
@@ -394,6 +423,8 @@ let suites =
         Alcotest.test_case "ssa coloring feasible" `Quick
           test_ssa_makes_coloring_feasible;
         Alcotest.test_case "high pressure" `Slow test_spill_fallback;
+        Alcotest.test_case "cold compiles pin the pivot path" `Quick
+          test_cold_pivot_path;
       ] );
     ( "regalloc.validity",
       [

@@ -7,7 +7,9 @@
        capped at [mem_entries] documents and evicted LRU;
      - the on-disk store under [dir] (default `_artifacts/cache/`),
        one file per artifact named `<stage>-<key>.json`, capped at
-       [disk_entries] files and evicted oldest-mtime-first.
+       [disk_entries] files and evicted oldest-mtime-first.  A hit in
+       either tier sets its file's mtime to now, so the disk tier
+       evicts its least recently used file.
 
    Named "head" pointers ([set_head]/[head]) record the most recent
    artifact key for a logical target (e.g. the last solve of NAT under
@@ -113,6 +115,11 @@ let evict_disk t =
 
 (* ---------------- lookup / store ---------------- *)
 
+(* Mark the artifact [file] as just used.  A file evicted or removed
+   meanwhile is simply not touched. *)
+let touch_file file =
+  try Unix.utimes file 0. 0. with Unix.Unix_error _ -> ()
+
 let lookup t ~stage ~key : Json.t option =
   Trace.with_span "cache-lookup"
     ~args:[ ("stage", Trace.Str stage); ("key", Trace.Str key) ]
@@ -121,6 +128,7 @@ let lookup t ~stage ~key : Json.t option =
   match Hashtbl.find_opt t.mem mk with
   | Some e ->
       touch t e;
+      touch_file (path t ~stage ~key);
       Metrics.incr m_hit;
       Some e.e_doc
   | None -> (
@@ -139,6 +147,7 @@ let lookup t ~stage ~key : Json.t option =
       in
       match doc with
       | Some d ->
+          touch_file file;
           t.tick <- t.tick + 1;
           Hashtbl.replace t.mem mk { e_doc = d; e_tick = t.tick };
           evict_mem t;

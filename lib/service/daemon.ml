@@ -27,6 +27,12 @@ let log config fmt =
   if config.verbose then Fmt.epr ("serve: " ^^ fmt ^^ "@.")
   else Format.ifprintf Format.err_formatter fmt
 
+let m_job_errors = Metrics.counter "service.job_errors"
+
+(* Compile one job into its response.  A job that fails in any way, an
+   unwritable artifact store or a compiler bug included, answers with an
+   error response and bumps [service.job_errors]; it never takes the
+   connection or the daemon down with it. *)
 let handle_job config store (j : Protocol.job) : Json.t =
   let t0 = Unix.gettimeofday () in
   let options = Protocol.options_of_job config.base_options j in
@@ -51,6 +57,11 @@ let handle_job config store (j : Protocol.job) : Json.t =
       Protocol.error_json (Fmt.str "%a" Diag.pp d)
   | exception Regalloc.Driver.Allocation_failed msg ->
       Protocol.error_json ("allocation failed: " ^ msg)
+  | exception e ->
+      Metrics.incr m_job_errors;
+      log config "%s: internal error: %s" j.Protocol.job_file
+        (Printexc.to_string e);
+      Protocol.error_json ("internal error: " ^ Printexc.to_string e)
 
 let handle_request config store (req : Protocol.request) :
     Json.t * [ `Continue | `Shutdown ] =

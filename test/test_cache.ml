@@ -97,6 +97,30 @@ let test_store_head_pointer () =
   Cache.Store.set_head store ~name:"h" ~key:"k2";
   checkb "head moves" true (Cache.Store.head store ~name:"h" = Some "k2")
 
+(* A hit refreshes the artifact's mtime, so the disk tier evicts the
+   least recently used file rather than the oldest written.  The pauses
+   keep the files' timestamps apart. *)
+let test_store_disk_lru () =
+  let store = Cache.Store.create ~dir:(fresh_dir ()) ~disk_entries:2 () in
+  let key name = Cache.Key.text name in
+  let put name =
+    Cache.Store.store store ~stage:"s" ~key:(key name) (Support.Json.Str name)
+  in
+  let on_disk name =
+    Cache.Store.clear_memory store;
+    Cache.Store.lookup store ~stage:"s" ~key:(key name) <> None
+  in
+  let pause () = Unix.sleepf 0.03 in
+  put "a";
+  pause ();
+  put "b";
+  pause ();
+  checkb "a hits on disk" true (on_disk "a");
+  pause ();
+  put "c";
+  checkb "a, used since b was written, survives" true (on_disk "a");
+  checkb "b, least recently used, is evicted" false (on_disk "b")
+
 (* ---------------- model fingerprints ---------------- *)
 
 let small_src =
@@ -263,6 +287,49 @@ let test_memo_lru () =
   checkb "least recently used second: evicted" false
     r2.Regalloc.Driver.full_hit
 
+(* A job that fails inside the artifact store, here because the store's
+   directory was replaced by a plain file, gets an error response and is
+   counted; the daemon then answers the next job on the same store. *)
+let test_daemon_survives_failing_job () =
+  Regalloc.Driver.clear_memos ();
+  let dir = fresh_dir () in
+  let store = Cache.Store.create ~dir () in
+  Sys.rmdir dir;
+  close_out (open_out dir);
+  let config =
+    {
+      Service.Daemon.socket_path = "unused.sock";
+      cache_dir = Some dir;
+      base_options = fast_options;
+      verbose = false;
+    }
+  in
+  let compile () =
+    fst
+      (Service.Daemon.handle_request config store
+         (Service.Protocol.Compile
+            {
+              Service.Protocol.job_file = "test.nova";
+              job_source = small_src;
+              job_time_limit = None;
+              job_node_limit = None;
+              job_rel_gap = None;
+              job_allocator = None;
+              job_objective = None;
+              job_entry = None;
+            }))
+  in
+  let ok response =
+    Support.Json.member "ok" response = Some (Support.Json.Bool true)
+  in
+  let errors = Support.Metrics.counter "service.job_errors" in
+  let errors0 = Support.Metrics.counter_value errors in
+  checkb "failing job: ok is false" false (ok (compile ()));
+  checki "failing job counted" 1
+    (Support.Metrics.counter_value errors - errors0);
+  Sys.remove dir;
+  checkb "next job answered" true (ok (compile ()))
+
 let suites =
   [
     ( "cache.key",
@@ -276,6 +343,8 @@ let suites =
         Alcotest.test_case "roundtrip + tiers" `Quick test_store_roundtrip;
         Alcotest.test_case "eviction" `Quick test_store_eviction;
         Alcotest.test_case "head pointers" `Quick test_store_head_pointer;
+        Alcotest.test_case "disk tier evicts least recently used" `Quick
+          test_store_disk_lru;
       ] );
     ( "cache.fingerprint",
       [
@@ -287,5 +356,10 @@ let suites =
         Alcotest.test_case "stage invalidation" `Quick test_stage_invalidation;
         Alcotest.test_case "memo evicts least recently used" `Quick
           test_memo_lru;
+      ] );
+    ( "service.daemon",
+      [
+        Alcotest.test_case "a failing job is answered" `Quick
+          test_daemon_survives_failing_job;
       ] );
   ]

@@ -905,6 +905,162 @@ let test_sparse_lu_scale () =
         Alcotest.failf "ftran drift %g at %d" (Float.abs (v -. 1.)) i)
     b
 
+(* [Sparse_lu.factorize] keeps the active submatrix in flat arrays but
+   must reproduce the Hashtbl reference ([Lu_reference]) exactly: the
+   same pivots, the same L and U entries in the same order and bit for
+   bit, and [Singular] on the same inputs.  Returns whether the basis
+   factored. *)
+let same_factors ~tag cols =
+  let m = Array.length cols in
+  let column j f = Array.iter (fun (i, v) -> f i v) cols.(j) in
+  let reference =
+    try Some (Lu_reference.factorize m column) with Sparse_lu.Singular -> None
+  in
+  let got =
+    try Some (Sparse_lu.factorize m column) with Sparse_lu.Singular -> None
+  in
+  match (reference, got) with
+  | None, None -> false
+  | Some _, None ->
+      Alcotest.failf "%s: only the flat factorization is singular" tag
+  | None, Some _ -> Alcotest.failf "%s: only the reference is singular" tag
+  | Some r, Some t ->
+      let ints what a b =
+        if a <> b then Alcotest.failf "%s: %s differ (m=%d)" tag what m
+      in
+      let floats what a b =
+        let bits = Array.map Int64.bits_of_float in
+        ints what (bits a) (bits b)
+      in
+      ints "pivot rows" r.Lu_reference.pr t.Sparse_lu.pr;
+      ints "pivot columns" r.Lu_reference.pc t.Sparse_lu.pc;
+      floats "pivots" r.Lu_reference.pivots t.Sparse_lu.pivots;
+      ints "L starts" r.Lu_reference.l_start t.Sparse_lu.l_start;
+      ints "L rows" r.Lu_reference.l_row t.Sparse_lu.l_row;
+      floats "L multipliers" r.Lu_reference.l_mult t.Sparse_lu.l_mult;
+      ints "L steps" r.Lu_reference.l_steps t.Sparse_lu.l_steps;
+      ints "U starts" r.Lu_reference.u_start t.Sparse_lu.u_start;
+      ints "U steps" r.Lu_reference.u_step t.Sparse_lu.u_step;
+      floats "U values" r.Lu_reference.u_val t.Sparse_lu.u_val;
+      true
+
+(* A random sparse column: [k] entries at random rows, values from
+   [value]. *)
+let random_col st m k value =
+  Array.init k (fun _ -> (Random.State.int st m, value st))
+
+let small_int st = float_of_int (Random.State.int st 5 - 2)
+
+let test_sparse_lu_reference () =
+  let st = Random.State.make [| 15 |] in
+  let factored = ref 0 and singular = ref 0 in
+  let run tag cols =
+    if same_factors ~tag cols then incr factored else incr singular
+  in
+  (* slack-heavy, nearly triangular bases like the allocation models' *)
+  List.iter
+    (fun m ->
+      for case = 1 to 4 do
+        let perm = shuffled st m in
+        run
+          (Printf.sprintf "slack-heavy m=%d case %d" m case)
+          (Array.init m (fun j ->
+               if Random.State.int st 5 > 0 then [| (perm.(j), 1.) |]
+               else
+                 noisy_col st m ~row:perm.(j)
+                   ~diag:(1. +. Random.State.float st 2.)
+                   (1 + Random.State.int st 3)))
+      done)
+    [ 40; 300; 1500 ];
+  (* small-integer matrices: heavy fill-in, and exact cancellation to
+     zero that drops entries and re-adds them later; a shuffled
+     diagonal keeps most of them nonsingular *)
+  for case = 1 to 150 do
+    let m = 2 + Random.State.int st 30 in
+    let perm = shuffled st m in
+    let k = 1 + Random.State.int st (max 1 (m / 3)) in
+    run
+      (Printf.sprintf "small-integer case %d" case)
+      (Array.init m (fun j ->
+           let diag = 1. +. float_of_int (Random.State.int st 2) in
+           Array.append [| (perm.(j), diag) |] (random_col st m k small_int)))
+  done;
+  (* values whose eliminations leave rounding residue at or below the
+     drop tolerance *)
+  for case = 1 to 60 do
+    let m = 3 + Random.State.int st 15 in
+    let perm = shuffled st m in
+    let tenth st = 0.1 *. float_of_int (1 + Random.State.int st 3) in
+    run
+      (Printf.sprintf "decimal case %d" case)
+      (Array.init m (fun j ->
+           Array.append [| (perm.(j), tenth st) |] (random_col st m 3 tenth)))
+  done;
+  (* rows passed more than once in a column, summing to zero or not,
+     and explicit zeros *)
+  for case = 1 to 60 do
+    let m = 2 + Random.State.int st 20 in
+    let perm = shuffled st m in
+    run
+      (Printf.sprintf "duplicate-entry case %d" case)
+      (Array.init m (fun j ->
+           let r = Random.State.int st m in
+           let v = small_int st in
+           Array.concat
+             [
+               [| (perm.(j), 2.); (r, v) |];
+               random_col st m 2 small_int;
+               [| (r, -.v); (Random.State.int st m, 0.); (perm.(j), 0.5) |];
+             ]))
+  done;
+  (* dense columns and rows past 32 and past 64 entries, so their
+     tables double their bucket counts, during the build and through
+     fill-in *)
+  List.iter
+    (fun (m, density, case) ->
+      let perm = shuffled st m in
+      run
+        (Printf.sprintf "dense m=%d density %.2f case %d" m density case)
+        (Array.init m (fun j ->
+             let entries = ref [ (perm.(j), 4. +. Random.State.float st 1.) ] in
+             for i = 0 to m - 1 do
+               if Random.State.float st 1. < density then
+                 entries := (i, small_int st) :: !entries
+             done;
+             Array.of_list (List.rev !entries))))
+    [ (80, 0.5, 1); (100, 0.75, 2); (150, 0.05, 3); (70, 0.95, 4) ];
+  List.iter
+    (fun m ->
+      (* an arrow: one full row and one full column over a diagonal *)
+      run
+        (Printf.sprintf "arrow m=%d" m)
+        (Array.init m (fun j ->
+             if j = 0 then Array.init m (fun i -> (i, 1. +. float_of_int i))
+             else [| (0, 1.); (j, 2.) |])))
+    [ 33; 65; 140 ];
+  (* singular bases: an empty column, an all-zero column, two equal
+     columns, a column below the pivot tolerance *)
+  List.iter
+    (fun (tag, cols) -> run tag cols)
+    [
+      ("empty column", [| [| (0, 1.) |]; [||]; [| (2, 1.) |] |]);
+      ( "cancelled column",
+        [| [| (0, 1.) |]; [| (1, 3.); (1, -3.) |]; [| (2, 1.) |] |] );
+      ( "equal columns",
+        [| [| (0, 1.); (1, 2.) |]; [| (0, 1.); (1, 2.) |]; [| (2, 1.) |] |] );
+      ("tiny column", [| [| (0, 1.) |]; [| (1, 1e-12) |] |]);
+      ("uncovered row", [| [| (0, 1.) |]; [| (0, 2.) |]; [| (2, 1.) |] |]);
+    ];
+  for case = 1 to 40 do
+    let m = 2 + Random.State.int st 12 in
+    run
+      (Printf.sprintf "rank-deficient case %d" case)
+      (Array.init m (fun _ ->
+           random_col st m (1 + Random.State.int st 2) small_int))
+  done;
+  checkb "most bases factored" true (!factored > 250);
+  checkb "some bases singular" true (!singular >= 20)
+
 (* The pivot row is built from the nonzeros of rho = e_r' Binv alone.
    On a 20 000-row LP whose bases stay mostly slack -- 400 covering rows
    spread among packing rows, each row over three of 20 000 binaries --
@@ -1206,6 +1362,8 @@ let suites =
         Alcotest.test_case "sparse LU roundtrip" `Quick test_sparse_lu_roundtrip;
         Alcotest.test_case "sparse LU scales linearly" `Quick
           test_sparse_lu_scale;
+        Alcotest.test_case "sparse LU matches the Hashtbl reference" `Quick
+          test_sparse_lu_reference;
         Alcotest.test_case "pivot row reads only rho's rows" `Quick
           test_revised_pivot_row_hypersparse;
         Alcotest.test_case "revised vs exact (seeded, large)" `Quick

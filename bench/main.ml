@@ -730,27 +730,30 @@ let solver_smoke ?(domains = 1) () =
   end
 
 (* Speedup table for EXPERIMENTS.md: the AES and NAT models solved by
-   1/2/4/8 worker domains under the standard budgets.  Speedups are
-   relative to the 1-domain wall time of the same model; on a single-core
-   host expect ~1x across the board (the table records what the
-   measurement host can actually show, not an extrapolation). *)
+   1/2/4/8 worker domains in the default (opportunistic) mode, plus 2
+   domains in deterministic mode, under the standard budgets.  Speedups
+   are relative to the 1-domain wall time of the same model; on a
+   single-core host expect ~1x or worse across the board (the table
+   records what the measurement host can actually show, not an
+   extrapolation). *)
 let solver_scaling () =
   rule "Solver scaling: wall time vs worker domains (120 s / 20k nodes)";
   Fmt.pr "(host reports %d core(s) available)@."
     (Domain.recommended_domain_count ());
-  Fmt.pr "%-8s | %7s | %-8s | %10s | %7s | %6s | %7s@." "" "domains" "status"
-    "objective" "tot(s)" "nodes" "speedup";
+  Fmt.pr "%-8s | %7s | %-5s | %-8s | %10s | %7s | %6s | %7s@." "" "domains"
+    "mode" "status" "objective" "tot(s)" "nodes" "speedup";
   List.iter
     (fun w ->
       let base = ref nan in
       List.iter
-        (fun d ->
-          let r = solve_workload_model ~domains:d w in
+        (fun (d, deterministic) ->
+          let r = solve_workload_model ~domains:d ~deterministic w in
           if d = 1 then base := r.sb_total;
-          Fmt.pr "%-8s | %7d | %-8s | %10.4f | %7.2f | %6d | %6.2fx@."
-            r.sb_name d r.sb_status r.sb_obj r.sb_total r.sb_nodes
-            (!base /. r.sb_total))
-        [ 1; 2; 4; 8 ])
+          Fmt.pr "%-8s | %7d | %-5s | %-8s | %10.4f | %7.2f | %6d | %6.2fx@."
+            r.sb_name d
+            (if deterministic then "det" else "async")
+            r.sb_status r.sb_obj r.sb_total r.sb_nodes (!base /. r.sb_total))
+        [ (1, false); (2, false); (2, true); (4, false); (8, false) ])
     [ aes; nat ]
 
 (* ---------------- pipeline bench + CI regression gate ---------------- *)

@@ -197,8 +197,8 @@ let run_cmd =
       value & opt int 1
       & info [ "solver-domains" ]
           ~doc:
-            "Worker domains for parallel branch&bound (1 = the classic \
-             sequential search)")
+            "Worker domains for branch&bound; the calling domain is worker \
+             0, and with 1 each round is a single dive")
   in
   let solver_deterministic =
     Arg.(

@@ -1,5 +1,5 @@
 (* Branch and bound for 0-1 (and general-integer) programs over the
-   revised dual simplex, single-threaded or parallel across OCaml 5
+   revised dual simplex, on one domain or across several OCaml 5
    domains.
 
    A solver state is threaded through a whole search chain; nodes only
@@ -28,23 +28,30 @@
    and periodically at nodes so pruning starts before the dive reaches a
    leaf.  All time accounting is wall clock via [Clock].
 
-   Parallel search ([domains] >= 2): the tree is explored in synchronous
-   rounds.  Each round the coordinator pops a batch of open nodes off
-   the shared best-bound heap, hands them to persistent worker domains
-   (each owning a private [Revised] solver, so every node re-solve stays
-   a warm restart), waits at a barrier, and merges the workers' parked
-   children and incumbents back in a fixed worker order.  In
-   deterministic mode seeds are distributed round-robin by worker index
-   and the pruning cutoff is frozen per round, so the set of nodes
-   expanded -- and therefore the reported node count -- is a pure
-   function of the problem, reproducible run to run.  In the default
-   (opportunistic) mode workers steal seeds from a shared cursor and
-   prune against an atomically published global incumbent, trading
-   reproducibility for strictly more pruning.
+   The tree is explored in rounds.  Each round the calling domain pops a
+   batch of seeds off the best-bound heap, the workers dive from them,
+   and their parked children and incumbents are merged back in a fixed
+   worker order.  The calling domain is worker 0: it owns the solver the
+   caller hands over as [~root] (at the root optimum when the status is
+   [Optimal]), and expands the root as its first seed from that basis
+   and status.  Workers 1 .. [domains]-1 each own a private [Revised]
+   solver, so every node re-solve stays a warm restart; they are spawned
+   on the first round with more than one seed.  One domain is the
+   degenerate round: one seed dived to the end of its chain, which is
+   exactly the classic dive-then-pop-the-best-bound search.
 
-   The caller solves the root relaxation and hands it over as [~root]:
-   the solver, at the root optimum when the status is [Optimal], and the
-   status.  The search starts from that solver and its basis. *)
+   In deterministic mode seeds are dealt round-robin by worker index and
+   each worker prunes against the incumbent as of the round's start plus
+   its own finds, so the set of nodes expanded is a pure function of the
+   problem.  In the default (opportunistic) mode workers take seeds from
+   a shared cursor and prune against an atomically published global
+   incumbent, trading reproducibility for strictly more pruning.
+
+   Budgets are checked before every node, inside chains: a worker past
+   the wall-clock or node budget parks the node, so its bound still
+   counts at exit.  The node check counts every node expanded so far;
+   in deterministic mode, the total at the start of the round plus the
+   worker's own, which keeps it reproducible. *)
 
 type status = Optimal | Infeasible | Limit
 
@@ -305,684 +312,334 @@ let publish_incumbent (best : incumbent option Atomic.t) ~obj ~x =
   go ()
 
 (* ------------------------------------------------------------------ *)
-(* Sequential search                                                   *)
+(* Search                                                              *)
 (* ------------------------------------------------------------------ *)
 
 let m_nodes = Support.Metrics.counter "lp.bb.nodes"
 let m_incumbents = Support.Metrics.counter "lp.bb.incumbents"
 let m_heur = Support.Metrics.counter "lp.bb.heuristic_incumbents"
 
-let solve_sequential ~time_limit ~node_limit ~rel_gap ~use_heuristic
-    ~heur_period ~warm ~t0 ~root (p : Problem.t) =
-  let n = Problem.num_vars p in
-  let solver, root_status = root in
-  let orig_lo = Array.init n (Problem.var_lo p) in
-  let orig_hi = Array.init n (Problem.var_hi p) in
-  let pc = pc_create n in
-  pc_import pc n warm;
-  let hints = hints_of_warm n warm in
-  let warm_seeded = ref false in
-  let incumbent_src = ref "none" in
-  (* Bound activation: undo the previous node's fixings, apply the new
-     ones.  A variable appearing in both with the same bounds produces no
-     net change, so the solver's incremental restart does no work for the
-     shared prefix of the two paths. *)
-  let applied = ref [] in
-  let activate fixings =
-    List.iter
-      (fun (v, _, _) ->
-        Revised.set_bounds solver v ~lo:orig_lo.(v) ~hi:orig_hi.(v))
-      !applied;
-    List.iter (fun (v, l, h) -> Revised.set_bounds solver v ~lo:l ~hi:h)
-      fixings;
-    applied := fixings
-  in
-  let nodes = ref 0 in
-  let incumbent = ref None in
-  let incumbent_obj = ref infinity in
-  let heur_found = ref 0 in
-  let limit_hit = ref false in
-  let root_objective = ref nan in
-  (* The gap is taken relative to max(1, |incumbent|): the regalloc
-     objectives carry 1e-7-scale symmetry-breaking perturbations, so a
-     near-zero objective would otherwise keep the search alive chasing
-     perturbation noise the gap can never close.  rel_gap = 0 remains an
-     exact proof. *)
-  let cutoff () =
-    if !incumbent = None then infinity
-    else
-      !incumbent_obj
-      -. (rel_gap *. Float.max 1. (Float.abs !incumbent_obj))
-      -. 1e-9
-  in
-  let heap = Heap.create () in
-  let next = ref (Some
-    { nb = neg_infinity; fixings = []; depth = 0; bvar = -1; bfrac = 0.;
-      bup = false }) in
-  let lb_at_exit = ref neg_infinity in
-  let running = ref true in
-  while !running do
-    let nd =
-      match !next with
-      | Some nd ->
-          next := None;
-          Some nd
-      | None -> Heap.pop heap
-    in
-    match nd with
-    | None -> running := false (* tree exhausted: proof complete *)
-    | Some nd ->
-        if nd.nb >= cutoff () then () (* prune unexplored *)
-        else if Clock.since t0 > time_limit || !nodes >= node_limit then begin
-          limit_hit := true;
-          running := false;
-          lb_at_exit := Float.min nd.nb (Heap.min_bound heap)
-        end
-        else begin
-          activate nd.fixings;
-          incr nodes;
-          Support.Metrics.incr m_nodes;
-          if Support.Trace.is_enabled () && !nodes land 255 = 0 then
-            Support.Trace.counter "bb"
-              [
-                ("nodes", float_of_int !nodes);
-                ("open", float_of_int (Heap.size heap));
-                ("incumbent", !incumbent_obj);
-              ];
-          let lp_result =
-            if nd.depth = 0 then root_status else Revised.solve solver
-          in
-          match lp_result with
-          | Revised.Iteration_limit ->
-              limit_hit := true;
-              running := false;
-              lb_at_exit := Float.min nd.nb (Heap.min_bound heap)
-          | Revised.Infeasible -> ()
-          | Revised.Optimal ->
-              let obj = Revised.objective solver in
-              if nd.depth = 0 then root_objective := obj;
-              pc_learn pc nd obj;
-              if obj < cutoff () then begin
-                let x = Revised.primal solver in
-                match select_branch p pc n x with
-                | -1 ->
-                    incumbent := Some (Array.copy x);
-                    incumbent_obj := obj;
-                    incumbent_src := "branch";
-                    Support.Metrics.incr m_incumbents;
-                    if Support.Trace.is_enabled () then
-                      Support.Trace.instant "incumbent"
-                        ~args:
-                          [
-                            ("objective", Support.Trace.Float obj);
-                            ("node", Support.Trace.Int !nodes);
-                          ]
-                | v ->
-                    (* Warm-start seeding, once, at the root: fix the
-                       previous solution's values and let the guided
-                       dive repair the remainder.  An incumbent before
-                       the first branch is what collapses the tree. *)
-                    (match hints with
-                    | Some h when nd.depth = 0 -> (
-                        match
-                          Heuristic.guided_dive ~cutoff:(cutoff ())
-                            ~deadline:(t0 +. time_limit) ~hints:h solver p
-                        with
-                        | Some (hobj, hx) when hobj < !incumbent_obj ->
-                            incumbent := Some hx;
-                            incumbent_obj := hobj;
-                            incumbent_src := "seeded";
-                            warm_seeded := true;
-                            Support.Metrics.incr m_incumbents;
-                            if Support.Trace.is_enabled () then
-                              Support.Trace.instant "seeded-incumbent"
-                                ~args:
-                                  [ ("objective", Support.Trace.Float hobj) ]
-                        | _ -> ())
-                    | _ -> ());
-                    (* Periodic primal heuristic (always at the root). *)
-                    if
-                      use_heuristic
-                      && (nd.depth = 0 || !nodes mod heur_period = 0)
-                    then begin
-                      match
-                        Heuristic.dive ~cutoff:(cutoff ())
-                          ~deadline:(t0 +. time_limit) solver p
-                      with
-                      | Some (hobj, hx) when hobj < !incumbent_obj ->
-                          incumbent := Some hx;
-                          incumbent_obj := hobj;
-                          incumbent_src := "heuristic";
-                          incr heur_found;
-                          Support.Metrics.incr m_incumbents;
-                          Support.Metrics.incr m_heur;
-                          if Support.Trace.is_enabled () then
-                            Support.Trace.instant "heuristic-incumbent"
-                              ~args:
-                                [
-                                  ("objective", Support.Trace.Float hobj);
-                                  ("node", Support.Trace.Int !nodes);
-                                ]
-                      | _ -> ()
-                    end;
-                    let f = x.(v) -. floor x.(v) in
-                    let cl, ch = Revised.bounds solver v in
-                    let base =
-                      List.filter (fun (w, _, _) -> w <> v) nd.fixings
-                    in
-                    let mk_child l h up =
-                      if l > h +. 1e-9 then None
-                      else
-                        Some
-                          {
-                            nb = obj;
-                            fixings = (v, l, h) :: base;
-                            depth = nd.depth + 1;
-                            bvar = v;
-                            bfrac = f;
-                            bup = up;
-                          }
-                    in
-                    let down = mk_child cl (floor x.(v)) false in
-                    let up = mk_child (ceil x.(v)) ch true in
-                    let est_down = obj +. (pc_est p pc false v *. f) in
-                    let est_up = obj +. (pc_est p pc true v *. (1. -. f)) in
-                    let dive_first, park =
-                      if est_down <= est_up then (down, up) else (up, down)
-                    in
-                    (match park with
-                    | Some nd' -> Heap.push heap nd'
-                    | None -> ());
-                    next := dive_first
-              end
-        end
-  done;
-  let total_time = Clock.since t0 in
-  let simplex_iterations = Revised.iterations solver in
-  let pc_out = pc_export n pc in
-  match !incumbent with
-  | Some x ->
-      let status = if !limit_hit then Limit else Optimal in
-      let best_bound =
-        if !limit_hit then Float.min !lb_at_exit !incumbent_obj
-        else !incumbent_obj
-      in
-      {
-        status;
-        objective = !incumbent_obj;
-        solution = x;
-        nodes = !nodes;
-        root_objective = !root_objective;
-        total_time;
-        simplex_iterations;
-        best_bound;
-        heuristic_incumbents = !heur_found;
-        incumbent_source = !incumbent_src;
-        warm_seeded = !warm_seeded;
-        pc_out;
-      }
-  | None ->
-      {
-        status = (if !limit_hit then Limit else Infeasible);
-        objective = infinity;
-        solution = Array.make n 0.;
-        nodes = !nodes;
-        root_objective = !root_objective;
-        total_time;
-        simplex_iterations;
-        best_bound = (if !limit_hit then !lb_at_exit else infinity);
-        heuristic_incumbents = !heur_found;
-        incumbent_source = "none";
-        warm_seeded = !warm_seeded;
-        pc_out;
-      }
+(* The diving heuristic runs at the root and at every [heur_period]-th
+   node a worker expands. *)
+let heur_period = 128
 
-(* ------------------------------------------------------------------ *)
-(* Parallel search across domains                                      *)
-(* ------------------------------------------------------------------ *)
-
-(* Batch geometry: each round the coordinator hands out up to
-   [par_seeds_per_worker] seeds per worker, and each seed is dived for
-   at most [par_chain_cap] nodes before the remainder of the chain is
-   parked back on the shared heap.  Large enough to amortize the round
-   barrier over hundreds of LP solves, small enough that cutoff
-   improvements propagate between workers every few hundred nodes. *)
+(* Round geometry on two domains or more: up to [par_seeds_per_worker]
+   seeds per worker, each dived for at most [par_chain_cap] nodes before
+   the rest of its chain is parked back on the heap.  Large enough to
+   amortize the round barrier over hundreds of LP solves, small enough
+   that cutoff improvements propagate between workers every few hundred
+   nodes.  One domain has no barrier to amortize: one seed, no cap. *)
 let par_seeds_per_worker = 4
 let par_chain_cap = 64
 
 (* What one worker hands back at the round barrier.  Written by exactly
-   one worker between barrier crossings; read by the coordinator only
+   one worker between barrier crossings; read by the calling domain only
    after the barrier, so no field needs finer-grained synchronization. *)
 type wout = {
   mutable o_children : node list; (* parked nodes, newest first *)
   mutable o_incumbent : (float * float array * string) option;
       (* round's best, with its source tag *)
-  mutable o_nodes : int;
-  mutable o_heur : int;
-  mutable o_iters : int; (* cumulative solver iterations *)
-  mutable o_limit : bool; (* simplex iteration limit / deadline hit *)
+  mutable o_heur : int; (* heuristic incumbents, cumulative *)
+  mutable o_iters : int; (* solver iterations, cumulative *)
+  mutable o_limit : bool; (* a budget or the simplex iteration limit hit *)
 }
 
-let solve_parallel ~domains ~deterministic ~time_limit ~node_limit ~rel_gap
-    ~use_heuristic ~heur_period ~warm ~t0 ~root (p : Problem.t) =
+let solve ?(time_limit = 600.) ?(node_limit = 500_000) ?(rel_gap = 1e-4)
+    ?(domains = 1) ?(deterministic = false) ?(warm = no_warm) ~root
+    (p : Problem.t) =
+  let t0 = Clock.now () in
+  let deadline = t0 +. time_limit in
+  let domains = max 1 domains in
   let n = Problem.num_vars p in
+  let root_solver, root_status = root in
   let orig_lo = Array.init n (Problem.var_lo p) in
   let orig_hi = Array.init n (Problem.var_hi p) in
-  let gap_margin obj = (rel_gap *. Float.max 1. (Float.abs obj)) +. 1e-9 in
-  let heur_deadline = if deterministic then infinity else t0 +. time_limit in
-  let incumbent = ref None in
-  let incumbent_obj = ref infinity in
-  let incumbent_src = ref "none" in
-  let warm_seeded = ref false in
-  let heur_found = ref 0 in
+  (* The gap is taken relative to max(1, |incumbent|): the regalloc
+     objectives carry 1e-7-scale symmetry-breaking perturbations, so a
+     near-zero objective would otherwise keep the search alive chasing
+     perturbation noise the gap can never close.  rel_gap = 0 remains an
+     exact proof. *)
+  let cutoff_of obj =
+    if obj = infinity then infinity
+    else obj -. (rel_gap *. Float.max 1. (Float.abs obj)) -. 1e-9
+  in
   let hints = hints_of_warm n warm in
-  (* per-worker pseudocost tables, created here so the final merged
-     table can be exported after the workers join *)
-  let worker_pcs =
+  (* Search state owned by the calling domain. *)
+  let best = ref None (* objective, solution, source *) in
+  let best_obj () = match !best with Some (o, _, _) -> o | None -> infinity in
+  let warm_seeded = ref false and root_objective = ref nan in
+  let limit_hit = ref false in
+  let heap = Heap.create () in
+  Heap.push heap
+    { nb = neg_infinity; fixings = []; depth = 0; bvar = -1; bfrac = 0.;
+      bup = false };
+  let nodes = Atomic.make 0 in
+  let shared_best : incumbent option Atomic.t = Atomic.make None in
+  (* The round's seeds and starting point, set before workers wake. *)
+  let seeds = ref [||] and round_best = ref infinity and round_nodes = ref 0 in
+  let steal = Atomic.make 0 in
+  let batch, chain_cap =
+    if domains = 1 then (1, max_int)
+    else (domains * par_seeds_per_worker, par_chain_cap)
+  in
+  let pcs =
     Array.init domains (fun _ ->
         let pc = pc_create n in
         pc_import pc n warm;
         pc)
   in
-  let cutoff () =
-    if !incumbent = None then infinity else !incumbent_obj -. gap_margin !incumbent_obj
+  let outs =
+    Array.init domains (fun _ ->
+        { o_children = []; o_incumbent = None; o_heur = 0; o_iters = 0;
+          o_limit = false })
   in
-  let root_pc = pc_create n in
-  pc_import root_pc n warm;
-  let finish status ~nodes ~iters ~root_objective ~best_bound =
-    let objective = match !incumbent with Some _ -> !incumbent_obj | None -> infinity in
-    {
-      status;
-      objective;
-      solution =
-        (match !incumbent with Some x -> x | None -> Array.make n 0.);
-      nodes;
-      root_objective;
-      total_time = Clock.since t0;
-      simplex_iterations = iters;
-      best_bound;
-      heuristic_incumbents = !heur_found;
-      incumbent_source =
-        (match !incumbent with Some _ -> !incumbent_src | None -> "none");
-      warm_seeded = !warm_seeded;
-      pc_out =
-        pc_export n (pc_merge n (Array.append [| root_pc |] worker_pcs));
-    }
-  in
-  (* ---- root relaxation on the coordinator ---- *)
-  let root_solver, root_status = root in
-  Support.Metrics.incr m_nodes;
-  match root_status with
-  | Revised.Iteration_limit ->
-      finish Limit ~nodes:1 ~iters:(Revised.iterations root_solver)
-        ~root_objective:nan ~best_bound:neg_infinity
-  | Revised.Infeasible ->
-      finish Infeasible ~nodes:1 ~iters:(Revised.iterations root_solver)
-        ~root_objective:nan ~best_bound:infinity
-  | Revised.Optimal ->
-      let root_objective = Revised.objective root_solver in
-      let x = Revised.primal root_solver in
-      let heap = Heap.create () in
-      (match select_branch p root_pc n x with
-      | -1 ->
-          incumbent := Some (Array.copy x);
-          incumbent_obj := root_objective;
-          incumbent_src := "branch";
-          Support.Metrics.incr m_incumbents
-      | v ->
-          (match hints with
-          | Some h -> (
-              match
-                Heuristic.guided_dive ~cutoff:infinity
-                  ~deadline:heur_deadline ~hints:h root_solver p
-              with
-              | Some (hobj, hx) when hobj < !incumbent_obj ->
-                  incumbent := Some hx;
-                  incumbent_obj := hobj;
-                  incumbent_src := "seeded";
-                  warm_seeded := true;
-                  Support.Metrics.incr m_incumbents
-              | _ -> ())
-          | None -> ());
-          (if use_heuristic then
-             match
-               Heuristic.dive ~cutoff:!incumbent_obj
-                 ~deadline:heur_deadline root_solver p
-             with
-             | Some (hobj, hx) ->
-                 incumbent := Some hx;
-                 incumbent_obj := hobj;
-                 incumbent_src := "heuristic";
-                 incr heur_found;
-                 Support.Metrics.incr m_incumbents;
-                 Support.Metrics.incr m_heur
-             | None -> ());
-          let f = x.(v) -. floor x.(v) in
-          let mk l h up =
-            if l > h +. 1e-9 then ()
-            else
-              Heap.push heap
-                {
-                  nb = root_objective;
-                  fixings = [ (v, l, h) ];
-                  depth = 1;
-                  bvar = v;
-                  bfrac = f;
-                  bup = up;
-                }
-          in
-          let est_down = pc_est p root_pc false v *. f in
-          let est_up = pc_est p root_pc true v *. (1. -. f) in
-          if est_down <= est_up then begin
-            mk orig_lo.(v) (floor x.(v)) false;
-            mk (ceil x.(v)) orig_hi.(v) true
-          end
-          else begin
-            mk (ceil x.(v)) orig_hi.(v) true;
-            mk orig_lo.(v) (floor x.(v)) false
-          end);
-      if Heap.size heap = 0 then
-        (* root was integral (or both children empty): done *)
-        finish
-          (if !incumbent = None then Infeasible else Optimal)
-          ~nodes:1 ~iters:(Revised.iterations root_solver) ~root_objective
-          ~best_bound:
-            (if !incumbent = None then infinity else !incumbent_obj)
+  (* Worker [d] on [solver]: returns the function that runs its share of
+     one round. *)
+  let worker d solver =
+    let pc = pcs.(d) and out = outs.(d) in
+    (* Bound activation: undo the previous node's fixings, apply the new
+       ones.  A variable appearing in both with the same bounds produces
+       no net change, so the solver's incremental restart does no work
+       for the shared prefix of the two paths. *)
+    let applied = ref [] in
+    let activate fixings =
+      List.iter
+        (fun (v, _, _) ->
+          Revised.set_bounds solver v ~lo:orig_lo.(v) ~hi:orig_hi.(v))
+        !applied;
+      List.iter (fun (v, l, h) -> Revised.set_bounds solver v ~lo:l ~hi:h)
+        fixings;
+      applied := fixings
+    in
+    let my_nodes = ref 0 and round_mine = ref 0 and local_best = ref infinity in
+    let cutoff () =
+      cutoff_of
+        (match Atomic.get shared_best with
+        | Some i when not deterministic -> Float.min !local_best i.i_obj
+        | _ -> !local_best)
+    in
+    let out_of_budget () =
+      Clock.since t0 > time_limit
+      || (if deterministic then !round_nodes + !round_mine
+          else Atomic.get nodes)
+         >= node_limit
+    in
+    let record src obj x =
+      (match out.o_incumbent with
+      | Some (o, _, _) when o <= obj -> ()
+      | _ -> out.o_incumbent <- Some (obj, x, src));
+      local_best := Float.min !local_best obj;
+      if not deterministic then ignore (publish_incumbent shared_best ~obj ~x);
+      Support.Metrics.incr m_incumbents;
+      if Support.Trace.is_enabled () then
+        Support.Trace.instant ~tid:d
+          (if src = "branch" then "incumbent" else src ^ "-incumbent")
+          ~args:
+            [
+              ("objective", Support.Trace.Float obj);
+              ("node", Support.Trace.Int !my_nodes);
+            ]
+    in
+    let rec expand nd chain =
+      let park nd = out.o_children <- nd :: out.o_children in
+      if nd.nb >= cutoff () then () (* pruned *)
+      else if chain >= chain_cap then park nd
+      else if out_of_budget () then begin
+        out.o_limit <- true;
+        park nd
+      end
       else begin
-        (* ---- round machinery ---- *)
-        let mu = Mutex.create () in
-        let cv = Condition.create () in
-        let round = ref 0 in
-        let stop = ref false in
-        let seeds = ref [||] in
-        let round_cutoff = ref infinity in
-        let done_count = ref 0 in
-        let steal = Atomic.make 0 in
-        let shared_best : incumbent option Atomic.t = Atomic.make None in
-        let outs =
-          Array.init domains (fun _ ->
-              {
-                o_children = [];
-                o_incumbent = None;
-                o_nodes = 0;
-                o_heur = 0;
-                o_iters = 0;
-                o_limit = false;
-              })
-        in
-        let worker d =
-          let solver = Revised.create p in
-          let pc = worker_pcs.(d) in
-          let applied = ref [] in
-          let activate fixings =
-            List.iter
-              (fun (v, _, _) ->
-                Revised.set_bounds solver v ~lo:orig_lo.(v) ~hi:orig_hi.(v))
-              !applied;
-            List.iter
-              (fun (v, l, h) -> Revised.set_bounds solver v ~lo:l ~hi:h)
-              fixings;
-            applied := fixings
-          in
-          let out = outs.(d) in
-          let my_nodes = ref 0 in
-          let local_cutoff = ref infinity in
-          let record_incumbent ?(heur = false) obj x =
-            let src = if heur then "heuristic" else "branch" in
-            (match out.o_incumbent with
-            | Some (o, _, _) when o <= obj -> ()
-            | _ -> out.o_incumbent <- Some (obj, x, src));
-            local_cutoff := Float.min !local_cutoff (obj -. gap_margin obj);
-            if not deterministic then
-              ignore (publish_incumbent shared_best ~obj ~x);
-            Support.Metrics.incr m_incumbents;
-            if heur then begin
-              out.o_heur <- out.o_heur + 1;
-              Support.Metrics.incr m_heur
+        activate nd.fixings;
+        incr my_nodes;
+        incr round_mine;
+        Atomic.incr nodes;
+        Support.Metrics.incr m_nodes;
+        if Support.Trace.is_enabled () && !my_nodes land 255 = 0 then
+          Support.Trace.counter ~tid:d "bb"
+            [ ("nodes", float_of_int !my_nodes); ("incumbent", !local_best) ];
+        (* only worker 0 ever sees the root: its first seed *)
+        match if nd.depth = 0 then root_status else Revised.solve solver with
+        | Revised.Iteration_limit ->
+            out.o_limit <- true;
+            park nd
+        | Revised.Infeasible -> ()
+        | Revised.Optimal ->
+            let obj = Revised.objective solver in
+            if nd.depth = 0 then root_objective := obj;
+            pc_learn pc nd obj;
+            if obj < cutoff () then begin
+              let x = Revised.primal solver in
+              match select_branch p pc n x with
+              | -1 -> record "branch" obj (Array.copy x)
+              | v ->
+                  (* Warm-start seeding, once, at the root: fix the
+                     previous solution's values and let the guided dive
+                     repair the remainder.  An incumbent before the
+                     first branch is what collapses the tree. *)
+                  (match hints with
+                  | Some h when nd.depth = 0 ->
+                      Heuristic.guided_dive ~cutoff:(cutoff ()) ~deadline
+                        ~hints:h solver p
+                      |> Option.iter (fun (hobj, hx) ->
+                             warm_seeded := true;
+                             record "seeded" hobj hx)
+                  | _ -> ());
+                  if nd.depth = 0 || !my_nodes mod heur_period = 0 then
+                    Heuristic.dive ~cutoff:(cutoff ()) ~deadline solver p
+                    |> Option.iter (fun (hobj, hx) ->
+                           out.o_heur <- out.o_heur + 1;
+                           Support.Metrics.incr m_heur;
+                           record "heuristic" hobj hx);
+                  let f = x.(v) -. floor x.(v) in
+                  let cl, ch = Revised.bounds solver v in
+                  let base = List.filter (fun (w, _, _) -> w <> v) nd.fixings in
+                  let mk_child l h up =
+                    if l > h +. 1e-9 then None
+                    else
+                      Some
+                        {
+                          nb = obj;
+                          fixings = (v, l, h) :: base;
+                          depth = nd.depth + 1;
+                          bvar = v;
+                          bfrac = f;
+                          bup = up;
+                        }
+                  in
+                  let down = mk_child cl (floor x.(v)) false in
+                  let up = mk_child (ceil x.(v)) ch true in
+                  let est_down = obj +. (pc_est p pc false v *. f) in
+                  let est_up = obj +. (pc_est p pc true v *. (1. -. f)) in
+                  let dive_first, parked =
+                    if est_down <= est_up then (down, up) else (up, down)
+                  in
+                  Option.iter park parked;
+                  match dive_first with
+                  | Some c -> expand c (chain + 1)
+                  | None -> ()
             end
-          in
-          let current_cutoff () =
-            if deterministic then !local_cutoff
-            else
-              match Atomic.get shared_best with
-              | Some i ->
-                  Float.min !local_cutoff (i.i_obj -. gap_margin i.i_obj)
-              | None -> !local_cutoff
-          in
-          let process_chain seed =
-            let next = ref (Some seed) in
-            let chain = ref 0 in
-            while !next <> None do
-              let nd = match !next with Some nd -> nd | None -> assert false in
-              next := None;
-              let cut = current_cutoff () in
-              if nd.nb >= cut then () (* pruned *)
-              else if !chain >= par_chain_cap then
-                out.o_children <- nd :: out.o_children
-              else if
-                (not deterministic) && Clock.since t0 > time_limit
-              then begin
-                out.o_limit <- true;
-                out.o_children <- nd :: out.o_children
-              end
-              else begin
-                incr chain;
-                activate nd.fixings;
-                incr my_nodes;
-                out.o_nodes <- out.o_nodes + 1;
-                Support.Metrics.incr m_nodes;
-                if Support.Trace.is_enabled () && !my_nodes land 255 = 0 then
-                  Support.Trace.counter ~tid:(d + 1) "bb"
-                    [ ("nodes", float_of_int !my_nodes) ];
-                match Revised.solve solver with
-                | Revised.Iteration_limit ->
-                    out.o_limit <- true;
-                    (* keep the node: its bound still counts at exit *)
-                    out.o_children <- nd :: out.o_children
-                | Revised.Infeasible -> ()
-                | Revised.Optimal ->
-                    let obj = Revised.objective solver in
-                    pc_learn pc nd obj;
-                    if obj < cut then begin
-                      let x = Revised.primal solver in
-                      match select_branch p pc n x with
-                      | -1 -> record_incumbent obj (Array.copy x)
-                      | v ->
-                          if use_heuristic && !my_nodes mod heur_period = 0
-                          then begin
-                            match
-                              Heuristic.dive ~cutoff:cut
-                                ~deadline:heur_deadline solver p
-                            with
-                            | Some (hobj, hx) -> record_incumbent ~heur:true hobj hx
-                            | None -> ()
-                          end;
-                          let f = x.(v) -. floor x.(v) in
-                          let cl, ch = Revised.bounds solver v in
-                          let base =
-                            List.filter (fun (w, _, _) -> w <> v) nd.fixings
-                          in
-                          let mk_child l h up =
-                            if l > h +. 1e-9 then None
-                            else
-                              Some
-                                {
-                                  nb = obj;
-                                  fixings = (v, l, h) :: base;
-                                  depth = nd.depth + 1;
-                                  bvar = v;
-                                  bfrac = f;
-                                  bup = up;
-                                }
-                          in
-                          let down = mk_child cl (floor x.(v)) false in
-                          let up = mk_child (ceil x.(v)) ch true in
-                          let est_down = obj +. (pc_est p pc false v *. f) in
-                          let est_up =
-                            obj +. (pc_est p pc true v *. (1. -. f))
-                          in
-                          let dive_first, park =
-                            if est_down <= est_up then (down, up)
-                            else (up, down)
-                          in
-                          (match park with
-                          | Some nd' -> out.o_children <- nd' :: out.o_children
-                          | None -> ());
-                          next := dive_first
-                    end
-              end
-            done
-          in
-          let last_round = ref 0 in
-          let running = ref true in
-          while !running do
-            Mutex.lock mu;
-            while (not !stop) && !round = !last_round do
-              Condition.wait cv mu
-            done;
-            if !stop then begin
-              Mutex.unlock mu;
-              running := false
-            end
-            else begin
-              last_round := !round;
-              let sds = !seeds in
-              let cut0 = !round_cutoff in
-              Mutex.unlock mu;
-              out.o_children <- [];
-              out.o_incumbent <- None;
-              out.o_nodes <- 0;
-              out.o_heur <- 0;
-              out.o_limit <- false;
-              local_cutoff := cut0;
-              let len = Array.length sds in
-              if deterministic then begin
-                let i = ref d in
-                while !i < len do
-                  process_chain sds.(!i);
-                  i := !i + domains
-                done
-              end
-              else begin
-                let continue_ = ref true in
-                while !continue_ do
-                  let i = Atomic.fetch_and_add steal 1 in
-                  if i < len then process_chain sds.(i) else continue_ := false
-                done
-              end;
-              out.o_iters <- Revised.iterations solver;
-              Mutex.lock mu;
-              incr done_count;
-              Condition.broadcast cv;
-              Mutex.unlock mu
-            end
-          done
-        in
-        let doms = Array.init domains (fun d -> Domain.spawn (fun () -> worker d)) in
-        let total_nodes = ref 1 (* root *) in
-        let limit_hit = ref false in
-        let lb_at_exit = ref neg_infinity in
-        let running = ref true in
-        (try
-           while !running do
-             let cut = cutoff () in
-             (* collect the round's seeds, pruning stale nodes *)
-             let buf = ref [] in
-             let count = ref 0 in
-             let batch = domains * par_seeds_per_worker in
-             let collecting = ref true in
-             while !collecting && !count < batch do
-               match Heap.pop heap with
-               | None -> collecting := false
-               | Some nd ->
-                   if nd.nb < cut then begin
-                     buf := nd :: !buf;
-                     incr count
-                   end
-             done;
-             if !count = 0 then running := false (* tree exhausted *)
-             else if
-               Clock.since t0 > time_limit || !total_nodes >= node_limit
-             then begin
-               limit_hit := true;
-               running := false;
-               (* retain the seeds' bounds for the exit bound *)
-               List.iter (Heap.push heap) !buf
-             end
-             else begin
-               Mutex.lock mu;
-               seeds := Array.of_list (List.rev !buf);
-               Atomic.set steal 0;
-               round_cutoff := cut;
-               done_count := 0;
-               incr round;
-               Condition.broadcast cv;
-               while !done_count < domains do
-                 Condition.wait cv mu
-               done;
-               Mutex.unlock mu;
-               (* merge in fixed worker order (determinism) *)
-               Array.iter
-                 (fun out ->
-                   (match out.o_incumbent with
-                   | Some (obj, x, src) when obj < !incumbent_obj ->
-                       incumbent := Some x;
-                       incumbent_obj := obj;
-                       incumbent_src := src
-                   | _ -> ());
-                   List.iter (Heap.push heap) (List.rev out.o_children);
-                   total_nodes := !total_nodes + out.o_nodes;
-                   heur_found := !heur_found + out.o_heur;
-                   if out.o_limit then begin
-                     limit_hit := true;
-                     running := false
-                   end)
-                 outs
-             end
-           done
-         with e ->
-           (* never leave worker domains blocked on the round condition *)
-           Mutex.lock mu;
-           stop := true;
-           Condition.broadcast cv;
-           Mutex.unlock mu;
-           Array.iter Domain.join doms;
-           raise e);
-        if !limit_hit then lb_at_exit := Heap.min_bound heap;
+      end
+    in
+    fun () ->
+      out.o_children <- [];
+      out.o_incumbent <- None;
+      out.o_limit <- false;
+      round_mine := 0;
+      local_best := !round_best;
+      (* Worker [d] starts on seed [d], then takes every [domains]-th
+         (deterministic) or whichever the shared cursor hands it. *)
+      let sds = !seeds in
+      let i = ref d in
+      while !i < Array.length sds do
+        expand sds.(!i) 0;
+        i :=
+          if deterministic then !i + domains
+          else Atomic.fetch_and_add steal 1
+      done;
+      out.o_iters <- Revised.iterations solver
+  in
+  (* Workers 1 .. domains-1 run in their own domains, one round each
+     time [round] advances. *)
+  let mu = Mutex.create () and cv = Condition.create () in
+  let round = ref 0 and stop = ref false and done_count = ref 0 in
+  let helper d () =
+    let work = worker d (Revised.create p) in
+    let rec loop seen =
+      Mutex.lock mu;
+      while (not !stop) && !round = seen do
+        Condition.wait cv mu
+      done;
+      if !stop then Mutex.unlock mu
+      else begin
+        let r = !round in
+        Mutex.unlock mu;
+        work ();
         Mutex.lock mu;
-        stop := true;
+        incr done_count;
         Condition.broadcast cv;
         Mutex.unlock mu;
-        Array.iter Domain.join doms;
-        let iters =
-          Array.fold_left
-            (fun acc out -> acc + out.o_iters)
-            (Revised.iterations root_solver)
-            outs
-        in
-        match !incumbent with
-        | Some _ ->
-            let status = if !limit_hit then Limit else Optimal in
-            let best_bound =
-              if !limit_hit then Float.min !lb_at_exit !incumbent_obj
-              else !incumbent_obj
-            in
-            finish status ~nodes:!total_nodes ~iters ~root_objective
-              ~best_bound
-        | None ->
-            finish
-              (if !limit_hit then Limit else Infeasible)
-              ~nodes:!total_nodes ~iters ~root_objective
-              ~best_bound:(if !limit_hit then !lb_at_exit else infinity)
+        loop r
       end
-
-let solve ?(time_limit = 600.) ?(node_limit = 500_000) ?(rel_gap = 1e-4)
-    ?(use_heuristic = true) ?(heur_period = 128) ?(domains = 1)
-    ?(deterministic = false) ?(warm = no_warm) ~root (p : Problem.t) =
-  let t0 = Clock.now () in
-  if domains <= 1 then
-    solve_sequential ~time_limit ~node_limit ~rel_gap ~use_heuristic
-      ~heur_period ~warm ~t0 ~root p
-  else
-    solve_parallel ~domains ~deterministic ~time_limit ~node_limit ~rel_gap
-      ~use_heuristic ~heur_period ~warm ~t0 ~root p
+    in
+    loop 0
+  in
+  let helpers = ref [||] in
+  let stop_helpers () =
+    Mutex.lock mu;
+    stop := true;
+    Condition.broadcast cv;
+    Mutex.unlock mu;
+    Array.iter Domain.join !helpers
+  in
+  let work0 = worker 0 root_solver in
+  let merge out =
+    (match out.o_incumbent with
+    | Some ((obj, _, _) as inc) when obj < best_obj () -> best := Some inc
+    | _ -> ());
+    List.iter (Heap.push heap) (List.rev out.o_children);
+    if out.o_limit then limit_hit := true
+  in
+  let rec rounds () =
+    let cut = cutoff_of (best_obj ()) in
+    let buf = ref [] and count = ref 0 in
+    while !count < batch && Heap.size heap > 0 do
+      match Heap.pop heap with
+      | Some nd when nd.nb < cut ->
+          buf := nd :: !buf;
+          incr count
+      | _ -> () (* pruned *)
+    done;
+    if !count > 0 then begin
+      seeds := Array.of_list (List.rev !buf);
+      round_best := best_obj ();
+      round_nodes := Atomic.get nodes;
+      Atomic.set steal domains;
+      if domains > 1 && !helpers = [||] && !count > 1 then
+        helpers :=
+          Array.init (domains - 1) (fun i -> Domain.spawn (helper (i + 1)));
+      let k = Array.length !helpers in
+      if k > 0 then begin
+        Mutex.lock mu;
+        done_count := 0;
+        incr round;
+        Condition.broadcast cv;
+        Mutex.unlock mu
+      end;
+      work0 ();
+      if k > 0 then begin
+        Mutex.lock mu;
+        while !done_count < k do
+          Condition.wait cv mu
+        done;
+        Mutex.unlock mu
+      end;
+      (* merge in fixed worker order (determinism) *)
+      Array.iter merge outs;
+      if not !limit_hit then rounds ()
+    end
+  in
+  (* never leave worker domains blocked on the round condition *)
+  Fun.protect ~finally:stop_helpers rounds;
+  let objective, solution, incumbent_source =
+    match !best with
+    | Some (o, x, src) -> (o, x, src)
+    | None -> (infinity, Array.make n 0., "none")
+  in
+  {
+    status =
+      (if !limit_hit then Limit else if !best = None then Infeasible
+       else Optimal);
+    objective;
+    solution;
+    nodes = Atomic.get nodes;
+    root_objective = !root_objective;
+    total_time = Clock.since t0;
+    simplex_iterations = Array.fold_left (fun a o -> a + o.o_iters) 0 outs;
+    best_bound =
+      (if !limit_hit then Float.min (Heap.min_bound heap) objective
+       else objective);
+    heuristic_incumbents = Array.fold_left (fun a o -> a + o.o_heur) 0 outs;
+    incumbent_source;
+    warm_seeded = !warm_seeded;
+    pc_out = pc_export n (pc_merge n pcs);
+  }

@@ -154,7 +154,7 @@ module Make (F : Field.S) = struct
       !obj_const,
       contradiction )
 
-  (* Consecutive degenerate pivots tolerated under Dantzig/devex pricing
+  (* Consecutive degenerate pivots tolerated under Dantzig pricing
      before falling back to Bland's rule. *)
   let bland_trigger = 64
 
@@ -162,28 +162,17 @@ module Make (F : Field.S) = struct
      (nrows x (ncols+1), last column = b), with basis array [basis] and
      cost row [cost] (ncols+1 wide, last entry = -z).
 
-     Pricing selects the entering column.  [`Devex] (the default) scores
-     each candidate by (reduced cost)^2 / weight, with Forrest-Goldfarb
-     reference-framework weights updated after every pivot -- a cheap
-     steepest-edge approximation that usually needs fewer iterations
-     than Dantzig on degenerate tableaus.  [`Dantzig] -- enter the most
-     negative reduced cost -- is kept as the fallback rule.  The weights
-     are deliberately plain floats even in exact-field instantiations:
-     they only steer the column choice, never enter the tableau
-     arithmetic, so exactness is unaffected and rational coefficients
-     cannot blow up from repeated squaring.
-
-     Either rule alone can cycle on degenerate bases, so a streak of
-     [bland_trigger] consecutive degenerate pivots flips pricing to
-     Bland's smallest-index rule, whose finiteness guarantee breaks the
-     cycle; the first nondegenerate step switches back.  Termination:
-     every nondegenerate pivot strictly decreases the objective (and
-     there are finitely many bases), and every all-degenerate stretch
-     either ends within [bland_trigger] pivots or continues under Bland's
-     rule, which provably terminates. *)
-  let run_phase ?(pricing = `Devex) t basis cost nrows ncols ~max_enter =
+     Dantzig pricing enters the most negative reduced cost.  It can
+     cycle on degenerate bases, so a streak of [bland_trigger]
+     consecutive degenerate pivots flips pricing to Bland's
+     smallest-index rule, whose finiteness guarantee breaks the cycle;
+     the first nondegenerate step switches back.  Termination: every
+     nondegenerate pivot strictly decreases the objective (and there are
+     finitely many bases), and every all-degenerate stretch either ends
+     within [bland_trigger] pivots or continues under Bland's rule,
+     which provably terminates. *)
+  let run_phase t basis cost nrows ncols ~max_enter =
     let degen_streak = ref 0 in
-    let dw = Array.make (max 1 max_enter) 1.0 in
     let rec iterate () =
       (* Artificial columns (j >= max_enter) are never allowed to enter:
          they start basic and once driven out must stay out, regardless of
@@ -200,29 +189,14 @@ module Make (F : Field.S) = struct
           done
         with Exit -> ())
       else begin
-        match pricing with
-        | `Dantzig ->
-            (* Dantzig: most negative reduced cost, smallest index on
-               ties. *)
-            let bestc = ref F.zero in
-            for j = 0 to max_enter - 1 do
-              if F.compare cost.(j) !bestc < 0 then begin
-                entering := j;
-                bestc := cost.(j)
-              end
-            done
-        | `Devex ->
-            let best_score = ref 0. in
-            for j = 0 to max_enter - 1 do
-              if F.compare cost.(j) F.zero < 0 then begin
-                let d = F.to_float cost.(j) in
-                let score = d *. d /. dw.(j) in
-                if score > !best_score then begin
-                  entering := j;
-                  best_score := score
-                end
-              end
-            done
+        (* Dantzig: most negative reduced cost, smallest index on ties. *)
+        let bestc = ref F.zero in
+        for j = 0 to max_enter - 1 do
+          if F.compare cost.(j) !bestc < 0 then begin
+            entering := j;
+            bestc := cost.(j)
+          end
+        done
       end;
       if !entering < 0 then `Optimal
       else begin
@@ -266,33 +240,6 @@ module Make (F : Field.S) = struct
               cost.(j) <- F.sub cost.(j) (F.mul f t.(l).(j))
             done
           end;
-          (match pricing with
-          | `Dantzig -> ()
-          | `Devex ->
-              (* Forrest-Goldfarb update.  Post-pivot row [l] holds
-                 alpha_lj / alpha_le, so with [we] the entering column's
-                 old weight: w_j <- max(w_j, (alpha_lj/alpha_le)^2 * we)
-                 for every priced column, the leaving column restarts at
-                 max(we / alpha_le^2, 1), and a blown-up framework
-                 (> 1e12) is reset to unit weights. *)
-              let we = dw.(e) in
-              let piv_f = F.to_float piv in
-              let gr = we /. (piv_f *. piv_f) in
-              if gr > 1e12 then Array.fill dw 0 (Array.length dw) 1.0
-              else begin
-                for j = 0 to max_enter - 1 do
-                  if j <> e then begin
-                    let a = F.to_float t.(l).(j) in
-                    if a <> 0. then begin
-                      let cand = a *. a *. we in
-                      if cand > dw.(j) then dw.(j) <- cand
-                    end
-                  end
-                done;
-                let lv = basis.(l) in
-                if lv < max_enter then dw.(lv) <- Float.max gr 1.0;
-                dw.(e) <- 1.0
-              end);
           basis.(l) <- e;
           iterate ()
         end

@@ -26,14 +26,6 @@
 
 type status = Optimal | Infeasible | Iteration_limit
 
-(* Leaving-row pricing rule.  [Devex] (Forrest-Goldfarb reference-
-   framework weights, the dual variant) approximates steepest-edge
-   pricing at the cost of one O(m) sweep per pivot and typically cuts
-   iteration counts well below Dantzig-style most-infeasible selection
-   on the degenerate, near-symmetric bank-assignment MIPs.  [Dantzig]
-   keeps the old most-infeasible rule as a fallback. *)
-type pricing = Dantzig | Devex
-
 type t = {
   n : int; (* structural variables *)
   m : int; (* rows = slack variables *)
@@ -72,7 +64,6 @@ type t = {
                           iterations *)
   in_row : bool array; (* workspace: column is listed in [row_cols] *)
   row_cols : int array; (* workspace: columns the pivot row touched *)
-  pricing : pricing;
   dw : float array; (* devex reference weights, one per basis row *)
   mutable iters : int;
   mutable total_iters : int;
@@ -91,7 +82,7 @@ let basis_column col_start col_row col_val basis k f =
     f col_row.(p) col_val.(p)
   done
 
-let create ?(pricing = Devex) (p : Problem.t) =
+let create (p : Problem.t) =
   let n = Problem.num_vars p in
   let m = Problem.num_rows p in
   let nm = n + m in
@@ -188,7 +179,6 @@ let create ?(pricing = Devex) (p : Problem.t) =
     alpha = Array.make nm 0.;
     in_row = Array.make nm false;
     row_cols = Array.make nm 0;
-    pricing;
     dw = Array.make m 1.;
     iters = 0;
     total_iters = 0;
@@ -357,10 +347,11 @@ let solve ?(max_iters = 200_000) t =
          refresh_dvals t
        end;
        let t0 = Clock.now () in
-       (* Leaving variable: among primal-infeasible basic variables,
-          Dantzig takes the worst infeasibility; Devex scores each row
-          by infeasibility^2 / weight, the reference-framework estimate
-          of infeasibility per unit of (dual) edge length. *)
+       (* Leaving variable: dual Devex pricing (Forrest-Goldfarb
+          reference-framework weights, an approximation of steepest
+          edge).  Among primal-infeasible basic variables, score each
+          row by infeasibility^2 / weight, the estimate of infeasibility
+          per unit of (dual) edge length. *)
        let r = ref (-1) in
        let best_score = ref 0. in
        let sigma = ref 1.0 in
@@ -374,11 +365,7 @@ let solve ?(max_iters = 200_000) t =
            else 0.
          in
          if infeas > feas_tol then begin
-           let score =
-             match t.pricing with
-             | Dantzig -> infeas
-             | Devex -> infeas *. infeas /. Array.unsafe_get t.dw i
-           in
+           let score = infeas *. infeas /. Array.unsafe_get t.dw i in
            if score > !best_score then begin
              r := i;
              best_score := score;
@@ -512,27 +499,25 @@ let solve ?(max_iters = 200_000) t =
          t.xb.(r) <- entering_old +. step;
          t.dvals.(leaving) <- -.theta;
          t.dvals.(q) <- 0.;
-         if t.pricing = Devex then begin
-           (* Forrest-Goldfarb dual devex update: with gamma_r the old
-              weight of the leaving row and w = Binv a_q the entering
-              column, the new row-r weight is max(gamma_r / w_r^2, 1)
-              and every other row takes max(gamma_i, (w_i/w_r)^2 *
-              gamma_r).  When the reference framework has degraded
-              (weights blown past 1e12) restart it from unit weights. *)
-           let gr = t.dw.(r) /. (wr *. wr) in
-           if gr > 1e12 then Array.fill t.dw 0 t.m 1.
-           else begin
-             for k = 0 to nw - 1 do
-               let i = Array.unsafe_get t.w_nz k in
-               if i <> r then begin
-                 let wi = Array.unsafe_get w i in
-                 let cand = wi *. wi *. gr in
-                 if cand > Array.unsafe_get t.dw i then
-                   Array.unsafe_set t.dw i cand
-               end
-             done;
-             t.dw.(r) <- Float.max gr 1.0
-           end
+         (* Forrest-Goldfarb dual devex update: with gamma_r the old
+            weight of the leaving row and w = Binv a_q the entering
+            column, the new row-r weight is max(gamma_r / w_r^2, 1)
+            and every other row takes max(gamma_i, (w_i/w_r)^2 *
+            gamma_r).  When the reference framework has degraded
+            (weights blown past 1e12) restart it from unit weights. *)
+         let gr = t.dw.(r) /. (wr *. wr) in
+         if gr > 1e12 then Array.fill t.dw 0 t.m 1.
+         else begin
+           for k = 0 to nw - 1 do
+             let i = Array.unsafe_get t.w_nz k in
+             if i <> r then begin
+               let wi = Array.unsafe_get w i in
+               let cand = wi *. wi *. gr in
+               if cand > Array.unsafe_get t.dw i then
+                 Array.unsafe_set t.dw i cand
+             end
+           done;
+           t.dw.(r) <- Float.max gr 1.0
          end;
          update_s := !update_s +. Clock.since t4
        end

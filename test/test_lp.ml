@@ -571,6 +571,51 @@ let test_bb_deterministic_nodes () =
   checki "simplex iterations reproduce" a.Mip.stats.Mip.simplex_iterations
     b.Mip.stats.Mip.simplex_iterations
 
+(* Pigeonhole with pairwise conflicts: 11 pigeons, 10 holes, each pigeon
+   in exactly one hole, no two pigeons sharing one.  Integer infeasible,
+   but the LP relaxation (every x = 1/10) is feasible at every node until
+   the fixings pile up, so proving infeasibility takes an exponential
+   tree: no search finishes it in half a second. *)
+let pigeonhole_mip () =
+  let pigeons = 11 and holes = 10 in
+  let p = Problem.create () in
+  let x i j = (i * holes) + j in
+  for i = 0 to pigeons - 1 do
+    for j = 0 to holes - 1 do
+      ignore (Problem.add_binary p ~obj:0. (Printf.sprintf "x_%d_%d" i j))
+    done
+  done;
+  for i = 0 to pigeons - 1 do
+    Problem.add_row p Problem.Eq 1. (List.init holes (fun j -> (x i j, 1.)))
+  done;
+  for j = 0 to holes - 1 do
+    for i = 0 to pigeons - 1 do
+      for k = i + 1 to pigeons - 1 do
+        Problem.add_row p Problem.Le 1. [ (x i j, 1.); (x k j, 1.) ]
+      done
+    done
+  done;
+  p
+
+(* The wall-clock budget is honoured inside worker chains, in every
+   mode: a search that cannot finish stops with [Limit] within half a
+   second of its limit at 1, 2 and 4 domains. *)
+let test_bb_time_limit_honoured () =
+  List.iter
+    (fun (d, det) ->
+      let p = pigeonhole_mip () in
+      let r =
+        Branch_bound.solve ~time_limit:0.5 ~domains:d ~deterministic:det
+          ~root:(Mip.solve_root p) p
+      in
+      let what = Printf.sprintf "%d domains (det=%b)" d det in
+      checkb (what ^ ": stopped by the limit") true
+        (r.Branch_bound.status = Branch_bound.Limit);
+      if r.Branch_bound.total_time > 1.0 then
+        Alcotest.failf "%s: ran %.3f s against a 0.5 s limit" what
+          r.Branch_bound.total_time)
+    [ (1, false); (1, true); (2, false); (2, true); (4, false); (4, true) ]
+
 (* Seeded random packing instance: negative costs, <= 1 or <= 2 rows
    over small random subsets.  Cover and clique cuts fire at its root. *)
 let seeded_packing_mip seed =
@@ -1396,6 +1441,8 @@ let suites =
           test_bb_domains_agree;
         Alcotest.test_case "deterministic mode reproduces node counts" `Quick
           test_bb_deterministic_nodes;
+        Alcotest.test_case "time limit honoured at every domain count" `Quick
+          test_bb_time_limit_honoured;
         Alcotest.test_case "warm start proves the cold objective" `Quick
           test_mip_warm_start_equivalence;
         Alcotest.test_case "solve leaves the caller's problem untouched"

@@ -22,6 +22,19 @@ type tuple = atom list
 
 let tuple_compare = List.compare atom_compare
 
+let atom_equal a b =
+  match (a, b) with
+  | S x, S y -> String.equal x y
+  | I x, I y -> Int.equal x y
+  | _ -> false
+
+let tuple_equal = List.equal atom_equal
+
+let tuple_hash tup =
+  List.fold_left
+    (fun h a -> (h * 31) + match a with S s -> Hashtbl.hash s | I i -> i)
+    0 tup
+
 let pp_tuple ppf t =
   Fmt.pf ppf "(%a)" Fmt.(list ~sep:(any ",") pp_atom) t
 
@@ -49,7 +62,10 @@ let add t tup =
   check_arity t tup;
   { t with elems = TSet.add tup t.elems }
 
-let of_list arity tuples = List.fold_left add (empty arity) tuples
+let of_list arity tuples =
+  let t = empty arity in
+  List.iter (check_arity t) tuples;
+  { t with elems = TSet.of_list tuples }
 
 (* Convenience constructors for atom kinds commonly used. *)
 let of_strings ss = of_list 1 (List.map (fun s -> [ S s ]) ss)

@@ -30,27 +30,16 @@ let combine (parts : string list) : t =
   text (Buffer.contents buf)
 
 (* Accumulator for an order-insensitive digest: each item's digest is
-   folded in by 64-bit wrapping addition of its four 32-bit words, so
-   the result is independent of insertion order. *)
+   folded in by 64-bit wrapping addition of its two little-endian 64-bit
+   words, so the result is independent of insertion order. *)
 type acc = { mutable w0 : int64; mutable w1 : int64; mutable count : int }
 
 let fold_create () = { w0 = 0L; w1 = 0L; count = 0 }
 
 let fold_add acc (item : string) =
   let d = Digest.string item in
-  let word off =
-    let g i = Int64.of_int (Char.code d.[off + i]) in
-    Int64.logor
-      (Int64.logor (g 0) (Int64.shift_left (g 1) 8))
-      (Int64.logor (Int64.shift_left (g 2) 16)
-         (Int64.logor (Int64.shift_left (g 3) 24)
-            (Int64.logor (Int64.shift_left (g 4) 32)
-               (Int64.logor (Int64.shift_left (g 5) 40)
-                  (Int64.logor (Int64.shift_left (g 6) 48)
-                     (Int64.shift_left (g 7) 56))))))
-  in
-  acc.w0 <- Int64.add acc.w0 (word 0);
-  acc.w1 <- Int64.add acc.w1 (word 8);
+  acc.w0 <- Int64.add acc.w0 (String.get_int64_le d 0);
+  acc.w1 <- Int64.add acc.w1 (String.get_int64_le d 8);
   acc.count <- acc.count + 1
 
 let fold_digest acc : t =

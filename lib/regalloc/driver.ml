@@ -497,6 +497,8 @@ type model_entry = {
   me_mg : Modelgen.t;
   me_ilp : Ilp.t;
   me_fp : string;
+  me_names : string array; (* canonical variable names *)
+  me_index : (string, int) Hashtbl.t; (* canonical name -> variable *)
 }
 
 let memo_model : model_entry memo = Hashtbl.create 8
@@ -622,13 +624,24 @@ let cached_model_solve ~(store : Cache.Store.t) ~file ~key_front
           Trace.with_span "ilp-build" (fun () ->
               Ilp.build ~objective_mode:options.objective mg)
         in
-        let fp =
+        let problem = ilp.Ilp.instance.Ampl.Model.problem in
+        let names, fp =
           Trace.with_span "model-fingerprint" (fun () ->
-              Modelhash.fingerprint ilp.Ilp.instance.Ampl.Model.problem)
+              let names = Modelhash.canonical_names problem in
+              (names, Modelhash.fingerprint ~names problem))
         in
-        let e = { me_graph = graph; me_mg = mg; me_ilp = ilp; me_fp = fp } in
+        let e =
+          {
+            me_graph = graph;
+            me_mg = mg;
+            me_ilp = ilp;
+            me_fp = fp;
+            me_names = names;
+            me_index = Modelhash.index_of_canonical names;
+          }
+        in
         memo_add memo_model mk e;
-        let st = Lp.Problem.stats ilp.Ilp.instance.Ampl.Model.problem in
+        let st = Lp.Problem.stats problem in
         Cache.Store.store store ~stage:"model" ~key:mk
           (Json.Obj
              [
@@ -640,9 +653,7 @@ let cached_model_solve ~(store : Cache.Store.t) ~file ~key_front
   in
   report_fp entry.me_fp;
   let ilp = entry.me_ilp in
-  let problem = ilp.Ilp.instance.Ampl.Model.problem in
-  let names = Modelhash.canonical_names problem in
-  let index = Modelhash.index_of_canonical names in
+  let names = entry.me_names and index = entry.me_index in
   let key_solve =
     Cache.Key.combine [ "solve:v1"; entry.me_fp; fp_solve options ]
   in

@@ -24,7 +24,8 @@ module Insn = Ixp.Insn
 
 let atom_p p = D.I p
 let atom_v v = D.S (Ident.name v)
-let atom_b b = D.S (Bank.to_string b)
+let bank_atoms = List.map (fun b -> (b, D.S (Bank.to_string b))) Bank.all
+let atom_b b = List.assq b bank_atoms
 let atom_r r = D.I r
 
 type objective_mode = Minimize_moves | Spill_feasibility
@@ -34,6 +35,11 @@ type t = {
   model : M.t;
   instance : M.instance;
   objective_mode : objective_mode;
+  (* the families the solution is read back through *)
+  before_f : M.family;
+  after_f : M.family;
+  move_f : M.family;
+  color_f : M.family;
 }
 
 let xregs = [ 0; 1; 2; 3; 4; 5; 6; 7 ]
@@ -53,6 +59,19 @@ let iter_modeled mg f =
 
 let build ?(objective_mode = Minimize_moves) (mg : Modelgen.t) : t =
   let model = M.create () in
+  (* every reference to a temporary shares one atom, its name formatted
+     once per build *)
+  let atoms = Ident.Tbl.create 256 in
+  let atom_v v =
+    match Ident.Tbl.find_opt atoms v with
+    | Some a -> a
+    | None ->
+        let a = atom_v v in
+        Ident.Tbl.replace atoms v a;
+        a
+  in
+  let point_atoms = Array.init (Array.length mg.Modelgen.points) atom_p in
+  let atom_p p = point_atoms.(p) in
   let allowed = Modelgen.allowed_banks mg in
   let axfer = Modelgen.allowed_xfer mg in
   (* ---------------- index sets ---------------- *)
@@ -76,9 +95,9 @@ let build ?(objective_mode = Minimize_moves) (mg : Modelgen.t) : t =
         (real_pairs p v));
   let before_set = D.of_list 3 !before_idx in
   let move_set = D.of_list 4 !move_idx in
-  M.declare_binary_family model "Before" ~index:before_set;
-  M.declare_binary_family model "After" ~index:before_set;
-  M.declare_binary_family model "Move" ~index:move_set;
+  let before_f = M.declare_binary_family model "Before" ~index:before_set in
+  let after_f = M.declare_binary_family model "After" ~index:before_set in
+  let move_f = M.declare_binary_family model "Move" ~index:move_set in
   (* Color *)
   let color_idx = ref [] in
   Array.iter
@@ -91,7 +110,7 @@ let build ?(objective_mode = Minimize_moves) (mg : Modelgen.t) : t =
         (axfer v))
     mg.Modelgen.temps;
   let color_set = D.of_list 3 !color_idx in
-  M.declare_binary_family model "Color" ~index:color_set;
+  let color_f = M.declare_binary_family model "Color" ~index:color_set in
   (* interference pairs with a common transfer bank.  Members of the same
      aggregate already receive distinct colors through the adjacency
      chain, so their pairwise machinery is redundant in that bank. *)
@@ -134,7 +153,9 @@ let build ?(objective_mode = Minimize_moves) (mg : Modelgen.t) : t =
         (fun b -> both_idx := [ atom_v v1; atom_v v2; atom_b b ] :: !both_idx)
         common)
     mg.Modelgen.interferes;
-  M.declare_binary_family model "Both" ~index:(D.of_list 3 !both_idx);
+  let both_f =
+    M.declare_binary_family model "Both" ~index:(D.of_list 3 !both_idx)
+  in
   (* spill headroom variables at points where spill moves are possible *)
   let spill_points_s = Hashtbl.create 16 in
   let spill_points_l = Hashtbl.create 16 in
@@ -157,8 +178,12 @@ let build ?(objective_mode = Minimize_moves) (mg : Modelgen.t) : t =
   in
   Hashtbl.iter (fun p () -> add_spill_point p Bank.S) spill_points_s;
   Hashtbl.iter (fun p () -> add_spill_point p Bank.L) spill_points_l;
-  M.declare_binary_family model "Occ" ~index:(D.of_list 3 !occ_idx);
-  M.declare_binary_family model "NeedsSpill" ~index:(D.of_list 2 !ns_idx);
+  let occ_f =
+    M.declare_binary_family model "Occ" ~index:(D.of_list 3 !occ_idx)
+  in
+  let needs_spill_f =
+    M.declare_binary_family model "NeedsSpill" ~index:(D.of_list 2 !ns_idx)
+  in
   (* Which points actually need K rows?  Register pressure only rises
      when something is defined, so checking the points right after a
      definition (and block entries, where paths merge) covers the maxima;
@@ -245,15 +270,18 @@ let build ?(objective_mode = Minimize_moves) (mg : Modelgen.t) : t =
           end)
         fams)
     mg.Modelgen.exists_at;
+  let cbefore_set = D.of_list 3 !cbefore_idx in
   let cmove_set = D.of_list 4 !cmove_idx in
-  M.declare_binary_family model "CBefore" ~index:(D.of_list 3 !cbefore_idx);
-  M.declare_binary_family model "CAfter" ~index:(D.of_list 3 !cbefore_idx);
-  M.declare_binary_family model "CMove" ~index:cmove_set;
+  let cbefore_f = M.declare_binary_family model "CBefore" ~index:cbefore_set in
+  let cafter_f = M.declare_binary_family model "CAfter" ~index:cbefore_set in
+  let cmove_f = M.declare_binary_family model "CMove" ~index:cmove_set in
   (* ---------------- constraints ---------------- *)
-  let before p v b = M.v "Before" [ atom_p p; atom_v v; atom_b b ] in
-  let after p v b = M.v "After" [ atom_p p; atom_v v; atom_b b ] in
-  let move p v b1 b2 = M.v "Move" [ atom_p p; atom_v v; atom_b b1; atom_b b2 ] in
-  let color v b r = M.v "Color" [ atom_v v; atom_b b; atom_r r ] in
+  let before p v b = M.v before_f [ atom_p p; atom_v v; atom_b b ] in
+  let after p v b = M.v after_f [ atom_p p; atom_v v; atom_b b ] in
+  let move p v b1 b2 =
+    M.v move_f [ atom_p p; atom_v v; atom_b b1; atom_b b2 ]
+  in
+  let color v b r = M.v color_f [ atom_v v; atom_b b; atom_r r ] in
   let one = M.const 1. in
   let sum_over_list xs f = M.sum (List.map f xs) in
   (* flow balance linking Before/After to the (non-identity) moves *)
@@ -445,23 +473,42 @@ let build ?(objective_mode = Minimize_moves) (mg : Modelgen.t) : t =
           M.add_eq model ~name:"same_reg" (color d Bank.L r) (color s Bank.S r))
         xregs)
     mg.Modelgen.same_reg;
+  (* the points where each temporary exists, ascending *)
+  let exists_points = Ident.Tbl.create 256 in
+  for p = Array.length mg.Modelgen.exists_at - 1 downto 0 do
+    Ident.Set.iter
+      (fun v ->
+        Ident.Tbl.replace exists_points v
+          (p :: Option.value ~default:[] (Ident.Tbl.find_opt exists_points v)))
+      mg.Modelgen.exists_at.(p)
+  done;
+  let points_of v =
+    Option.value ~default:[] (Ident.Tbl.find_opt exists_points v)
+  in
+  let rec inter xs ys =
+    match (xs, ys) with
+    | x :: xs', y :: ys' ->
+        if x = y then x :: inter xs' ys'
+        else if x < y then inter xs' ys
+        else inter xs ys'
+    | _ -> []
+  in
   (* interference: Both linking and color disjointness *)
   List.iter
     (fun (v1, v2, common) ->
+      let shared = inter (points_of v1) (points_of v2) in
       List.iter
         (fun b ->
-          let both = M.v "Both" [ atom_v v1; atom_v v2; atom_b b ] in
-          Array.iteri
-            (fun p set ->
-              if Ident.Set.mem v1 set && Ident.Set.mem v2 set then begin
-                M.add_le model ~name:"both_before"
-                  (M.add (before p v1 b) (before p v2 b))
-                  (M.add one both);
-                M.add_le model ~name:"both_after"
-                  (M.add (after p v1 b) (after p v2 b))
-                  (M.add one both)
-              end)
-            mg.Modelgen.exists_at;
+          let both = M.v both_f [ atom_v v1; atom_v v2; atom_b b ] in
+          List.iter
+            (fun p ->
+              M.add_le model ~name:"both_before"
+                (M.add (before p v1 b) (before p v2 b))
+                (M.add one both);
+              M.add_le model ~name:"both_after"
+                (M.add (after p v1 b) (after p v2 b))
+                (M.add one both))
+            shared;
           List.iter
             (fun r ->
               M.add_le model ~name:"color_disjoint"
@@ -495,10 +542,6 @@ let build ?(objective_mode = Minimize_moves) (mg : Modelgen.t) : t =
         dsts)
     mg.Modelgen.clones;
   (* clone counting: CBefore/CAfter/CMove *)
-  let multi_tbl = Hashtbl.create 64 in
-  List.iter
-    (fun (p, rep, members) -> Hashtbl.replace multi_tbl (p, Ident.name rep) members)
-    !multi_points;
   List.iter
     (fun (p, rep, members) ->
       let banks = List.sort_uniq Bank.compare (List.concat_map allowed members) in
@@ -508,8 +551,8 @@ let build ?(objective_mode = Minimize_moves) (mg : Modelgen.t) : t =
             Hashtbl.mem k_point p
             && (Bank.equal b Bank.A || Bank.equal b Bank.B)
           then begin
-            let cb = M.v "CBefore" [ atom_p p; atom_v rep; atom_b b ] in
-            let ca = M.v "CAfter" [ atom_p p; atom_v rep; atom_b b ] in
+            let cb = M.v cbefore_f [ atom_p p; atom_v rep; atom_b b ] in
+            let ca = M.v cafter_f [ atom_p p; atom_v rep; atom_b b ] in
             let members_b = List.filter (fun m -> List.mem b (allowed m)) members in
             List.iter
               (fun m ->
@@ -524,7 +567,9 @@ let build ?(objective_mode = Minimize_moves) (mg : Modelgen.t) : t =
           List.iter
             (fun b2 ->
               if (not (Bank.equal b b2)) && Bank.move_legal ~src:b ~dst:b2 then begin
-                let cm = M.v "CMove" [ atom_p p; atom_v rep; atom_b b; atom_b b2 ] in
+                let cm =
+                  M.v cmove_f [ atom_p p; atom_v rep; atom_b b; atom_b b2 ]
+                in
                 let movers =
                   List.filter
                     (fun m ->
@@ -576,10 +621,10 @@ let build ?(objective_mode = Minimize_moves) (mg : Modelgen.t) : t =
                     let banks = List.concat_map allowed members in
                     if List.mem b banks then begin
                       terms_before :=
-                        M.v "CBefore" [ atom_p p; atom_v rep; atom_b b ]
+                        M.v cbefore_f [ atom_p p; atom_v rep; atom_b b ]
                         :: !terms_before;
                       terms_after :=
-                        M.v "CAfter" [ atom_p p; atom_v rep; atom_b b ]
+                        M.v cafter_f [ atom_p p; atom_v rep; atom_b b ]
                         :: !terms_after
                     end)
               fams;
@@ -595,8 +640,8 @@ let build ?(objective_mode = Minimize_moves) (mg : Modelgen.t) : t =
     mg.Modelgen.exists_at;
   (* spill headroom (the paper's colorAvail / needsSpill) *)
   let add_headroom p b =
-    let ns = M.v "NeedsSpill" [ atom_p p; atom_b b ] in
-    let occ r = M.v "Occ" [ atom_p p; atom_b b; atom_r r ] in
+    let ns = M.v needs_spill_f [ atom_p p; atom_b b ] in
+    let occ r = M.v occ_f [ atom_p p; atom_b b; atom_r r ] in
     Ident.Set.iter
       (fun v ->
         if List.mem b (allowed v) && Bank.is_transfer b then
@@ -673,12 +718,12 @@ let build ?(objective_mode = Minimize_moves) (mg : Modelgen.t) : t =
                          [ atom_p p; atom_v rep; atom_b b1; atom_b b2 ]
                   then
                     M.add_to_objective model
-                      (M.v "CMove" ~coef:(w *. cost)
+                      (M.v cmove_f ~coef:(w *. cost)
                          [ atom_p p; atom_v rep; atom_b b1; atom_b b2 ])
                 end
                 else
                   M.add_to_objective model
-                    (M.v "Move" ~coef:(w *. cost)
+                    (M.v move_f ~coef:(w *. cost)
                        [ atom_p p; atom_v v; atom_b b1; atom_b b2 ])
               end)
             (Modelgen.legal_move_pairs mg p v))
@@ -693,7 +738,7 @@ let build ?(objective_mode = Minimize_moves) (mg : Modelgen.t) : t =
                 && (Bank.equal b1 Bank.M || Bank.equal b2 Bank.M)
               then
                 M.add_to_objective model
-                  (M.v "Move" ~coef:mg.Modelgen.weights.(p)
+                  (M.v move_f ~coef:mg.Modelgen.weights.(p)
                      [ atom_p p; atom_v v; atom_b b1; atom_b b2 ]))
             (Modelgen.legal_move_pairs mg p v)));
   (* Symmetry breaking: transfer-register colors are interchangeable for
@@ -712,7 +757,7 @@ let build ?(objective_mode = Minimize_moves) (mg : Modelgen.t) : t =
           List.iter
             (fun r ->
               M.add_to_objective model
-                (M.v "Color"
+                (M.v color_f
                    ~coef:(eps *. float_of_int (r + 1))
                    [ atom_v v; atom_b b; atom_r r ]))
             xregs)
@@ -723,14 +768,14 @@ let build ?(objective_mode = Minimize_moves) (mg : Modelgen.t) : t =
       List.iter
         (fun b ->
           M.add_to_objective model
-            (M.v "Both" ~coef:eps [ atom_v v1; atom_v v2; atom_b b ]))
+            (M.v both_f ~coef:eps [ atom_v v1; atom_v v2; atom_b b ]))
         common)
     !both_pairs;
   D.iter
-    (fun tup -> M.add_to_objective model (M.v "CBefore" ~coef:eps tup))
-    (match Hashtbl.length multi_tbl with _ -> D.of_list 3 !cbefore_idx);
+    (fun tup -> M.add_to_objective model (M.v cbefore_f ~coef:eps tup))
+    cbefore_set;
   let instance = M.instantiate model in
-  { mg; model; instance; objective_mode }
+  { mg; model; instance; objective_mode; before_f; after_f; move_f; color_f }
 
 (* ------------------------------------------------------------------ *)
 (* Solving and solution reading                                        *)
@@ -766,7 +811,7 @@ let bank_before (s : solution) p v =
       let banks = Modelgen.allowed_banks s.ilp.mg v in
       List.find_opt
         (fun b ->
-          M.is_one s.ilp.instance s.assignment "Before"
+          M.is_one s.ilp.instance s.assignment s.ilp.before_f
             [ atom_p p; atom_v v; atom_b b ])
         banks
 
@@ -777,7 +822,7 @@ let bank_after (s : solution) p v =
       let banks = Modelgen.allowed_banks s.ilp.mg v in
       List.find_opt
         (fun b ->
-          M.is_one s.ilp.instance s.assignment "After"
+          M.is_one s.ilp.instance s.assignment s.ilp.after_f
             [ atom_p p; atom_v v; atom_b b ])
         banks
 
@@ -790,7 +835,7 @@ let moves_at (s : solution) p =
           (fun (b1, b2) ->
             if
               (not (Bank.equal b1 b2))
-              && M.is_one s.ilp.instance s.assignment "Move"
+              && M.is_one s.ilp.instance s.assignment s.ilp.move_f
                    [ atom_p p; atom_v v; atom_b b1; atom_b b2 ]
             then acc := (v, b1, b2) :: !acc)
           (Modelgen.legal_move_pairs s.ilp.mg p v))
@@ -799,7 +844,9 @@ let moves_at (s : solution) p =
 
 let color_of (s : solution) v b =
   List.find_opt
-    (fun r -> M.is_one s.ilp.instance s.assignment "Color" [ atom_v v; atom_b b; atom_r r ])
+    (fun r ->
+      M.is_one s.ilp.instance s.assignment s.ilp.color_f
+        [ atom_v v; atom_b b; atom_r r ])
     xregs
 
 (* Count the weighted and unweighted moves/spills in the solution. *)

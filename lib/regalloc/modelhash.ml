@@ -31,106 +31,138 @@
 open Support
 module P = Lp.Problem
 
-(* [rewrite_stamps name ranks] replaces each stamp run `_<digits>`
-   (underscore + digits immediately followed by an atom delimiter:
-   ',', ']', or end of string) with `_s<rank>`.  When [ranks] is [None]
-   the stamp values are collected into the returned list instead. *)
-let scan_name name ~(rank : (int -> int) option) =
+(* A stamp run is `_<digits>` (underscore + digits immediately followed
+   by an atom delimiter: ',', ']', or end of string).  [iter_stamps name
+   f] calls [f start stop stamp] for each run, where [start] is the
+   underscore's offset and [stop] the offset just past the digits. *)
+let iter_stamps name f =
   let n = String.length name in
-  let buf = if rank = None then None else Some (Buffer.create (n + 8)) in
-  let stamps = ref [] in
-  let emit_char c = Option.iter (fun b -> Buffer.add_char b c) buf in
-  let emit_str s = Option.iter (fun b -> Buffer.add_string b s) buf in
   let i = ref 0 in
   while !i < n do
-    let c = name.[!i] in
-    if c = '_' then begin
+    if name.[!i] = '_' then begin
       (* measure the digit run after the underscore *)
-      let j = ref (!i + 1) in
-      while !j < n && name.[!j] >= '0' && name.[!j] <= '9' do incr j done;
-      let is_stamp =
-        !j > !i + 1 && (!j = n || name.[!j] = ',' || name.[!j] = ']')
-      in
-      if is_stamp then begin
-        let v = int_of_string (String.sub name (!i + 1) (!j - !i - 1)) in
-        (match rank with
-        | None -> stamps := v :: !stamps
-        | Some r -> emit_str (Printf.sprintf "_s%d" (r v)));
+      let j = ref (!i + 1) and v = ref 0 in
+      while !j < n && name.[!j] >= '0' && name.[!j] <= '9' do
+        v := (!v * 10) + (Char.code name.[!j] - Char.code '0');
+        incr j
+      done;
+      let delimited = !j = n || name.[!j] = ',' || name.[!j] = ']' in
+      if !j > !i + 1 && delimited then begin
+        f !i !j !v;
         i := !j
       end
-      else begin
-        emit_char c;
-        incr i
-      end
+      else incr i
     end
-    else begin
-      emit_char c;
-      incr i
-    end
-  done;
-  match buf with Some b -> Either.Left (Buffer.contents b) | None -> Either.Right !stamps
+    else incr i
+  done
 
+(* Pass 1 ranks every stamp value in the problem; pass 2 replaces each
+   run with `_s<rank>`. *)
 let canonical_names (p : P.t) : string array =
   let n = P.num_vars p in
-  (* pass 1: collect every stamp value *)
   let seen = Hashtbl.create 256 in
   for j = 0 to n - 1 do
-    match scan_name (P.var_name p j) ~rank:None with
-    | Either.Right stamps ->
-        List.iter (fun s -> Hashtbl.replace seen s ()) stamps
-    | Either.Left _ -> ()
+    iter_stamps (P.var_name p j) (fun _ _ s -> Hashtbl.replace seen s "")
   done;
   let sorted =
-    Hashtbl.fold (fun s () acc -> s :: acc) seen [] |> List.sort Int.compare
+    Hashtbl.fold (fun s _ acc -> s :: acc) seen [] |> List.sort Int.compare
   in
-  let ranks = Hashtbl.create (List.length sorted) in
-  List.iteri (fun i s -> Hashtbl.replace ranks s i) sorted;
-  let rank s = try Hashtbl.find ranks s with Not_found -> -1 in
+  List.iteri
+    (fun i s -> Hashtbl.replace seen s ("_s" ^ string_of_int i))
+    sorted;
+  let buf = Buffer.create 64 in
   Array.init n (fun j ->
-      match scan_name (P.var_name p j) ~rank:(Some rank) with
-      | Either.Left s -> s
-      | Either.Right _ -> assert false)
+      let name = P.var_name p j in
+      Buffer.clear buf;
+      let last = ref 0 in
+      iter_stamps name (fun start stop s ->
+          Buffer.add_substring buf name !last (start - !last);
+          Buffer.add_string buf (Hashtbl.find seen s);
+          last := stop);
+      if !last = 0 then name
+      else begin
+        Buffer.add_substring buf name !last (String.length name - !last);
+        Buffer.contents buf
+      end)
 
 let index_of_canonical (names : string array) : (string, int) Hashtbl.t =
   let tbl = Hashtbl.create (Array.length names) in
   Array.iteri (fun j name -> Hashtbl.replace tbl name j) names;
   tbl
 
-let fnum f = Printf.sprintf "%.17g" f
+(* Floats keyed by their bits: -0. and 0. print differently. *)
+module Float_tbl = Hashtbl.Make (struct
+  type t = float
 
-(* Order-insensitive structural hash of the whole instance. *)
-let fingerprint (p : P.t) : Cache.Key.t =
-  let names = canonical_names p in
+  let equal a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+  let hash = Hashtbl.hash
+end)
+
+(* Order-insensitive structural hash of the whole instance.  Each item
+   string is exactly what it always was (artifact keys depend on it):
+   floats print as "%.17g", memoized per call, and a row's terms are
+   sorted by canonical name, through each variable's rank in that
+   order. *)
+let fingerprint ?names (p : P.t) : Cache.Key.t =
+  let names =
+    match names with Some names -> names | None -> canonical_names p
+  in
+  let n = P.num_vars p in
+  let fnums = Float_tbl.create 64 in
+  let add_fnum buf f =
+    Buffer.add_string buf
+      (match Float_tbl.find_opt fnums f with
+      | Some s -> s
+      | None ->
+          let s = Printf.sprintf "%.17g" f in
+          Float_tbl.replace fnums f s;
+          s)
+  in
+  (* equal names share a rank, so the stable sort below orders terms
+     exactly as a stable sort by name would *)
+  let rank = Array.make n 0 in
+  let order = Array.init n Fun.id in
+  Array.stable_sort (fun a b -> String.compare names.(a) names.(b)) order;
+  Array.iteri
+    (fun k j ->
+      rank.(j) <-
+        (if k > 0 && String.equal names.(order.(k - 1)) names.(j) then
+           rank.(order.(k - 1))
+         else k))
+    order;
   let acc = Cache.Key.fold_create () in
-  for j = 0 to P.num_vars p - 1 do
-    Cache.Key.fold_add acc
-      (Printf.sprintf "v|%s|%s|%s|%s|%b" names.(j)
-         (fnum (P.var_lo p j))
-         (fnum (P.var_hi p j))
-         (fnum (P.var_obj p j))
-         (P.var_integer p j))
+  let buf = Buffer.create 128 in
+  for j = 0 to n - 1 do
+    Buffer.clear buf;
+    Buffer.add_string buf "v|";
+    Buffer.add_string buf names.(j);
+    Buffer.add_char buf '|';
+    add_fnum buf (P.var_lo p j);
+    Buffer.add_char buf '|';
+    add_fnum buf (P.var_hi p j);
+    Buffer.add_char buf '|';
+    add_fnum buf (P.var_obj p j);
+    Buffer.add_char buf '|';
+    Buffer.add_string buf (string_of_bool (P.var_integer p j));
+    Cache.Key.fold_add acc (Buffer.contents buf)
   done;
   P.iter_rows
     (fun r ->
-      let sense =
-        match r.P.sense with P.Le -> "<=" | P.Ge -> ">=" | P.Eq -> "="
-      in
-      let terms =
-        List.map (fun (v, c) -> (names.(v), c)) r.P.terms
-        |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-      in
-      let buf = Buffer.create 128 in
+      Buffer.clear buf;
       Buffer.add_string buf "r|";
-      Buffer.add_string buf sense;
+      Buffer.add_string buf
+        (match r.P.sense with P.Le -> "<=" | P.Ge -> ">=" | P.Eq -> "=");
       Buffer.add_char buf '|';
-      Buffer.add_string buf (fnum r.P.rhs);
+      add_fnum buf r.P.rhs;
       List.iter
-        (fun (name, c) ->
+        (fun (v, c) ->
           Buffer.add_char buf '|';
-          Buffer.add_string buf name;
+          Buffer.add_string buf names.(v);
           Buffer.add_char buf '*';
-          Buffer.add_string buf (fnum c))
-        terms;
+          add_fnum buf c)
+        (List.stable_sort
+           (fun (a, _) (b, _) -> Int.compare rank.(a) rank.(b))
+           r.P.terms);
       Cache.Key.fold_add acc (Buffer.contents buf))
     p;
   Cache.Key.fold_digest acc

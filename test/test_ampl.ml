@@ -34,54 +34,84 @@ let test_model_assignment () =
   let tasks = D.of_strings [ "t1"; "t2" ] in
   let workers = D.of_strings [ "w1"; "w2" ] in
   let idx = D.product tasks workers in
-  M.declare_binary_family model "X" ~index:idx;
+  let x = M.declare_binary_family model "X" ~index:idx in
   (* each task to exactly one worker and vice versa *)
   D.iter
     (fun t ->
       M.add_eq model ~name:"task"
-        (M.sum_over workers (fun w -> M.v "X" (t @ w)))
+        (M.sum_over workers (fun w -> M.v x (t @ w)))
         (M.const 1.))
     tasks;
   D.iter
     (fun w ->
       M.add_eq model ~name:"worker"
-        (M.sum_over tasks (fun t -> M.v "X" (t @ w)))
+        (M.sum_over tasks (fun t -> M.v x (t @ w)))
         (M.const 1.))
     workers;
   (* costs: t1/w1 = 5, t1/w2 = 1, t2/w1 = 2, t2/w2 = 9 *)
-  M.add_to_objective model (M.v "X" ~coef:5. [ D.S "t1"; D.S "w1" ]);
-  M.add_to_objective model (M.v "X" ~coef:1. [ D.S "t1"; D.S "w2" ]);
-  M.add_to_objective model (M.v "X" ~coef:2. [ D.S "t2"; D.S "w1" ]);
-  M.add_to_objective model (M.v "X" ~coef:9. [ D.S "t2"; D.S "w2" ]);
+  M.add_to_objective model (M.v x ~coef:5. [ D.S "t1"; D.S "w1" ]);
+  M.add_to_objective model (M.v x ~coef:1. [ D.S "t1"; D.S "w2" ]);
+  M.add_to_objective model (M.v x ~coef:2. [ D.S "t2"; D.S "w1" ]);
+  M.add_to_objective model (M.v x ~coef:9. [ D.S "t2"; D.S "w2" ]);
   let inst = M.instantiate model in
   let r = Lp.Mip.solve inst.M.problem in
   checkb "optimal" true (r.Lp.Mip.status = Lp.Mip.Optimal);
   Alcotest.(check (float 1e-6)) "objective" 3. r.Lp.Mip.objective;
   checkb "t1->w2" true
-    (M.is_one inst r.Lp.Mip.solution "X" [ D.S "t1"; D.S "w2" ]);
+    (M.is_one inst r.Lp.Mip.solution x [ D.S "t1"; D.S "w2" ]);
   checkb "t2->w1" true
-    (M.is_one inst r.Lp.Mip.solution "X" [ D.S "t2"; D.S "w1" ])
+    (M.is_one inst r.Lp.Mip.solution x [ D.S "t2"; D.S "w1" ])
 
+(* The member table is the membership check: an out-of-set reference
+   is an internal error whether it is the family's first reference or
+   comes after members already have LP variables, in the objective or
+   in a row, and whatever the tuple's arity. *)
 let test_model_strictness () =
-  let model = M.create () in
-  M.declare_binary_family model "Y" ~index:(D.of_ints [ 1; 2 ]);
-  M.add_eq model ~name:"bad" (M.v "Y" [ D.I 7 ]) (M.const 1.);
-  checkb "out-of-set reference rejected" true
-    (try
-       ignore (M.instantiate model);
-       false
-     with Support.Diag.Compile_error _ -> true)
+  let rejects what ~culprit build =
+    let model = M.create () in
+    let y =
+      M.declare_binary_family model "Y"
+        ~index:(D.product (D.of_ints [ 1; 2 ]) (D.of_strings [ "a"; "b" ]))
+    in
+    build model y;
+    match M.instantiate model with
+    | _ -> Alcotest.failf "%s: out-of-set reference accepted" what
+    | exception Support.Diag.Compile_error d ->
+        Alcotest.(check string)
+          what
+          ("internal compiler error: Ampl: " ^ culprit
+         ^ " is outside the index set of Y")
+          d.Support.Diag.message
+  in
+  let ok = [ D.I 1; D.S "a" ] in
+  rejects "first reference" ~culprit:"Y[3,a]" (fun model y ->
+      M.add_eq model ~name:"bad" (M.v y [ D.I 3; D.S "a" ]) (M.const 1.));
+  rejects "after members" ~culprit:"Y[1,c]" (fun model y ->
+      M.add_eq model ~name:"good" (M.v y ok) (M.const 1.);
+      M.add_le model ~name:"bad"
+        (M.add (M.v y ok) (M.v y [ D.I 1; D.S "c" ]))
+        (M.const 1.));
+  rejects "objective after members" ~culprit:"Y[a,1]" (fun model y ->
+      M.add_to_objective model (M.v y ok);
+      M.add_to_objective model (M.v y [ D.S "a"; D.I 1 ]));
+  rejects "wrong arity" ~culprit:"Y[1]" (fun model y ->
+      M.add_eq model ~name:"good" (M.v y ok) (M.const 1.);
+      M.add_eq model ~name:"bad" (M.v y [ D.I 1 ]) (M.const 1.))
 
 let test_unreferenced_default () =
   let model = M.create () in
-  M.declare_binary_family model "Z" ~index:(D.of_ints [ 1; 2; 3 ]);
-  M.add_eq model ~name:"only_one" (M.v "Z" [ D.I 1 ]) (M.const 1.);
+  let z = M.declare_binary_family model "Z" ~index:(D.of_ints [ 1; 2; 3 ]) in
+  M.add_eq model ~name:"only_one" (M.v z [ D.I 1 ]) (M.const 1.);
   let inst = M.instantiate model in
   let r = Lp.Mip.solve inst.M.problem in
   checkb "optimal" true (r.Lp.Mip.status = Lp.Mip.Optimal);
   (* Z[2] was never referenced: reported as 0 *)
   Alcotest.(check (float 0.)) "default zero" 0.
-    (M.value inst r.Lp.Mip.solution "Z" [ D.I 2 ])
+    (M.value inst r.Lp.Mip.solution z [ D.I 2 ]);
+  Alcotest.(check (float 0.)) "referenced member" 1.
+    (M.value inst r.Lp.Mip.solution z [ D.I 1 ]);
+  checki "only referenced members get variables" 1
+    (Lp.Problem.num_vars inst.M.problem)
 
 let suites =
   [

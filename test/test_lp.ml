@@ -1339,6 +1339,68 @@ let test_bb_best_bound () =
 (* LP format                                                           *)
 (* ------------------------------------------------------------------ *)
 
+(* The Hashtbl fold [Problem.add_row] normalized rows with before it
+   became a sort-and-merge, kept verbatim as the oracle. *)
+let hashtbl_normalize terms =
+  let tbl = Hashtbl.create (List.length terms) in
+  List.iter
+    (fun (v, c) ->
+      let prev = Option.value ~default:0. (Hashtbl.find_opt tbl v) in
+      Hashtbl.replace tbl v (prev +. c))
+    terms;
+  Hashtbl.fold (fun v c acc -> if c = 0. then acc else (v, c) :: acc) tbl []
+  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+
+(* Rows compare bit for bit: same variables, same coefficient bits. *)
+let show_row terms =
+  String.concat " "
+    (List.map (fun (v, c) -> Printf.sprintf "%d:%h" v c) terms)
+
+let test_add_row_normalization () =
+  let check_row what terms =
+    let n = List.fold_left (fun n (v, _) -> max n (v + 1)) 0 terms in
+    let p = Problem.create () in
+    for j = 0 to n - 1 do
+      ignore (Problem.add_var p (string_of_int j))
+    done;
+    Problem.add_row p Problem.Le 0. terms;
+    checks what
+      (show_row (hashtbl_normalize terms))
+      (show_row (Problem.row p 0).Problem.terms)
+  in
+  (* hand cases: empty, explicit zeros of both signs, exact cancellation,
+     and a sum whose rounding depends on the order of its terms *)
+  List.iteri
+    (fun i terms -> check_row (Printf.sprintf "hand case %d" i) terms)
+    [
+      [];
+      [ (0, 0.) ];
+      [ (1, -0.); (0, 2.) ];
+      [ (2, 1.); (0, 3.); (2, -1.) ];
+      [ (0, 0.1); (0, 0.2); (0, -0.3) ];
+      [ (0, -0.3); (0, 0.1); (0, 0.2) ];
+      [ (3, 1e-7); (1, 1.); (3, 1.); (3, -1.) ];
+      [ (4, 1.); (3, 1.); (2, 1.); (1, 1.); (0, 1.) ];
+    ];
+  (* seeded, unsorted term lists with duplicates: few variables make
+     duplicates and cancellations to 0 common *)
+  let rng = Random.State.make [| 2024 |] in
+  let coefs =
+    [| 0.; -0.; 1.; -1.; 2.; -2.; 0.5; 0.1; 0.2; -0.3; 1e-7; -1e-7; 3.25 |]
+  in
+  for case = 1 to 3000 do
+    let nvars = 1 + Random.State.int rng (if case mod 3 = 0 then 40 else 5) in
+    let len = Random.State.int rng 25 in
+    let terms =
+      List.init len (fun _ ->
+          ( Random.State.int rng nvars,
+            coefs.(Random.State.int rng (Array.length coefs)) ))
+    in
+    check_row (Printf.sprintf "seeded case %d" case) terms
+  done
+
+(* ------------------------------------------------------------------ *)
+
 (* tiny substring helper *)
 let is_infix ~affix s =
   let n = String.length affix and m = String.length s in
@@ -1450,6 +1512,11 @@ let suites =
         Alcotest.test_case "root LP solved once when no cut fires" `Quick
           test_mip_root_solved_once;
         QCheck_alcotest.to_alcotest incumbent_publication_is_monotone;
+      ] );
+    ( "lp.problem",
+      [
+        Alcotest.test_case "add_row matches the Hashtbl fold" `Quick
+          test_add_row_normalization;
       ] );
     ( "lp.format",
       [ Alcotest.test_case "writer sanitizes names" `Quick test_lp_format ] );

@@ -130,8 +130,9 @@ let test_dataset_dat_printer () =
 
 let test_model_summary () =
   let m = Ampl.Model.create () in
-  Ampl.Model.declare_binary_family m "Move"
-    ~index:(Ampl.Dataset.of_ints [ 1; 2; 3 ]);
+  ignore
+    (Ampl.Model.declare_binary_family m "Move"
+       ~index:(Ampl.Dataset.of_ints [ 1; 2; 3 ]));
   let s = Fmt.str "%a" Ampl.Model.pp_summary m in
   checkb "mentions family" true (is_infix ~affix:"var Move {3 tuples} binary" s)
 

@@ -413,6 +413,64 @@ let test_cold_pivot_path () =
       ("nat.nova", Workloads.Nat.source, 128, 7551, 4.4873869440000007);
     ]
 
+(* In-order digest of an LP: every variable's name, bounds, cost and
+   integrality and every row's name, sense, rhs and terms, by index.
+   Floats print in hex, so every bit counts. *)
+let lp_digest (p : Lp.Problem.t) =
+  let module P = Lp.Problem in
+  let b = Buffer.create 4096 in
+  for j = 0 to P.num_vars p - 1 do
+    Printf.bprintf b "v%d|%s|%h|%h|%h|%b\n" j (P.var_name p j) (P.var_lo p j)
+      (P.var_hi p j) (P.var_obj p j) (P.var_integer p j)
+  done;
+  let i = ref 0 in
+  P.iter_rows
+    (fun r ->
+      Printf.bprintf b "r%d|%s|%s|%h" !i r.P.row_name
+        (match r.P.sense with P.Le -> "<=" | P.Ge -> ">=" | P.Eq -> "=")
+        r.P.rhs;
+      List.iter (fun (v, c) -> Printf.bprintf b "|%d*%h" v c) r.P.terms;
+      Buffer.add_char b '\n';
+      incr i)
+    p;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* The model each workload instantiates, pinned.  The fingerprint keys
+   solve artifacts, so it must not drift; it ignores order on purpose,
+   and the in-order digest is what catches a reordering of variables or
+   rows (which moves pivots and budget-limited incumbents). *)
+let test_model_identity () =
+  List.iter
+    (fun (name, source, fp, digest) ->
+      Support.Ident.reset ();
+      let f = Regalloc.Driver.front_end ~file:name source in
+      let mg = Regalloc.Modelgen.build f.Regalloc.Driver.f_graph in
+      let ilp = Regalloc.Ilp.build mg in
+      let p = ilp.Regalloc.Ilp.instance.Ampl.Model.problem in
+      Alcotest.(check string)
+        (name ^ ": fingerprint") fp
+        (Regalloc.Modelhash.fingerprint p);
+      Alcotest.(check string) (name ^ ": in-order LP digest") digest
+        (lp_digest p))
+    [
+      ( "aes.nova", Workloads.Aes.source, "96c42026c6f30c7abb7612e446c5086f",
+        "a90a6a86be86cda00578c329da9e9161" );
+      ( "kasumi.nova", Workloads.Kasumi.source,
+        "ec8e894c058ea8ead8df90652ccf7f5d",
+        "31b7667a039cdbd19192fdecac743792" );
+      ( "lpm.nova", Workloads.Lpm.source, "80a2dce5878c499fa5a603b492422fd4",
+        "37877266bb31fb97b84d393b86d898bf" );
+      ( "firewall.nova", Workloads.Firewall.source,
+        "ec06899b5dbc3bc0f94c09b7c2e10b5c",
+        "5f2540784365c63b928ff049dabea6c3" );
+      ( "csum.nova", Workloads.Csum.source, "47c40213e17a4114771481d145705e9f",
+        "9d3a74a541c22e3006c38d6908674864" );
+      ( "qos.nova", Workloads.Qos.source, "1242da3c7e8766032ff16d8632efa5c1",
+        "d31a409008945e538429f141011a008f" );
+      ( "nat.nova", Workloads.Nat.source, "f52d11faaed71767ac4dae534fae9d7b",
+        "b5097f33d72cc72a87f3b296aae6168d" );
+    ]
+
 let suites =
   [
     ( "regalloc.pipeline",
@@ -436,6 +494,8 @@ let suites =
         Alcotest.test_case "checker clean" `Quick test_checker_runs_on_output;
         Alcotest.test_case "assignment valid" `Quick test_assignment_validates;
         Alcotest.test_case "model stats" `Quick test_model_stats;
+        Alcotest.test_case "model identity pinned on all 7 workloads" `Quick
+          test_model_identity;
       ] );
     ( "regalloc.hardware",
       [ Alcotest.test_case "fifo + csr + ctx_arb" `Quick test_fifo_and_csr_path ] );

@@ -81,7 +81,7 @@ let create ?(config = default_config) program =
     chips =
       Array.init config.chips (fun _ ->
           Ixp.Chip.create ~config:config.chip_config program);
-    wheel = Ixp.Event_wheel.create ~size:256 config.chips;
+    wheel = Ixp.Event_wheel.create config.chips;
     rr_next = 0;
     steered = Array.make config.chips 0;
     resteered = Array.make config.chips 0;

@@ -22,7 +22,7 @@
    structure it touches is preallocated at [prepare]: packets live in a
    pool of fixed payload buffers indexed by flat [int array]s, the
    receive rings are flat circular [int array]s of pool slots, engine
-   wake-ups go through a timing wheel ([Event_wheel]), latencies
+   wake-ups go through a min-scan scheduler ([Event_wheel]), latencies
    accumulate into a preallocated array plus an integer bucket table
    merged into [Support.Metrics] at [finish], and the transmit drain is
    10.10 fixed point rather than float.  [run] wraps the pieces for the
@@ -63,7 +63,6 @@ let tx_fp = 1024
 
 type t = {
   config : config;
-  program : Reg.t Flowgraph.t;
   shared : Memory.t;
   bus : Memory.bus option;
   engines : Simulator.t array;
@@ -122,11 +121,10 @@ let create ?(config = default_config) program =
     engines;
   {
     config;
-    program;
     shared;
     bus;
     engines;
-    wheel = Event_wheel.create ~size:256 config.engines;
+    wheel = Event_wheel.create config.engines;
     in_flight = Array.make (config.engines * config.threads) (-1);
     tx_drain_num =
       int_of_float (config.tx_drain_per_cycle *. float_of_int tx_fp);
@@ -277,7 +275,7 @@ let find_idle chip =
   !best
 
 (* Earliest cycle at which engine [e] can execute its next instruction;
-   (re)stamps its wheel event, or cancels it when every context idles. *)
+   (re)stamps its scheduler event, or cancels it when every context idles. *)
 let resched_engine chip e =
   let sim = chip.engines.(e) in
   let ths = sim.Simulator.threads in
@@ -323,9 +321,7 @@ let default_deliver chip ~engine ~thread ~seq:_ ~size:_ ~words ~payload =
 let start_packet chip ~(deliver : deliver) e i slot ~at =
   let sim = chip.engines.(e) in
   let th = sim.Simulator.threads.(i) in
-  th.Simulator.block <- Flowgraph.entry chip.program;
-  th.Simulator.pc <- 0;
-  th.Simulator.halted <- false;
+  Simulator.restart th;
   th.Simulator.ready_at <- max at sim.Simulator.clock;
   Vec.clear th.Simulator.tfifo;
   deliver chip ~engine:e ~thread:i ~seq:chip.pool_seq.(slot)

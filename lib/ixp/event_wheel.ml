@@ -1,154 +1,69 @@
-(* Calendar-queue / timing-wheel scheduler over a fixed population of
-   event sources.
+(* Scheduler over a small, fixed population of event sources.
 
    The chip and cluster run loops schedule one pending event per source
    (an engine's next issue cycle, a chip's next internal event) and
-   repeatedly pop the globally earliest one.  Sources are dense integer
-   ids, every structure is a preallocated flat [int array], and all
-   operations are allocation-free, which is what lets the steady-state
-   simulation loop run at zero minor words per packet.
-
-   The wheel is a power-of-two array of buckets indexed by cycle modulo
-   the wheel size; each bucket holds an intrusive doubly-linked list of
-   event ids (the links live in [next]/[prev], one slot per id, since a
-   source has at most one scheduled event).  An event scheduled more
-   than a full wheel turn ahead simply stays in its bucket until the
-   cursor comes round to its true cycle -- the classic timing-wheel
-   "rounds" scheme, checked via the exact [at] timestamp.
+   repeatedly pop the globally earliest one.  There are few sources --
+   at most 6 engines per chip, 4 chips per cluster -- so the queue is
+   just the scheduled cycle of each source in a flat [int array], and
+   [next_time] and [pop] scan it.  A scan over six ints costs less than
+   probing timing-wheel buckets, and it has no cursor to roll back when
+   an arrival schedules an event earlier than the last one peeked.
+   Every operation is allocation-free, which is what lets the
+   steady-state simulation loop run at zero minor words per packet.
 
    Determinism: [pop] returns the event with the smallest timestamp,
-   breaking ties toward the lowest id, so run loops built on the wheel
+   breaking ties toward the lowest id, so run loops built on it
    reproduce the scan order of the nested-loop scheduler they replace. *)
 
 type t = {
-  size : int; (* power of two *)
-  mask : int;
-  head : int array; (* bucket -> first event id, or -1 *)
-  next : int array; (* event id -> next id in its bucket, or -1 *)
-  prev : int array; (* event id -> previous id, or -1 when list head *)
-  at : int array; (* event id -> scheduled cycle; meaningful iff queued *)
-  queued : Bytes.t; (* event id -> '\001' when scheduled *)
+  at : int array; (* event id -> scheduled cycle, or [no_event] *)
   mutable live : int; (* number of scheduled events *)
-  mutable cursor : int; (* no scheduled event is earlier than this *)
 }
 
 let no_event = max_int
 
-let rec pow2 n k = if k >= n then k else pow2 n (k * 2)
-
-let create ?(size = 1024) nevents =
+let create nevents =
   if nevents <= 0 then invalid_arg "Event_wheel.create: nevents <= 0";
-  let size = pow2 (max 2 size) 2 in
-  {
-    size;
-    mask = size - 1;
-    head = Array.make size (-1);
-    next = Array.make nevents (-1);
-    prev = Array.make nevents (-1);
-    at = Array.make nevents no_event;
-    queued = Bytes.make nevents '\000';
-    live = 0;
-    cursor = 0;
-  }
+  { at = Array.make nevents no_event; live = 0 }
 
 let is_empty t = t.live = 0
-let live t = t.live
-let is_scheduled t id = Bytes.unsafe_get t.queued id <> '\000'
-let scheduled_at t id = if is_scheduled t id then t.at.(id) else no_event
 
 let clear t =
-  Array.fill t.head 0 t.size (-1);
-  Array.fill t.next 0 (Array.length t.next) (-1);
-  Array.fill t.prev 0 (Array.length t.prev) (-1);
   Array.fill t.at 0 (Array.length t.at) no_event;
-  Bytes.fill t.queued 0 (Bytes.length t.queued) '\000';
-  t.live <- 0;
-  t.cursor <- 0
-
-let unlink t id =
-  let n = t.next.(id) and p = t.prev.(id) in
-  if p >= 0 then t.next.(p) <- n
-  else t.head.(t.at.(id) land t.mask) <- n;
-  if n >= 0 then t.prev.(n) <- p;
-  t.next.(id) <- -1;
-  t.prev.(id) <- -1
+  t.live <- 0
 
 let cancel t id =
-  if is_scheduled t id then begin
-    unlink t id;
-    Bytes.unsafe_set t.queued id '\000';
+  if t.at.(id) <> no_event then begin
     t.at.(id) <- no_event;
     t.live <- t.live - 1
   end
 
-(* (Re)schedule [id] at cycle [cycle].  Scheduling before the cursor is
-   allowed and rolls the cursor back: the chip run loop peeks at the
-   wheel's next time (advancing the cursor) before deciding whether a
-   packet arrival happens first, and an arrival can start an engine at a
-   cycle earlier than the peeked event. *)
+(* (Re)schedule [id] at cycle [cycle]. *)
 let schedule t id ~cycle =
   if cycle < 0 then invalid_arg "Event_wheel.schedule: negative cycle";
-  if cycle < t.cursor then t.cursor <- cycle;
-  if is_scheduled t id then unlink t id
-  else begin
-    Bytes.unsafe_set t.queued id '\001';
-    t.live <- t.live + 1
-  end;
-  t.at.(id) <- cycle;
-  let b = cycle land t.mask in
-  let h = t.head.(b) in
-  t.next.(id) <- h;
-  t.prev.(id) <- -1;
-  if h >= 0 then t.prev.(h) <- id;
-  t.head.(b) <- id
+  if t.at.(id) = no_event then t.live <- t.live + 1;
+  t.at.(id) <- cycle
 
-(* Does the bucket for [cycle] contain an event at exactly [cycle]? *)
-let bucket_has t cycle =
-  let id = ref t.head.(cycle land t.mask) in
-  let found = ref false in
-  while (not !found) && !id >= 0 do
-    if t.at.(!id) = cycle then found := true else id := t.next.(!id)
+(* Id of the earliest event, lowest id on ties; -1 when none. *)
+let earliest t =
+  let best = ref (-1) and m = ref no_event in
+  for id = 0 to Array.length t.at - 1 do
+    let c = Array.unsafe_get t.at id in
+    if c < !m then begin
+      m := c;
+      best := id
+    end
   done;
-  !found
-
-(* How many empty cycles the cursor probes bucket-by-bucket before
-   giving up and jumping straight to the true minimum.  Dense event
-   streams resolve in a probe or two; sparse streams (low offered load,
-   gaps of hundreds of cycles between events) pay one O(nevents) scan
-   instead of one probe per empty cycle. *)
-let probe_limit = 64
-
-(* Earliest scheduled cycle, advancing the cursor to it; [no_event] when
-   nothing is scheduled.  Allocation-free. *)
-let next_time t =
-  if t.live = 0 then no_event
-  else begin
-    let tries = ref 0 in
-    while !tries < probe_limit && not (bucket_has t t.cursor) do
-      t.cursor <- t.cursor + 1;
-      incr tries
-    done;
-    if not (bucket_has t t.cursor) then begin
-      (* sparse region: scan the (small, fixed) event population *)
-      let m = ref no_event in
-      for id = 0 to Array.length t.at - 1 do
-        if is_scheduled t id && t.at.(id) < !m then m := t.at.(id)
-      done;
-      t.cursor <- !m
-    end;
-    t.cursor
-  end
-
-(* Remove and return the id of the earliest event (lowest id on ties).
-   Must only be called when [next_time] returned a real cycle. *)
-let pop t =
-  let cycle = next_time t in
-  if cycle = no_event then invalid_arg "Event_wheel.pop: empty";
-  let best = ref (-1) in
-  let id = ref t.head.(cycle land t.mask) in
-  while !id >= 0 do
-    if t.at.(!id) = cycle && (!best < 0 || !id < !best) then best := !id;
-    id := t.next.(!id)
-  done;
-  cancel t !best;
   !best
+
+(* Earliest scheduled cycle; [no_event] when nothing is scheduled. *)
+let next_time t =
+  let id = earliest t in
+  if id < 0 then no_event else t.at.(id)
+
+(* Remove and return the id of the earliest event (lowest id on ties). *)
+let pop t =
+  let id = earliest t in
+  if id < 0 then invalid_arg "Event_wheel.pop: empty";
+  cancel t id;
+  id

@@ -37,9 +37,8 @@ let entry t =
   | [] -> Diag.ice "Flowgraph: empty graph"
   | b :: _ -> b
 
-(* [Hashtbl.find] rather than [find_opt]: the simulator resolves branch
-   targets on its hot path, and the option would be a per-jump minor
-   allocation. *)
+(* [Hashtbl.find] rather than [find_opt]: a lookup allocates no
+   option. *)
 let block t label =
   match Hashtbl.find t.tbl label with
   | b -> b

@@ -34,11 +34,48 @@ let default_config =
     fifo_latency = 10;
   }
 
+(* A space's image is a table of fixed-size pages.  Every page starts as
+   the one shared [zero_page], which is never written; the first write
+   to a page gives it a private copy.  So a context's 256 K-word SDRAM
+   buffer, of which a kernel touches a few hundred words, and the SRAM
+   and scratch of its image, which a chip engine never uses (it shares
+   the chip's), cost a page table each until written. *)
+
+let page_bits = 10
+let page_words = 1 lsl page_bits
+let page_mask = page_words - 1
+let zero_page = Array.make page_words 0
+
+type image = { words : int; pages : int array array }
+
+let image words =
+  { words; pages = Array.make ((words + page_mask) lsr page_bits) zero_page }
+
+(* Unchecked accessors: [w] must lie in [0, words). *)
+let load img w =
+  let p = Array.unsafe_get img.pages (w lsr page_bits) in
+  Array.unsafe_get p (w land page_mask)
+
+let store img w v =
+  let p = Array.unsafe_get img.pages (w lsr page_bits) in
+  let p =
+    if p != zero_page then p
+    else begin
+      let fresh = Array.make page_words 0 in
+      Array.unsafe_set img.pages (w lsr page_bits) fresh;
+      fresh
+    end
+  in
+  Array.unsafe_set p (w land page_mask) v
+
+let in_bounds img w =
+  if w < 0 || w >= img.words then invalid_arg "index out of bounds"
+
 type t = {
   config : config;
-  sram : int array;
-  sdram : int array;
-  scratch : int array;
+  sram : image;
+  sdram : image;
+  scratch : image;
   (* Spill area lives at the top of scratch; slots grow downward. *)
   mutable spill_base : int;
 }
@@ -50,13 +87,13 @@ let fault fmt = Printf.ksprintf (fun s -> raise (Fault s)) fmt
 let create ?(config = default_config) () =
   {
     config;
-    sram = Array.make config.sram_words 0;
-    sdram = Array.make config.sdram_words 0;
-    scratch = Array.make config.scratch_words 0;
+    sram = image config.sram_words;
+    sdram = image config.sdram_words;
+    scratch = image config.scratch_words;
     spill_base = config.scratch_words - 64;
   }
 
-let space_array t = function
+let space_image t = function
   | Insn.Sram -> t.sram
   | Insn.Sdram -> t.sdram
   | Insn.Scratch -> t.scratch
@@ -76,44 +113,50 @@ let word_index t space byte_addr ~count =
       (Insn.space_to_string space) byte_addr align;
   if not (Insn.legal_aggregate space count) then
     fault "illegal %s aggregate size %d" (Insn.space_to_string space) count;
-  let arr = space_array t space in
   let idx = byte_addr / 4 in
-  if idx < 0 || idx + count > Array.length arr then
+  if idx < 0 || idx + count > (space_image t space).words then
     fault "%s access at 0x%x (+%d words) out of range"
       (Insn.space_to_string space) byte_addr count;
   idx
 
 let read t space byte_addr ~count =
   let idx = word_index t space byte_addr ~count in
-  let arr = space_array t space in
-  Array.init count (fun k -> arr.(idx + k))
+  let img = space_image t space in
+  Array.init count (fun k -> load img (idx + k))
 
 (* Allocation-free transfer variants: the caller owns the buffer (the
    simulator keeps one per thread), so the hot loop moves words without
    materializing a fresh array per memory reference. *)
 let read_into t space byte_addr ~count ~dst =
   let idx = word_index t space byte_addr ~count in
-  let arr = space_array t space in
+  let img = space_image t space in
   for k = 0 to count - 1 do
-    Array.unsafe_set dst k (Array.unsafe_get arr (idx + k))
+    Array.unsafe_set dst k (load img (idx + k))
   done
 
 let write_from t space byte_addr ~count ~src =
   let idx = word_index t space byte_addr ~count in
-  let arr = space_array t space in
+  let img = space_image t space in
   for k = 0 to count - 1 do
-    Array.unsafe_set arr (idx + k) (Array.unsafe_get src k land word_mask)
+    store img (idx + k) (Array.unsafe_get src k land word_mask)
   done
 
 let write t space byte_addr values =
   let count = Array.length values in
   let idx = word_index t space byte_addr ~count in
-  let arr = space_array t space in
-  Array.iteri (fun k v -> arr.(idx + k) <- v land word_mask) values
+  let img = space_image t space in
+  Array.iteri (fun k v -> store img (idx + k) (v land word_mask)) values
 
 (* Word-granular accessors used by test harnesses and loaders. *)
-let peek t space word = (space_array t space).(word)
-let poke t space word v = (space_array t space).(word) <- v land word_mask
+let peek t space word =
+  let img = space_image t space in
+  in_bounds img word;
+  load img word
+
+let poke t space word v =
+  let img = space_image t space in
+  in_bounds img word;
+  store img word (v land word_mask)
 
 let load_words t space ~word_offset values =
   Array.iteri (fun k v -> poke t space (word_offset + k) v) values
@@ -122,8 +165,8 @@ let load_words t space ~word_offset values =
    the previous value. *)
 let bit_test_set t byte_addr v =
   let idx = word_index t Insn.Sram byte_addr ~count:1 in
-  let old = t.sram.(idx) in
-  t.sram.(idx) <- (old lor v) land word_mask;
+  let old = load t.sram idx in
+  store t.sram idx ((old lor v) land word_mask);
   old
 
 (* Deterministic stand-in for the IXP hash unit (a polynomial hash over
@@ -142,8 +185,8 @@ let spill_addr t slot =
   if w >= t.config.scratch_words then fault "spill slot %d out of range" slot;
   w
 
-let spill_store t slot v = t.scratch.(spill_addr t slot) <- v land word_mask
-let spill_load t slot = t.scratch.(spill_addr t slot)
+let spill_store t slot v = poke t Insn.Scratch (spill_addr t slot) v
+let spill_load t slot = peek t Insn.Scratch (spill_addr t slot)
 
 (* ------------------------------------------------------------------ *)
 (* Memory-bus arbiter                                                  *)
@@ -210,9 +253,6 @@ let channel_request chan ~now ~latency =
 
 let bus_request bus space ~now ~latency =
   channel_request (bus_channel bus space) ~now ~latency
-
-let bus_fifo_request bus ~now ~latency =
-  channel_request bus.fifo_chan ~now ~latency
 
 type channel_stats = { chan_requests : int; chan_busy : int; chan_stall : int }
 

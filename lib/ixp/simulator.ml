@@ -12,14 +12,211 @@
 
 open Support
 
+exception Stuck of string
+
+let word_mask = Memory.word_mask
+
+(* ------------------------------------------------------------------ *)
+(* Decoded programs                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* [create] decodes the physical flowgraph once, so the run loop never
+   hashes a label or dispatches on a register bank.  A register operand
+   becomes an index into the context's flat register file, where the
+   banks sit at fixed offsets (A 0-15, B 16-31, L 32-39, LD 40-47,
+   S 48-55, SD 56-63).  Terminators hold block indices, and each memory
+   reference carries its unloaded latency and its bus channel.
+
+   Decoding never fails: what cannot run -- an operand in the scratch
+   bank M or the constant bank C, a register number outside its bank, a
+   [Clone], a jump to a missing label -- decodes to something that
+   raises [Stuck], [Invalid_argument] or the unknown-block ICE when it
+   executes, so an ill-formed program fails only if it reaches the bad
+   instruction. *)
+
+let nregs = 64
+let bad_m = -1 (* operand in the scratch bank M *)
+let bad_c = -2 (* operand in the constant bank C *)
+let bad_num = -3 (* register number outside its bank *)
+
+let reg_index (r : Reg.t) =
+  let slot base =
+    if r.num < 0 || r.num >= Bank.capacity r.bank then bad_num
+    else base + r.num
+  in
+  match r.bank with
+  | Bank.A -> slot 0
+  | Bank.B -> slot 16
+  | Bank.L -> slot 32
+  | Bank.LD -> slot 40
+  | Bank.S -> slot 48
+  | Bank.SD -> slot 56
+  | Bank.M -> bad_m
+  | Bank.C -> bad_c
+
+let bad_reg code =
+  if code = bad_m then raise (Stuck "direct register access to scratch bank M")
+  else if code = bad_c then
+    raise (Stuck "direct register access to the constant bank C")
+  else invalid_arg "index out of bounds"
+
+let get regs i = if i < 0 then bad_reg i else Array.unsafe_get regs i
+
+let set regs i v =
+  if i < 0 then bad_reg i else Array.unsafe_set regs i (v land word_mask)
+
+(* A literal operand is masked when decoded. *)
+type operand = Reg of int | Lit of int
+
+let operand regs = function Reg i -> get regs i | Lit v -> v
+
+type addr = { base : operand; disp : int }
+
+let addr_value regs a = (operand regs a.base + a.disp) land word_mask
+
+(* What a reference costs: its unloaded latency, and the bus channel it
+   arbitrates on ([None] without a bus). *)
+type port = { latency : int; chan : Memory.channel option }
+
+type csr = Ctx | Engine | Cycle | Zero
+
+type op =
+  | Alu of { dst : int; op : Insn.alu_op; x : int; y : operand }
+  | Mov of { dst : int; src : int } (* [Alu1 `Mov] and [Move] *)
+  | Not of { dst : int; src : int }
+  | Neg of { dst : int; src : int }
+  | Imm of { dst : int; value : int; cost : int }
+  | Read of { space : Insn.space; dsts : int array; addr : addr; port : port }
+  | Write of { space : Insn.space; srcs : int array; addr : addr; port : port }
+  | Hash of { dst : int; src : int; latency : int }
+  | Bit_test_set of { dst : int; src : int; addr : addr; port : port }
+  | Spill of { slot : int; src : int; port : port }
+  | Reload of { slot : int; dst : int; port : port }
+  | Csr_read of { dst : int; csr : csr }
+  | Rfifo_read of { dsts : int array; addr : addr; port : port }
+  | Tfifo_write of { srcs : int array; addr : addr; port : port }
+  | Clone
+  | Ctx_arb
+  | Nop (* also [Csr_write], which has no effect *)
+
+(* A block index, or -1 for a label the program lacks. *)
+type target = { index : int; label : string }
+
+type term =
+  | Jump of target
+  | Branch of {
+      cond : Insn.cond;
+      x : int;
+      y : operand;
+      ifso : target;
+      ifnot : target;
+    }
+  | Halt
+
+type block = {
+  ops : op array;
+  term : term;
+  source : Reg.t Flowgraph.block; (* for trace output *)
+}
+
+let decode ~(config : Memory.config) ~shared ~bus program =
+  (* an empty program is an ICE *)
+  ignore (Flowgraph.entry program);
+  let blocks = Array.of_list (Flowgraph.blocks program) in
+  let index = Hashtbl.create (Array.length blocks) in
+  Array.iteri (fun i b -> Hashtbl.replace index b.Flowgraph.label i) blocks;
+  let target label =
+    { index = Option.value ~default:(-1) (Hashtbl.find_opt index label); label }
+  in
+  let port space =
+    {
+      (* SDRAM is the context's own image, created with [config] *)
+      latency =
+        (match space with
+        | Insn.Sdram -> config.Memory.sdram_latency
+        | _ -> Memory.latency shared space);
+      chan = Option.map (fun b -> Memory.bus_channel b space) bus;
+    }
+  in
+  let fifo =
+    {
+      latency = shared.Memory.config.Memory.fifo_latency;
+      chan = Option.map (fun b -> b.Memory.fifo_chan) bus;
+    }
+  in
+  let r = reg_index in
+  let regs = Array.map reg_index in
+  let opnd = function
+    | Insn.Reg x -> Reg (r x)
+    | Insn.Lit i -> Lit (i land word_mask)
+  in
+  let addr (a : Reg.t Insn.addr) = { base = opnd a.base; disp = a.disp } in
+  let op : Reg.t Insn.t -> op = function
+    | Insn.Alu { dst; op; x; y } -> Alu { dst = r dst; op; x = r x; y = opnd y }
+    | Insn.Alu1 { dst; op = `Mov; src } | Insn.Move { dst; src } ->
+        Mov { dst = r dst; src = r src }
+    | Insn.Alu1 { dst; op = `Not; src } -> Not { dst = r dst; src = r src }
+    | Insn.Alu1 { dst; op = `Neg; src } -> Neg { dst = r dst; src = r src }
+    | Insn.Imm { dst; value } ->
+        (* a full 32-bit constant takes two instructions on the IXP1200 *)
+        let value = value land word_mask in
+        Imm { dst = r dst; value; cost = (if value < 0x10000 then 1 else 2) }
+    | Insn.Read { space; dsts; addr = a } ->
+        Read { space; dsts = regs dsts; addr = addr a; port = port space }
+    | Insn.Write { space; srcs; addr = a } ->
+        Write { space; srcs = regs srcs; addr = addr a; port = port space }
+    | Insn.Hash { dst; src } ->
+        let latency = shared.Memory.config.Memory.hash_latency in
+        Hash { dst = r dst; src = r src; latency }
+    | Insn.Bit_test_set { dst; src; addr = a } ->
+        Bit_test_set
+          { dst = r dst; src = r src; addr = addr a; port = port Insn.Sram }
+    | Insn.Clone _ -> Clone
+    | Insn.Spill { slot; src } ->
+        Spill { slot; src = r src; port = port Insn.Scratch }
+    | Insn.Reload { slot; dst } ->
+        Reload { slot; dst = r dst; port = port Insn.Scratch }
+    | Insn.Csr_read { dst; csr } ->
+        let csr =
+          match csr with
+          | "ctx" -> Ctx
+          | "engine" -> Engine
+          | "cycle" -> Cycle
+          | _ -> Zero
+        in
+        Csr_read { dst = r dst; csr }
+    | Insn.Rfifo_read { dsts; addr = a } ->
+        Rfifo_read { dsts = regs dsts; addr = addr a; port = fifo }
+    | Insn.Tfifo_write { srcs; addr = a } ->
+        Tfifo_write { srcs = regs srcs; addr = addr a; port = fifo }
+    | Insn.Ctx_arb -> Ctx_arb
+    | Insn.Csr_write _ | Insn.Nop -> Nop
+  in
+  let term = function
+    | Insn.Jump label -> Jump (target label)
+    | Insn.Branch { cond; x; y; ifso; ifnot } ->
+        Branch
+          {
+            cond;
+            x = r x;
+            y = opnd y;
+            ifso = target ifso;
+            ifnot = target ifnot;
+          }
+    | Insn.Halt -> Halt
+  in
+  Array.map
+    (fun (b : Reg.t Flowgraph.block) ->
+      { ops = Array.map op b.insns; term = term b.term; source = b })
+    blocks
+
+(* ------------------------------------------------------------------ *)
+(* Engine state                                                        *)
+(* ------------------------------------------------------------------ *)
+
 type thread_state = {
   id : int;
-  regs_a : int array;
-  regs_b : int array;
-  regs_l : int array;
-  regs_ld : int array;
-  regs_s : int array;
-  regs_sd : int array;
+  regs : int array; (* flat register file, see [reg_index] *)
   mutable rfifo : int array; (* current inbound packet, as words *)
   mutable rfifo_words : int; (* valid prefix of [rfifo]; pooled buffers
                                 are longer than the packet they hold *)
@@ -27,7 +224,7 @@ type thread_state = {
   xfer : int array; (* scratch buffer for memory transfers (no alloc) *)
   (* private SDRAM packet buffer image *)
   sdram : Memory.t;
-  mutable block : Reg.t Flowgraph.block;
+  mutable block : int; (* index into the decoded program *)
   mutable pc : int;
   mutable ready_at : int; (* cycle at which the thread may run again *)
   mutable halted : bool;
@@ -36,9 +233,8 @@ type thread_state = {
 }
 
 type t = {
-  program : Reg.t Flowgraph.t;
+  code : block array; (* decoded program; block 0 is the entry *)
   shared : Memory.t; (* SRAM + scratch live here *)
-  bus : Memory.bus option; (* chip-level arbiter; None = unloaded latencies *)
   engine_id : int; (* position on the chip; 0 when standalone *)
   threads : thread_state array;
   mutable clock : int;
@@ -47,10 +243,8 @@ type t = {
   trace : bool;
 }
 
-exception Stuck of string
-
-let word_mask = Memory.word_mask
-
+(* [bus] is the chip-level arbiter; without one, references see the
+   unloaded latencies. *)
 let create ?(threads = 1) ?(clock_mhz = 233.0) ?(config = Memory.default_config)
     ?(trace = false) ?shared ?bus ?(engine_id = 0) program =
   let shared =
@@ -59,18 +253,13 @@ let create ?(threads = 1) ?(clock_mhz = 233.0) ?(config = Memory.default_config)
   let mk id =
     {
       id;
-      regs_a = Array.make 16 0;
-      regs_b = Array.make 16 0;
-      regs_l = Array.make 8 0;
-      regs_ld = Array.make 8 0;
-      regs_s = Array.make 8 0;
-      regs_sd = Array.make 8 0;
+      regs = Array.make nregs 0;
       rfifo = [||];
       rfifo_words = 0;
       tfifo = Vec.create ();
       xfer = Array.make 8 0;
       sdram = Memory.create ~config ();
-      block = Flowgraph.entry program;
+      block = 0;
       pc = 0;
       ready_at = 0;
       halted = false;
@@ -79,9 +268,8 @@ let create ?(threads = 1) ?(clock_mhz = 233.0) ?(config = Memory.default_config)
     }
   in
   {
-    program;
+    code = decode ~config ~shared ~bus program;
     shared;
-    bus;
     engine_id;
     threads = Array.init threads mk;
     clock = 0;
@@ -93,27 +281,11 @@ let create ?(threads = 1) ?(clock_mhz = 233.0) ?(config = Memory.default_config)
 let shared_memory t = t.shared
 let thread t i = t.threads.(i)
 
-(* Register file access. *)
-let reg_file th (bank : Bank.t) =
-  match bank with
-  | Bank.A -> th.regs_a
-  | Bank.B -> th.regs_b
-  | Bank.L -> th.regs_l
-  | Bank.LD -> th.regs_ld
-  | Bank.S -> th.regs_s
-  | Bank.SD -> th.regs_sd
-  | Bank.M -> raise (Stuck "direct register access to scratch bank M")
-  | Bank.C -> raise (Stuck "direct register access to the constant bank C")
-
-let get th (r : Reg.t) = (reg_file th (Reg.bank r)).(Reg.num r)
-let set th (r : Reg.t) v = (reg_file th (Reg.bank r)).(Reg.num r) <- v land word_mask
-
-let operand_value th = function
-  | Insn.Reg r -> get th r
-  | Insn.Lit i -> i land word_mask
-
-let addr_value th (a : Reg.t Insn.addr) =
-  (operand_value th a.Insn.base + a.Insn.disp) land word_mask
+(* Send [th] back to the program's entry, ready to take a packet. *)
+let restart th =
+  th.block <- 0;
+  th.pc <- 0;
+  th.halted <- false
 
 let to_signed v = if v land 0x80000000 <> 0 then v - 0x100000000 else v
 
@@ -151,104 +323,97 @@ let memory_for t th = function
    any queueing stall dealt by the chip-level bus arbiter.  SDRAM data
    images are per-thread (correctness isolation) but SDRAM *bandwidth*
    is chip-shared, so SDRAM references arbitrate too. *)
-let mem_latency t space ~base =
-  match t.bus with
-  | None -> base
-  | Some bus -> Memory.bus_request bus space ~now:t.clock ~latency:base
-
-let fifo_latency t =
-  let base = t.shared.Memory.config.Memory.fifo_latency in
-  match t.bus with
-  | None -> base
-  | Some bus -> Memory.bus_fifo_request bus ~now:t.clock ~latency:base
+let request t { latency; chan } =
+  match chan with
+  | None -> latency
+  | Some c -> Memory.channel_request c ~now:t.clock ~latency
 
 (* Hook invoked when a thread halts: supply the next inbound packet, or
    none to retire the thread. *)
 type packet_source = thread:int -> packets_done:int -> int array option
 
-(* Execute one instruction for [th]; returns the latency in cycles. *)
-let exec_insn t th insn =
-  th.insns_executed <- th.insns_executed + 1;
-  if t.trace then
-    Fmt.epr "[%d] t%d %s.%d: %a@." t.clock th.id th.block.Flowgraph.label
-      th.pc (Insn.pp Reg.pp) insn;
-  match insn with
-  | Insn.Alu { dst; op; x; y } ->
-      set th dst (alu_eval op (get th x) (operand_value th y));
+(* Execute one decoded instruction for [th]; returns the latency in
+   cycles.  The order in which an instruction reads its operands decides
+   which of several faults it raises, and is fixed: [y] before [x]; a
+   [Write]'s sources before its address; a [Read]'s address, then the
+   transfer, then its destinations. *)
+let exec t th = function
+  | Alu { dst; op; x; y } ->
+      let yv = operand th.regs y in
+      set th.regs dst (alu_eval op (get th.regs x) yv);
       1
-  | Insn.Alu1 { dst; op = `Mov; src } ->
-      set th dst (get th src);
+  | Mov { dst; src } ->
+      set th.regs dst (get th.regs src);
       1
-  | Insn.Alu1 { dst; op = `Not; src } ->
-      set th dst (lnot (get th src));
+  | Not { dst; src } ->
+      set th.regs dst (lnot (get th.regs src));
       1
-  | Insn.Alu1 { dst; op = `Neg; src } ->
-      set th dst (-get th src);
+  | Neg { dst; src } ->
+      set th.regs dst (-get th.regs src);
       1
-  | Insn.Imm { dst; value } ->
-      set th dst value;
-      (* Loading a full 32-bit constant takes two instructions on the
-         IXP1200; small constants take one. *)
-      if value land word_mask < 0x10000 then 1 else 2
-  | Insn.Move { dst; src } ->
-      set th dst (get th src);
-      1
-  | Insn.Read { space; dsts; addr } ->
-      let mem = memory_for t th space in
+  | Imm { dst; value; cost } ->
+      set th.regs dst value;
+      cost
+  | Read { space; dsts; addr; port } ->
       let count = Array.length dsts in
-      Memory.read_into mem space (addr_value th addr) ~count ~dst:th.xfer;
+      Memory.read_into (memory_for t th space) space (addr_value th.regs addr)
+        ~count ~dst:th.xfer;
       for k = 0 to count - 1 do
-        set th dsts.(k) th.xfer.(k)
+        set th.regs dsts.(k) th.xfer.(k)
       done;
-      mem_latency t space ~base:(Memory.latency mem space)
-  | Insn.Write { space; srcs; addr } ->
-      let mem = memory_for t th space in
+      request t port
+  | Write { space; srcs; addr; port } ->
       let count = Array.length srcs in
       for k = 0 to count - 1 do
-        th.xfer.(k) <- get th srcs.(k)
+        th.xfer.(k) <- get th.regs srcs.(k)
       done;
-      Memory.write_from mem space (addr_value th addr) ~count ~src:th.xfer;
-      mem_latency t space ~base:(Memory.latency mem space)
-  | Insn.Hash { dst; src } ->
-      set th dst (Memory.hash (get th src));
-      t.shared.Memory.config.Memory.hash_latency
-  | Insn.Bit_test_set { dst; src; addr } ->
-      set th dst (Memory.bit_test_set t.shared (addr_value th addr) (get th src));
-      mem_latency t Insn.Sram ~base:(Memory.latency t.shared Insn.Sram)
-  | Insn.Clone _ -> raise (Stuck "clone pseudo-instruction reached simulator")
-  | Insn.Spill { slot; src } ->
-      Memory.spill_store t.shared slot (get th src);
-      mem_latency t Insn.Scratch ~base:(Memory.latency t.shared Insn.Scratch)
-  | Insn.Reload { slot; dst } ->
-      set th dst (Memory.spill_load t.shared slot);
-      mem_latency t Insn.Scratch ~base:(Memory.latency t.shared Insn.Scratch)
-  | Insn.Csr_read { dst; csr } ->
-      let v =
-        match csr with
-        | "ctx" -> th.id
-        | "engine" -> t.engine_id
-        | "cycle" -> t.clock land word_mask
-        | _ -> 0
-      in
-      set th dst v;
+      Memory.write_from (memory_for t th space) space (addr_value th.regs addr)
+        ~count ~src:th.xfer;
+      request t port
+  | Hash { dst; src; latency } ->
+      set th.regs dst (Memory.hash (get th.regs src));
+      latency
+  | Bit_test_set { dst; src; addr; port } ->
+      let v = get th.regs src in
+      let a = addr_value th.regs addr in
+      set th.regs dst (Memory.bit_test_set t.shared a v);
+      request t port
+  | Spill { slot; src; port } ->
+      Memory.spill_store t.shared slot (get th.regs src);
+      request t port
+  | Reload { slot; dst; port } ->
+      set th.regs dst (Memory.spill_load t.shared slot);
+      request t port
+  | Csr_read { dst; csr } ->
+      set th.regs dst
+        (match csr with
+        | Ctx -> th.id
+        | Engine -> t.engine_id
+        | Cycle -> t.clock land word_mask
+        | Zero -> 0);
       1
-  | Insn.Csr_write _ -> 1
-  | Insn.Rfifo_read { dsts; addr } ->
-      let base = addr_value th addr / 4 in
+  | Rfifo_read { dsts; addr; port } ->
+      let base = addr_value th.regs addr / 4 in
       for k = 0 to Array.length dsts - 1 do
         let idx = base + k in
         let v = if idx < th.rfifo_words then th.rfifo.(idx) else 0 in
-        set th dsts.(k) v
+        set th.regs dsts.(k) v
       done;
-      fifo_latency t
-  | Insn.Tfifo_write { srcs; addr } ->
-      ignore (addr_value th addr);
+      request t port
+  | Tfifo_write { srcs; addr; port } ->
+      ignore (addr_value th.regs addr);
       for k = 0 to Array.length srcs - 1 do
-        Vec.push th.tfifo (get th srcs.(k))
+        Vec.push th.tfifo (get th.regs srcs.(k))
       done;
-      fifo_latency t
-  | Insn.Ctx_arb -> 1
-  | Insn.Nop -> 1
+      request t port
+  | Clone -> raise (Stuck "clone pseudo-instruction reached simulator")
+  | Ctx_arb | Nop -> 1
+
+(* A jump to a label the program lacks fails when it is taken. *)
+let goto th { index; label } =
+  if index < 0 then Diag.ice "Flowgraph: unknown block %s" label;
+  th.block <- index;
+  th.pc <- 0
 
 (* Advance [th] through instructions until it yields (memory reference or
    ctx_arb), halts, or runs out of fuel. *)
@@ -259,44 +424,53 @@ let step_thread t th ~fuel =
     if !fuel <= 0 then
       raise (Stuck (Printf.sprintf "thread %d: fuel exhausted" th.id));
     decr fuel;
-    let b = th.block in
-    if th.pc < Array.length b.Flowgraph.insns then begin
-      let insn = b.Flowgraph.insns.(th.pc) in
-      th.pc <- th.pc + 1;
-      let lat = exec_insn t th insn in
-      t.clock <- t.clock + min lat 2;
-      t.busy <- t.busy + min lat 2;
+    let b = t.code.(th.block) in
+    let pc = th.pc in
+    if pc < Array.length b.ops then begin
+      let op = b.ops.(pc) in
+      th.pc <- pc + 1;
+      th.insns_executed <- th.insns_executed + 1;
+      if t.trace then
+        Fmt.epr "[%d] t%d %s.%d: %a@." t.clock th.id b.source.Flowgraph.label
+          th.pc (Insn.pp Reg.pp) b.source.Flowgraph.insns.(pc);
+      let lat = exec t th op in
       (* issue cost: memory ops occupy the pipe briefly; the remaining
          latency is hidden by switching threads *)
+      let issue = if lat < 2 then lat else 2 in
+      t.clock <- t.clock + issue;
+      t.busy <- t.busy + issue;
       if lat > 2 then begin
         th.ready_at <- t.clock + lat - 2;
         yielded := true
       end
       else
-        match insn with
-        | Insn.Ctx_arb ->
+        match op with
+        | Ctx_arb ->
             th.ready_at <- t.clock;
             yielded := true
         | _ -> ()
     end
-    else begin
-      (match b.Flowgraph.term with
-      | Insn.Jump l ->
-          th.block <- Flowgraph.block t.program l;
-          th.pc <- 0;
+    else
+      match b.term with
+      | Jump target ->
+          goto th target;
           t.clock <- t.clock + 1;
           t.busy <- t.busy + 1
-      | Insn.Branch { cond; x; y; ifso; ifnot } ->
-          let taken = cond_eval cond (get th x) (operand_value th y) in
-          th.block <- Flowgraph.block t.program (if taken then ifso else ifnot);
-          th.pc <- 0;
-          let c = if taken then 3 else 1 in
-          t.clock <- t.clock + c;
-          t.busy <- t.busy + c
-      | Insn.Halt ->
+      | Branch { cond; x; y; ifso; ifnot } ->
+          let yv = operand th.regs y in
+          if cond_eval cond (get th.regs x) yv then begin
+            goto th ifso;
+            t.clock <- t.clock + 3;
+            t.busy <- t.busy + 3
+          end
+          else begin
+            goto th ifnot;
+            t.clock <- t.clock + 1;
+            t.busy <- t.busy + 1
+          end
+      | Halt ->
           th.halted <- true;
-          th.packets_done <- th.packets_done + 1)
-    end
+          th.packets_done <- th.packets_done + 1
   done
 
 (* Run a single thread to completion (no packet refill); the common mode
@@ -319,9 +493,7 @@ let run_packets ?(fuel = 100_000_000) t (source : packet_source) =
     | Some packet ->
         th.rfifo <- packet;
         th.rfifo_words <- Array.length packet;
-        th.block <- Flowgraph.entry t.program;
-        th.pc <- 0;
-        th.halted <- false;
+        restart th;
         true
   in
   let alive = Array.map (fun th -> restart th) t.threads in

@@ -199,7 +199,7 @@ let test_pktgen_next_into_no_alloc () =
 (* ---------------- event wheel ---------------- *)
 
 let test_wheel_order () =
-  let w = Ixp.Event_wheel.create ~size:16 4 in
+  let w = Ixp.Event_wheel.create 4 in
   checkb "empty" true (Ixp.Event_wheel.is_empty w);
   Ixp.Event_wheel.schedule w 2 ~cycle:100;
   Ixp.Event_wheel.schedule w 0 ~cycle:50;
@@ -214,7 +214,7 @@ let test_wheel_order () =
   checkb "empty again" true (Ixp.Event_wheel.is_empty w)
 
 let test_wheel_reschedule_cancel () =
-  let w = Ixp.Event_wheel.create ~size:16 4 in
+  let w = Ixp.Event_wheel.create 4 in
   Ixp.Event_wheel.schedule w 0 ~cycle:10;
   (* rescheduling moves the event *)
   Ixp.Event_wheel.schedule w 0 ~cycle:90;
@@ -227,24 +227,22 @@ let test_wheel_reschedule_cancel () =
   checkb "still empty" true (Ixp.Event_wheel.is_empty w)
 
 let test_wheel_cursor_rollback () =
-  (* probing next_time advances the cursor; scheduling an earlier event
-     afterwards must roll it back, not lose the event *)
-  let w = Ixp.Event_wheel.create ~size:16 4 in
+  (* the run loop peeks next_time before an arrival may schedule an
+     earlier event: the earlier event must win, and neither is lost *)
+  let w = Ixp.Event_wheel.create 4 in
   Ixp.Event_wheel.schedule w 0 ~cycle:60;
-  checki "cursor at 60" 60 (Ixp.Event_wheel.next_time w);
+  checki "peek at 60" 60 (Ixp.Event_wheel.next_time w);
   Ixp.Event_wheel.schedule w 1 ~cycle:20;
   checki "earlier event wins" 20 (Ixp.Event_wheel.next_time w);
   checki "pop it" 1 (Ixp.Event_wheel.pop w);
   checki "later event intact" 0 (Ixp.Event_wheel.pop w)
 
 let test_wheel_sparse_jump () =
-  (* events far beyond the wheel size (many wraps away): next_time must
-     find them without walking the gap one cycle at a time, and rounds
-     must disambiguate same-bucket different-lap events *)
-  let w = Ixp.Event_wheel.create ~size:16 4 in
+  (* events far apart in time: next_time finds the distant one once the
+     near one is gone *)
+  let w = Ixp.Event_wheel.create 4 in
   Ixp.Event_wheel.schedule w 0 ~cycle:1_000_003;
   Ixp.Event_wheel.schedule w 1 ~cycle:3;
-  (* same bucket as 1_000_003 mod 16?  regardless: earlier lap first *)
   checki "near event first" 3 (Ixp.Event_wheel.next_time w);
   checki "pop near" 1 (Ixp.Event_wheel.pop w);
   checki "distant event found" 1_000_003 (Ixp.Event_wheel.next_time w);
@@ -537,6 +535,212 @@ let test_chip_steady_state_no_alloc () =
        words count)
     true (words < 64.)
 
+(* ---------------- simulated results pinned ---------------- *)
+
+(* The chip statistics of real workload code, pinned as digests of the
+   printed report plus the sorted latency list: a change to the engine,
+   the memory model, the bus or the schedulers that moves any cycle,
+   drop, stall or latency changes a digest.  Compiles are cold (fresh
+   identifier stamps), so the code under test does not depend on which
+   tests ran before. *)
+
+type workload = {
+  w_name : string;
+  w_source : string;
+  w_align : int; (* payload sizes the program accepts *)
+  w_plen : int; (* payload bytes of a single-packet run *)
+  w_tables : Ixp.Memory.t -> unit;
+  w_packet : (int -> int -> unit) -> payload_len:int -> unit;
+}
+
+let poke_sram mem w v = Ixp.Memory.poke mem Ixp.Insn.Sram w v
+
+let workload w_name w_source ~align ~plen ~tables ~packet =
+  {
+    w_name;
+    w_source;
+    w_align = align;
+    w_plen = plen;
+    w_tables = tables;
+    w_packet = (fun load ~payload_len -> ignore (packet load ~payload_len));
+  }
+
+let dataplane name source ~align ~plen ~init_tables ~init_payload =
+  workload name source ~align ~plen
+    ~tables:(fun mem -> init_tables (poke_sram mem))
+    ~packet:init_payload
+
+let w_aes =
+  Workloads.Aes.(
+    dataplane "aes" source ~align:16 ~plen:64 ~init_tables ~init_payload)
+
+let w_kasumi =
+  workload "kasumi" Workloads.Kasumi.source ~align:8 ~plen:64
+    ~tables:(fun mem ->
+      Workloads.Kasumi.init_tables ~load_sram:(poke_sram mem)
+        ~load_scratch:(fun w v -> Ixp.Memory.poke mem Ixp.Insn.Scratch w v))
+    ~packet:Workloads.Kasumi.init_payload
+
+let w_nat =
+  Workloads.Nat.(
+    dataplane "nat" source ~align:4 ~plen:16 ~init_tables ~init_payload)
+
+let w_lpm =
+  Workloads.Lpm.(
+    dataplane "lpm" source ~align:4 ~plen:16 ~init_tables ~init_payload)
+
+let w_firewall =
+  Workloads.Firewall.(
+    dataplane "firewall" source ~align:4 ~plen:16 ~init_tables ~init_payload)
+
+let w_csum =
+  Workloads.Csum.(
+    dataplane "csum" source ~align:8 ~plen:24 ~init_tables ~init_payload)
+
+let w_qos =
+  Workloads.Qos.(
+    dataplane "qos" source ~align:4 ~plen:16 ~init_tables ~init_payload)
+
+let cold_physical allocator w =
+  Support.Ident.reset ();
+  let options =
+    {
+      Regalloc.Driver.default_options with
+      allocator;
+      node_limit = 128;
+      time_limit = 1e9;
+      solver_domains = 1;
+    }
+  in
+  (Regalloc.Driver.compile ~options ~file:(w.w_name ^ ".nova") w.w_source)
+    .Regalloc.Driver.physical
+
+let ilp_code =
+  let memo = Hashtbl.create 4 in
+  fun w ->
+    match Hashtbl.find_opt memo w.w_name with
+    | Some p -> p
+    | None ->
+        let p = cold_physical Regalloc.Driver.Ilp_allocator w in
+        Hashtbl.replace memo w.w_name p;
+        p
+
+let baseline_code w = cold_physical Regalloc.Driver.Baseline_allocator w
+
+(* Each context's SDRAM gets the workload's own packet image. *)
+let deliver_workload w : Ixp.Chip.deliver =
+ fun chip ~engine ~thread ~seq:_ ~size ~words:_ ~payload:_ ->
+  let sim = Ixp.Chip.engine chip engine in
+  let sd = Ixp.Simulator.sdram_of_thread sim ~thread in
+  w.w_packet
+    (fun a v -> Ixp.Memory.poke sd Ixp.Insn.Sdram a v)
+    ~payload_len:(max w.w_align (size / w.w_align * w.w_align))
+
+let workload_traffic w ~profile ~offered ~count =
+  Ixp.Pktgen.create
+    {
+      Ixp.Pktgen.default_config with
+      Ixp.Pktgen.profile;
+      offered_mpps = offered;
+      seed = 3;
+      count;
+      size_align = w.w_align;
+    }
+
+let chip_digest (r : Ixp.Chip.report) =
+  Digest.to_hex
+    (Digest.string
+       (Fmt.str "%a%a" Ixp.Chip.pp_report r
+          Fmt.(array ~sep:comma int)
+          r.Ixp.Chip.latencies))
+
+let cluster_digest (r : Cluster.report) =
+  let chips = Array.to_list r.Cluster.chip_reports in
+  Digest.to_hex
+    (Digest.string
+       (String.concat "|"
+          (Fmt.str "%a" Cluster.pp_report r :: List.map chip_digest chips)))
+
+let six_by_four =
+  { Ixp.Chip.default_config with Ixp.Chip.engines = 6; threads = 4 }
+
+let chip_leg w physical ~offered ~count =
+  let chip = Ixp.Chip.create ~config:six_by_four physical in
+  w.w_tables (Ixp.Chip.shared_memory chip);
+  Ixp.Chip.run ~deliver:(deliver_workload w) chip
+    (workload_traffic w ~profile:(Ixp.Pktgen.Fixed 64) ~offered ~count)
+
+let cluster_leg w physical ~profile =
+  let config =
+    {
+      Cluster.default_config with
+      Cluster.chips = 4;
+      balancer = Cluster.Flow_hash;
+      chip_config = { six_by_four with Ixp.Chip.engines = 2 };
+      drop_budget = 0;
+    }
+  in
+  let cl = Cluster.create ~config physical in
+  Cluster.iter_chips
+    (fun chip -> w.w_tables (Ixp.Chip.shared_memory chip))
+    cl;
+  Cluster.run ~deliver:(deliver_workload w) cl
+    (workload_traffic w ~profile ~offered:0.6 ~count:1500)
+
+let check_digest what expected got =
+  Alcotest.(check string)
+    (what ^ ": simulated statistics digest")
+    expected got
+
+let test_pinned_chip_legs () =
+  List.iter
+    (fun (what, w, code, offered, count, digest) ->
+      check_digest what digest
+        (chip_digest (chip_leg w (code w) ~offered ~count)))
+    [
+      ("kasumi ilp capacity", w_kasumi, ilp_code, 16.0, 2000,
+        "30cf5b3b3dbd2ae5005d6124e687c178");
+      ("kasumi baseline capacity", w_kasumi, baseline_code, 16.0, 2000,
+        "e20d1cce4572a9e4610aba5ffb0ab471");
+      ("lpm ilp capacity", w_lpm, ilp_code, 16.0, 2000,
+        "7180bfd348e5502b4c17c3474740333d");
+      ("lpm baseline capacity", w_lpm, baseline_code, 16.0, 2000,
+        "d1f739cb0fb5f9b0e70a12b7cc543dd3");
+      ("csum ilp at 1.5 Mpps", w_csum, ilp_code, 1.5, 2000,
+        "529b2253c11c3bba7a41de3616342e89");
+    ]
+
+let test_pinned_cluster_legs () =
+  List.iter
+    (fun (what, profile, digest) ->
+      check_digest what digest
+        (cluster_digest (cluster_leg w_kasumi (ilp_code w_kasumi) ~profile)))
+    [
+      ("kasumi ilp cluster, flood", Ixp.Pktgen.Syn_flood { size = 40 },
+        "7e8e834fcd469df079cc417c21c5f56f");
+      ( "kasumi ilp cluster, elephants",
+        Ixp.Pktgen.Elephants
+          { flows = 512; heavy = 4; heavy_pct = 80; size = 576 },
+        "f997dd7059515e6466a78a2876c23d54" );
+    ]
+
+(* One packet on one context, every workload, baseline code. *)
+let test_pinned_run_single () =
+  List.iter
+    (fun (w, cycles) ->
+      let sim = Ixp.Simulator.create (baseline_code w) in
+      w.w_tables (Ixp.Simulator.shared_memory sim);
+      let sd = Ixp.Simulator.sdram_of_thread sim ~thread:0 in
+      w.w_packet
+        (fun a v -> Ixp.Memory.poke sd Ixp.Insn.Sdram a v)
+        ~payload_len:w.w_plen;
+      checki (w.w_name ^ ": run_single cycles") cycles
+        (Ixp.Simulator.run_single sim))
+    [
+      (w_aes, 18716); (w_kasumi, 25899); (w_nat, 521); (w_lpm, 238);
+      (w_firewall, 603); (w_csum, 447); (w_qos, 329);
+    ]
+
 let suites =
   [
     ( "chip.pktgen",
@@ -584,5 +788,12 @@ let suites =
         Alcotest.test_case "steady-state zero-alloc" `Quick
           test_chip_steady_state_no_alloc;
         Alcotest.test_case "traced run" `Quick test_chip_traced_run;
+      ] );
+    ( "chip.pinned",
+      [
+        Alcotest.test_case "workload chip legs" `Quick test_pinned_chip_legs;
+        Alcotest.test_case "workload cluster legs" `Quick
+          test_pinned_cluster_legs;
+        Alcotest.test_case "run_single cycles" `Quick test_pinned_run_single;
       ] );
   ]

@@ -74,6 +74,70 @@ let test_memory_hash_deterministic () =
   checki "hash stable" (Ixp.Memory.hash 0xDEADBEEF) (Ixp.Memory.hash 0xDEADBEEF);
   checkb "hash mixes" true (Ixp.Memory.hash 1 <> Ixp.Memory.hash 2)
 
+(* Every image starts as the shared zero page; a write gives the page
+   its own copy, visible to nobody else.  Bounds and transfer faults
+   read exactly as they did over flat arrays. *)
+let test_memory_copy_on_write () =
+  let module M = Ixp.Memory in
+  let cfg = M.default_config in
+  let fresh = M.create () in
+  List.iter
+    (fun (space, words) ->
+      List.iter
+        (fun w -> checki "fresh memory reads zero" 0 (M.peek fresh space w))
+        [ 0; min 1024 (words - 1); words - 1 ])
+    [
+      (Insn.Sram, cfg.M.sram_words);
+      (Insn.Sdram, cfg.M.sdram_words);
+      (Insn.Scratch, cfg.M.scratch_words);
+    ];
+  let g = FG.create () in
+  ignore (FG.add_block g ~label:"entry" ~insns:[] ~term:Insn.Halt);
+  let sim = Ixp.Simulator.create ~threads:2 g in
+  let sd0 = Ixp.Simulator.sdram_of_thread sim ~thread:0 in
+  let sd1 = Ixp.Simulator.sdram_of_thread sim ~thread:1 in
+  M.poke sd0 Insn.Sdram 70 0x1_2345_6789;
+  checki "write lands, masked" 0x2345_6789 (M.peek sd0 Insn.Sdram 70);
+  checki "other context's SDRAM untouched" 0 (M.peek sd1 Insn.Sdram 70);
+  checki "fresh memory untouched" 0 (M.peek (M.create ()) Insn.Sdram 70);
+  checki "rest of the page still zero" 0 (M.peek sd0 Insn.Sdram 71);
+  (* an 8-word SRAM transfer across a page boundary *)
+  let shared = Ixp.Simulator.shared_memory sim in
+  let vals = Array.init 8 (fun k -> k + 1) in
+  M.write shared Insn.Sram (4 * 1020) vals;
+  checkb "transfer across pages" true
+    (M.read shared Insn.Sram (4 * 1020) ~count:8 = vals);
+  checki "page-crossing word" 5 (M.peek shared Insn.Sram 1024);
+  let raised f =
+    match f () with
+    | _ -> "no exception"
+    | exception Invalid_argument s -> "Invalid_argument " ^ s
+    | exception M.Fault s -> "Fault " ^ s
+  in
+  let oob = "Invalid_argument index out of bounds" in
+  Alcotest.(check string) "peek below" oob
+    (raised (fun () -> M.peek fresh Insn.Sram (-1)));
+  Alcotest.(check string) "peek past the end" oob
+    (raised (fun () -> M.peek fresh Insn.Scratch cfg.M.scratch_words));
+  Alcotest.(check string) "poke past the end" oob
+    (raised (fun () -> M.poke fresh Insn.Sdram cfg.M.sdram_words 1));
+  Alcotest.(check string) "misaligned"
+    "Fault sram access at 0x2 violates 4-byte alignment"
+    (raised (fun () -> M.read fresh Insn.Sram 2 ~count:1));
+  Alcotest.(check string) "sdram alignment"
+    "Fault sdram access at 0x4 violates 8-byte alignment"
+    (raised (fun () -> M.read fresh Insn.Sdram 4 ~count:2));
+  Alcotest.(check string) "illegal aggregate"
+    "Fault illegal sdram aggregate size 3"
+    (raised (fun () -> M.read fresh Insn.Sdram 0 ~count:3));
+  Alcotest.(check string) "out of range"
+    "Fault scratch access at 0xffc (+2 words) out of range"
+    (raised (fun () -> M.write fresh Insn.Scratch 0xffc [| 1; 2 |]));
+  Alcotest.(check string) "spill slot out of range"
+    "Fault spill slot 64 out of range"
+    (raised (fun () -> M.spill_store fresh 64 1));
+  checki "a faulting write changes nothing" 0 (M.peek fresh Insn.Scratch 1023)
+
 (* ---------------- flowgraph + liveness ---------------- *)
 
 let mk_var = Ident.fresh
@@ -336,6 +400,96 @@ let test_simulator_multithread_throughput () =
   let t1 = run 1 and t4 = run 4 in
   checkb "4 threads hide latency" true (t4 > t1 *. 1.5)
 
+(* Code the simulator cannot run fails when it is reached, at the same
+   instruction and with the same exception as before decoding, never
+   when the simulator is created. *)
+let test_simulator_error_timing () =
+  let a0 = reg Bank.A 0 and a1 = reg Bank.A 1 in
+  let m3 = { Reg.bank = Bank.M; num = 3 } in
+  let c0 = { Reg.bank = Bank.C; num = 0 } in
+  let lit n = { Insn.base = Insn.Lit n; disp = 0 } in
+  let prelude =
+    [ Insn.Imm { dst = a0; value = 7 }; Insn.Imm { dst = a1; value = 9 } ]
+  in
+  let run insns term =
+    let sim = Ixp.Simulator.create (physical_block (prelude @ insns) term) in
+    let outcome =
+      match Ixp.Simulator.run_single sim with
+      | cycles -> Printf.sprintf "ran in %d cycles" cycles
+      | exception Diag.Compile_error d -> Diag.to_string d
+      | exception e -> Printexc.to_string e
+    in
+    Printf.sprintf "%s after %d instructions" outcome
+      (Ixp.Simulator.insns_executed sim)
+  in
+  let case what expected insns term =
+    Alcotest.(check string) what expected (run insns term)
+  in
+  let stuck m =
+    Printf.sprintf "Ixp.Simulator.Stuck(%S) after 3 instructions" m
+  in
+  let fault m = Printf.sprintf "Ixp.Memory.Fault(%S) after 3 instructions" m in
+  case "bank-M operand" (stuck "direct register access to scratch bank M")
+    [ Insn.Alu { dst = a0; op = Insn.Add; x = m3; y = Insn.Lit 1 } ]
+    Insn.Halt;
+  case "bank-C operand"
+    (stuck "direct register access to the constant bank C")
+    [ Insn.Move { dst = a1; src = c0 } ]
+    Insn.Halt;
+  case "clone" (stuck "clone pseudo-instruction reached simulator")
+    [ Insn.Clone { dsts = [| a1 |]; src = a0 } ]
+    Insn.Halt;
+  case "jump to a missing label"
+    "<unknown location>: error: internal compiler error: Flowgraph: unknown \
+     block nowhere after 2 instructions"
+    [] (Insn.Jump "nowhere");
+  case "bad source before a misaligned address"
+    (stuck "direct register access to scratch bank M")
+    [ Insn.Write { space = Insn.Sram; srcs = [| m3 |]; addr = lit 2 } ]
+    Insn.Halt;
+  case "misaligned address before a bad destination"
+    (fault "sram access at 0x2 violates 4-byte alignment")
+    [ Insn.Read { space = Insn.Sram; dsts = [| c0 |]; addr = lit 2 } ]
+    Insn.Halt;
+  case "two bad operands, the second read first"
+    (stuck "direct register access to the constant bank C")
+    [ Insn.Alu { dst = a0; op = Insn.Add; x = m3; y = Insn.Reg c0 } ]
+    Insn.Halt;
+  case "register number outside its bank"
+    "Invalid_argument(\"index out of bounds\") after 3 instructions"
+    [ Insn.Move { dst = a0; src = { Reg.bank = Bank.L; num = 8 } } ]
+    Insn.Halt;
+  case "branch taken to a missing label"
+    "<unknown location>: error: internal compiler error: Flowgraph: unknown \
+     block gone after 2 instructions"
+    []
+    (Insn.Branch
+       {
+         cond = Insn.Lt;
+         x = a0;
+         y = Insn.Reg a1;
+         ifso = "gone";
+         ifnot = "entry";
+       });
+  case "a CSR write never reads its source"
+    "ran in 3 cycles after 3 instructions"
+    [ Insn.Csr_write { src = m3; csr = "ctx" } ]
+    Insn.Halt;
+  (* a bad block that is never reached costs nothing *)
+  let g = FG.create () in
+  ignore (FG.add_block g ~label:"entry" ~insns:prelude ~term:Insn.Halt);
+  ignore
+    (FG.add_block g ~label:"dead"
+       ~insns:
+         [
+           Insn.Move { dst = a0; src = m3 };
+           Insn.Move { dst = a0; src = c0 };
+           Insn.Clone { dsts = [| a1 |]; src = a0 };
+         ]
+       ~term:(Insn.Jump "nowhere"));
+  let sim = Ixp.Simulator.create g in
+  checki "unreached bad block runs clean" 2 (Ixp.Simulator.run_single sim)
+
 let suites =
   [
     ( "ixp.machine",
@@ -345,6 +499,8 @@ let suites =
         Alcotest.test_case "memory alignment" `Quick test_memory_alignment;
         Alcotest.test_case "bit_test_set" `Quick test_memory_bit_test_set;
         Alcotest.test_case "hash deterministic" `Quick test_memory_hash_deterministic;
+        Alcotest.test_case "copy-on-write pages" `Quick
+          test_memory_copy_on_write;
       ] );
     ( "ixp.analysis",
       [
@@ -364,5 +520,7 @@ let suites =
         Alcotest.test_case "branch loop" `Quick test_simulator_branch_loop;
         Alcotest.test_case "multithread throughput" `Quick
           test_simulator_multithread_throughput;
+        Alcotest.test_case "ill-formed code fails when run" `Quick
+          test_simulator_error_timing;
       ] );
   ]

@@ -668,31 +668,45 @@ let solver () =
 
 (* CI gate: small models under a hard wall-clock ceiling, so a basis or
    pricing regression fails the build rather than just getting slower.
-   With [domains] >= 2 the Kasumi model is additionally solved by the
-   parallel search -- twice, in deterministic mode -- and the gate also
-   fails if the parallel objective disagrees with the sequential one or
-   the deterministic node count does not reproduce. *)
+   AES under a 2 s limit, far short of its proof, must stop with status
+   [limit] within a second of the limit, so a budget the search ignores
+   fails the gate.  With [domains] >= 2 the Kasumi model is additionally
+   solved by the parallel search -- twice, in deterministic mode -- and
+   the gate also fails if the parallel objective disagrees with the
+   sequential one or the deterministic node count does not reproduce. *)
 let solver_smoke ?(domains = 1) () =
   rule
     (if domains >= 2 then
        Printf.sprintf
-         "Solver smoke: Kasumi + random instances (+%d-domain parallel \
-          search) under a hard ceiling"
+         "Solver smoke: Kasumi + random instances + AES budget (+%d-domain \
+          parallel search) under a hard ceiling"
          domains
-     else "Solver smoke: Kasumi + random instances under a hard ceiling");
+     else
+       "Solver smoke: Kasumi + random instances + AES budget under a hard \
+        ceiling");
   let ceiling = 60. in
   let t0 = Unix.gettimeofday () in
   solver_header ();
   let seq = solve_workload_model ~time_limit:50. kasumi in
   let rows = seq :: List.map solve_random_instance [ 1; 2 ] in
   List.iter pp_solver_row rows;
-  let par_failures = ref [] in
+  let failures = ref [] in
+  let budget = 2. in
+  let limited = solve_workload_model ~time_limit:budget aes in
+  pp_solver_row { limited with sb_name = "AES-2s" };
+  if limited.sb_status <> "limit" || limited.sb_total > budget +. 1. then
+    failures :=
+      Printf.sprintf
+        "AES under a %.0f s limit: status %s after %.2f s (want limit within \
+         %.0f s)"
+        budget limited.sb_status limited.sb_total (budget +. 1.)
+      :: !failures;
   if domains >= 2 then begin
     let par name r =
       pp_solver_row { r with sb_name = name };
       if r.sb_status <> "optimal" then
-        par_failures := Printf.sprintf "%s: status %s" name r.sb_status
-                        :: !par_failures;
+        failures :=
+          Printf.sprintf "%s: status %s" name r.sb_status :: !failures;
       r
     in
     let a =
@@ -708,23 +722,23 @@ let solver_smoke ?(domains = 1) () =
            kasumi)
     in
     if Float.abs (a.sb_obj -. seq.sb_obj) > 1e-6 then
-      par_failures :=
+      failures :=
         Printf.sprintf "parallel objective %.6f != sequential %.6f" a.sb_obj
           seq.sb_obj
-        :: !par_failures;
+        :: !failures;
     if a.sb_nodes <> b.sb_nodes || a.sb_iters <> b.sb_iters then
-      par_failures :=
+      failures :=
         Printf.sprintf
           "deterministic run did not reproduce: %d/%d nodes, %d/%d iters"
           a.sb_nodes b.sb_nodes a.sb_iters b.sb_iters
-        :: !par_failures
+        :: !failures
   end;
   let wall = Unix.gettimeofday () -. t0 in
   let all_optimal = List.for_all (fun r -> r.sb_status = "optimal") rows in
   Fmt.pr "smoke wall time: %.2fs (ceiling %.0fs), all optimal: %b@." wall
     ceiling all_optimal;
-  List.iter (fun f -> Fmt.epr "solver-smoke: %s@." f) (List.rev !par_failures);
-  if wall > ceiling || (not all_optimal) || !par_failures <> [] then begin
+  List.iter (fun f -> Fmt.epr "solver-smoke: %s@." f) (List.rev !failures);
+  if wall > ceiling || (not all_optimal) || !failures <> [] then begin
     Fmt.epr "solver-smoke FAILED@.";
     exit 1
   end

@@ -18,7 +18,8 @@
 
    Every lookup runs under a `cache-lookup` trace span and bumps the
    `cache.hit`/`cache.miss` counters; evictions bump `cache.evict`.
-   Corrupt or unreadable files are treated as misses. *)
+   Corrupt or unreadable files are treated as misses, and a file that
+   is not JSON is removed. *)
 
 open Support
 
@@ -120,6 +121,23 @@ let evict_disk t =
 let touch_file file =
   try Unix.utimes file 0. 0. with Unix.Unix_error _ -> ()
 
+(* The artifact in [file]; [None] if it cannot be read (missing, gone
+   since, a directory) or is not JSON, in which case it is removed. *)
+let read_artifact file =
+  match
+    let ic = open_in_bin file in
+    Fun.protect
+      ~finally:(fun () -> close_in ic)
+      (fun () -> really_input_string ic (in_channel_length ic))
+  with
+  | exception (Sys_error _ | End_of_file) -> None
+  | s -> (
+      match Json.parse s with
+      | Ok d -> Some d
+      | Error _ ->
+          (try Sys.remove file with Sys_error _ -> ());
+          None)
+
 let lookup t ~stage ~key : Json.t option =
   Trace.with_span "cache-lookup"
     ~args:[ ("stage", Trace.Str stage); ("key", Trace.Str key) ]
@@ -133,19 +151,7 @@ let lookup t ~stage ~key : Json.t option =
       Some e.e_doc
   | None -> (
       let file = path t ~stage ~key in
-      let doc =
-        if Sys.file_exists file then begin
-          let ic = open_in_bin file in
-          let s =
-            Fun.protect
-              ~finally:(fun () -> close_in ic)
-              (fun () -> really_input_string ic (in_channel_length ic))
-          in
-          match Json.parse s with Ok d -> Some d | Error _ -> None
-        end
-        else None
-      in
-      match doc with
+      match read_artifact file with
       | Some d ->
           touch_file file;
           t.tick <- t.tick + 1;

@@ -56,15 +56,23 @@ type t = {
      only these variables need their placement re-checked and x_B
      shifted by one FTRAN column each *)
   mutable bound_deltas : (int * float) list;
-  rho : float array; (* workspace: BTRAN pivot row, length m *)
+  rho : float array; (* workspace: BTRAN pivot row, length m; zero
+                        between iterations *)
   wcol : float array; (* workspace: FTRAN entering column, length m *)
   rho_nz : int array; (* workspace: nonzero positions of [rho] *)
-  w_nz : int array; (* workspace: nonzero positions of [wcol] *)
+  w_nz : int array; (* workspace: nonzero positions of [wcol], ... *)
+  mutable nw : int; (* ... the first [nw] *)
   alpha : float array; (* workspace: pivot row, length n+m; zero between
                           iterations *)
   in_row : bool array; (* workspace: column is listed in [row_cols] *)
   row_cols : int array; (* workspace: columns the pivot row touched *)
   dw : float array; (* devex reference weights, one per basis row *)
+  (* Pricing candidates: the first [ncand] entries of [cand] list the
+     rows whose x_B changed since pricing last found them feasible, and
+     [in_cand] marks them.  Every infeasible row is listed. *)
+  cand : int array;
+  in_cand : bool array;
+  mutable ncand : int;
   mutable iters : int;
   mutable total_iters : int;
   mutable factorizations : int;
@@ -176,10 +184,14 @@ let create (p : Problem.t) =
     wcol = Array.make m 0.;
     rho_nz = Array.make m 0;
     w_nz = Array.make m 0;
+    nw = 0;
     alpha = Array.make nm 0.;
     in_row = Array.make nm false;
     row_cols = Array.make nm 0;
     dw = Array.make m 1.;
+    cand = Array.make m 0;
+    in_cand = Array.make m false;
+    ncand = 0;
     iters = 0;
     total_iters = 0;
     factorizations = 0;
@@ -201,6 +213,33 @@ let refactorize t =
   | lu -> t.lu <- lu
   | exception Sparse_lu.Singular -> failwith "Revised.refactorize: singular basis"
 
+(* The positions of [v]'s nonzeros, for a solve's right-hand side. *)
+let nonzero_list v =
+  let nz = Array.make (Array.length v) 0 and n = ref 0 in
+  Array.iteri
+    (fun i x ->
+      if x <> 0. then begin
+        nz.(!n) <- i;
+        incr n
+      end)
+    v;
+  (nz, !n)
+
+(* List every row as a pricing candidate. *)
+let all_candidates t =
+  for i = 0 to t.m - 1 do
+    t.cand.(i) <- i;
+    t.in_cand.(i) <- true
+  done;
+  t.ncand <- t.m
+
+let add_candidate t i =
+  if not t.in_cand.(i) then begin
+    t.in_cand.(i) <- true;
+    t.cand.(t.ncand) <- i;
+    t.ncand <- t.ncand + 1
+  end
+
 (* Recompute x_B = Binv (b - N x_N) from scratch. *)
 let recompute_xb t =
   Array.blit t.rhs 0 t.xb 0 t.m;
@@ -214,7 +253,8 @@ let recompute_xb t =
         done
     end
   done;
-  Sparse_lu.ftran t.lu t.xb;
+  let nz, n = nonzero_list t.xb in
+  ignore (Sparse_lu.ftran t.lu t.xb nz n);
   t.xb_fresh <- true
 
 (* Dual values and reduced costs for all variables, from one BTRAN. *)
@@ -223,7 +263,8 @@ let refresh_dvals t =
   for i = 0 to t.m - 1 do
     y.(i) <- t.cost.(t.basis.(i))
   done;
-  Sparse_lu.btran t.lu y;
+  let nz, n = nonzero_list y in
+  ignore (Sparse_lu.btran t.lu y nz n);
   for j = 0 to t.n + t.m - 1 do
     if t.in_basis.(j) >= 0 then t.dvals.(j) <- 0.
     else begin
@@ -255,13 +296,19 @@ let fix_placement t j =
     end
   end
 
-(* FTRAN of the sparse column of variable [q] into the [wcol] workspace. *)
+(* FTRAN of the sparse column of variable [q] into the [wcol] workspace,
+   its nonzero positions into [w_nz]. *)
 let ftran_col t q =
-  Array.fill t.wcol 0 t.m 0.;
-  for p = t.col_start.(q) to t.col_start.(q + 1) - 1 do
-    t.wcol.(t.col_row.(p)) <- t.col_val.(p)
+  for k = 0 to t.nw - 1 do
+    t.wcol.(t.w_nz.(k)) <- 0.
   done;
-  Sparse_lu.ftran t.lu t.wcol
+  let n = ref 0 in
+  for p = t.col_start.(q) to t.col_start.(q + 1) - 1 do
+    t.wcol.(t.col_row.(p)) <- t.col_val.(p);
+    t.w_nz.(!n) <- t.col_row.(p);
+    incr n
+  done;
+  t.nw <- Sparse_lu.ftran t.lu t.wcol t.w_nz !n
 
 let set_bounds t j ~lo ~hi =
   if j < 0 || j >= t.n then invalid_arg "Revised.set_bounds";
@@ -298,15 +345,29 @@ let m_alpha_nnz = Support.Metrics.counter "lp.simplex.alpha_nnz"
 let m_w_nnz = Support.Metrics.counter "lp.simplex.w_nnz"
 let m_row_reads = Support.Metrics.counter "lp.simplex.row_reads"
 
-(* Zero the pivot-row workspace at the columns in [cols]. *)
-let clear_pivot_row t cols =
-  Array.iter
-    (fun j ->
-      t.alpha.(j) <- 0.;
-      t.in_row.(j) <- false)
-    cols
+(* The L, U, eta and eta-index entries FTRAN and BTRAN read, search
+   edges included, added once per solve. *)
+let m_solve_reads = Support.Metrics.counter "lp.lu.solve_reads"
+
+(* Zero the pivot-row workspace at the [n] columns in [row_cols]. *)
+let clear_pivot_row t n =
+  for k = 0 to n - 1 do
+    let j = t.row_cols.(k) in
+    t.alpha.(j) <- 0.;
+    t.in_row.(j) <- false
+  done
 
 let solve ?(max_iters = 200_000) t =
+  let lu_reads = ref 0 in
+  (* Refactorize, recompute x_B and the duals from the fresh factors,
+     and list every row for pricing. *)
+  let refresh () =
+    lu_reads := !lu_reads + Sparse_lu.take_reads t.lu;
+    refactorize t;
+    recompute_xb t;
+    refresh_dvals t;
+    all_candidates t
+  in
   if not t.dvals_fresh then refresh_dvals t;
   (* Incremental restart: re-place the variables whose bounds changed,
      then shift x_B by the net value changes (one FTRAN each). *)
@@ -319,7 +380,8 @@ let solve ?(max_iters = 200_000) t =
           let delta = new_value -. old_value in
           if Float.abs delta > 1e-13 then begin
             ftran_col t j;
-            for i = 0 to t.m - 1 do
+            for k = 0 to t.nw - 1 do
+              let i = t.w_nz.(k) in
               t.xb.(i) <- t.xb.(i) -. (delta *. t.wcol.(i))
             done
           end
@@ -330,6 +392,7 @@ let solve ?(max_iters = 200_000) t =
     recompute_xb t
   end;
   t.bound_deltas <- [];
+  all_candidates t;
   t.iters <- 0;
   let price_s = ref 0. and btran_s = ref 0. and row_s = ref 0. in
   let ftran_s = ref 0. and update_s = ref 0. in
@@ -341,11 +404,7 @@ let solve ?(max_iters = 200_000) t =
        if t.iters >= max_iters then raise (Done Iteration_limit);
        t.iters <- t.iters + 1;
        t.total_iters <- t.total_iters + 1;
-       if Sparse_lu.should_refactorize t.lu then begin
-         refactorize t;
-         recompute_xb t;
-         refresh_dvals t
-       end;
+       if Sparse_lu.should_refactorize t.lu then refresh ();
        let t0 = Clock.now () in
        (* Leaving variable: dual Devex pricing (Forrest-Goldfarb
           reference-framework weights, an approximation of steepest
@@ -355,7 +414,12 @@ let solve ?(max_iters = 200_000) t =
        let r = ref (-1) in
        let best_score = ref 0. in
        let sigma = ref 1.0 in
-       for i = 0 to t.m - 1 do
+       (* Only listed rows can be infeasible; a feasible one leaves the
+          list.  The lowest row wins a tie, as in a sweep over every
+          row by increasing index. *)
+       let cand = t.cand and k = ref 0 in
+       while !k < t.ncand do
+         let i = Array.unsafe_get cand !k in
          let v = Array.unsafe_get t.basis i in
          let x = Array.unsafe_get t.xb i in
          let above = x > t.hi.(v) +. feas_tol in
@@ -366,11 +430,17 @@ let solve ?(max_iters = 200_000) t =
          in
          if infeas > feas_tol then begin
            let score = infeas *. infeas /. Array.unsafe_get t.dw i in
-           if score > !best_score then begin
+           if score > !best_score || (score = !best_score && i < !r) then begin
              r := i;
              best_score := score;
              sigma := if above then 1.0 else -1.0
-           end
+           end;
+           incr k
+         end
+         else begin
+           t.in_cand.(i) <- false;
+           t.ncand <- t.ncand - 1;
+           Array.unsafe_set cand !k (Array.unsafe_get cand t.ncand)
          end
        done;
        let t1 = Clock.now () in
@@ -379,16 +449,15 @@ let solve ?(max_iters = 200_000) t =
        let r = !r and sigma = !sigma in
        (* Pivot row of Binv: rho = e_r' Binv via one sparse BTRAN. *)
        let rho = t.rho in
-       Array.fill rho 0 t.m 0.;
        rho.(r) <- 1.0;
-       Sparse_lu.btran t.lu rho;
+       t.rho_nz.(0) <- r;
+       let nrho = Sparse_lu.btran t.lu rho t.rho_nz 1 in
        let t2 = Clock.now () in
        btran_s := !btran_s +. (t2 -. t1);
        (* Pivot row alpha_j = rho . a_j over the rows with rho_i <> 0,
           in increasing row order: each alpha_j adds the same nonzero
           products in the same order as a dot product down column j,
           and every column no such row reaches has alpha_j = 0. *)
-       let nrho = Sparse_lu.nonzeros rho t.rho_nz in
        rho_nnz := !rho_nnz + nrho;
        let ntouched = ref 0 in
        for k = 0 to nrho - 1 do
@@ -407,15 +476,19 @@ let solve ?(max_iters = 200_000) t =
              +. (rho_i *. Array.unsafe_get t.row_val p))
          done
        done;
+       for k = 0 to nrho - 1 do
+         Array.unsafe_set rho (Array.unsafe_get t.rho_nz k) 0.
+       done;
        (* The ratio test breaks near-ties by scan order, so it scans the
-          touched columns in increasing index order. *)
-       let cols = Array.sub row_cols 0 !ntouched in
-       Array.sort Int.compare cols;
+          touched columns in increasing index order: sorted when they
+          are few, gathered by a scan of [in_row] when they are many. *)
+       let ncols = !ntouched in
+       Sparse_lu.ascending row_cols ncols (t.n + t.m) (fun j -> in_row.(j));
        let best_j = ref (-1) in
        let best_ratio = ref infinity in
        let best_alpha = ref 0. in
-       for k = 0 to Array.length cols - 1 do
-         let j = Array.unsafe_get cols k in
+       for k = 0 to ncols - 1 do
+         let j = Array.unsafe_get row_cols k in
          if t.in_basis.(j) < 0 then begin
            let alpha_j = Array.unsafe_get alpha j in
            if alpha_j <> 0. then incr alpha_nnz;
@@ -443,40 +516,37 @@ let solve ?(max_iters = 200_000) t =
        let t3 = Clock.now () in
        row_s := !row_s +. (t3 -. t2);
        if !best_j < 0 then begin
-         clear_pivot_row t cols;
+         clear_pivot_row t ncols;
          raise (Done Infeasible)
        end;
        let q = !best_j in
        (* Full entering column. *)
        ftran_col t q;
-       let w = t.wcol in
-       let nw = Sparse_lu.nonzeros w t.w_nz in
+       let w = t.wcol and nw = t.nw in
        w_nnz := !w_nnz + nw;
        let t4 = Clock.now () in
        ftran_s := !ftran_s +. (t4 -. t3);
        if Float.abs w.(r) < pivot_tol then begin
-         clear_pivot_row t cols;
+         clear_pivot_row t ncols;
          (* The FTRAN image disagrees with the BTRAN-side alpha: the
             factors have drifted.  Refactorize and redo the iteration. *)
          if Sparse_lu.n_etas t.lu = 0 then
            failwith "Revised.solve: numerically singular pivot";
-         refactorize t;
-         recompute_xb t;
-         refresh_dvals t
+         refresh ()
        end
        else begin
          (* incremental dual update: d_j -= (d_q / alpha_q) * alpha_j;
             it leaves the columns outside the pivot row unchanged *)
          let theta = t.dvals.(q) /. alpha.(q) in
          if theta <> 0. then
-           for k = 0 to Array.length cols - 1 do
-             let j = Array.unsafe_get cols k in
+           for k = 0 to ncols - 1 do
+             let j = Array.unsafe_get row_cols k in
              if t.in_basis.(j) < 0 && j <> q then
                Array.unsafe_set t.dvals j
                  (Array.unsafe_get t.dvals j
                  -. (theta *. Array.unsafe_get alpha j))
            done;
-         clear_pivot_row t cols;
+         clear_pivot_row t ncols;
          let wr = w.(r) in
          let leaving = t.basis.(r) in
          let target =
@@ -486,7 +556,8 @@ let solve ?(max_iters = 200_000) t =
          (* Update basic values. *)
          for k = 0 to nw - 1 do
            let i = Array.unsafe_get t.w_nz k in
-           t.xb.(i) <- t.xb.(i) -. (step *. w.(i))
+           t.xb.(i) <- t.xb.(i) -. (step *. w.(i));
+           add_candidate t i
          done;
          let entering_old = nonbasic_value t q in
          (* Absorb the basis change as a product-form eta. *)
@@ -497,6 +568,7 @@ let solve ?(max_iters = 200_000) t =
          t.in_basis.(leaving) <- -1;
          t.at_upper.(leaving) <- sigma > 0.;
          t.xb.(r) <- entering_old +. step;
+         add_candidate t r;
          t.dvals.(leaving) <- -.theta;
          t.dvals.(q) <- 0.;
          (* Forrest-Goldfarb dual devex update: with gamma_r the old
@@ -534,6 +606,8 @@ let solve ?(max_iters = 200_000) t =
      Support.Metrics.add m_alpha_nnz !alpha_nnz;
      Support.Metrics.add m_w_nnz !w_nnz;
      Support.Metrics.add m_row_reads !row_reads;
+     Support.Metrics.add m_solve_reads
+       (!lu_reads + Sparse_lu.take_reads t.lu);
      s)
 
 let primal t =

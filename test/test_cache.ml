@@ -121,6 +121,38 @@ let test_store_disk_lru () =
   checkb "a, used since b was written, survives" true (on_disk "a");
   checkb "b, least recently used, is evicted" false (on_disk "b")
 
+(* A directory where an artifact should be cannot be read: the lookup
+   is a miss, not an exception. *)
+let test_store_directory_artifact () =
+  let store = Cache.Store.create ~dir:(fresh_dir ()) () in
+  let key = Cache.Key.text "dir" in
+  Unix.mkdir (Cache.Store.path store ~stage:"s" ~key) 0o755;
+  let misses = Support.Metrics.counter "cache.miss" in
+  let misses0 = Support.Metrics.counter_value misses in
+  checkb "directory is a miss" true
+    (Cache.Store.lookup store ~stage:"s" ~key = None);
+  checki "miss counted" 1 (Support.Metrics.counter_value misses - misses0)
+
+(* A truncated artifact is a miss and is removed, so the next lookup
+   does not parse it again and a fresh store of the key hits. *)
+let test_store_truncated_artifact () =
+  let store = Cache.Store.create ~dir:(fresh_dir ()) () in
+  let key = Cache.Key.text "cut" in
+  let doc = Support.Json.Obj [ ("answer", Support.Json.Num 42.) ] in
+  Cache.Store.store store ~stage:"s" ~key doc;
+  Cache.Store.clear_memory store;
+  let file = Cache.Store.path store ~stage:"s" ~key in
+  let text = In_channel.with_open_bin file In_channel.input_all in
+  Out_channel.with_open_bin file (fun oc ->
+      output_string oc (String.sub text 0 (String.length text / 2)));
+  checkb "truncated artifact is a miss" true
+    (Cache.Store.lookup store ~stage:"s" ~key = None);
+  checkb "truncated artifact removed" false (Sys.file_exists file);
+  Cache.Store.store store ~stage:"s" ~key doc;
+  Cache.Store.clear_memory store;
+  checkb "stored again, it hits" true
+    (Cache.Store.lookup store ~stage:"s" ~key = Some doc)
+
 (* ---------------- model fingerprints ---------------- *)
 
 let small_src =
@@ -345,6 +377,10 @@ let suites =
         Alcotest.test_case "head pointers" `Quick test_store_head_pointer;
         Alcotest.test_case "disk tier evicts least recently used" `Quick
           test_store_disk_lru;
+        Alcotest.test_case "directory in place of an artifact" `Quick
+          test_store_directory_artifact;
+        Alcotest.test_case "truncated artifact removed" `Quick
+          test_store_truncated_artifact;
       ] );
     ( "cache.fingerprint",
       [

@@ -765,14 +765,61 @@ let factorize cols =
   Sparse_lu.factorize (Array.length cols) (fun j f ->
       Array.iter (fun (i, v) -> f i v) cols.(j))
 
+(* Run the hypersparse [solve] on a copy of the dense vector [v], its
+   nonzeros listed by a scan; returns the result and the positions the
+   solve listed. *)
+let hyper solve lu v =
+  let x = Array.copy v in
+  let nz = Array.make (Array.length v) 0 in
+  let n = solve lu x nz (Dense_solves.nonzeros x nz) in
+  (x, Array.sub nz 0 n)
+
+(* On random sparse right-hand sides of 1, up to 8 and up to m/3
+   entries, FTRAN and BTRAN must equal the dense passes of
+   [Dense_solves] on every entry under [=] (so only a zero's sign may
+   differ), and list exactly the result's nonzeros, ascending. *)
+let check_exact ~tag rs lu =
+  let m = lu.Sparse_lu.m in
+  List.iter
+    (fun k ->
+      let v = Array.make m 0. in
+      for _ = 1 to k do
+        v.(Random.State.int rs m) <- Random.State.float rs 4. -. 2.
+      done;
+      List.iter
+        (fun (what, solve, dense) ->
+          let x, listed = hyper solve lu v in
+          let y = Array.copy v in
+          dense { lu with Sparse_lu.ws = Array.make m 0. } y;
+          Array.iteri
+            (fun i xi ->
+              if not (xi = y.(i)) then
+                Alcotest.failf
+                  "%s: %s differs from the dense pass at %d: %h vs %h" tag
+                  what i xi y.(i))
+            x;
+          let nz = Array.make m 0 in
+          let n = Dense_solves.nonzeros x nz in
+          if Array.sub nz 0 n <> listed then
+            Alcotest.failf
+              "%s: %s listed %d positions, not its %d nonzeros ascending" tag
+              what (Array.length listed) n)
+        [
+          ("ftran", Sparse_lu.ftran, Dense_solves.ftran);
+          ("btran", Sparse_lu.btran, Dense_solves.btran);
+        ])
+    [ 1; 1 + Random.State.int rs 8; 1 + Random.State.int rs ((m / 3) + 1) ]
+
 (* FTRAN and BTRAN must invert a multiply by the basis [cols] (one
    sparse column per basis position), both on the base factors and
    after each of [updates] product-form eta updates, which replace a
-   random position [r] by [fresh_col r].  Returns the number of updates
-   the kernel refused as singular. *)
+   random position [r] by [fresh_col r]; and they must equal the dense
+   passes exactly ([check_exact], on a random stream of its own).
+   Returns the number of updates the kernel refused as singular. *)
 let lu_roundtrip st ~tag cols ~fresh_col ~updates =
   let m = Array.length cols in
   let lu = factorize cols in
+  let rs = Random.State.make [| 19; m |] in
   let mat_vec x =
     let b = Array.make m 0. in
     Array.iteri
@@ -797,27 +844,22 @@ let lu_roundtrip st ~tag cols ~fresh_col ~updates =
         got
     in
     let x_true = Array.init m (fun _ -> Random.State.float st 4. -. 2.) in
-    let b = mat_vec x_true in
-    Sparse_lu.ftran lu b;
-    expect "ftran" x_true b;
+    expect "ftran" x_true (fst (hyper Sparse_lu.ftran lu (mat_vec x_true)));
     let y_true = Array.init m (fun _ -> Random.State.float st 4. -. 2.) in
-    let c = mat_tvec y_true in
-    Sparse_lu.btran lu c;
-    expect "btran" y_true c
+    expect "btran" y_true (fst (hyper Sparse_lu.btran lu (mat_tvec y_true)));
+    check_exact ~tag:(tag ^ " " ^ stage) rs lu
   in
   check_roundtrip "base";
   let refused = ref 0 in
   for _u = 1 to updates do
     let r = Random.State.int st m in
     let newcol = fresh_col r in
-    let w = Array.make m 0. in
-    Array.iter (fun (i, v) -> w.(i) <- w.(i) +. v) newcol;
-    Sparse_lu.ftran lu w;
+    let a = Array.make m 0. in
+    Array.iter (fun (i, v) -> a.(i) <- a.(i) +. v) newcol;
+    let w, nz = hyper Sparse_lu.ftran lu a in
     (* the random replacement can make B singular; the kernel must
        refuse it, and skipping keeps the reference basis in sync *)
-    let nz = Array.make m 0 in
-    let nnz = Sparse_lu.nonzeros w nz in
-    match Sparse_lu.update lu ~r ~w ~nz ~nnz with
+    match Sparse_lu.update lu ~r ~w ~nz ~nnz:(Array.length nz) with
     | () ->
         cols.(r) <- newcol;
         check_roundtrip "eta"
@@ -915,6 +957,35 @@ let test_sparse_lu_roundtrip () =
   in
   checkb "some slack-heavy updates refused" true (refused > 0)
 
+(* [Sparse_lu.sort_prefix] orders the solves' index lists and the
+   factorization's keys (a quicksort into runs, then one insertion
+   pass).  Against [Array.sort]: random prefixes with repeats, ascending,
+   descending and organ-pipe inputs; entries past the prefix stay. *)
+let test_sort_prefix () =
+  let st = Random.State.make [| 23 |] in
+  let check what a n =
+    let want = Array.sub a 0 n and got = Array.copy a in
+    Array.sort Int.compare want;
+    Sparse_lu.sort_prefix got n;
+    if Array.sub got 0 n <> want then
+      Alcotest.failf "%s (n = %d): not sorted" what n;
+    let rest x = Array.sub x n (Array.length a - n) in
+    if rest got <> rest a then
+      Alcotest.failf "%s (n = %d): entries past the prefix moved" what n
+  in
+  for n = 0 to 300 do
+    check "repeats"
+      (Array.init (n + 5) (fun _ -> Random.State.int st (1 + (n / 2))))
+      n
+  done;
+  List.iter
+    (fun n ->
+      check "ascending" (Array.init n (fun i -> i)) n;
+      check "descending" (Array.init n (fun i -> n - i)) n;
+      check "organ pipe" (Array.init n (fun i -> min i (n - i))) n;
+      check "random" (Array.init n (fun _ -> Random.State.int st 1_000_000)) n)
+    [ 17; 100; 1000; 5000 ]
+
 (* The Markowitz search reads a bounded number of column entries per
    pivot, so a 50 000-row basis of unit columns plus short structural
    columns factors in a fraction of a second.  A search that re-read the
@@ -943,12 +1014,11 @@ let test_sparse_lu_scale () =
   (* and the factors solve: B x = B 1 gives x = 1 *)
   let b = Array.make m 0. in
   Array.iter (Array.iter (fun (i, v) -> b.(i) <- b.(i) +. v)) cols;
-  Sparse_lu.ftran lu b;
   Array.iteri
     (fun i v ->
       if Float.abs (v -. 1.) > 1e-9 then
         Alcotest.failf "ftran drift %g at %d" (Float.abs (v -. 1.)) i)
-    b
+    (fst (hyper Sparse_lu.ftran lu b))
 
 (* [Sparse_lu.factorize] keeps the active submatrix in flat arrays but
    must reproduce the Hashtbl reference ([Lu_reference]) exactly: the
@@ -1128,18 +1198,37 @@ let test_revised_pivot_row_hypersparse () =
     else Problem.add_row p Problem.Le 1. terms
   done;
   let nnz = (Problem.stats p).Problem.n_nonzeros in
-  let reads = Support.Metrics.counter "lp.simplex.row_reads" in
-  let reads0 = Support.Metrics.counter_value reads in
+  let counter = Support.Metrics.counter in
+  let reads = counter "lp.simplex.row_reads" in
+  let lu_reads = counter "lp.lu.solve_reads" in
+  let u_nnz = counter "lp.lu.u_nnz" in
+  let refactorizations = counter "lp.lu.refactorizations" in
+  let value = Support.Metrics.counter_value in
+  let reads0 = value reads and lu_reads0 = value lu_reads in
+  let u_nnz0 = value u_nnz and refactorizations0 = value refactorizations in
   let lp = Revised.create p in
   checkb "optimal" true (Revised.solve lp = Revised.Optimal);
-  let read = Support.Metrics.counter_value reads - reads0 in
+  let read = value reads - reads0 in
   let iters = Revised.iterations lp in
   checkb "the covering rows take hundreds of pivots" true (iters >= 200);
   if 1000 * read > iters * nnz then
     Alcotest.failf
       "pivot-row pass read %d row entries in %d iterations (nnz(A) = %d, \
        limit 0.1%% of iterations x nnz(A))"
-      read iters nnz
+      read iters nnz;
+  (* FTRAN and BTRAN read the factor and eta entries their right-hand
+     sides reach: a small share of one pass over the rows and U per
+     iteration.  U is its mean size over the factorizations, the first
+     included. *)
+  let lu_read = value lu_reads - lu_reads0 in
+  let u =
+    (value u_nnz - u_nnz0) / (value refactorizations - refactorizations0 + 1)
+  in
+  if 100 * lu_read > iters * (m + u) then
+    Alcotest.failf
+      "FTRAN and BTRAN read %d entries in %d iterations (m = %d, mean \
+       nnz(U) = %d, limit 1%% of iterations x (m + nnz(U)))"
+      lu_read iters m u
 
 (* ------------------------------------------------------------------ *)
 (* Seeded float-vs-rational cross-check (larger LPs)                   *)
@@ -1469,6 +1558,8 @@ let suites =
         Alcotest.test_case "sparse LU roundtrip" `Quick test_sparse_lu_roundtrip;
         Alcotest.test_case "sparse LU scales linearly" `Quick
           test_sparse_lu_scale;
+        Alcotest.test_case "index sort matches Array.sort" `Quick
+          test_sort_prefix;
         Alcotest.test_case "sparse LU matches the Hashtbl reference" `Quick
           test_sparse_lu_reference;
         Alcotest.test_case "pivot row reads only rho's rows" `Quick

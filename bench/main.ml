@@ -1,23 +1,12 @@
 (* Benchmark harness: regenerates every table and figure from the paper's
-   evaluation (§11).  See EXPERIMENTS.md for paper-vs-measured records.
+   evaluation (§11) and runs the CI smoke gates.  See EXPERIMENTS.md for
+   paper-vs-measured records; timings with medians and verdicts come
+   from perfbench/.
 
-     dune exec bench/main.exe -- all          every experiment
-     dune exec bench/main.exe -- figure5      static program statistics
-     dune exec bench/main.exe -- figure6      AMPL coloring statistics
-     dune exec bench/main.exe -- figure7      solver statistics
-     dune exec bench/main.exe -- throughput   Mbit/s payload sweep
-     dune exec bench/main.exe -- rates        chip-level forwarding rates
-     dune exec bench/main.exe -- rates-smoke  fast variant for CI
-     dune exec bench/main.exe -- solver       MIP engine perf (BENCH_solver.json)
-     dune exec bench/main.exe -- solver-smoke CI gate with a hard time ceiling
-                                              (--solver-domains N adds parallel legs)
-     dune exec bench/main.exe -- solver-scaling  wall time vs worker domains
-     dune exec bench/main.exe -- pipeline     per-stage wall times (BENCH_pipeline.json)
-     dune exec bench/main.exe -- pipeline-gate CI regression gate vs that baseline
-     dune exec bench/main.exe -- ablation     spill-feasibility objective
-     dune exec bench/main.exe -- baseline     ILP vs heuristic allocator
-     dune exec bench/main.exe -- pruning      §8 model-size reductions
-     dune exec bench/main.exe -- time         bechamel micro-benchmarks *)
+     dune exec bench/main.exe -- COMMAND
+
+   The command table at the end of this file lists every COMMAND with a
+   one-line description; an unknown one prints it. *)
 
 open Workbench
 
@@ -515,9 +504,7 @@ let remat () =
 
 (* Root-LP and integer solve times on the paper models under the example
    budgets (120 s / 20k nodes), plus seeded random 0-1 instances.
-   Writes BENCH_solver.json with the measured numbers next to the seed
-   revision's baseline (dense explicit inverse, depth-first dive, no
-   cuts, no heuristic) so the perf trajectory is recorded. *)
+   EXPERIMENTS.md records them next to the seed revision's. *)
 
 type solver_row = {
   sb_name : string;
@@ -532,26 +519,20 @@ type solver_row = {
   sb_heur : int;
 }
 
-(* measured at the seed revision with the same budgets *)
-let solver_seed_baseline =
-  [
-    ("Kasumi", ("optimal", 0.09, 0.10, 0.19, 1, 534));
-    ("AES", ("limit", 0.18, 4.44, 122.14, 989, 11896));
-    ("NAT", ("limit", 4.16, 56.15, 124.78, 125, 4033));
-  ]
-
 let solver_status_string = function
   | Lp.Mip.Optimal -> "optimal"
   | Lp.Mip.Infeasible -> "infeasible"
   | Lp.Mip.Limit -> "limit"
 
-let solve_workload_model ?(time_limit = 120.) ?(node_limit = 20_000)
-    ?(domains = 1) ?(deterministic = false) w =
+let solve_workload_model ?(time_limit = 120.) ?(domains = 1)
+    ?(deterministic = false) w =
   let f = front w in
   let mg = Regalloc.Modelgen.build ~allow_spill:false f.Regalloc.Driver.f_graph in
   let ilp = Regalloc.Ilp.build mg in
   let p = ilp.Regalloc.Ilp.instance.Ampl.Model.problem in
-  let r = Lp.Mip.solve ~time_limit ~node_limit ~domains ~deterministic p in
+  let r =
+    Lp.Mip.solve ~time_limit ~node_limit:20_000 ~domains ~deterministic p
+  in
   let s = r.Lp.Mip.stats in
   {
     sb_name = w.name;
@@ -612,41 +593,6 @@ let pp_solver_row r =
     r.sb_name r.sb_status r.sb_obj r.sb_bound r.sb_root r.sb_total r.sb_nodes
     r.sb_iters r.sb_cuts r.sb_heur
 
-let solver_json_row buf r =
-  Buffer.add_string buf
-    (Printf.sprintf
-       "    { \"name\": %S, \"status\": %S, \"objective\": %.6f, \
-        \"best_bound\": %.6f, \"root_s\": %.3f, \"total_s\": %.3f, \
-        \"nodes\": %d, \"iterations\": %d, \"cuts\": %d, \
-        \"heuristic_incumbents\": %d }"
-       r.sb_name r.sb_status r.sb_obj r.sb_bound r.sb_root r.sb_total
-       r.sb_nodes r.sb_iters r.sb_cuts r.sb_heur)
-
-let write_solver_json rows =
-  let buf = Buffer.create 2048 in
-  Buffer.add_string buf "{\n  \"baseline_seed\": [\n";
-  List.iteri
-    (fun i (name, (status, obj, root, total, nodes, iters)) ->
-      if i > 0 then Buffer.add_string buf ",\n";
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    { \"name\": %S, \"status\": %S, \"objective\": %.6f, \
-            \"root_s\": %.3f, \"total_s\": %.3f, \"nodes\": %d, \
-            \"iterations\": %d }"
-           name status obj root total nodes iters))
-    solver_seed_baseline;
-  Buffer.add_string buf "\n  ],\n  \"current\": [\n";
-  List.iteri
-    (fun i r ->
-      if i > 0 then Buffer.add_string buf ",\n";
-      solver_json_row buf r)
-    rows;
-  Buffer.add_string buf "\n  ]\n}\n";
-  let oc = open_out "BENCH_solver.json" in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Fmt.pr "wrote BENCH_solver.json@."
-
 let solver_header () =
   Fmt.pr "%-8s | %-8s | %10s %10s | %7s %7s | %6s %7s | %4s %4s@." "" "status"
     "objective" "bound" "root(s)" "tot(s)" "nodes" "iters" "cuts" "heur"
@@ -654,17 +600,10 @@ let solver_header () =
 let solver () =
   rule "Solver: root-LP + integer solve times (120 s / 20k node budgets)";
   solver_header ();
-  let rows = List.map solve_workload_model [ kasumi; aes; nat ] in
-  List.iter pp_solver_row rows;
-  let rand_rows = List.map solve_random_instance [ 1; 2; 3 ] in
-  List.iter pp_solver_row rand_rows;
   List.iter
-    (fun (name, (status, obj, root, total, nodes, iters)) ->
-      Fmt.pr
-        "%-8s | %-8s | %10.4f %10s | %7.2f %7.2f | %6d %7d   (seed baseline)@."
-        name status obj "-" root total nodes iters)
-    solver_seed_baseline;
-  write_solver_json (rows @ rand_rows)
+    (fun w -> pp_solver_row (solve_workload_model w))
+    [ kasumi; aes; nat ];
+  List.iter (fun s -> pp_solver_row (solve_random_instance s)) [ 1; 2; 3 ]
 
 (* CI gate: small models under a hard wall-clock ceiling, so a basis or
    pricing regression fails the build rather than just getting slower.
@@ -770,295 +709,19 @@ let solver_scaling () =
         [ (1, false); (2, false); (2, true); (4, false); (8, false) ])
     [ aes; nat ]
 
-(* ---------------- pipeline bench + CI regression gate ---------------- *)
-
-(* Per-stage wall times for the full compile pipeline on the three paper
-   workloads, measured through the [Support.Trace] spans the pipeline
-   itself emits.  The solver runs under a node budget (deterministic,
-   unlike a wall-clock cutoff), so node/iteration counts reproduce
-   exactly and stage times are comparable across runs of the same code.
-
-     pipeline       writes BENCH_pipeline.json (the checked-in baseline)
-                    and a Perfetto trace per workload
-     pipeline-gate  re-measures and fails (exit 1) if any stage slowed
-                    down by more than the tolerance versus the baseline,
-                    or if a deterministic counter drifted *)
-
-let pipeline_node_limit = 128
-
-type pipe_row = {
-  pl_name : string;
-  pl_stages : (string * float) list; (* span name -> inclusive seconds *)
-  pl_nodes : int;
-  pl_iters : int;
-  pl_moves : int;
-  pl_outcome : string;
-  pl_warm : bool; (* solve was warm-started (node counts not comparable) *)
-}
-
-let measure_pipeline (w : workload) =
-  Support.Metrics.reset ();
-  Support.Trace.enable ();
-  let options =
-    {
-      Regalloc.Driver.default_options with
-      time_limit = 1e9;
-      node_limit = pipeline_node_limit;
-    }
-  in
-  let c = Regalloc.Driver.compile ~options ~file:(w.name ^ ".nova") w.source in
-  Support.Trace.disable ();
-  let trace_file =
-    artifact
-      (Printf.sprintf "trace_pipeline_%s.json" (String.lowercase_ascii w.name))
-  in
-  Support.Trace.write trace_file;
-  let s = c.Regalloc.Driver.stats in
-  let nodes, iters, warm =
-    match s.Regalloc.Driver.mip with
-    | Some m -> (m.Lp.Mip.nodes, m.Lp.Mip.simplex_iterations,
-                 m.Lp.Mip.warm_start_used)
-    | None -> (0, 0, false)
-  in
-  let outcome =
-    match s.Regalloc.Driver.solver_outcome with
-    | Regalloc.Driver.Outcome_optimal -> "optimal"
-    | Regalloc.Driver.Outcome_incumbent -> "incumbent"
-    | Regalloc.Driver.Outcome_fallback -> "fallback"
-    | Regalloc.Driver.Outcome_heuristic -> "heuristic"
-  in
-  {
-    pl_name = w.name;
-    pl_stages = Support.Trace.span_totals ();
-    pl_nodes = nodes;
-    pl_iters = iters;
-    pl_moves = s.Regalloc.Driver.moves_inserted;
-    pl_outcome = outcome;
-    pl_warm = warm;
-  }
-
-(* The stages a healthy pipeline must show a span for (the acceptance
-   surface of the trace layer; "compile"/"front-end"/"allocate"/"solve"
-   are roll-ups of these). *)
-let pipeline_required_stages =
-  [
-    "parse"; "typecheck"; "cps-convert"; "contract"; "deproc"; "ssu"; "isel";
-    "modelgen"; "ilp-build"; "presolve"; "root-cuts"; "root-lp";
-    "branch-and-bound"; "emit";
-  ]
-
-let pp_pipe_row r =
-  Fmt.pr "%-8s | %-9s | %6d nodes %7d iters %4d moves@." r.pl_name
-    r.pl_outcome r.pl_nodes r.pl_iters r.pl_moves;
-  List.iter
-    (fun (stage, secs) ->
-      if List.mem stage pipeline_required_stages then
-        Fmt.pr "         |   %-18s %9.4f s@." stage secs)
-    r.pl_stages
-
-let pipeline_json rows =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf
-    (Printf.sprintf "{\n  \"node_limit\": %d,\n  \"workloads\": [\n"
-       pipeline_node_limit);
-  List.iteri
-    (fun i r ->
-      if i > 0 then Buffer.add_string buf ",\n";
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    { \"name\": %S, \"outcome\": %S, \"nodes\": %d, \
-            \"iterations\": %d, \"moves\": %d, \"warm\": %b,\n      \
-            \"stages\": { "
-           r.pl_name r.pl_outcome r.pl_nodes r.pl_iters r.pl_moves r.pl_warm);
-      List.iteri
-        (fun j (stage, secs) ->
-          if j > 0 then Buffer.add_string buf ", ";
-          Buffer.add_string buf (Printf.sprintf "%S: %.4f" stage secs))
-        r.pl_stages;
-      Buffer.add_string buf " } }")
-    rows;
-  Buffer.add_string buf "\n  ]\n}\n";
-  Buffer.contents buf
-
-let pipeline_workloads = [ kasumi; aes; nat; lpm; firewall; csum; qos ]
-
-let missing_stages r =
-  List.filter
-    (fun s -> not (List.mem_assoc s r.pl_stages))
-    pipeline_required_stages
-
-let pipeline () =
-  rule
-    (Printf.sprintf "Pipeline: per-stage wall times (node budget %d)"
-       pipeline_node_limit);
-  let rows = List.map measure_pipeline pipeline_workloads in
-  List.iter pp_pipe_row rows;
-  let missing =
-    List.concat_map
-      (fun r -> List.map (fun s -> r.pl_name ^ "/" ^ s) (missing_stages r))
-      rows
-  in
-  if missing <> [] then begin
-    Fmt.epr "pipeline: missing stage spans: %s@." (String.concat ", " missing);
-    exit 1
-  end;
-  let oc = open_out "BENCH_pipeline.json" in
-  output_string oc (pipeline_json rows);
-  close_out oc;
-  Fmt.pr "wrote BENCH_pipeline.json (and _artifacts/trace_pipeline_*.json)@."
-
-(* Gate tolerances.  Stage times are wall clock on shared CI runners, so
-   the time gate is deliberately loose (3x + 100 ms): it catches a pass
-   or solver stage going superlinearly wrong, not a 20%% wobble.  Node /
-   iteration counts are deterministic under the node budget and get a
-   tight relative band (they drift only if the search itself changed). *)
-let gate_time_factor = 3.0
-let gate_time_slack = 0.1
-let gate_count_rel = 0.25
-let gate_count_abs = 8
-
-let pipeline_gate () =
-  rule "Pipeline gate: stage times vs checked-in BENCH_pipeline.json";
-  let baseline =
-    let ic = open_in_bin "BENCH_pipeline.json" in
-    let text =
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    in
-    match Support.Json.parse text with
-    | Ok v -> v
-    | Error msg ->
-        Fmt.epr "pipeline-gate: cannot parse BENCH_pipeline.json: %s@." msg;
-        exit 1
-  in
-  let json_workloads =
-    match Option.bind (Support.Json.member "workloads" baseline)
-            Support.Json.to_list
-    with
-    | Some ws -> ws
-    | None ->
-        Fmt.epr "pipeline-gate: baseline has no \"workloads\" array@.";
-        exit 1
-  in
-  let rows = List.map measure_pipeline pipeline_workloads in
-  let oc = open_out (artifact "BENCH_pipeline.current.json") in
-  output_string oc (pipeline_json rows);
-  close_out oc;
-  let failures = ref [] in
-  let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
-  let get_int w key =
-    Option.bind (Support.Json.member key w) Support.Json.to_int
-  in
-  let get_str w key =
-    Option.bind (Support.Json.member key w) Support.Json.to_string
-  in
-  List.iter
-    (fun w ->
-      let name = Option.value ~default:"?" (get_str w "name") in
-      match List.find_opt (fun r -> r.pl_name = name) rows with
-      | None -> fail "%s: in baseline but not measured" name
-      | Some r ->
-          List.iter
-            (fun s -> fail "%s/%s: stage span missing from this run" name s)
-            (missing_stages r);
-          (match get_str w "outcome" with
-          | Some o when o <> r.pl_outcome ->
-              fail "%s: solver outcome %s, baseline %s" name r.pl_outcome o
-          | _ -> ());
-          let check_count key measured =
-            match get_int w key with
-            | None -> ()
-            | Some base ->
-                let tol =
-                  max gate_count_abs
-                    (int_of_float (gate_count_rel *. float_of_int base))
-                in
-                if abs (measured - base) > tol then
-                  fail "%s: %s %d vs baseline %d (tolerance %d)" name key
-                    measured base tol
-          in
-          (* Warm-started solves prune differently by design (the seeded
-             incumbent changes the tree), so node/iteration counts are
-             only gated on cold legs; moves are budget-independent and
-             stay gated either way. *)
-          let baseline_warm =
-            Option.value ~default:false
-              (Option.bind (Support.Json.member "warm" w) Support.Json.to_bool)
-          in
-          if not (r.pl_warm || baseline_warm) then begin
-            check_count "nodes" r.pl_nodes;
-            check_count "iterations" r.pl_iters
-          end;
-          check_count "moves" r.pl_moves;
-          (match Support.Json.member "stages" w with
-          | Some (Support.Json.Obj stages) ->
-              List.iter
-                (fun (stage, v) ->
-                  match
-                    (Support.Json.to_float v, List.assoc_opt stage r.pl_stages)
-                  with
-                  | Some base, Some measured ->
-                      let limit =
-                        (gate_time_factor *. base) +. gate_time_slack
-                      in
-                      let verdict =
-                        if measured > limit then begin
-                          fail "%s/%s: %.3fs vs baseline %.3fs (limit %.3fs)"
-                            name stage measured base limit;
-                          "FAIL"
-                        end
-                        else "ok"
-                      in
-                      if List.mem stage pipeline_required_stages then
-                        Fmt.pr "%-8s %-18s %9.4f s (baseline %9.4f s)  %s@."
-                          name stage measured base verdict
-                  | Some _, None ->
-                      fail "%s/%s: baseline stage absent from this run" name
-                        stage
-                  | None, _ -> ())
-                stages
-          | _ -> fail "%s: baseline row has no stages object" name))
-    json_workloads;
-  (* Parallel-search determinism: two identical 2-domain deterministic
-     solves of the AES model (under the same node budget as the pipeline
-     rows, so the search genuinely branches) must expand identical
-     trees.  This pins the fixed node-distribution schedule the pipeline
-     numbers above rely on for reproducibility. *)
-  let ra =
-    solve_workload_model ~node_limit:pipeline_node_limit ~domains:2
-      ~deterministic:true aes
-  in
-  let rb =
-    solve_workload_model ~node_limit:pipeline_node_limit ~domains:2
-      ~deterministic:true aes
-  in
-  if ra.sb_nodes <> rb.sb_nodes || ra.sb_iters <> rb.sb_iters then
-    fail
-      "deterministic 2-domain solve did not reproduce: %d/%d nodes, %d/%d \
-       iters"
-      ra.sb_nodes rb.sb_nodes ra.sb_iters rb.sb_iters
-  else
-    Fmt.pr
-      "deterministic 2-domain reproducibility: %d nodes / %d iters (both \
-       runs)  ok@."
-      ra.sb_nodes ra.sb_iters;
-  match !failures with
-  | [] -> Fmt.pr "pipeline-gate PASSED@."
-  | fs ->
-      List.iter (fun f -> Fmt.epr "pipeline-gate: %s@." f) (List.rev fs);
-      Fmt.epr "pipeline-gate FAILED (%d)@." (List.length fs);
-      exit 1
-
 (* ---------------- incremental compilation bench + service smoke ------- *)
+
+(* The deterministic solver budget of the incremental bench and the
+   service smoke: AES and NAT stop at it with an incumbent. *)
+let node_budget = 128
 
 (* Cold / no-op / one-line-edit rebuild times through the stage-cached
    driver ([Regalloc.Driver.compile_incremental]), per workload, under
-   the same deterministic node budget as the pipeline bench.  The
-   one-line edit appends a `//` comment: the front end re-runs (the
-   source hash changed) but the model fingerprint is unchanged, so the
-   solve stage must replay from the artifact store instead of invoking
-   the solver.  Writes BENCH_incremental.json and fails (exit 1) if
+   [node_budget].  The one-line edit appends a `//` comment: the front
+   end re-runs (the source hash changed) but the model fingerprint is
+   unchanged, so the solve stage must replay from the artifact store
+   instead of invoking the solver.  Prints the table and fails (exit 1)
+   if
      - the no-op rebuild is not a pure cache hit (full-compile memo,
        i.e. no solver invocation at all), or
      - the edit rebuild misses the solve cache or changes the proven
@@ -1070,10 +733,7 @@ type inc_row = {
   inc_cold : float;
   inc_noop : float;
   inc_edit : float;
-  inc_cost : float; (* weighted move cost of the cold compile *)
   inc_outcome : string;
-  inc_noop_full : bool;
-  inc_edit_solve : bool;
 }
 
 let rec rm_rf path =
@@ -1088,7 +748,7 @@ let incremental_options =
   {
     Regalloc.Driver.default_options with
     time_limit = 1e9;
-    node_limit = pipeline_node_limit;
+    node_limit = node_budget;
   }
 
 let measure_incremental ~store ~fail:(report : string -> unit) (w : workload)
@@ -1130,38 +790,14 @@ let measure_incremental ~store ~fail:(report : string -> unit) (w : workload)
     inc_cold = cold_t;
     inc_noop = noop_t;
     inc_edit = edit_t;
-    inc_cost = cost c0;
     inc_outcome = outcome c0;
-    inc_noop_full = r1.Regalloc.Driver.full_hit;
-    inc_edit_solve = r2.Regalloc.Driver.solve_hit;
   }
-
-let incremental_json rows =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    (Printf.sprintf "{\n  \"node_limit\": %d,\n  \"workloads\": [\n"
-       pipeline_node_limit);
-  List.iteri
-    (fun i r ->
-      if i > 0 then Buffer.add_string buf ",\n";
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    { \"name\": %S, \"cold_s\": %.4f, \"noop_s\": %.4f, \
-            \"edit_s\": %.4f,\n      \"edit_speedup\": %.2f, \
-            \"noop_full_hit\": %b, \"edit_solve_hit\": %b,\n      \
-            \"outcome\": %S, \"weighted_move_cost\": %.4f }"
-           r.inc_name r.inc_cold r.inc_noop r.inc_edit
-           (r.inc_cold /. Float.max 1e-9 r.inc_edit)
-           r.inc_noop_full r.inc_edit_solve r.inc_outcome r.inc_cost))
-    rows;
-  Buffer.add_string buf "\n  ]\n}\n";
-  Buffer.contents buf
 
 let incremental () =
   rule
     (Printf.sprintf
        "Incremental: cold / no-op / one-line-edit rebuilds (node budget %d)"
-       pipeline_node_limit);
+       node_budget);
   let dir = artifact "cache-bench" in
   rm_rf dir;
   Regalloc.Driver.clear_memos ();
@@ -1171,7 +807,7 @@ let incremental () =
   let rows =
     List.map
       (measure_incremental ~store ~fail:(fun s -> failures := s :: !failures))
-      pipeline_workloads
+      [ kasumi; aes; nat; lpm; firewall; csum; qos ]
   in
   Fmt.pr "%-8s | %8s | %8s | %8s | %8s | %-9s@." "" "cold(s)" "noop(s)"
     "edit(s)" "speedup" "outcome";
@@ -1187,10 +823,6 @@ let incremental () =
       fail "NAT edit rebuild only %.1fx faster than cold (need >= 5x)"
         (r.inc_cold /. Float.max 1e-9 r.inc_edit)
   | _ -> ());
-  let oc = open_out "BENCH_incremental.json" in
-  output_string oc (incremental_json rows);
-  close_out oc;
-  Fmt.pr "wrote BENCH_incremental.json@.";
   match !failures with
   | [] -> Fmt.pr "incremental PASSED@."
   | fs ->
@@ -1236,7 +868,7 @@ let service_smoke () =
   let compile_once label =
     let c0 = Unix.gettimeofday () in
     match
-      Service.Client.compile ~node_limit:pipeline_node_limit
+      Service.Client.compile ~node_limit:node_budget
         ~file:"kasumi.nova" ~source:kasumi.source t
     with
     | Error e ->
@@ -1371,120 +1003,79 @@ let verify () =
   ok := !aok && !kok && !nok && lok && fok && cok && qok;
   if not !ok then exit 1
 
-(* ---------------- bechamel micro-benchmarks ---------------- *)
-
-let bechamel_time () =
-  let open Bechamel in
-  let open Toolkit in
-  let kasumi_front = front kasumi in
-  let graph = kasumi_front.Regalloc.Driver.f_graph in
-  let mg = lazy (Regalloc.Modelgen.build graph) in
-  let problem =
-    lazy
-      (let ilp = Regalloc.Ilp.build (Lazy.force mg) in
-       ilp.Regalloc.Ilp.instance.Ampl.Model.problem)
-  in
-  let compiled = compile kasumi in
-  let tests =
-    [
-      (* Figure 5 kernel: front end *)
-      Test.make ~name:"figure5/parse+typecheck"
-        (Staged.stage (fun () ->
-             ignore
-               (Nova.Typecheck.check_program
-                  (Nova.Parser.parse_string ~file:"k" kasumi.source))));
-      (* Figure 6 kernel: model generation *)
-      Test.make ~name:"figure6/modelgen"
-        (Staged.stage (fun () -> ignore (Regalloc.Modelgen.build graph)));
-      (* Figure 7 kernels: model build, presolve, root LP *)
-      Test.make ~name:"figure7/ilp-build"
-        (Staged.stage (fun () -> ignore (Regalloc.Ilp.build (Lazy.force mg))));
-      Test.make ~name:"figure7/presolve"
-        (Staged.stage (fun () -> ignore (Lp.Presolve.run (Lazy.force problem))));
-      Test.make ~name:"figure7/root-lp"
-        (Staged.stage (fun () ->
-             match Lp.Presolve.run (Lazy.force problem) with
-             | Lp.Presolve.Reduced (r, _) ->
-                 ignore (Lp.Revised.solve (Lp.Revised.create r))
-             | Lp.Presolve.Infeasible_detected -> ()));
-      (* throughput kernel: one simulated Kasumi packet *)
-      Test.make ~name:"throughput/simulate-64B"
-        (Staged.stage (fun () ->
-             let sim = Ixp.Simulator.create compiled.Regalloc.Driver.physical in
-             kasumi.init_sim sim ~payload_len:64;
-             ignore (Ixp.Simulator.run_single sim)));
-    ]
-  in
-  let benchmark test =
-    let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 2.0) () in
-    Benchmark.all cfg Instance.[ monotonic_clock ] test
-  in
-  let analyze results =
-    let ols =
-      Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-    in
-    Analyze.all ols Instance.monotonic_clock results
-  in
-  List.iter
-    (fun test ->
-      let results = analyze (benchmark test) in
-      Hashtbl.iter
-        (fun name ols ->
-          match Bechamel.Analyze.OLS.estimates ols with
-          | Some [ est ] -> Fmt.pr "%-32s %12.1f ns/run@." name est
-          | _ -> Fmt.pr "%-32s (no estimate)@." name)
-        results)
-    tests
-
 (* ---------------- driver ---------------- *)
+
+(* solver-smoke --solver-domains N adds the parallel legs *)
+let solver_domains () =
+  let rec find = function
+    | "--solver-domains" :: v :: _ -> (
+        match int_of_string_opt v with
+        | Some n when n >= 1 -> n
+        | _ ->
+            Fmt.epr "solver-smoke: --solver-domains expects a positive \
+                     integer, got %S@."
+              v;
+            exit 2)
+    | [ "--solver-domains" ] ->
+        Fmt.epr "solver-smoke: --solver-domains expects a value@.";
+        exit 2
+    | _ :: rest -> find rest
+    | [] -> 1
+  in
+  find (Array.to_list Sys.argv)
+
+let every_experiment () =
+  figure5 ();
+  figure6 ();
+  pruning ();
+  figure7 ();
+  verify ();
+  baseline ();
+  ablation ();
+  remat ();
+  throughput ()
+
+(* (name, one-line description, run): the dispatcher and the usage
+   message both read this table *)
+let commands =
+  [
+    ( "all",
+      "figure5, figure6, pruning, figure7, verify, baseline, ablation, remat \
+       and throughput",
+      every_experiment );
+    ("figure5", "static program statistics (Figure 5)", figure5);
+    ("figure6", "AMPL coloring statistics (Figure 6)", figure6);
+    ("figure7", "solver statistics (Figure 7)", figure7);
+    ("throughput", "Mbit/s payload sweep on one engine", throughput);
+    ("rates", "chip and cluster forwarding rates, ILP and baseline",
+      rates ~full:true);
+    ("rates-smoke", "a smaller rates table (CI gate)", rates ~full:false);
+    ("solver", "root-LP and integer solve times", solver);
+    ( "solver-smoke",
+      "solver under a hard ceiling (CI gate); --solver-domains N adds \
+       parallel legs",
+      fun () -> solver_smoke ~domains:(solver_domains ()) () );
+    ("solver-scaling", "solver wall time against worker domains",
+      solver_scaling);
+    ("incremental", "cold, no-op and edit rebuilds (CI gate)", incremental);
+    ("service-smoke", "daemon compile, then a cache hit (CI gate)",
+      service_smoke);
+    ("cluster-smoke", "cluster determinism and ceiling (CI gate)",
+      cluster_smoke);
+    ("mega", "10M packets through one chip", mega);
+    ("ablation", "the spill-feasibility objective", ablation);
+    ("baseline", "ILP against the eager-heuristic allocator", baseline);
+    ("pruning", "§8 model-size reductions", pruning);
+    ("remat", "§12 rematerialization through bank C", remat);
+    ("verify", "simulated output against the reference models", verify);
+  ]
 
 let () =
   let which = if Array.length Sys.argv > 1 then Sys.argv.(1) else "all" in
-  match which with
-  | "figure5" -> figure5 ()
-  | "figure6" -> figure6 ()
-  | "figure7" -> figure7 ()
-  | "throughput" -> throughput ()
-  | "rates" -> rates ~full:true ()
-  | "rates-smoke" -> rates ~full:false ()
-  | "solver" -> solver ()
-  | "solver-smoke" ->
-      (* optional: solver-smoke --solver-domains N adds the parallel legs *)
-      let domains = ref 1 in
-      Array.iteri
-        (fun i a ->
-          if a = "--solver-domains" && i + 1 < Array.length Sys.argv then
-            domains := int_of_string Sys.argv.(i + 1))
-        Sys.argv;
-      solver_smoke ~domains:!domains ()
-  | "solver-scaling" -> solver_scaling ()
-  | "pipeline" -> pipeline ()
-  | "pipeline-gate" -> pipeline_gate ()
-  | "incremental" -> incremental ()
-  | "service-smoke" -> service_smoke ()
-  | "cluster-smoke" -> cluster_smoke ()
-  | "mega" -> mega ()
-  | "ablation" -> ablation ()
-  | "baseline" -> baseline ()
-  | "pruning" -> pruning ()
-  | "remat" -> remat ()
-  | "verify" -> verify ()
-  | "time" -> bechamel_time ()
-  | "all" ->
-      figure5 ();
-      figure6 ();
-      pruning ();
-      figure7 ();
-      verify ();
-      baseline ();
-      ablation ();
-      remat ();
-      throughput ()
-  | other ->
-      Fmt.epr
-        "unknown experiment %s (try \
-         figure5/figure6/figure7/throughput/rates/rates-smoke/solver/\
-         solver-smoke/pipeline/pipeline-gate/incremental/service-smoke/\
-         cluster-smoke/mega/ablation/baseline/pruning/verify/time/all)@."
-        other;
+  match List.find_opt (fun (name, _, _) -> name = which) commands with
+  | Some (_, _, run) -> run ()
+  | None ->
+      Fmt.epr "unknown command %s@.usage: dune exec bench/main.exe -- COMMAND@."
+        which;
+      List.iter (fun (name, doc, _) -> Fmt.epr "  %-15s %s@." name doc) commands;
       exit 1

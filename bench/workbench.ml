@@ -1,9 +1,8 @@
 (* Shared benchmark plumbing: compile each paper workload once, cache the
    result, and provide simulator harnesses for the throughput runs. *)
 
-(* Run artifacts (traces, current-run measurements) land in an ignored
-   directory instead of littering the repo root; checked-in baselines
-   (BENCH_*.json at the root) stay where git tracks them. *)
+(* Run artifacts (cache stores, sockets, smoke reports) land in an
+   ignored directory instead of littering the repo root. *)
 let artifact name =
   let dir = "_artifacts" in
   (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());

@@ -379,39 +379,104 @@ fun main () : word {
   in
   checkb "remat not slower" true (cycles remat <= cycles plain)
 
-(* Cold compiles of Kasumi and LPM, as a fresh `novac compile` runs
-   them, are proved optimal at the root along one fixed pivot path; AES
-   and NAT branch on one domain until the 128-node budget stops them.
-   The node and simplex iteration counts and the move costs are pinned
-   exactly: a solver change that reorders a floating-point sum, breaks a
-   ratio-test tie differently or visits the tree in another order moves
-   them. *)
+(* The deterministic solver budget the pinned searches below run under:
+   AES and NAT stop at it with an incumbent. *)
+let node_budget = 128
+
+(* The stage spans every compile must record: the front end, each
+   middle-end pass, model build, the solver's phases and emit. *)
+let required_spans =
+  [
+    "parse"; "typecheck"; "cps-convert"; "contract"; "deproc"; "ssu"; "isel";
+    "modelgen"; "ilp-build"; "presolve"; "root-cuts"; "root-lp";
+    "branch-and-bound"; "emit";
+  ]
+
+(* Cold compiles of all seven workloads, as a fresh `novac compile` runs
+   them on one domain: the five dataplane and Kasumi models are proved
+   optimal at the root along one fixed pivot path; AES and NAT branch
+   until the node budget stops them.  The outcome, node and simplex
+   iteration counts, moves and move costs are pinned exactly: a solver
+   change that reorders a floating-point sum, breaks a ratio-test tie
+   differently or visits the tree in another order moves them.  Each
+   compile runs traced and must record every stage span. *)
 let test_cold_pivot_path () =
+  let options =
+    {
+      Regalloc.Driver.default_options with
+      node_limit = node_budget;
+      time_limit = 1e9;
+    }
+  in
   List.iter
-    (fun (name, source, nodes, iters, cost) ->
+    (fun (name, source, outcome, nodes, iters, moves, cost) ->
       Support.Ident.reset ();
-      let options =
-        {
-          Regalloc.Driver.default_options with
-          node_limit = 128;
-          time_limit = 1e9;
-        }
+      Support.Trace.enable ();
+      let c =
+        Fun.protect ~finally:Support.Trace.disable (fun () ->
+            Regalloc.Driver.compile ~options ~file:name source)
       in
-      let c = Regalloc.Driver.compile ~options ~file:name source in
+      let spans = Support.Trace.span_totals () in
+      Support.Trace.reset ();
+      List.iter
+        (fun span ->
+          if not (List.mem_assoc span spans) then
+            Alcotest.failf "%s: no %S span in the trace" name span)
+        required_spans;
       let s = c.Regalloc.Driver.stats in
       let mip = Option.get s.Regalloc.Driver.mip in
+      Alcotest.(check string)
+        (name ^ ": outcome")
+        (Regalloc.Driver.solver_outcome_to_string outcome)
+        (Regalloc.Driver.solver_outcome_to_string
+           s.Regalloc.Driver.solver_outcome);
       checki (name ^ ": simplex iterations") iters mip.Lp.Mip.simplex_iterations;
       checki (name ^ ": nodes") nodes mip.Lp.Mip.nodes;
+      checki (name ^ ": moves inserted") moves s.Regalloc.Driver.moves_inserted;
       let got = s.Regalloc.Driver.weighted_move_cost in
       if got <> cost then
         Alcotest.failf "%s: move cost %.17g, expected %.17g" name got cost)
-    [
-      ("kasumi.nova", Workloads.Kasumi.source, 1, 534, 0.14308868091327917);
-      ("lpm.nova", Workloads.Lpm.source, 1, 128, 0.1018688700318731);
-      (* branching searches, one domain, stopped by the node budget *)
-      ("aes.nova", Workloads.Aes.source, 128, 3051, 0.023630614772156427);
-      ("nat.nova", Workloads.Nat.source, 128, 7551, 4.4873869440000007);
-    ]
+    Regalloc.Driver.
+      [
+        ( "kasumi.nova", Workloads.Kasumi.source, Outcome_optimal, 1, 534, 4,
+          0.14308868091327917 );
+        ( "lpm.nova", Workloads.Lpm.source, Outcome_optimal, 1, 128, 2,
+          0.1018688700318731 );
+        ( "firewall.nova", Workloads.Firewall.source, Outcome_optimal, 1, 198,
+          3, 0.019305567728240509 );
+        ( "csum.nova", Workloads.Csum.source, Outcome_optimal, 1, 303, 2,
+          0.0060890768694370941 );
+        ( "qos.nova", Workloads.Qos.source, Outcome_optimal, 1, 1611, 5,
+          0.63312208153367688 );
+        (* branching searches, stopped by the node budget *)
+        ( "aes.nova", Workloads.Aes.source, Outcome_incumbent, 128, 3051, 16,
+          0.023630614772156427 );
+        ( "nat.nova", Workloads.Nat.source, Outcome_incumbent, 128, 7551, 27,
+          4.4873869440000007 );
+      ]
+
+(* Two deterministic 2-domain searches of the AES model under the node
+   budget expand the same tree, pinned exactly: the fixed round schedule
+   decides which node each domain takes, so neither the count nor the
+   reproduction may depend on thread timing. *)
+let test_two_domain_aes_pinned () =
+  Support.Ident.reset ();
+  let f = Regalloc.Driver.front_end ~file:"aes.nova" Workloads.Aes.source in
+  let mg =
+    Regalloc.Modelgen.build ~allow_spill:false f.Regalloc.Driver.f_graph
+  in
+  let p = (Regalloc.Ilp.build mg).Regalloc.Ilp.instance.Ampl.Model.problem in
+  let solve run =
+    let r =
+      Lp.Mip.solve ~time_limit:1e9 ~node_limit:node_budget ~domains:2
+        ~deterministic:true p
+    in
+    let s = r.Lp.Mip.stats in
+    checki (run ^ ": nodes") 158 s.Lp.Mip.nodes;
+    checki (run ^ ": simplex iterations") 5298 s.Lp.Mip.simplex_iterations
+  in
+  solve "first run";
+  solve "second run"
 
 (* In-order digest of an LP: every variable's name, bounds, cost and
    integrality and every row's name, sense, rhs and terms, by index.
@@ -488,6 +553,8 @@ let suites =
         Alcotest.test_case "high pressure" `Slow test_spill_fallback;
         Alcotest.test_case "cold compiles pin the pivot path" `Quick
           test_cold_pivot_path;
+        Alcotest.test_case "2-domain deterministic AES search pinned" `Quick
+          test_two_domain_aes_pinned;
       ] );
     ( "regalloc.validity",
       [

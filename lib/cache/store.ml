@@ -121,9 +121,9 @@ let evict_disk t =
 let touch_file file =
   try Unix.utimes file 0. 0. with Unix.Unix_error _ -> ()
 
-(* The artifact in [file]; [None] if it cannot be read (missing, gone
-   since, a directory) or is not JSON, in which case it is removed. *)
-let read_artifact file =
+(* The contents of [file]; [None] if it cannot be read (missing, gone
+   since, a directory). *)
+let read_file file =
   match
     let ic = open_in_bin file in
     Fun.protect
@@ -131,7 +131,14 @@ let read_artifact file =
       (fun () -> really_input_string ic (in_channel_length ic))
   with
   | exception (Sys_error _ | End_of_file) -> None
-  | s -> (
+  | s -> Some s
+
+(* The artifact in [file]; [None] if it cannot be read or is not JSON,
+   in which case it is removed. *)
+let read_artifact file =
+  match read_file file with
+  | None -> None
+  | Some s -> (
       match Json.parse s with
       | Ok d -> Some d
       | Error _ ->
@@ -183,7 +190,8 @@ let store t ~stage ~key (doc : Json.t) =
 (* Heads live outside the capped artifact namespace (a `.head` file per
    name) so eviction of old artifacts never severs the pointer file
    itself; a head pointing at an evicted artifact simply resolves to a
-   miss at lookup time. *)
+   miss at lookup time.  A head file that cannot be read is no head, and
+   one that cannot be written leaves the head in memory only. *)
 
 let head_path t name =
   Filename.concat t.dir (Printf.sprintf "%s.head" (Key.slug name))
@@ -192,31 +200,22 @@ let set_head t ~name ~key =
   Hashtbl.replace t.heads name key;
   mkdir_p t.dir;
   let file = head_path t name in
-  let oc = open_out_bin file in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc key)
+  try
+    let oc = open_out_bin file in
+    Fun.protect
+      ~finally:(fun () -> close_out oc)
+      (fun () -> output_string oc key)
+  with Sys_error _ -> ()
 
 let head t ~name : string option =
   match Hashtbl.find_opt t.heads name with
   | Some k -> Some k
-  | None ->
-      let file = head_path t name in
-      if Sys.file_exists file then begin
-        let ic = open_in_bin file in
-        let s =
-          Fun.protect
-            ~finally:(fun () -> close_in ic)
-            (fun () -> really_input_string ic (in_channel_length ic))
-        in
-        let s = String.trim s in
-        if s = "" then None
-        else begin
+  | None -> (
+      match Option.map String.trim (read_file (head_path t name)) with
+      | None | Some "" -> None
+      | Some s ->
           Hashtbl.replace t.heads name s;
-          Some s
-        end
-      end
-      else None
+          Some s)
 
 (* Drop the in-memory tier (the on-disk artifacts survive); used by
    tests and by `novac serve` on cache-control requests. *)

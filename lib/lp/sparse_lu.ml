@@ -10,9 +10,7 @@
      UPDATE: replace column r of B by a new column a_q
      REFACTORIZE: rebuild the factors from the current basis
 
-   The previous implementation kept a dense m x m explicit inverse:
-   O(m^2) memory and per-pivot update, O(m^3) refactorization -- hopeless
-   on the thousand-row register-allocation models.  Here B is factored as
+   B is factored as
 
      E B = U        (Gaussian elimination, Markowitz-ordered pivoting)
 
@@ -107,75 +105,6 @@ let drop_tol = 1e-13
 let abs_pivot_tol = 1e-11
 let rel_pivot_tol = 0.1 (* threshold pivoting within the chosen column *)
 
-(* A column bucket of the Markowitz search: a ring buffer read and
-   written at one end only, its head, with a bit saying which end that
-   is, so reversing the bucket is O(1). *)
-type bucket = {
-  mutable ring : int array; (* capacity 0 or a power of two *)
-  mutable lo : int; (* ring index of the low end *)
-  mutable len : int;
-  mutable head_hi : bool; (* the head is the high end *)
-}
-
-let bucket_push b x =
-  let cap = Array.length b.ring in
-  if b.len = cap then begin
-    let ring = Array.make (max 8 (2 * cap)) 0 in
-    for k = 0 to b.len - 1 do
-      ring.(k) <- b.ring.((b.lo + k) land (cap - 1))
-    done;
-    b.ring <- ring;
-    b.lo <- 0
-  end;
-  let mask = Array.length b.ring - 1 in
-  if b.head_hi then b.ring.((b.lo + b.len) land mask) <- x
-  else begin
-    b.lo <- (b.lo - 1) land mask;
-    b.ring.(b.lo) <- x
-  end;
-  b.len <- b.len + 1
-
-let bucket_pop b =
-  let mask = Array.length b.ring - 1 in
-  b.len <- b.len - 1;
-  if b.head_hi then b.ring.((b.lo + b.len) land mask)
-  else begin
-    let x = b.ring.(b.lo) in
-    b.lo <- (b.lo + 1) land mask;
-    x
-  end
-
-(* The active submatrix keeps each column's rows and each row's columns
-   in the order an int-keyed [Hashtbl.create 8] iterates them.  That
-   order breaks the ties of the pivot search and fixes the order U rows
-   are summed in, so it decides which of several equal-cost optima the
-   simplex reaches:
-
-   - a table has [nb] buckets: 16 at first, doubled whenever a new key
-     takes its size past [2 nb], never shrunk by removals;
-   - iteration visits buckets by ascending [Hashtbl.hash key land
-     (nb - 1)], and each bucket newest key first.  Updating a value
-     keeps the key's age; removing a key and adding it again makes it
-     new.
-
-   A column's or row's arena slot holds its entries oldest first, so
-   iteration order is the slot read backwards and stably sorted by
-   ascending bucket.  The lists the pivot step builds with
-   [Hashtbl.fold] reverse that: the slot read forwards and stably sorted
-   by descending bucket, the "fold order".  Only the pivot column and
-   the pivot row are ever sorted, once each. *)
-
-let bucket_of key nb = Hashtbl.hash key land (nb - 1)
-
-(* The bucket count of a table with [nb] buckets that a new key has
-   just taken to [size] entries. *)
-let grown nb size = if size > 2 * nb then 2 * nb else nb
-
-(* Sort key of the entry for [key] at arena position [p < 2^32] in a
-   table of [nb] buckets: ascending keys are the fold order. *)
-let fold_key key nb p = ((nb - 1 - bucket_of key nb) lsl 32) lor p
-let key_pos k = k land 0xFFFF_FFFF
-
 (* Quicksort a.(lo) .. a.(hi - 1) into runs of at most 16 entries,
    each run below the next, pivoting on a median of three.  Past
    [depth] levels a range is heap-sorted, so no input costs more than
@@ -235,9 +164,6 @@ let ensure a n fill =
     b
   end
 
-(* The pivot search's [killed] table; nothing iterates it. *)
-module Int_map = Hashtbl.Make (Int)
-
 (* Resolved once at module initialization; [Metrics.reset] keeps the
    handle valid. *)
 let h_factorize_us = Support.Metrics.histogram "lp.lu.factorize_us"
@@ -251,9 +177,26 @@ let m_u_nnz = Support.Metrics.counter "lp.lu.u_nnz"
    per column and must pass the same entries both times.  Raises
    [Singular] when no acceptable pivot remains.  Each successful call
    records its duration in the [lp.lu.factorize_us] histogram and adds
-   the bucket entries its pivot search read to [lp.lu.search_reads] and
-   the off-diagonal entries of L and U to [lp.lu.l_nnz] and
-   [lp.lu.u_nnz]. *)
+   the count-list entries its pivot search read to [lp.lu.search_reads]
+   and the off-diagonal entries of L and U to [lp.lu.l_nnz] and
+   [lp.lu.u_nnz].
+
+   The order is written down, because it decides which of several equal
+   pivots wins and the order U rows are summed in, and so which of
+   several equal-cost optima the simplex reaches:
+
+   - a column lists its rows in the order [column j] passed them, a
+     duplicate summed in place; a row lists its columns ascending.
+     Fill-in goes at the end of both, and a cancelled entry leaves its
+     column with the rest kept in order;
+   - columns sit in doubly-linked lists by entry count, each built in
+     ascending column index; a column whose count an elimination changes
+     moves to the front of its new list, and a pivoted column leaves;
+   - the search reads the lists by ascending count, each front to back;
+   - within a column, the pivot has the fewest row entries, then the
+     largest magnitude, then comes first in the column;
+   - L column k and U row k keep the pivot column's and pivot row's
+     order. *)
 let factorize m column =
   let t0 = Clock.now () in
   (* Active submatrix.  Column j holds rows [c_row] and values [c_val]
@@ -274,7 +217,7 @@ let factorize m column =
   let c_row = ref (Array.make (room !nnz) 0) in
   let c_val = ref (Array.make (room !nnz) 0.) in
   let c_beg = Array.make m 0 and c_cap = Array.make m 0 in
-  let colcnt = Array.make m 0 and col_nb = Array.make m 16 in
+  let colcnt = Array.make m 0 in
   let where = Array.make m (-1) in
   let c_top = ref 0 in
   for j = 0 to m - 1 do
@@ -289,8 +232,7 @@ let factorize m column =
             !c_row.(base + n) <- i;
             !c_val.(base + n) <- v;
             where.(i) <- n;
-            colcnt.(j) <- n + 1;
-            col_nb.(j) <- grown col_nb.(j) (n + 1)
+            colcnt.(j) <- n + 1
           end
         end);
     let n = colcnt.(j) in
@@ -300,11 +242,10 @@ let factorize m column =
     c_cap.(j) <- n;
     c_top := base + n
   done;
-  let rowcnt = Array.make m 0 and row_nb = Array.make m 16 in
+  let rowcnt = Array.make m 0 in
   for p = 0 to !c_top - 1 do
     let i = !c_row.(p) in
-    rowcnt.(i) <- rowcnt.(i) + 1;
-    row_nb.(i) <- grown row_nb.(i) rowcnt.(i)
+    rowcnt.(i) <- rowcnt.(i) + 1
   done;
   let r_beg = Array.make m 0 and r_len = Array.make m 0 in
   let r_cap = Array.copy rowcnt in
@@ -313,7 +254,6 @@ let factorize m column =
   done;
   let r_col = ref (Array.make (room !c_top) 0) in
   let r_top = ref !c_top in
-  (* rows receive their columns in ascending order *)
   for j = 0 to m - 1 do
     for p = c_beg.(j) to c_beg.(j) + colcnt.(j) - 1 do
       let i = !c_row.(p) in
@@ -362,43 +302,28 @@ let factorize m column =
     done;
     cols.(!p) <- -1
   in
-  (* Columns bucketed by current entry count.  A bucket holds entry ids;
-     ids are handed out in push order, so an id is also its push time.
-     An entry goes stale when its column is pivoted, or when a scan of
-     its bucket finds the column's count elsewhere: [departed.(c)] lists
-     the columns whose count left c since c's last scan, and [killed]
-     maps (c, column) to the first id that scan left alive.  Stale
-     entries are dropped when a scan reaches them, so a bucket's live
-     entries keep the order a full filter on every scan would give.
-     Most counts never occur, so a bucket is made on its first push and
-     [no_bucket], always empty, stands in until then. *)
-  let no_bucket = { ring = [||]; lo = 0; len = 0; head_hi = false } in
-  let buckets = Array.make (m + 1) no_bucket in
-  let entry_col = Support.Vec.with_capacity (room !c_top) in
-  let departed = Array.make (m + 1) [] in
-  let killed = Int_map.create 64 in
-  let key c j = (c * m) + j in
-  let push_bucket j =
+  (* Count lists: [head.(c)] is the first column with c entries, and
+     [next] and [prev] link the columns of a list; -1 ends them. *)
+  let head = Array.make (m + 1) (-1) in
+  let next = Array.make m (-1) and prev = Array.make m (-1) in
+  let link j =
     let c = colcnt.(j) in
-    if c >= 0 && c <= m then begin
-      if buckets.(c) == no_bucket then
-        buckets.(c) <- { ring = [||]; lo = 0; len = 0; head_hi = false };
-      bucket_push buckets.(c) (Support.Vec.length entry_col);
-      Support.Vec.push entry_col j
-    end
+    prev.(j) <- -1;
+    next.(j) <- head.(c);
+    if head.(c) >= 0 then prev.(head.(c)) <- j;
+    head.(c) <- j
   in
-  let live_entry c e =
-    let j = Support.Vec.get entry_col e in
-    colcnt.(j) = c
-    && e >= Option.value ~default:0 (Int_map.find_opt killed (key c j))
+  let unlink j c =
+    if prev.(j) >= 0 then next.(prev.(j)) <- next.(j) else head.(c) <- next.(j);
+    if next.(j) >= 0 then prev.(next.(j)) <- prev.(j)
   in
-  for j = 0 to m - 1 do
-    push_bucket j
+  for j = m - 1 downto 0 do
+    link j
   done;
   (* Best threshold-acceptable pivot in column [j], preferring short
-     rows, then large values, then the entry the column's iteration
-     order reaches first; found when [best_in_col] returns true, as row
-     [bi], value [bv] and row count [bc]. *)
+     rows, then large values, then the earlier entry; found when
+     [best_in_col] returns true, as row [bi], value [bv] and row count
+     [bc]. *)
   let bi = ref 0 and bv = ref 0. and bc = ref 0 in
   let best_in_col j =
     let rows = !c_row and vals = !c_val in
@@ -410,7 +335,6 @@ let factorize m column =
     if !colmax < abs_pivot_tol then false
     else begin
       let thresh = rel_pivot_tol *. !colmax in
-      let nb = col_nb.(j) in
       let found = ref false in
       for p = base to base + n - 1 do
         let v = vals.(p) in
@@ -419,12 +343,7 @@ let factorize m column =
           let i = rows.(p) in
           let rc = rowcnt.(i) in
           if
-            (not !found)
-            || rc < !bc
-            || rc = !bc
-               && (av > Float.abs !bv
-                  || av = Float.abs !bv
-                     && bucket_of i nb <= bucket_of !bi nb)
+            (not !found) || rc < !bc || (rc = !bc && av > Float.abs !bv)
           then begin
             found := true;
             bi := i;
@@ -436,61 +355,38 @@ let factorize m column =
       !found
     end
   in
-  (* Markowitz pivot selection: scan buckets in increasing column count,
-     stop at the first zero-cost candidate or after a handful of
-     candidates (partial pricing of pivots, GLPK-style).  A scan pops
-     entries off the bucket's head until it stops, pushes the live ones
-     back and reverses the bucket, so it reads only the entries it needs
-     ([reads] counts them), however long the bucket is.  The choice is
-     column [sel_j], row [sel_i], value [sel_v]. *)
+  (* Markowitz pivot selection: read the count lists by increasing
+     count, stop at the first zero-cost candidate, after four
+     candidates, or at the end of the first list that had one (partial
+     pricing of pivots, GLPK-style).  [reads] counts the list entries
+     read.  The choice is column [sel_j], row [sel_i], value [sel_v]. *)
   let reads = ref 0 in
   let sel_j = ref (-1) and sel_i = ref 0 and sel_v = ref 0. in
   let sel_cost = ref 0 in
-  let live = ref (Array.make 16 0) in
   let select () =
     sel_j := -1;
     let ncand = ref 0 in
     let stop = ref false in
-    let cnt = ref 1 in
-    while (not !stop) && !cnt <= m do
-      let c = !cnt in
-      let b = buckets.(c) in
-      if b.len > 0 then begin
-        List.iter
-          (fun j ->
-            if colcnt.(j) <> c then
-              Int_map.replace killed (key c j) (Support.Vec.length entry_col))
-          departed.(c);
-        departed.(c) <- [];
-        let nlive = ref 0 in
-        while (not !stop) && b.len > 0 do
-          let e = bucket_pop b in
-          incr reads;
-          if live_entry c e then begin
-            let j = Support.Vec.get entry_col e in
-            live := ensure !live (!nlive + 1) 0;
-            !live.(!nlive) <- e;
-            incr nlive;
-            if best_in_col j then begin
-              let cost = (c - 1) * (!bc - 1) in
-              if !sel_j < 0 || cost < !sel_cost then begin
-                sel_cost := cost;
-                sel_j := j;
-                sel_i := !bi;
-                sel_v := !bv
-              end;
-              incr ncand;
-              if cost = 0 || !ncand >= 4 then stop := true
-            end
-          end
-        done;
-        for q = !nlive - 1 downto 0 do
-          bucket_push b !live.(q)
-        done;
-        b.head_hi <- not b.head_hi
-      end;
+    let c = ref 1 in
+    while (not !stop) && !c <= m do
+      let j = ref head.(!c) in
+      while (not !stop) && !j >= 0 do
+        incr reads;
+        if best_in_col !j then begin
+          let cost = (!c - 1) * (!bc - 1) in
+          if !sel_j < 0 || cost < !sel_cost then begin
+            sel_cost := cost;
+            sel_j := !j;
+            sel_i := !bi;
+            sel_v := !bv
+          end;
+          incr ncand;
+          if cost = 0 || !ncand >= 4 then stop := true
+        end;
+        j := next.(!j)
+      done;
       if !sel_j >= 0 then stop := true;
-      incr cnt
+      incr c
     done;
     !sel_j >= 0
   in
@@ -552,10 +448,8 @@ let factorize m column =
           where.(r) <- !len;
           incr len;
           colcnt.(j) <- colcnt.(j) + 1;
-          col_nb.(j) <- grown col_nb.(j) colcnt.(j);
           row_push r j;
-          rowcnt.(r) <- rowcnt.(r) + 1;
-          row_nb.(r) <- grown row_nb.(r) rowcnt.(r)
+          rowcnt.(r) <- rowcnt.(r) + 1
         end
       done;
       (* close the gaps left by cancelled rows, keeping the order *)
@@ -570,67 +464,47 @@ let factorize m column =
         end
       done
     end;
-    if colcnt.(j) <> c0 then departed.(c0) <- j :: departed.(c0);
-    push_bucket j
+    if colcnt.(j) <> c0 then begin
+      unlink j c0;
+      link j
+    end
   in
   let pr = Array.make m (-1) in
   let pc = Array.make m (-1) in
   let pivots = Array.make m 0. in
-  let sk = ref (Array.make 64 0) in
   for k = 0 to m - 1 do
     if not (select ()) then raise Singular;
     let j = !sel_j and i = !sel_i and piv = !sel_v in
     pr.(k) <- i;
     pc.(k) <- j;
     pivots.(k) <- piv;
-    (* L column k: the pivot column's other rows in fold order *)
-    let base = c_beg.(j) and n = colcnt.(j) and nb = col_nb.(j) in
+    unlink j colcnt.(j);
+    (* L column k: the pivot column's other rows; they leave the row
+       counts with it *)
+    let base = c_beg.(j) and n = colcnt.(j) in
     let rows = !c_row and vals = !c_val in
-    sk := ensure !sk n 0;
-    let keys = !sk in
-    for p = base to base + n - 1 do
-      keys.(p - base) <- fold_key rows.(p) nb p
-    done;
-    sort_prefix keys n;
     l_start.(k) <- !l_len;
     l_row := ensure !l_row (!l_len + n) 0;
     l_mult := ensure !l_mult (!l_len + n) 0.;
-    for q = 0 to n - 1 do
-      let p = key_pos keys.(q) in
+    for p = base to base + n - 1 do
       let r = rows.(p) in
       if r <> i then begin
         !l_row.(!l_len) <- r;
         !l_mult.(!l_len) <- vals.(p) /. piv;
-        incr l_len
+        incr l_len;
+        rowcnt.(r) <- rowcnt.(r) - 1
       end
-    done;
-    (* retire the pivot column from the row counts *)
-    for p = base to base + n - 1 do
-      let r = rows.(p) in
-      if r <> i then rowcnt.(r) <- rowcnt.(r) - 1
     done;
     colcnt.(j) <- -1;
-    (* U row k: the pivot row's other columns in fold order, each with
-       the pivot row eliminated from it *)
-    let base = r_beg.(i) and nb = row_nb.(i) in
-    sk := ensure !sk r_len.(i) 0;
-    let keys = !sk and cols = !r_col and n = ref 0 in
-    for p = base to base + r_len.(i) - 1 do
-      let c = cols.(p) in
-      if c >= 0 && colcnt.(c) >= 0 then begin
-        keys.(!n) <- fold_key c nb p;
-        incr n
-      end
-    done;
-    sort_prefix keys !n;
-    for q = 0 to !n - 1 do
-      keys.(q) <- cols.(key_pos keys.(q))
-    done;
+    (* U row k: the pivot row's other columns, each with the pivot row
+       eliminated from it.  Fill-in moves other rows' slots, never row
+       i's. *)
     u_start.(k) <- !u_len;
-    u_col := ensure !u_col (!u_len + !n) 0;
-    u_val := ensure !u_val (!u_len + !n) 0.;
-    for q = 0 to !n - 1 do
-      eliminate keys.(q) i l_start.(k) !l_len
+    u_col := ensure !u_col (!u_len + r_len.(i)) 0;
+    u_val := ensure !u_val (!u_len + r_len.(i)) 0.;
+    for p = r_beg.(i) to r_beg.(i) + r_len.(i) - 1 do
+      let c = !r_col.(p) in
+      if c >= 0 && colcnt.(c) >= 0 then eliminate c i l_start.(k) !l_len
     done
   done;
   l_start.(m) <- !l_len;

@@ -290,6 +290,39 @@ let test_stage_invalidation () =
     (r5.Regalloc.Driver.model_fingerprint
     = r0.Regalloc.Driver.model_fingerprint)
 
+(* A head file that does not lead to an artifact -- [plant] makes it
+   unreadable or garbage -- is no head: the compile solves cold and
+   returns the cold compile's move cost.  The head names are the ones a
+   cold compile of the same source leaves in a store of its own. *)
+let bad_head_solves_cold plant () =
+  let cost (c : Regalloc.Driver.compiled) =
+    c.Regalloc.Driver.stats.Regalloc.Driver.weighted_move_cost
+  in
+  Regalloc.Driver.clear_memos ();
+  let dir = fresh_dir () in
+  let cold, _ = compile_inc (Cache.Store.create ~dir ()) small_src in
+  let heads =
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".head")
+  in
+  checkb "the cold compile leaves a head" true (heads <> []);
+  let dir = fresh_dir () in
+  let store = Cache.Store.create ~dir () in
+  List.iter (fun f -> plant (Filename.concat dir f)) heads;
+  Regalloc.Driver.clear_memos ();
+  let c, r = compile_inc store small_src in
+  checkb "solved, not replayed" false r.Regalloc.Driver.solve_hit;
+  checkb "no warm start" false r.Regalloc.Driver.warm_used;
+  check (Alcotest.float 0.) "the cold move cost" (cost cold) (cost c)
+
+let test_store_directory_head =
+  bad_head_solves_cold (fun file -> Unix.mkdir file 0o755)
+
+let test_store_garbage_head =
+  bad_head_solves_cold (fun file ->
+      Out_channel.with_open_bin file (fun oc ->
+          output_string oc "no-such-key\x00\xff"))
+
 (* The in-process memos evict their least recently used entry.  After
    eight distinct compiles and a resend of the first, a ninth distinct
    compile evicts one entry from each memo (front, model and full); in
@@ -381,6 +414,10 @@ let suites =
           test_store_directory_artifact;
         Alcotest.test_case "truncated artifact removed" `Quick
           test_store_truncated_artifact;
+        Alcotest.test_case "directory in place of a head" `Quick
+          test_store_directory_head;
+        Alcotest.test_case "head naming no artifact" `Quick
+          test_store_garbage_head;
       ] );
     ( "cache.fingerprint",
       [

@@ -957,10 +957,10 @@ let test_sparse_lu_roundtrip () =
   in
   checkb "some slack-heavy updates refused" true (refused > 0)
 
-(* [Sparse_lu.sort_prefix] orders the solves' index lists and the
-   factorization's keys (a quicksort into runs, then one insertion
-   pass).  Against [Array.sort]: random prefixes with repeats, ascending,
-   descending and organ-pipe inputs; entries past the prefix stay. *)
+(* [Sparse_lu.sort_prefix] orders the solves' index lists (a quicksort
+   into runs, then one insertion pass).  Against [Array.sort]: random
+   prefixes with repeats, ascending, descending and organ-pipe inputs;
+   entries past the prefix stay. *)
 let test_sort_prefix () =
   let st = Random.State.make [| 23 |] in
   let check what a n =
@@ -1020,43 +1020,122 @@ let test_sparse_lu_scale () =
         Alcotest.failf "ftran drift %g at %d" (Float.abs (v -. 1.)) i)
     (fst (hyper Sparse_lu.ftran lu b))
 
-(* [Sparse_lu.factorize] keeps the active submatrix in flat arrays but
-   must reproduce the Hashtbl reference ([Lu_reference]) exactly: the
-   same pivots, the same L and U entries in the same order and bit for
-   bit, and [Singular] on the same inputs.  Returns whether the basis
-   factored. *)
-let same_factors ~tag cols =
+(* The rank of the m x m matrix whose nonzeros [b] maps (row, column)
+   to, by Gaussian elimination over exact rationals.  Each column's
+   pivot is an unused row with the fewest nonzeros: any nonzero pivot
+   gives the rank, and this one keeps an arrow's fill-in small. *)
+let exact_rank m b =
+  let a = Array.make_matrix m m Rat.zero in
+  Hashtbl.iter (fun (i, j) v -> a.(i).(j) <- Rat.of_float v) b;
+  let nonzeros row =
+    Array.fold_left (fun n x -> if Rat.is_zero x then n else n + 1) 0 row
+  in
+  let used = Array.make m false and rank = ref 0 in
+  for j = 0 to m - 1 do
+    let p = ref (-1) in
+    for i = 0 to m - 1 do
+      if
+        (not used.(i))
+        && (not (Rat.is_zero a.(i).(j)))
+        && (!p < 0 || nonzeros a.(i) < nonzeros a.(!p))
+      then p := i
+    done;
+    if !p >= 0 then begin
+      let prow = a.(!p) in
+      used.(!p) <- true;
+      incr rank;
+      for i = 0 to m - 1 do
+        if (not used.(i)) && not (Rat.is_zero a.(i).(j)) then begin
+          let f = Rat.div a.(i).(j) prow.(j) in
+          for l = j to m - 1 do
+            if not (Rat.is_zero prow.(l)) then
+              a.(i).(l) <- Rat.sub a.(i).(l) (Rat.mul f prow.(l))
+          done
+        end
+      done
+    end
+  done;
+  !rank
+
+(* Check [Sparse_lu.factorize] on the basis [cols] without reference to
+   the order it pivots in, and return whether the basis factored:
+
+   - [pr] and [pc] are permutations;
+   - L and U are triangular in step order: step k's multipliers are in
+     rows pivoted after step k, and U row k's entries in columns
+     pivoted after it;
+   - P B Q = L U at every entry to within 1e-9 of |B| + |L| |U| there,
+     plus 1e-12 for entries dropped at the drop tolerance.  Row a and
+     column l of P B Q are row [pr.(a)] and column [pc.(l)] of B; L is
+     unit lower triangular with step k's multipliers in column k, and U
+     has the pivots on its diagonal;
+   - a basis whose entries are all integers raises [Singular] exactly
+     when its exact rank is below m. *)
+let check_factorization ~tag cols =
   let m = Array.length cols in
-  let column j f = Array.iter (fun (i, v) -> f i v) cols.(j) in
-  let reference =
-    try Some (Lu_reference.factorize m column) with Sparse_lu.Singular -> None
+  let bump tbl key v =
+    Hashtbl.replace tbl key
+      (v +. Option.value ~default:0. (Hashtbl.find_opt tbl key))
   in
-  let got =
-    try Some (Sparse_lu.factorize m column) with Sparse_lu.Singular -> None
-  in
-  match (reference, got) with
-  | None, None -> false
-  | Some _, None ->
-      Alcotest.failf "%s: only the flat factorization is singular" tag
-  | None, Some _ -> Alcotest.failf "%s: only the reference is singular" tag
-  | Some r, Some t ->
-      let ints what a b =
-        if a <> b then Alcotest.failf "%s: %s differ (m=%d)" tag what m
+  let b = Hashtbl.create 64 in
+  Array.iteri (fun j -> Array.iter (fun (i, v) -> bump b (i, j) v)) cols;
+  let got = try Some (factorize cols) with Sparse_lu.Singular -> None in
+  if Hashtbl.fold (fun _ v ok -> ok && Float.is_integer v) b true then begin
+    let rank = exact_rank m b and factored = got <> None in
+    if factored <> (rank = m) then
+      Alcotest.failf "%s: exact rank %d of %d, but factored = %b" tag rank m
+        factored
+  end;
+  match got with
+  | None -> false
+  | Some lu ->
+      let open Sparse_lu in
+      let inverse what p =
+        let inv = Array.make m (-1) in
+        Array.iteri
+          (fun k x ->
+            if x < 0 || x >= m || inv.(x) >= 0 then
+              Alcotest.failf "%s: %s is not a permutation" tag what;
+            inv.(x) <- k)
+          p;
+        inv
       in
-      let floats what a b =
-        let bits = Array.map Int64.bits_of_float in
-        ints what (bits a) (bits b)
+      let step_of_row = inverse "pr" lu.pr in
+      let step_of_col = inverse "pc" lu.pc in
+      let res = Hashtbl.create 64 and scale = Hashtbl.create 64 in
+      let add key v =
+        bump res key v;
+        bump scale key (Float.abs v)
       in
-      ints "pivot rows" r.Lu_reference.pr t.Sparse_lu.pr;
-      ints "pivot columns" r.Lu_reference.pc t.Sparse_lu.pc;
-      floats "pivots" r.Lu_reference.pivots t.Sparse_lu.pivots;
-      ints "L starts" r.Lu_reference.l_start t.Sparse_lu.l_start;
-      ints "L rows" r.Lu_reference.l_row t.Sparse_lu.l_row;
-      floats "L multipliers" r.Lu_reference.l_mult t.Sparse_lu.l_mult;
-      ints "L steps" r.Lu_reference.l_steps t.Sparse_lu.l_steps;
-      ints "U starts" r.Lu_reference.u_start t.Sparse_lu.u_start;
-      ints "U steps" r.Lu_reference.u_step t.Sparse_lu.u_step;
-      floats "U values" r.Lu_reference.u_val t.Sparse_lu.u_val;
+      Hashtbl.iter
+        (fun (i, j) v -> add (step_of_row.(i), step_of_col.(j)) v)
+        b;
+      for k = 0 to m - 1 do
+        let entries start step value =
+          List.init (start.(k + 1) - start.(k)) (fun q ->
+              let p = start.(k) + q in
+              (step p, value.(p)))
+        in
+        let l_col =
+          entries lu.l_start (fun p -> step_of_row.(lu.l_row.(p))) lu.l_mult
+        in
+        let u_row = entries lu.u_start (fun p -> lu.u_step.(p)) lu.u_val in
+        if List.exists (fun (s, _) -> s <= k) (l_col @ u_row) then
+          Alcotest.failf "%s: step %d is not triangular" tag k;
+        List.iter
+          (fun (a, lv) ->
+            List.iter
+              (fun (l, uv) -> add (a, l) (-.(lv *. uv)))
+              ((k, lu.pivots.(k)) :: u_row))
+          ((k, 1.) :: l_col)
+      done;
+      Hashtbl.iter
+        (fun (a, l) r ->
+          let s = Hashtbl.find scale (a, l) in
+          if Float.abs r > (1e-9 *. s) +. 1e-12 then
+            Alcotest.failf "%s: P B Q - L U is %g at (%d, %d), scale %g" tag r
+              a l s)
+        res;
       true
 
 (* A random sparse column: [k] entries at random rows, values from
@@ -1066,11 +1145,12 @@ let random_col st m k value =
 
 let small_int st = float_of_int (Random.State.int st 5 - 2)
 
-let test_sparse_lu_reference () =
+(* [check_factorization] on seeded families of bases. *)
+let test_sparse_lu_oracle () =
   let st = Random.State.make [| 15 |] in
   let factored = ref 0 and singular = ref 0 in
   let run tag cols =
-    if same_factors ~tag cols then incr factored else incr singular
+    if check_factorization ~tag cols then incr factored else incr singular
   in
   (* slack-heavy, nearly triangular bases like the allocation models' *)
   List.iter
@@ -1128,9 +1208,7 @@ let test_sparse_lu_reference () =
                [| (r, -.v); (Random.State.int st m, 0.); (perm.(j), 0.5) |];
              ]))
   done;
-  (* dense columns and rows past 32 and past 64 entries, so their
-     tables double their bucket counts, during the build and through
-     fill-in *)
+  (* dense columns and rows, and heavy fill-in *)
   List.iter
     (fun (m, density, case) ->
       let perm = shuffled st m in
@@ -1156,7 +1234,10 @@ let test_sparse_lu_reference () =
   (* singular bases: an empty column, an all-zero column, two equal
      columns, a column below the pivot tolerance *)
   List.iter
-    (fun (tag, cols) -> run tag cols)
+    (fun (tag, cols) ->
+      if check_factorization ~tag cols then
+        Alcotest.failf "%s: factored, expected Singular" tag
+      else incr singular)
     [
       ("empty column", [| [| (0, 1.) |]; [||]; [| (2, 1.) |] |]);
       ( "cancelled column",
@@ -1175,6 +1256,54 @@ let test_sparse_lu_reference () =
   done;
   checkb "most bases factored" true (!factored > 250);
   checkb "some bases singular" true (!singular >= 20)
+
+(* The pivot order of one small basis, worked by hand from the rules in
+   [Sparse_lu.factorize] (rows 0-2 against columns 0-2, and rows 3-4
+   against columns 3-4):
+
+     col 0: (2, 1) (1, 1) (0, -1)      col 3: (3, 1) (4, 1)
+     col 1: (0, 2) (1, 1) (2, 1)       col 4: (4, 2) (3, 1)
+     col 2: (1, 1) (2, 2) (0, 1)
+
+   The count lists start as 2: [3; 4] and 3: [0; 1; 2].
+   - Step 0 reads columns 3 and 4 (cost 1 each; the first stays).  In
+     column 3 rows 3 and 4 tie on count and value, so row 3, the earlier
+     entry, is the pivot.  L: row 4 x 1.  U: column 4's 1; column 4
+     becomes (4, 1) and moves to list 1.
+   - Step 1 takes column 4 at row 4.
+   - Step 2 reads columns 0, 1 and 2, all of cost 4, and takes column 0.
+     Its three entries tie on count and magnitude: row 2 comes first.
+     L in column order: row 1 x 1, row 0 x -1.  U in row 2's order:
+     column 1's 1 (which cancels row 1 and leaves (0, 3), count 1) and
+     column 2's 2 (leaving (1, -1) (0, 3), count 2).
+   - Step 3 takes column 1 at row 0, pivot 3; U: column 2's 3.
+   - Step 4 takes column 2 at row 1, pivot -1.
+   The search reads 2 + 1 + 3 + 1 + 1 = 8 list entries. *)
+let test_sparse_lu_written_order () =
+  let cols =
+    [|
+      [| (2, 1.); (1, 1.); (0, -1.) |];
+      [| (0, 2.); (1, 1.); (2, 1.) |];
+      [| (1, 1.); (2, 2.); (0, 1.) |];
+      [| (3, 1.); (4, 1.) |];
+      [| (4, 2.); (3, 1.) |];
+    |]
+  in
+  let reads = Support.Metrics.counter "lp.lu.search_reads" in
+  let reads0 = Support.Metrics.counter_value reads in
+  let lu = factorize cols in
+  let ints what want got = check Alcotest.(array int) what want got in
+  let floats what want got = check Alcotest.(array (float 0.)) what want got in
+  ints "pivot rows" [| 3; 4; 2; 0; 1 |] lu.Sparse_lu.pr;
+  ints "pivot columns" [| 3; 4; 0; 1; 2 |] lu.Sparse_lu.pc;
+  floats "pivots" [| 1.; 1.; 1.; 3.; -1. |] lu.Sparse_lu.pivots;
+  ints "L starts" [| 0; 1; 1; 3; 3; 3 |] lu.Sparse_lu.l_start;
+  ints "L rows" [| 4; 1; 0 |] lu.Sparse_lu.l_row;
+  floats "L multipliers" [| 1.; 1.; -1. |] lu.Sparse_lu.l_mult;
+  ints "U starts" [| 0; 1; 1; 3; 4; 4 |] lu.Sparse_lu.u_start;
+  ints "U steps" [| 1; 3; 4; 4 |] lu.Sparse_lu.u_step;
+  floats "U values" [| 1.; 1.; 2.; 3. |] lu.Sparse_lu.u_val;
+  checki "search reads" 8 (Support.Metrics.counter_value reads - reads0)
 
 (* The pivot row is built from the nonzeros of rho = e_r' Binv alone.
    On a 20 000-row LP whose bases stay mostly slack -- 400 covering rows
@@ -1560,8 +1689,10 @@ let suites =
           test_sparse_lu_scale;
         Alcotest.test_case "index sort matches Array.sort" `Quick
           test_sort_prefix;
-        Alcotest.test_case "sparse LU matches the Hashtbl reference" `Quick
-          test_sparse_lu_reference;
+        Alcotest.test_case "sparse LU factors reproduce the basis" `Quick
+          test_sparse_lu_oracle;
+        Alcotest.test_case "sparse LU written order" `Quick
+          test_sparse_lu_written_order;
         Alcotest.test_case "pivot row reads only rho's rows" `Quick
           test_revised_pivot_row_hypersparse;
         Alcotest.test_case "revised vs exact (seeded, large)" `Quick

@@ -19,7 +19,8 @@
    Every lookup runs under a `cache-lookup` trace span and bumps the
    `cache.hit`/`cache.miss` counters; evictions bump `cache.evict`.
    Corrupt or unreadable files are treated as misses, and a file that
-   is not JSON is removed. *)
+   is not JSON is removed.  An artifact that cannot be written (a
+   directory in its place, a full disk) stays in the memory tier only. *)
 
 open Support
 
@@ -178,11 +179,15 @@ let store t ~stage ~key (doc : Json.t) =
   mkdir_p t.dir;
   let file = path t ~stage ~key in
   let tmp = file ^ ".tmp" in
-  let oc = open_out_bin tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (Json.encode doc));
-  Sys.rename tmp file;
+  (try
+     let oc = open_out_bin tmp in
+     Fun.protect
+       ~finally:(fun () -> close_out_noerr oc)
+       (fun () ->
+         output_string oc (Json.encode doc);
+         close_out oc);
+     Sys.rename tmp file
+   with Sys_error _ -> ( try Sys.remove tmp with Sys_error _ -> ()));
   evict_disk t
 
 (* ---------------- head pointers ---------------- *)

@@ -133,6 +133,23 @@ let test_store_directory_artifact () =
     (Cache.Store.lookup store ~stage:"s" ~key = None);
   checki "miss counted" 1 (Support.Metrics.counter_value misses - misses0)
 
+(* A directory where an artifact should be written cannot be replaced:
+   the store returns, keeps the document in memory and leaves no
+   temporary file behind. *)
+let test_store_directory_artifact_on_store () =
+  let dir = fresh_dir () in
+  let store = Cache.Store.create ~dir () in
+  let key = Cache.Key.text "dir on store" in
+  Unix.mkdir (Cache.Store.path store ~stage:"s" ~key) 0o755;
+  let doc = Support.Json.Obj [ ("answer", Support.Json.Num 7.) ] in
+  Cache.Store.store store ~stage:"s" ~key doc;
+  checkb "lookup answers from memory" true
+    (Cache.Store.lookup store ~stage:"s" ~key = Some doc);
+  checkb "no temporary file left" false
+    (Array.exists
+       (fun f -> Filename.check_suffix f ".tmp")
+       (Sys.readdir dir))
+
 (* A truncated artifact is a miss and is removed, so the next lookup
    does not parse it again and a fresh store of the key hits. *)
 let test_store_truncated_artifact () =
@@ -352,15 +369,20 @@ let test_memo_lru () =
   checkb "least recently used second: evicted" false
     r2.Regalloc.Driver.full_hit
 
-(* A job that fails inside the artifact store, here because the store's
-   directory was replaced by a plain file, gets an error response and is
-   counted; the daemon then answers the next job on the same store. *)
+(* A job that fails inside the artifact store, here because a plain file
+   replaced the directory that holds the store's directory, so the store
+   cannot recreate it, gets an error response and is counted; the daemon
+   then answers the next job on the same store.  (A plain file in place
+   of the store's own directory no longer fails a job: the artifacts it
+   cannot write stay in memory.) *)
 let test_daemon_survives_failing_job () =
   Regalloc.Driver.clear_memos ();
-  let dir = fresh_dir () in
+  let parent = fresh_dir () in
+  let dir = Filename.concat parent "cache" in
   let store = Cache.Store.create ~dir () in
   Sys.rmdir dir;
-  close_out (open_out dir);
+  Sys.rmdir parent;
+  close_out (open_out parent);
   let config =
     {
       Service.Daemon.socket_path = "unused.sock";
@@ -392,7 +414,7 @@ let test_daemon_survives_failing_job () =
   checkb "failing job: ok is false" false (ok (compile ()));
   checki "failing job counted" 1
     (Support.Metrics.counter_value errors - errors0);
-  Sys.remove dir;
+  Sys.remove parent;
   checkb "next job answered" true (ok (compile ()))
 
 let suites =
@@ -412,6 +434,8 @@ let suites =
           test_store_disk_lru;
         Alcotest.test_case "directory in place of an artifact" `Quick
           test_store_directory_artifact;
+        Alcotest.test_case "directory in place of an artifact on store" `Quick
+          test_store_directory_artifact_on_store;
         Alcotest.test_case "truncated artifact removed" `Quick
           test_store_truncated_artifact;
         Alcotest.test_case "directory in place of a head" `Quick

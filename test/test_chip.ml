@@ -699,7 +699,7 @@ let test_pinned_chip_legs () =
         (chip_digest (chip_leg w (code w) ~offered ~count)))
     [
       ("kasumi ilp capacity", w_kasumi, ilp_code, 16.0, 2000,
-        "30cf5b3b3dbd2ae5005d6124e687c178");
+        "27d852cbce5ba3ed02e5c04b91160457");
       ("kasumi baseline capacity", w_kasumi, baseline_code, 16.0, 2000,
         "e20d1cce4572a9e4610aba5ffb0ab471");
       ("lpm ilp capacity", w_lpm, ilp_code, 16.0, 2000,
@@ -717,11 +717,11 @@ let test_pinned_cluster_legs () =
         (cluster_digest (cluster_leg w_kasumi (ilp_code w_kasumi) ~profile)))
     [
       ("kasumi ilp cluster, flood", Ixp.Pktgen.Syn_flood { size = 40 },
-        "7e8e834fcd469df079cc417c21c5f56f");
+        "bc497da69d1765d2af1bbf32dbfcde04");
       ( "kasumi ilp cluster, elephants",
         Ixp.Pktgen.Elephants
           { flows = 512; heavy = 4; heavy_pct = 80; size = 576 },
-        "f997dd7059515e6466a78a2876c23d54" );
+        "daa9962093b455da59778b2f30275ed3" );
     ]
 
 (* One packet on one context, every workload, baseline code. *)

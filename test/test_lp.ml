@@ -498,6 +498,239 @@ let bb_matches_brute_force =
       | _, Mip.Limit -> false)
 
 (* ------------------------------------------------------------------ *)
+(* Presolve on 0-1 programs: written order, oracle, scale             *)
+(* ------------------------------------------------------------------ *)
+
+(* Presolve's reductions, worked by hand from the order rules in
+   presolve.ml.  Eight binaries x0..x7 of cost 1, but x5 is continuous
+   in [0, 1]:
+     alias    : x0 - x1 = 0            le1 : x1 + x5 + x7 <= 2
+     tie      : x2 + x3 = 1            le2 : x0 + x5 + x6 + x7 <= 2
+     fallback : x4 - x5 = 0            ge1 : x0 + x2 + x7 >= 0
+     single   : x6 >= 1                ge2 : x0 - x3 + x7 >= 0
+   The rows are popped in order:
+   - alias: x0 has 4 live entries, x1 has 2, so x1 := x0 although x1 is
+     the higher index.  In le1, x0 takes x1's slot; the search for x0
+     scans le1's 3 slots, shorter than x0's 4 entries.  x0's cost is 2.
+     Reads: x1's 2 entries + 3 slots.
+   - tie: x2 and x3 have 2 live entries each, so the lower index goes:
+     x2 := 1 - x3.  A search along x3's 2 entries misses ge1, so x3
+     takes x2's slot and ge1 becomes x0 - x3 + x7 >= -1; the objective
+     takes the constant 1 and x3's cost falls to 0.  Reads: 2 entries
+     + 2.
+   - fallback: x4 has 1 live entry, x5 has 3, but x4 is integral and x5
+     is not, so x5 := x4 instead (cost 2 for x4).  le1 and le2 gain x4
+     in x5's slot, searched along x4's 1 and then 2 entries.  Reads: 3
+     entries + 3.
+   - single: x6 >= 1 meets x6's upper bound, so x6 := 1: le2 becomes
+     x0 + x4 + x7 <= 1 and the objective constant rises to 2.  Reads: 2
+     entries.
+   No other row reduces.  The kept variables x0, x3, x4, x7 become 0..3;
+   le2 merges into the earlier le1 with the smaller rhs 1, and ge2 into
+   ge1 with the larger rhs 0.  The reduced point (1, 1, 0, 0) postsolves
+   to x1 = x0 = 1, x2 = 1 - x3 = 0, x5 = x4 = 0 and x6 = 1.  Reads in
+   all: 5 + 4 + 6 + 2 = 17. *)
+let test_presolve_written_order () =
+  let p = Problem.create () in
+  let x =
+    Array.init 8 (fun i ->
+        Problem.add_var p ~lo:0. ~hi:1. ~obj:1. ~integer:(i <> 5)
+          (Printf.sprintf "x%d" i))
+  in
+  let row name sense rhs terms =
+    Problem.add_row p ~name sense rhs
+      (List.map (fun (i, c) -> (x.(i), c)) terms)
+  in
+  row "alias" Problem.Eq 0. [ (0, 1.); (1, -1.) ];
+  row "tie" Problem.Eq 1. [ (2, 1.); (3, 1.) ];
+  row "fallback" Problem.Eq 0. [ (4, 1.); (5, -1.) ];
+  row "single" Problem.Ge 1. [ (6, 1.) ];
+  row "le1" Problem.Le 2. [ (1, 1.); (5, 1.); (7, 1.) ];
+  row "le2" Problem.Le 2. [ (0, 1.); (5, 1.); (6, 1.); (7, 1.) ];
+  row "ge1" Problem.Ge 0. [ (0, 1.); (2, 1.); (7, 1.) ];
+  row "ge2" Problem.Ge 0. [ (0, 1.); (3, -1.); (7, 1.) ];
+  let reads = Support.Metrics.counter "lp.presolve.reads" in
+  let reads0 = Support.Metrics.counter_value reads in
+  match Presolve.run p with
+  | Presolve.Infeasible_detected -> Alcotest.fail "unexpected infeasible"
+  | Presolve.Reduced (r, info) ->
+      checki "reads" 17 (Support.Metrics.counter_value reads - reads0);
+      check
+        Alcotest.(list (pair string (float 0.)))
+        "reduced variables and costs"
+        [ ("x0", 2.); ("x3", 0.); ("x4", 2.); ("x7", 1.) ]
+        (List.init (Problem.num_vars r) (fun v ->
+             (Problem.var_name r v, Problem.var_obj r v)));
+      check Alcotest.(array int) "keep map" [| 0; -1; -1; 1; 2; -1; -1; 3 |]
+        info.Presolve.keep_map;
+      check (Alcotest.float 0.) "objective constant" 2.
+        info.Presolve.obj_constant;
+      let sense = function
+        | Problem.Le -> "<="
+        | Problem.Ge -> ">="
+        | Problem.Eq -> "="
+      in
+      check
+        Alcotest.(
+          list
+            (pair (pair string string)
+               (pair (float 0.) (list (pair int (float 0.))))))
+        "reduced rows"
+        [
+          (("le1", "<="), (1., [ (0, 1.); (2, 1.); (3, 1.) ]));
+          (("ge1", ">="), (0., [ (0, 1.); (1, -1.); (3, 1.) ]));
+        ]
+        (List.init (Problem.num_rows r) (fun i ->
+             let row = Problem.row r i in
+             ( (row.Problem.row_name, sense row.Problem.sense),
+               (row.Problem.rhs, row.Problem.terms) )));
+      check
+        Alcotest.(array (float 0.))
+        "postsolve"
+        [| 1.; 1.; 0.; 1.; 0.; 0.; 1.; 0. |]
+        (Presolve.postsolve info [| 1.; 1.; 0.; 0. |])
+
+(* Seeded 0-1 programs of at most 10 binaries, built from the rows
+   presolve reduces: aliases, complements, x + y = 1.5 (which only the
+   integrality guard keeps), singletons, fixed variables, and packing,
+   covering and equality rows repeated with different rhs (which the
+   merge of duplicate rows must resolve). *)
+let presolve_mip_gen =
+  let open QCheck.Gen in
+  let* n = 2 -- 10 in
+  let var = 0 -- (n - 1) in
+  let* costs = list_size (return n) (map float_of_int (-3 -- 3)) in
+  let* fixed = list_size (0 -- 2) (pair var (oneofl [ 0.; 1. ])) in
+  let doubleton rhs c =
+    map
+      (fun (i, j) -> [ (Problem.Eq, rhs, [ (i, 1.); (j, c) ]) ])
+      (pair var var)
+  in
+  let singleton =
+    map2
+      (fun i (sense, rhs, c) -> [ (sense, rhs, [ (i, c) ]) ])
+      var
+      (oneofl
+         Problem.
+           [
+             (Le, 0., 1.); (Ge, 1., 1.); (Eq, 0., 1.); (Eq, 1., 1.);
+             (Le, 1., 2.); (Ge, -1., -1.); (Eq, 0.5, 1.);
+           ])
+  in
+  let repeated =
+    let* sense = oneofl Problem.[ Le; Ge; Eq ] in
+    let* vars = list_size (2 -- 4) var in
+    let* rhss = list_size (2 -- 3) (map float_of_int (0 -- 3)) in
+    let terms = List.map (fun v -> (v, 1.)) vars in
+    return (List.map (fun rhs -> (sense, rhs, terms)) rhss)
+  in
+  let* rows =
+    list_size (1 -- 8)
+      (frequency
+         [
+           (3, doubleton 0. (-1.)); (3, doubleton 1. 1.); (1, doubleton 1.5 1.);
+           (2, singleton); (3, repeated);
+         ])
+  in
+  return (costs, fixed, List.concat rows)
+
+let build_presolve_mip (costs, fixed, rows) =
+  let p = Problem.create () in
+  List.iteri
+    (fun i c ->
+      let lo, hi =
+        match List.assoc_opt i fixed with Some v -> (v, v) | None -> (0., 1.)
+      in
+      ignore
+        (Problem.add_var p ~lo ~hi ~obj:c ~integer:true
+           (Printf.sprintf "b%d" i)))
+    costs;
+  List.iter (fun (sense, rhs, terms) -> Problem.add_row p sense rhs terms) rows;
+  p
+
+(* Every assignment of the original and of the reduced program is
+   enumerated.  [Infeasible_detected] must mean the original has no
+   feasible point; a reduced program is infeasible exactly when the
+   original is, and otherwise its optimum postsolves to a feasible point
+   of the original at the original's optimal objective. *)
+let presolve_matches_mip_oracle =
+  QCheck.Test.make ~name:"presolve keeps 0-1 optima (brute-force oracle)"
+    ~count:1000
+    (QCheck.make
+       ~print:(fun spec -> Lp_format.to_string (build_presolve_mip spec))
+       presolve_mip_gen)
+    (fun spec ->
+      let p = build_presolve_mip spec in
+      let best = brute_force_binary p in
+      match Presolve.run p with
+      | Presolve.Infeasible_detected -> best = None
+      | Presolve.Reduced (r, info) -> (
+          match (brute_force_binary r, best) with
+          | None, None -> true
+          | Some (_, reduced), Some (obj, _) ->
+              let full = Presolve.postsolve info reduced in
+              Problem.check_feasible ~eps:1e-9 p full
+              && Float.abs (Problem.objective_value p full -. obj) < 1e-9
+          | _ -> false))
+
+(* Substitutions read list entries and slots in proportion to the
+   nonzeros, on the two shapes where a careless order goes quadratic:
+   (a) one 100 000-term packing row over continuous variables, each
+   aliased to a fresh binary, so every row variable is the one
+   eliminated and the search for the binary's slot must walk its one
+   entry rather than the long row; (b) a 100 000-variable alias chain,
+   each variable also in its own packing row, where a survivor that is
+   always the same side of each alias would re-absorb every packing row
+   collected so far. *)
+let test_presolve_scales_linearly () =
+  let n = 100_000 in
+  let reads = Support.Metrics.counter "lp.presolve.reads" in
+  let measure what p ~vars ~rows =
+    let nnz = (Problem.stats p).Problem.n_nonzeros in
+    let reads0 = Support.Metrics.counter_value reads in
+    let t0 = Clock.now () in
+    let result = Presolve.run p in
+    let secs = Clock.since t0 in
+    let read = Support.Metrics.counter_value reads - reads0 in
+    (match result with
+    | Presolve.Infeasible_detected -> Alcotest.failf "%s: infeasible" what
+    | Presolve.Reduced (r, _) ->
+        checki (what ^ ": reduced variables") vars (Problem.num_vars r);
+        checki (what ^ ": reduced rows") rows (Problem.num_rows r));
+    if read > 4 * nnz then
+      Alcotest.failf "%s: presolve read %d entries for %d nonzeros (limit %d)"
+        what read nnz (4 * nnz);
+    if secs >= 2. then
+      Alcotest.failf "%s: presolve took %.2f s (limit 2 s)" what secs
+  in
+  let a = Problem.create () in
+  let xs =
+    Array.init n (fun i ->
+        Problem.add_var a ~lo:0. ~hi:1. (Printf.sprintf "x%d" i))
+  in
+  Problem.add_row a Problem.Le 1.
+    (Array.to_list (Array.map (fun v -> (v, 1.)) xs));
+  Array.iteri
+    (fun i v ->
+      let y = Problem.add_binary a (Printf.sprintf "y%d" i) in
+      Problem.add_row a Problem.Eq 0. [ (v, 1.); (y, -1.) ])
+    xs;
+  measure "packing row" a ~vars:n ~rows:1;
+  let b = Problem.create () in
+  let xs =
+    Array.init n (fun i ->
+        Problem.add_binary b ~obj:1. (Printf.sprintf "x%d" i))
+  in
+  Array.iteri
+    (fun i v ->
+      let z = Problem.add_binary b (Printf.sprintf "z%d" i) in
+      Problem.add_row b Problem.Le 1. [ (v, 1.); (z, 1.) ];
+      if i + 1 < n then
+        Problem.add_row b Problem.Eq 0. [ (v, 1.); (xs.(i + 1), -1.) ])
+    xs;
+  measure "alias chain" b ~vars:(n + 1) ~rows:n
+
+(* ------------------------------------------------------------------ *)
 (* Parallel branch and bound (OCaml 5 domains)                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -1710,6 +1943,13 @@ let suites =
         Alcotest.test_case "detects infeasible" `Quick
           test_presolve_detects_infeasible;
         QCheck_alcotest.to_alcotest presolve_preserves_optimum;
+        Alcotest.test_case "presolve written order" `Quick
+          test_presolve_written_order;
+        QCheck_alcotest.to_alcotest
+          ~rand:(Random.State.make [| 22 |])
+          presolve_matches_mip_oracle;
+        Alcotest.test_case "presolve scales linearly" `Quick
+          test_presolve_scales_linearly;
       ] );
     ( "lp.mip",
       [

@@ -438,20 +438,20 @@ let test_cold_pivot_path () =
         Alcotest.failf "%s: move cost %.17g, expected %.17g" name got cost)
     Regalloc.Driver.
       [
-        ( "kasumi.nova", Workloads.Kasumi.source, Outcome_optimal, 1, 534, 4,
+        ( "kasumi.nova", Workloads.Kasumi.source, Outcome_optimal, 1, 353, 4,
           0.14308868091327917 );
-        ( "lpm.nova", Workloads.Lpm.source, Outcome_optimal, 1, 128, 2,
+        ( "lpm.nova", Workloads.Lpm.source, Outcome_optimal, 1, 94, 2,
           0.1018688700318731 );
-        ( "firewall.nova", Workloads.Firewall.source, Outcome_optimal, 1, 198,
+        ( "firewall.nova", Workloads.Firewall.source, Outcome_optimal, 1, 141,
           3, 0.019305567728240509 );
-        ( "csum.nova", Workloads.Csum.source, Outcome_optimal, 1, 303, 2,
+        ( "csum.nova", Workloads.Csum.source, Outcome_optimal, 1, 228, 2,
           0.0060890768694370941 );
-        ( "qos.nova", Workloads.Qos.source, Outcome_optimal, 1, 1523, 5,
+        ( "qos.nova", Workloads.Qos.source, Outcome_optimal, 1, 1081, 5,
           0.63312208153367688 );
         (* branching searches, stopped by the node budget *)
-        ( "aes.nova", Workloads.Aes.source, Outcome_incumbent, 128, 3300, 16,
+        ( "aes.nova", Workloads.Aes.source, Outcome_incumbent, 128, 2366, 16,
           0.023630614772156427 );
-        ( "nat.nova", Workloads.Nat.source, Outcome_incumbent, 128, 5993, 27,
+        ( "nat.nova", Workloads.Nat.source, Outcome_incumbent, 128, 5882, 27,
           4.4873869440000007 );
       ]
 
@@ -472,8 +472,8 @@ let test_two_domain_aes_pinned () =
         ~deterministic:true p
     in
     let s = r.Lp.Mip.stats in
-    checki (run ^ ": nodes") 136 s.Lp.Mip.nodes;
-    checki (run ^ ": simplex iterations") 5394 s.Lp.Mip.simplex_iterations
+    checki (run ^ ": nodes") 176 s.Lp.Mip.nodes;
+    checki (run ^ ": simplex iterations") 4053 s.Lp.Mip.simplex_iterations
   in
   solve "first run";
   solve "second run"

@@ -610,10 +610,10 @@ let solver () =
    pricing regression fails the build rather than just getting slower.
    AES under a 2 s limit must stop with status [limit] within a second
    of the limit, so a budget the search ignores fails the gate.  It is
-   solved at a zero gap: at the default gap, built after Kasumi, AES
-   proves optimal in about 1 s, while a zero-gap proof takes longer than
-   20 s.  With [domains] >= 2 the Kasumi model is additionally
-   solved by the parallel search -- twice, in deterministic mode -- and
+   solved at a zero gap: at the default gap AES proves optimal in about
+   1 s, while a zero-gap proof takes longer than 20 s.  With [domains]
+   >= 2 the Kasumi model is additionally solved by the parallel search
+   -- twice, in deterministic mode -- and
    the gate also fails if the parallel objective disagrees with the
    sequential one or the deterministic node count does not reproduce. *)
 let solver_smoke ?(domains = 1) () =
@@ -836,16 +836,26 @@ let incremental () =
 (* CI gate for `novac serve`: spawn the daemon in a domain, compile the
    Kasumi workload twice over the socket, and assert the second response
    is served entirely from the cache (full-compile memo hit -- the
-   solver never runs).  Hard 60 s wall-clock ceiling like the other
-   smoke jobs. *)
+   solver never runs).  Then compile QoS over the socket: its code, move
+   cost and node count must equal a plain [Regalloc.Driver.compile] of
+   the same source and options, run here before the daemon starts, so
+   the daemon answers what `novac compile` does whatever it compiled
+   before.  Hard 60 s wall-clock ceiling like the other smoke jobs. *)
 let service_smoke () =
-  rule "Service smoke: daemon cold compile, then pure cache hit";
+  rule
+    "Service smoke: daemon cold compile, then pure cache hit, then the \
+     answer novac compile gives";
   let ceiling = 60. in
   let t0 = Unix.gettimeofday () in
   let socket_path = artifact "novac-smoke.sock" in
   let dir = artifact "cache-smoke" in
   rm_rf dir;
   Regalloc.Driver.clear_memos ();
+  let qos_file = "qos.nova" in
+  let qos_expected =
+    Regalloc.Driver.compile ~options:incremental_options ~file:qos_file
+      qos.source
+  in
   let config =
     {
       Service.Daemon.socket_path;
@@ -902,6 +912,46 @@ let service_smoke () =
         (flag resp "cache" "front") (flag resp "cache" "model")
         (flag resp "cache" "solve")
   | _ -> ());
+  (match
+     Service.Client.compile ~node_limit:node_budget ~file:qos_file
+       ~source:qos.source t
+   with
+  | Error e -> fail "QoS compile: %s" e
+  | Ok resp ->
+      let num path =
+        List.fold_left
+          (fun doc name -> Option.bind doc (Support.Json.member name))
+          (Some resp) path
+        |> Fun.flip Option.bind Support.Json.to_float
+      in
+      let show = Option.fold ~none:"none" ~some:(Printf.sprintf "%.17g") in
+      let stats = qos_expected.Regalloc.Driver.stats in
+      let asm =
+        Ixp.Asm.program_to_string qos_expected.Regalloc.Driver.physical
+      in
+      let cost = Some stats.Regalloc.Driver.weighted_move_cost in
+      let nodes =
+        Option.map
+          (fun m -> float_of_int m.Lp.Mip.nodes)
+          stats.Regalloc.Driver.mip
+      in
+      let same_asm =
+        Option.bind (Support.Json.member "asm" resp) Support.Json.to_string
+        = Some asm
+      in
+      if not same_asm then
+        fail "QoS: the daemon's code differs from novac compile's";
+      if num [ "weighted_move_cost" ] <> cost then
+        fail "QoS: daemon move cost %s, novac compile %s"
+          (show (num [ "weighted_move_cost" ]))
+          (show cost);
+      if num [ "solver"; "nodes" ] <> nodes then
+        fail "QoS: daemon searched %s nodes, novac compile %s"
+          (show (num [ "solver"; "nodes" ]))
+          (show nodes);
+      Fmt.pr "QoS through the daemon: %.3f move cost, %s nodes, same code \
+              as novac compile: %b@."
+        stats.Regalloc.Driver.weighted_move_cost (show nodes) same_asm);
   (match Service.Client.shutdown t with
   | Ok _ -> ()
   | Error e -> fail "shutdown: %s" e);
@@ -1061,7 +1111,8 @@ let commands =
     ("solver-scaling", "solver wall time against worker domains",
       solver_scaling);
     ("incremental", "cold, no-op and edit rebuilds (CI gate)", incremental);
-    ("service-smoke", "daemon compile, then a cache hit (CI gate)",
+    ( "service-smoke",
+      "daemon compile, a cache hit, then novac's answer (CI gate)",
       service_smoke);
     ("cluster-smoke", "cluster determinism and ceiling (CI gate)",
       cluster_smoke);

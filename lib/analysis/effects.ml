@@ -247,11 +247,6 @@ let env_at s ~block ~pos =
   | Env_lattice.Bot -> None
   | Env_lattice.Env m -> Some m
 
-let interval_before s ~block ~pos r =
-  match env_at s ~block ~pos with
-  | None -> Interval.top
-  | Some m -> itv_of (lookup m r)
-
 (* ------------------------------------------------------------------ *)
 (* Access footprints                                                   *)
 (* ------------------------------------------------------------------ *)

@@ -54,8 +54,6 @@ and fundef = { name : var; params : var list; kind : kind; body : term }
 (* Traversals                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let value_vars = function Var v -> [ v ] | Int _ -> []
-
 let rec iter_terms f (t : term) =
   f t;
   match t with

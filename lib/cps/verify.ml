@@ -27,12 +27,6 @@ type stage =
   | After_deproc (* + no Func defs, all applications target known blocks *)
   | After_ssu (* + write-side single use, clone placement *)
 
-let stage_name = function
-  | After_convert -> "convert"
-  | After_contract -> "contract"
-  | After_deproc -> "deproc"
-  | After_ssu -> "ssu"
-
 let deproc_done = function After_deproc | After_ssu -> true | _ -> false
 let ssu_done = function After_ssu -> true | _ -> false
 

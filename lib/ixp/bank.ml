@@ -26,7 +26,6 @@ let all = [ A; B; L; LD; S; SD; M; C ]
 
 (* The paper's AMPL sets: XBank = transfer banks, GBank = {A, B, M}. *)
 let xbanks = [ L; LD; S; SD ]
-let gbanks = [ A; B; M ]
 
 let is_transfer = function L | LD | S | SD -> true | A | B | M | C -> false
 let is_read_transfer = function L | LD -> true | _ -> false
@@ -129,10 +128,6 @@ let move_cost ?(params = default_costs) ~src ~dst () =
      symmetric A and B banks (paper §7). *)
   if equal src B || equal dst B then base *. bias else base
 
-(* Banks a value can move to directly (one instruction, no memory). *)
-let direct_successors src =
-  List.filter (fun dst -> direct_move_ok ~src ~dst) all
-
 (* Transitions the ILP's Move variables may take in one step: the direct
    ALU datapaths, stores into scratch (staged through S when necessary),
    and reloads out of scratch (landing in L, optionally moved onward to a
@@ -147,5 +142,3 @@ let move_legal ~src ~dst =
      constant was copied to *)
   || (equal src C && List.mem dst [ A; B ])
   || (equal dst C && List.mem src [ A; B ])
-
-let legal_moves_from src = List.filter (fun dst -> move_legal ~src ~dst) all

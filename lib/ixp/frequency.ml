@@ -157,9 +157,6 @@ let block_frequency t label =
 (* Frequency of a program point = frequency of its block. *)
 let point_frequency t (p : Flowgraph.point) = block_frequency t p.Flowgraph.block
 
-let edge_probability t ~src ~dst =
-  Option.value ~default:0. (Hashtbl.find_opt t.edge_prob (src, dst))
-
 let pp ppf t =
   let entries =
     Hashtbl.fold (fun label f acc -> (label, f) :: acc) t.block_freq []

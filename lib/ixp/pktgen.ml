@@ -399,12 +399,5 @@ let trace config =
   in
   go []
 
-(* Offered load actually encoded in a trace, in packets per second
-   relative to the configured clock (useful when rounding to whole
-   cycles makes the realized load differ from the request). *)
-let offered_pps config =
-  if config.offered_mpps <= 0. then infinity
-  else config.offered_mpps *. 1e6
-
 let pp_packet ppf p =
   Fmt.pf ppf "#%d port%d @%d %dB flow%d" p.seq p.port p.arrival p.size p.flow

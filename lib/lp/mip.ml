@@ -292,10 +292,3 @@ let solve ?(presolve = true) ?(cuts = true) ?(time_limit = 600.)
       ~map_orig_to_sub:(fun j ->
         if j >= 0 && j < Problem.num_vars p then Some j else None)
       ~sub_to_orig:(fun j -> Some j)
-
-(* Solve the LP relaxation only (used for root-relaxation statistics). *)
-let solve_relaxation (p : Problem.t) =
-  let solver = Revised.create p in
-  match Revised.solve solver with
-  | Revised.Optimal -> Some (Revised.objective solver, Revised.primal solver)
-  | Revised.Infeasible | Revised.Iteration_limit -> None

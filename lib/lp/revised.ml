@@ -629,4 +629,3 @@ let objective t =
 let iterations t = t.total_iters
 let factorizations t = t.factorizations
 let num_rows t = t.m
-let num_cols t = t.n

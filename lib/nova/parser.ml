@@ -616,10 +616,3 @@ let parse_string ~file src =
       let toks = Lexer.tokenize ~file src in
       let p = make toks in
       program p)
-
-let parse_expr_string ~file src =
-  let toks = Lexer.tokenize ~file src in
-  let p = make toks in
-  let e = expr p in
-  if peek p <> Lexer.EOF then error p "trailing tokens after expression";
-  e

@@ -458,11 +458,6 @@ let program_to_string (p : program) =
   adds ctx "\n";
   Buffer.contents ctx.buf
 
-let expr_to_string e =
-  let ctx = { buf = Buffer.create 256; ind = 0 } in
-  pp_expr ctx ~prec:0 e;
-  Buffer.contents ctx.buf
-
 (* ------------------------------------------------------------------ *)
 (* Structural equality modulo source locations                         *)
 (* ------------------------------------------------------------------ *)
@@ -578,4 +573,3 @@ let strip_topdecl = function
 let strip_program (p : program) = { decls = List.map strip_topdecl p.decls }
 
 let equal_program a b = strip_program a = strip_program b
-let equal_expr a b = strip_expr a = strip_expr b

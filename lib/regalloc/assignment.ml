@@ -39,6 +39,22 @@ let of_ilp (s : Ilp.solution) : t =
               Ident.pp v);
   }
 
+(* The weighted move cost of an allocation: each move's bank-transition
+   cost times its point's frequency weight, summed point by point.  Both
+   allocators report this number, so they compare like for like. *)
+let move_cost (a : t) : float =
+  let cost = ref 0. in
+  Array.iteri
+    (fun p _ ->
+      List.iter
+        (fun (_, b1, b2) ->
+          cost :=
+            !cost
+            +. (a.mg.Modelgen.weights.(p) *. Bank.move_cost ~src:b1 ~dst:b2 ()))
+        (a.moves_at p))
+    a.mg.Modelgen.points;
+  !cost
+
 (* Sanity checks every assignment must satisfy; used by tests and run in
    the driver under a debug flag.  Checks the copy discipline (banks agree
    across instruction and control edges modulo declared moves) and that

@@ -441,20 +441,3 @@ let build (mg : Modelgen.t) : Assignment.t =
     | None -> 0
   in
   { Assignment.mg; bank_before; bank_after; moves_at; xfer_color }
-
-(* Count the moves the baseline inserts (weighted like the ILP's
-   objective, for a like-for-like comparison). *)
-let move_cost (a : Assignment.t) =
-  let mg = a.Assignment.mg in
-  let total = ref 0 and cost = ref 0. in
-  Array.iteri
-    (fun p _ ->
-      List.iter
-        (fun (_, b1, b2) ->
-          incr total;
-          cost :=
-            !cost
-            +. (mg.Modelgen.weights.(p) *. Bank.move_cost ~src:b1 ~dst:b2 ()))
-        (a.Assignment.moves_at p))
-    mg.Modelgen.points;
-  (!total, !cost)

@@ -100,9 +100,16 @@ type front = {
   f_graph : Ident.t Ixp.Flowgraph.t;
 }
 
+(* Every identifier of a compile is minted here (typecheck, CPS
+   conversion and its passes, SSU, isel); modelgen, the ILP, emit and the
+   checks mint none.  Resetting the stamp counter first numbers a
+   compile's identifiers exactly as a fresh process does, so the ILP's
+   variable names, and with them the LP's column order and pivot path,
+   are a function of the source and options alone. *)
 let front_end ?(entry = "main") ?(entry_args = []) ?(rematerialize = false)
     ?(verify_each = false) ~file source =
   Trace.with_span "front-end" ~args:[ ("file", Trace.Str file) ] @@ fun () ->
+  Ident.reset ();
   let prog = Nova.Parser.parse_string ~file source in
   let source_stats = Nova.Stats.of_program ~source prog in
   let tprog = Nova.Typecheck.check_program ~entry prog in
@@ -289,25 +296,6 @@ let allocate_with ~(model_solve : model_solve) (options : options)
                 Fmt.(list ~sep:cut Ixp.Checker.pp_violation)
                 vs))
   end;
-  let weighted =
-    match outcome with
-    | Outcome_heuristic | Outcome_fallback ->
-        snd (Baseline.move_cost assignment)
-    | Outcome_optimal | Outcome_incumbent ->
-        (* recompute from the assignment for comparability *)
-        let total = ref 0. in
-        Array.iteri
-          (fun p _ ->
-            List.iter
-              (fun (_, b1, b2) ->
-                total :=
-                  !total
-                  +. mg.Modelgen.weights.(p)
-                     *. Ixp.Bank.move_cost ~src:b1 ~dst:b2 ())
-              (assignment.Assignment.moves_at p))
-          mg.Modelgen.points;
-        !total
-  in
   {
     options;
     tprog = front.f_tprog;
@@ -328,7 +316,7 @@ let allocate_with ~(model_solve : model_solve) (options : options)
         solver_outcome = outcome;
         moves_inserted = emitted.Emit.moves_inserted;
         spills_inserted = emitted.Emit.spills_inserted;
-        weighted_move_cost = weighted;
+        weighted_move_cost = Assignment.move_cost assignment;
       };
   }
 
@@ -361,17 +349,18 @@ let compile ?(options = default_options) ~file source =
    replay is by in-process memo -- which is exactly the hot path of
    `novac serve`; on disk they leave provenance stamps only.  The solve
    stage is where the time goes, and its artifact *is* fully
-   serializable: the MIP solution and warm-start data keyed by
-   canonical variable names ([Modelhash]), so a fresh process that
-   rebuilds the front and model cheaply can still skip branch and bound
-   entirely when the model fingerprint matches.
+   serializable: the MIP solution and warm-start data keyed by the LP's
+   variable names ([Modelhash]), so a fresh process that rebuilds the
+   front and model cheaply can still skip branch and bound entirely when
+   the model fingerprint matches.
 
    On a solve miss, the previous solve of the same (file, variant,
    objective) -- located through a store head pointer -- seeds a warm
    start: its solution becomes the incumbent hints and its pseudocost
    table primes branching ([Lp.Mip.warm_start]).  Values map by
-   canonical name, so hints survive ident-stamp drift and partial model
-   changes; unmappable names are simply dropped.
+   variable name, so hints survive partial model changes wherever the
+   identifiers before the edit keep their stamps; unmappable names are
+   simply dropped.
 
    Replayed solves are re-validated: the stored solution must be
    feasible on the freshly built instance and reproduce the stored
@@ -388,16 +377,6 @@ type cache_report = {
   warm_used : bool; (* live solve seeded its incumbent from a warm start *)
   model_fingerprint : string; (* structural hash of the solved model *)
 }
-
-let cold_report =
-  {
-    front_hit = false;
-    model_hit = false;
-    solve_hit = false;
-    full_hit = false;
-    warm_used = false;
-    model_fingerprint = "";
-  }
 
 (* Shared with [Cache.Store]'s instruments: the registry dedups by
    name, so memo hits and store hits accumulate into the same lines. *)
@@ -497,8 +476,8 @@ type model_entry = {
   me_mg : Modelgen.t;
   me_ilp : Ilp.t;
   me_fp : string;
-  me_names : string array; (* canonical variable names *)
-  me_index : (string, int) Hashtbl.t; (* canonical name -> variable *)
+  me_names : string array; (* variable names *)
+  me_index : (string, int) Hashtbl.t; (* variable name -> variable *)
 }
 
 let memo_model : model_entry memo = Hashtbl.create 8
@@ -607,9 +586,10 @@ let cached_model_solve ~(store : Cache.Store.t) ~file ~key_front
     ~(report_warm : unit -> unit) ~(report_fp : string -> unit)
     (options : options) : model_solve =
  fun ~variant graph ->
-  (* model stage: memo keyed by (front key, variant, objective); the
-     stored entry is only valid for the very front object it was built
-     from (ident stamps!), so a physical-identity guard backs the key *)
+  (* model stage: memo keyed by (front key, variant, objective), and
+     reused only with the very front object it was built from (a
+     physical-identity guard backs the key), so a model and the front it
+     allocates always come from one compile *)
   let mk = Cache.Key.combine [ key_front; variant; obj_tag options.objective ] in
   let entry =
     match memo_find memo_model mk with
@@ -627,8 +607,8 @@ let cached_model_solve ~(store : Cache.Store.t) ~file ~key_front
         let problem = ilp.Ilp.instance.Ampl.Model.problem in
         let names, fp =
           Trace.with_span "model-fingerprint" (fun () ->
-              let names = Modelhash.canonical_names problem in
-              (names, Modelhash.fingerprint ~names problem))
+              let names = Modelhash.names problem in
+              (names, Modelhash.fingerprint problem))
         in
         let e =
           {
@@ -637,7 +617,7 @@ let cached_model_solve ~(store : Cache.Store.t) ~file ~key_front
             me_ilp = ilp;
             me_fp = fp;
             me_names = names;
-            me_index = Modelhash.index_of_canonical names;
+            me_index = Modelhash.index_of_names names;
           }
         in
         memo_add memo_model mk e;

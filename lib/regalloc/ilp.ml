@@ -848,21 +848,3 @@ let color_of (s : solution) v b =
       M.is_one s.ilp.instance s.assignment s.ilp.color_f
         [ atom_v v; atom_b b; atom_r r ])
     xregs
-
-(* Count the weighted and unweighted moves/spills in the solution. *)
-type move_stats = { total_moves : int; spill_moves : int; weighted_cost : float }
-
-let move_stats (s : solution) =
-  let total = ref 0 and spills = ref 0 and cost = ref 0. in
-  Array.iteri
-    (fun p _ ->
-      List.iter
-        (fun (_, b1, b2) ->
-          incr total;
-          if Bank.equal b1 Bank.M || Bank.equal b2 Bank.M then incr spills;
-          cost :=
-            !cost
-            +. (s.ilp.mg.Modelgen.weights.(p) *. Bank.move_cost ~src:b1 ~dst:b2 ()))
-        (moves_at s p))
-    s.ilp.mg.Modelgen.points;
-  { total_moves = !total; spill_moves = !spills; weighted_cost = !cost }

@@ -85,18 +85,8 @@ let allowed_banks t v =
 
 let fixed_bank t v = Ident.Tbl.find_opt t.fixed v
 let is_fixed t v = Ident.Tbl.mem t.fixed v
-let num_fixed t = Ident.Tbl.length t.fixed
 
 let allowed_xfer t v = List.filter Bank.is_transfer (allowed_banks t v)
-
-let move_allowed t p v =
-  (match Hashtbl.find_opt t.move_all p with
-  | Some set -> Ident.Set.mem v set
-  | None -> false)
-  ||
-  match Hashtbl.find_opt t.move_from p with
-  | Some tbl -> Ident.Tbl.mem tbl v
-  | None -> false
 
 (* All (b1, b2) transitions the model offers temp [v] at point [p],
    including the identity transitions (one per allowed bank). *)
@@ -136,7 +126,6 @@ let legal_move_pairs t p v =
    makes the linear program much smaller.  The driver retries with
    [allow_spill:true] if the spill-free model is infeasible. *)
 let const_of t v = Ident.Tbl.find_opt t.const_value v
-let is_const t v = Ident.Tbl.mem t.const_value v
 
 (* cost of materializing a constant: small values take one instruction,
    full-width values two (matches the simulator's Imm cost) *)

@@ -32,8 +32,6 @@ let remove t i =
     (Char.chr
        (Char.code (Bytes.get t.bits byte) land lnot (1 lsl (i mod bpw)) land 0xff))
 
-let copy t = { bits = Bytes.copy t.bits; width = t.width }
-
 let same_universe a b =
   if a.width <> b.width then invalid_arg "Bitset: universe mismatch"
 
@@ -52,14 +50,6 @@ let union_into ~dst ~src =
   done;
   !changed
 
-let diff_into ~dst ~src =
-  same_universe dst src;
-  for i = 0 to Bytes.length dst.bits - 1 do
-    let d = Char.code (Bytes.get dst.bits i) in
-    let s = Char.code (Bytes.get src.bits i) in
-    Bytes.set dst.bits i (Char.chr (d land lnot s land 0xff))
-  done
-
 let equal a b =
   same_universe a b;
   Bytes.equal a.bits b.bits
@@ -77,9 +67,3 @@ let fold f t acc =
 let elements t = List.rev (fold (fun i acc -> i :: acc) t [])
 
 let cardinal t = fold (fun _ n -> n + 1) t 0
-
-let is_empty t =
-  let rec go i =
-    i >= Bytes.length t.bits || (Bytes.get t.bits i = '\000' && go (i + 1))
-  in
-  go 0

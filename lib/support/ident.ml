@@ -30,8 +30,12 @@ let pp ppf t = Fmt.pf ppf "%s_%d" t.base t.stamp
 let pp_base ppf t = Fmt.string ppf t.base
 let to_string = name
 
-(* Deterministic table reset, used by tests so that golden outputs are
-   stable regardless of what ran before. *)
+(* Restart the stamp counter.  [Regalloc.Driver.front_end] calls it
+   before each compile, so a compile numbers its identifiers as a fresh
+   process does.  Identifiers minted before a reset can collide with those
+   minted after it, so no two compiles may run on two domains at once:
+   the daemon serves one job at a time, and bench and perfbench compile
+   only while their daemon is idle or stopped. *)
 let reset () = counter := 0
 
 module Ord = struct

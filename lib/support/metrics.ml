@@ -167,7 +167,6 @@ let merge_buckets h (buckets : int array) =
       done)
 
 let histogram_count h = h.h_count
-let histogram_sum h = h.h_sum
 
 (* Nearest-rank percentile from the bucket table: the value reported is
    the lower bound of the bucket holding the rank-th smallest

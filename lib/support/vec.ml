@@ -6,11 +6,7 @@ let create () = { data = [||]; len = 0 }
 
 let make n x = { data = Array.make n x; len = n }
 
-let with_capacity n = { data = (if n = 0 then [||] else Array.make n (Obj.magic 0)); len = 0 }
-
 let length t = t.len
-
-let is_empty t = t.len = 0
 
 let unsafe_get t i = Array.unsafe_get t.data i
 
@@ -69,35 +65,14 @@ let fold_left f acc t =
   done;
   !acc
 
-let exists p t =
-  let rec go i = i < t.len && (p t.data.(i) || go (i + 1)) in
-  go 0
-
 let to_list t =
   let rec go i acc = if i < 0 then acc else go (i - 1) (t.data.(i) :: acc) in
   go (t.len - 1) []
 
 let to_array t = Array.sub t.data 0 t.len
 
-let of_list xs =
-  let t = create () in
-  List.iter (push t) xs;
-  t
-
-let of_array a = { data = Array.copy a; len = Array.length a }
-
 let map f t =
   { data = Array.init t.len (fun i -> f t.data.(i)); len = t.len }
-
-let find_opt p t =
-  let rec go i =
-    if i >= t.len then None
-    else if p t.data.(i) then Some t.data.(i)
-    else go (i + 1)
-  in
-  go 0
-
-let append dst src = iter (push dst) src
 
 let sort cmp t =
   let a = to_array t in

@@ -23,32 +23,32 @@ let test_key_determinism () =
   checkb "combine separates parts" false
     (Cache.Key.combine [ "ab"; "c" ] = Cache.Key.combine [ "a"; "bc" ])
 
-let test_key_fold_order_insensitive () =
-  let digest_of parts =
-    let acc = Cache.Key.fold_create () in
-    List.iter (fun s -> Cache.Key.fold_add acc (Cache.Key.text s)) parts;
-    Cache.Key.fold_digest acc
-  in
-  checks "fold is order-insensitive"
-    (digest_of [ "x"; "y"; "z" ])
-    (digest_of [ "z"; "x"; "y" ]);
-  checkb "fold distinguishes contents" false
-    (digest_of [ "x"; "y" ] = digest_of [ "x"; "z" ])
-
 (* ---------------- store ---------------- *)
 
-let fresh_dir =
-  let n = ref 0 in
-  fun () ->
-    incr n;
-    let dir =
-      Filename.concat (Filename.get_temp_dir_name ())
-        (Printf.sprintf "novac-test-cache-%d-%d" (Unix.getpid ()) !n)
-    in
-    dir
+let rec rm_rf path =
+  match Unix.lstat path with
+  | { Unix.st_kind = Unix.S_DIR; _ } ->
+      Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
+      Unix.rmdir path
+  | _ -> Unix.unlink path
+  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
+
+let dirs_made = ref 0
+
+(* [with_dir f] runs [f] on a fresh temporary directory path, which it
+   removes afterwards, whatever [f] left there and whether or not it
+   failed. *)
+let with_dir f =
+  incr dirs_made;
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "novac-test-cache-%d-%d" (Unix.getpid ()) !dirs_made)
+  in
+  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
 
 let test_store_roundtrip () =
-  let store = Cache.Store.create ~dir:(fresh_dir ()) () in
+  with_dir @@ fun dir ->
+  let store = Cache.Store.create ~dir () in
   let key = Cache.Key.text "some input" in
   checkb "miss before store" true
     (Cache.Store.lookup store ~stage:"solve" ~key = None);
@@ -69,9 +69,8 @@ let test_store_roundtrip () =
     (Cache.Store.lookup store ~stage:"solve" ~key <> None)
 
 let test_store_eviction () =
-  let store =
-    Cache.Store.create ~dir:(fresh_dir ()) ~mem_entries:4 ~disk_entries:4 ()
-  in
+  with_dir @@ fun dir ->
+  let store = Cache.Store.create ~dir ~mem_entries:4 ~disk_entries:4 () in
   for i = 1 to 12 do
     Cache.Store.store store ~stage:"s"
       ~key:(Cache.Key.text (string_of_int i))
@@ -90,7 +89,8 @@ let test_store_eviction () =
     (Cache.Store.lookup store ~stage:"s" ~key:(Cache.Key.text "12") <> None)
 
 let test_store_head_pointer () =
-  let store = Cache.Store.create ~dir:(fresh_dir ()) () in
+  with_dir @@ fun dir ->
+  let store = Cache.Store.create ~dir () in
   checkb "no head initially" true (Cache.Store.head store ~name:"h" = None);
   Cache.Store.set_head store ~name:"h" ~key:"k1";
   checkb "head set" true (Cache.Store.head store ~name:"h" = Some "k1");
@@ -101,7 +101,8 @@ let test_store_head_pointer () =
    least recently used file rather than the oldest written.  The pauses
    keep the files' timestamps apart. *)
 let test_store_disk_lru () =
-  let store = Cache.Store.create ~dir:(fresh_dir ()) ~disk_entries:2 () in
+  with_dir @@ fun dir ->
+  let store = Cache.Store.create ~dir ~disk_entries:2 () in
   let key name = Cache.Key.text name in
   let put name =
     Cache.Store.store store ~stage:"s" ~key:(key name) (Support.Json.Str name)
@@ -124,7 +125,8 @@ let test_store_disk_lru () =
 (* A directory where an artifact should be cannot be read: the lookup
    is a miss, not an exception. *)
 let test_store_directory_artifact () =
-  let store = Cache.Store.create ~dir:(fresh_dir ()) () in
+  with_dir @@ fun dir ->
+  let store = Cache.Store.create ~dir () in
   let key = Cache.Key.text "dir" in
   Unix.mkdir (Cache.Store.path store ~stage:"s" ~key) 0o755;
   let misses = Support.Metrics.counter "cache.miss" in
@@ -137,7 +139,7 @@ let test_store_directory_artifact () =
    the store returns, keeps the document in memory and leaves no
    temporary file behind. *)
 let test_store_directory_artifact_on_store () =
-  let dir = fresh_dir () in
+  with_dir @@ fun dir ->
   let store = Cache.Store.create ~dir () in
   let key = Cache.Key.text "dir on store" in
   Unix.mkdir (Cache.Store.path store ~stage:"s" ~key) 0o755;
@@ -153,7 +155,8 @@ let test_store_directory_artifact_on_store () =
 (* A truncated artifact is a miss and is removed, so the next lookup
    does not parse it again and a fresh store of the key hits. *)
 let test_store_truncated_artifact () =
-  let store = Cache.Store.create ~dir:(fresh_dir ()) () in
+  with_dir @@ fun dir ->
+  let store = Cache.Store.create ~dir () in
   let key = Cache.Key.text "cut" in
   let doc = Support.Json.Obj [ ("answer", Support.Json.Num 42.) ] in
   Cache.Store.store store ~stage:"s" ~key doc;
@@ -218,8 +221,8 @@ let build_problem source =
   ilp.Regalloc.Ilp.instance.Ampl.Model.problem
 
 let test_fingerprint_stability () =
-  (* two builds of the same source in one process draw entirely different
-     ident stamps; the canonical fingerprint must agree anyway *)
+  (* each build numbers its identifiers afresh, so two builds of the same
+     source in one process give the same LP, names and order included *)
   let p1 = build_problem small_src in
   let p2 = build_problem small_src in
   checks "same source, same fingerprint" (Regalloc.Modelhash.fingerprint p1)
@@ -233,18 +236,13 @@ let test_fingerprint_stability () =
   let p4 = build_problem small_src_semantic_edit in
   checkb "semantic edit changes the fingerprint" false
     (Regalloc.Modelhash.fingerprint p1 = Regalloc.Modelhash.fingerprint p4);
-  (* canonical names are a stable, duplicate-free relabeling *)
-  let n1 = Regalloc.Modelhash.canonical_names p1 in
-  let n2 = Regalloc.Modelhash.canonical_names p2 in
-  let sorted a =
-    let c = Array.copy a in
-    Array.sort String.compare c;
-    c
-  in
-  checkb "canonical name sets agree across builds" true
-    (sorted n1 = sorted n2);
+  (* the names key stored solutions: equal by index across builds, and
+     free of duplicates *)
+  let n1 = Regalloc.Modelhash.names p1 in
+  let n2 = Regalloc.Modelhash.names p2 in
+  checkb "name arrays agree across builds" true (n1 = n2);
   let module S = Set.Make (String) in
-  checki "canonical names are unique"
+  checki "names are unique"
     (Array.length n1)
     (S.cardinal (S.of_list (Array.to_list n1)))
 
@@ -258,7 +256,8 @@ let compile_inc ?(options = fast_options) store src =
 
 let test_stage_invalidation () =
   Regalloc.Driver.clear_memos ();
-  let store = Cache.Store.create ~dir:(fresh_dir ()) () in
+  with_dir @@ fun dir ->
+  let store = Cache.Store.create ~dir () in
   (* cold compile: every stage misses *)
   let c0, r0 = compile_inc store small_src in
   checkb "cold: no front hit" false r0.Regalloc.Driver.front_hit;
@@ -316,14 +315,14 @@ let bad_head_solves_cold plant () =
     c.Regalloc.Driver.stats.Regalloc.Driver.weighted_move_cost
   in
   Regalloc.Driver.clear_memos ();
-  let dir = fresh_dir () in
+  with_dir @@ fun dir ->
   let cold, _ = compile_inc (Cache.Store.create ~dir ()) small_src in
   let heads =
     Sys.readdir dir |> Array.to_list
     |> List.filter (fun f -> Filename.check_suffix f ".head")
   in
   checkb "the cold compile leaves a head" true (heads <> []);
-  let dir = fresh_dir () in
+  with_dir @@ fun dir ->
   let store = Cache.Store.create ~dir () in
   List.iter (fun f -> plant (Filename.concat dir f)) heads;
   Regalloc.Driver.clear_memos ();
@@ -347,7 +346,8 @@ let test_store_garbage_head =
    resent, and the ninth, just compiled, still hit in full. *)
 let test_memo_lru () =
   Regalloc.Driver.clear_memos ();
-  let store = Cache.Store.create ~dir:(fresh_dir ()) () in
+  with_dir @@ fun dir ->
+  let store = Cache.Store.create ~dir () in
   let variant i = small_src ^ Printf.sprintf "\n// variant %d\n" i in
   for i = 1 to 8 do
     ignore (compile_inc store (variant i))
@@ -377,7 +377,7 @@ let test_memo_lru () =
    cannot write stay in memory.) *)
 let test_daemon_survives_failing_job () =
   Regalloc.Driver.clear_memos ();
-  let parent = fresh_dir () in
+  with_dir @@ fun parent ->
   let dir = Filename.concat parent "cache" in
   let store = Cache.Store.create ~dir () in
   Sys.rmdir dir;
@@ -422,8 +422,6 @@ let suites =
     ( "cache.key",
       [
         Alcotest.test_case "content hashing" `Quick test_key_determinism;
-        Alcotest.test_case "order-insensitive fold" `Quick
-          test_key_fold_order_insensitive;
       ] );
     ( "cache.store",
       [

@@ -602,7 +602,6 @@ let w_qos =
     dataplane "qos" source ~align:4 ~plen:16 ~init_tables ~init_payload)
 
 let cold_physical allocator w =
-  Support.Ident.reset ();
   let options =
     {
       Regalloc.Driver.default_options with

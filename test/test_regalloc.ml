@@ -410,7 +410,6 @@ let test_cold_pivot_path () =
   in
   List.iter
     (fun (name, source, outcome, nodes, iters, moves, cost) ->
-      Support.Ident.reset ();
       Support.Trace.enable ();
       let c =
         Fun.protect ~finally:Support.Trace.disable (fun () ->
@@ -460,7 +459,6 @@ let test_cold_pivot_path () =
    decides which node each domain takes, so neither the count nor the
    reproduction may depend on thread timing. *)
 let test_two_domain_aes_pinned () =
-  Support.Ident.reset ();
   let f = Regalloc.Driver.front_end ~file:"aes.nova" Workloads.Aes.source in
   let mg =
     Regalloc.Modelgen.build ~allow_spill:false f.Regalloc.Driver.f_graph
@@ -477,6 +475,69 @@ let test_two_domain_aes_pinned () =
   in
   solve "first run";
   solve "second run"
+
+(* A compile's result depends on its source and options alone, not on
+   what the process compiled before: five workloads compiled in forward
+   order, then in reverse order, then each once more through the stage-
+   cached path the daemon serves (empty memos, fresh store) emit the same
+   code along the same search. *)
+let test_history_independent () =
+  let options =
+    {
+      Regalloc.Driver.default_options with
+      node_limit = node_budget;
+      time_limit = 1e9;
+    }
+  in
+  let workloads =
+    [
+      ("kasumi.nova", Workloads.Kasumi.source);
+      ("lpm.nova", Workloads.Lpm.source);
+      ("firewall.nova", Workloads.Firewall.source);
+      ("csum.nova", Workloads.Csum.source);
+      ("qos.nova", Workloads.Qos.source);
+    ]
+  in
+  let summary (c : Regalloc.Driver.compiled) =
+    let s = c.Regalloc.Driver.stats in
+    let mip = Option.get s.Regalloc.Driver.mip in
+    ( Ixp.Asm.program_to_string c.Regalloc.Driver.physical,
+      mip.Lp.Mip.simplex_iterations,
+      mip.Lp.Mip.nodes,
+      s.Regalloc.Driver.weighted_move_cost )
+  in
+  let run order =
+    List.map
+      (fun (name, source) ->
+        (name, summary (Regalloc.Driver.compile ~options ~file:name source)))
+      order
+  in
+  let forward = run workloads in
+  let reverse = List.rev (run (List.rev workloads)) in
+  Regalloc.Driver.clear_memos ();
+  let incremental =
+    Test_cache.with_dir @@ fun dir ->
+    let store = Cache.Store.create ~dir () in
+    List.map
+      (fun (name, source) ->
+        ( name,
+          summary
+            (fst
+               (Regalloc.Driver.compile_incremental ~options ~store ~file:name
+                  source)) ))
+      workloads
+  in
+  let agree label (name, (asm, iters, nodes, cost))
+      (_, (asm', iters', nodes', cost')) =
+    let what = Printf.sprintf "%s: %s" name label in
+    checkb (what ^ ": asm") true (String.equal asm asm');
+    checki (what ^ ": simplex iterations") iters iters';
+    checki (what ^ ": nodes") nodes nodes';
+    if cost <> cost' then
+      Alcotest.failf "%s: move cost %.17g against %.17g" what cost cost'
+  in
+  List.iter2 (agree "reverse order") forward reverse;
+  List.iter2 (agree "incremental") forward incremental
 
 (* In-order digest of an LP: every variable's name, bounds, cost and
    integrality and every row's name, sense, rhs and terms, by index.
@@ -500,40 +561,32 @@ let lp_digest (p : Lp.Problem.t) =
     p;
   Digest.to_hex (Digest.string (Buffer.contents b))
 
-(* The model each workload instantiates, pinned.  The fingerprint keys
-   solve artifacts, so it must not drift; it ignores order on purpose,
-   and the in-order digest is what catches a reordering of variables or
-   rows (which moves pivots and budget-limited incumbents). *)
+(* The model each workload instantiates, pinned by its in-order digest: a
+   reordering of variables or rows moves pivots and budget-limited
+   incumbents.  The fingerprint that keys solve artifacts is the same
+   digest, computed faster; [lp_digest] is the reference it must match. *)
 let test_model_identity () =
   List.iter
-    (fun (name, source, fp, digest) ->
-      Support.Ident.reset ();
+    (fun (name, source, digest) ->
       let f = Regalloc.Driver.front_end ~file:name source in
       let mg = Regalloc.Modelgen.build f.Regalloc.Driver.f_graph in
       let ilp = Regalloc.Ilp.build mg in
       let p = ilp.Regalloc.Ilp.instance.Ampl.Model.problem in
-      Alcotest.(check string)
-        (name ^ ": fingerprint") fp
-        (Regalloc.Modelhash.fingerprint p);
       Alcotest.(check string) (name ^ ": in-order LP digest") digest
-        (lp_digest p))
+        (lp_digest p);
+      Alcotest.(check string)
+        (name ^ ": fingerprint") digest
+        (Regalloc.Modelhash.fingerprint p))
     [
-      ( "aes.nova", Workloads.Aes.source, "96c42026c6f30c7abb7612e446c5086f",
-        "a90a6a86be86cda00578c329da9e9161" );
+      ("aes.nova", Workloads.Aes.source, "a90a6a86be86cda00578c329da9e9161");
       ( "kasumi.nova", Workloads.Kasumi.source,
-        "ec8e894c058ea8ead8df90652ccf7f5d",
         "31b7667a039cdbd19192fdecac743792" );
-      ( "lpm.nova", Workloads.Lpm.source, "80a2dce5878c499fa5a603b492422fd4",
-        "37877266bb31fb97b84d393b86d898bf" );
+      ("lpm.nova", Workloads.Lpm.source, "37877266bb31fb97b84d393b86d898bf");
       ( "firewall.nova", Workloads.Firewall.source,
-        "ec06899b5dbc3bc0f94c09b7c2e10b5c",
         "5f2540784365c63b928ff049dabea6c3" );
-      ( "csum.nova", Workloads.Csum.source, "47c40213e17a4114771481d145705e9f",
-        "9d3a74a541c22e3006c38d6908674864" );
-      ( "qos.nova", Workloads.Qos.source, "1242da3c7e8766032ff16d8632efa5c1",
-        "d31a409008945e538429f141011a008f" );
-      ( "nat.nova", Workloads.Nat.source, "f52d11faaed71767ac4dae534fae9d7b",
-        "b5097f33d72cc72a87f3b296aae6168d" );
+      ("csum.nova", Workloads.Csum.source, "9d3a74a541c22e3006c38d6908674864");
+      ("qos.nova", Workloads.Qos.source, "d31a409008945e538429f141011a008f");
+      ("nat.nova", Workloads.Nat.source, "b5097f33d72cc72a87f3b296aae6168d");
     ]
 
 let suites =
@@ -555,6 +608,8 @@ let suites =
           test_cold_pivot_path;
         Alcotest.test_case "2-domain deterministic AES search pinned" `Quick
           test_two_domain_aes_pinned;
+        Alcotest.test_case "compiles are history-independent" `Quick
+          test_history_independent;
       ] );
     ( "regalloc.validity",
       [

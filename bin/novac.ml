@@ -134,7 +134,7 @@ let compile_cmd =
       & info [ "metrics" ]
           ~doc:
             "Dump the process-wide metrics registry (solver node counts, LU \
-             refactorizations, cuts, model sizes) to stderr after \
+             refactorizations, model sizes) to stderr after \
              compilation")
   in
   let lint_flag =
@@ -203,12 +203,12 @@ let compile_cmd =
         | Some m ->
             Fmt.epr
               "; ILP %dx%d -> %dx%d, root %.2fs, total %.2fs, %d nodes, %d \
-               pivots, %d cuts/%d rounds, %d heuristic incumbents, \
-               warm_start=%s incumbent_source=%s@."
+               pivots, %d heuristic incumbents, warm_start=%s \
+               incumbent_source=%s@."
               m.Lp.Mip.vars_before m.Lp.Mip.rows_before m.Lp.Mip.vars_after
               m.Lp.Mip.rows_after m.Lp.Mip.root_time m.Lp.Mip.total_time
-              m.Lp.Mip.nodes m.Lp.Mip.simplex_iterations m.Lp.Mip.cuts_added
-              m.Lp.Mip.cut_rounds m.Lp.Mip.heuristic_incumbents
+              m.Lp.Mip.nodes m.Lp.Mip.simplex_iterations
+              m.Lp.Mip.heuristic_incumbents
               (if m.Lp.Mip.warm_start_used then "yes" else "no")
               m.Lp.Mip.incumbent_source
         | None -> ());

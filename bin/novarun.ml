@@ -251,10 +251,10 @@ let run_cmd =
       (match compiled.Regalloc.Driver.stats.Regalloc.Driver.mip with
       | Some m ->
           Fmt.epr
-            "solver: root %.2fs, total %.2fs, %d nodes, %d pivots, %d cuts, \
+            "solver: root %.2fs, total %.2fs, %d nodes, %d pivots, \
              warm_start=%s incumbent_source=%s@."
             m.Lp.Mip.root_time m.Lp.Mip.total_time m.Lp.Mip.nodes
-            m.Lp.Mip.simplex_iterations m.Lp.Mip.cuts_added
+            m.Lp.Mip.simplex_iterations
             (if m.Lp.Mip.warm_start_used then "yes" else "no")
             m.Lp.Mip.incumbent_source
       | None -> ());

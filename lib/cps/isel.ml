@@ -333,15 +333,46 @@ let share_constants (g : Ident.t Ixp.Flowgraph.t) : Ident.t Ixp.Flowgraph.t =
      parallel-move lowering are also Imm destinations but have other
      definitions (the jumps from other predecessors). *)
   let def_count = Support.Ident.Tbl.create 64 in
+  let imm_value = Support.Ident.Tbl.create 32 in
   Ixp.Flowgraph.iter_blocks
     (fun b ->
       Array.iter
         (fun insn ->
+          (match insn with
+          | Ixp.Insn.Imm { dst; value } ->
+              Support.Ident.Tbl.replace imm_value dst value
+          | _ -> ());
           List.iter
             (fun d ->
               Support.Ident.Tbl.replace def_count d
                 (1 + Option.value ~default:0 (Support.Ident.Tbl.find_opt def_count d)))
             (Ixp.Insn.defs insn))
+        b.Ixp.Flowgraph.insns)
+    g;
+  let constant v =
+    if Support.Ident.Tbl.find_opt def_count v = Some 1 then
+      Support.Ident.Tbl.find_opt imm_value v
+    else None
+  in
+  (* An aggregate write's members must stay distinct temporaries: of the
+     members one write takes from constants of one value, only the first
+     is shared. *)
+  let unshared = Support.Ident.Tbl.create 8 in
+  Ixp.Flowgraph.iter_blocks
+    (fun b ->
+      Array.iter
+        (function
+          | Ixp.Insn.Write { srcs; _ } | Ixp.Insn.Tfifo_write { srcs; _ } ->
+              let seen = Hashtbl.create 8 in
+              Array.iter
+                (fun v ->
+                  match constant v with
+                  | Some value when Hashtbl.mem seen value ->
+                      Support.Ident.Tbl.replace unshared v ()
+                  | Some value -> Hashtbl.replace seen value ()
+                  | None -> ())
+                srcs
+          | _ -> ())
         b.Ixp.Flowgraph.insns)
     g;
   Ixp.Flowgraph.iter_blocks
@@ -350,7 +381,8 @@ let share_constants (g : Ident.t Ixp.Flowgraph.t) : Ident.t Ixp.Flowgraph.t =
         (fun insn ->
           match insn with
           | Ixp.Insn.Imm { dst; value }
-            when Support.Ident.Tbl.find_opt def_count dst = Some 1 ->
+            when constant dst <> None
+                 && not (Support.Ident.Tbl.mem unshared dst) ->
               let rep =
                 match Hashtbl.find_opt shared value with
                 | Some rep -> rep

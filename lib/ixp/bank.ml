@@ -138,7 +138,8 @@ let move_legal ~src ~dst =
   || direct_move_ok ~src ~dst
   || (equal dst M && not (equal src M || equal src C))
   || (equal src M && List.mem dst [ L; A; B ])
-  (* constants: loads go to the GPRs; discards come from anywhere the
-     constant was copied to *)
-  || (equal src C && List.mem dst [ A; B ])
-  || (equal dst C && List.mem src [ A; B ])
+  (* constants: an immediate loads a GPR or a write transfer register,
+     as an [Imm] may; discards come from anywhere the constant was
+     copied to *)
+  || (equal src C && List.mem dst [ A; B; S; SD ])
+  || (equal dst C && List.mem src [ A; B; S; SD ])

@@ -1,18 +1,13 @@
-(* High-level MIP entry point: presolve, root cuts, branch and bound,
-   postsolve.
+(* High-level MIP entry point: presolve, branch and bound, postsolve.
 
    This is the interface the register allocator talks to; it reports the
    statistics that Figure 7 of the paper tabulates (model size, root-LP
    and integer solve times).
 
-   The root LP is solved after presolve (span "root-lp").  A few rounds
-   of cover/clique separation (see [Cuts], span "root-cuts") run against
-   its fractional optimum; violated cuts are appended to a private copy
-   of the problem as ordinary rows, and only a round that appends cuts
-   re-solves the root.  The final solved root goes to branch and bound
-   ([Branch_bound.solve ~root]), which starts its search from that
-   solver.  All budgets are wall-clock seconds ([Clock]); the cut rounds
-   spend from the same [time_limit] as the search. *)
+   The root LP is solved once after presolve (span "root-lp") and handed
+   to branch and bound ([Branch_bound.solve ~root]), which starts its
+   search from that solver.  All budgets are wall-clock seconds
+   ([Clock]). *)
 
 type status = Optimal | Infeasible | Limit
 
@@ -37,13 +32,14 @@ type stats = {
   rows_after : int;
   obj_terms : int;
   nonzeros : int;
-  root_time : float; (* root LP and cut rounds, up to the final root *)
+  root_time : float; (* the root LP solve *)
   total_time : float;
   root_objective : float;
   nodes : int;
   simplex_iterations : int;
-  cut_rounds : int; (* root separation rounds run *)
-  cuts_added : int; (* violated cuts appended before branching *)
+  cut_rounds : int;
+      (* always 0: perfbench's suite is its only reader, and the
+         benchmark PR of ROADMAP item 4 deletes it *)
   best_bound : float; (* proven lower bound at exit *)
   heuristic_incumbents : int; (* incumbents found by the diving heuristic *)
   warm_start_used : bool; (* warm hints seeded the incumbent *)
@@ -73,14 +69,11 @@ let default_stats =
     nodes = 0;
     simplex_iterations = 0;
     cut_rounds = 0;
-    cuts_added = 0;
     best_bound = nan;
     heuristic_incumbents = 0;
     warm_start_used = false;
     incumbent_source = "none";
   }
-
-let int_tol = 1e-6
 
 let m_root_solves = Support.Metrics.counter "lp.root_solves"
 
@@ -92,49 +85,14 @@ let solve_root (p : Problem.t) =
       let solver = Revised.create p in
       (solver, Revised.solve solver))
 
-(* Separate cuts on the root optimum [root] and append the violated
-   ones to [p], until none is found, the round budget runs out, or the
-   root is integral.  Only a round that appends cuts re-solves the root
-   (from scratch: the new rows change the basis dimension).  Returns the
-   final root with the rounds run and the cuts added.  On the allocation
-   models no cut fires, so this costs one scan of the root point. *)
-let root_cut_pass ?(max_rounds = 3) ~deadline (p : Problem.t) root =
-  let fractional x =
-    let frac = ref false in
-    for j = 0 to Problem.num_vars p - 1 do
-      if
-        Problem.var_integer p j
-        && Float.abs (x.(j) -. Float.round x.(j)) > int_tol
-      then frac := true
-    done;
-    !frac
-  in
-  let rec round ((solver, status) as root) rounds added =
-    if rounds >= max_rounds || Clock.now () >= deadline then
-      (root, rounds, added)
-    else
-      let cuts =
-        if status <> Revised.Optimal then []
-        else
-          let x = Revised.primal solver in
-          if fractional x then Cuts.generate p x else []
-      in
-      if cuts = [] then (root, rounds + 1, added)
-      else
-        let k = Cuts.apply p cuts in
-        round (solve_root p) (rounds + 1) (added + k)
-  in
-  round root 0 0
-
-let solve ?(presolve = true) ?(cuts = true) ?(time_limit = 600.)
-    ?(node_limit = 500_000) ?(rel_gap = 1e-4) ?(domains = 1)
-    ?(deterministic = false) ?(warm = no_warm_start) (p : Problem.t) =
+let solve ?(presolve = true) ?(time_limit = 600.) ?(node_limit = 500_000)
+    ?(rel_gap = 1e-4) ?(domains = 1) ?(deterministic = false)
+    ?(warm = no_warm_start) (p : Problem.t) =
   let t0 = Clock.now () in
   let before = Problem.stats p in
   let finish ?(warm_used = false) ?(inc_src = "none")
       ?(ws_out = no_warm_start) status objective solution ~root_time
-      ~root_obj ~nodes ~iters ~cut_rounds ~cuts_added ~best_bound ~heur
-      ~after_stats =
+      ~root_obj ~nodes ~iters ~best_bound ~heur ~after_stats =
     let total_time = Clock.since t0 in
     {
       status;
@@ -153,8 +111,7 @@ let solve ?(presolve = true) ?(cuts = true) ?(time_limit = 600.)
           root_objective = root_obj;
           nodes;
           simplex_iterations = iters;
-          cut_rounds;
-          cuts_added;
+          cut_rounds = 0;
           best_bound;
           heuristic_incumbents = heur;
           warm_start_used = warm_used;
@@ -171,14 +128,7 @@ let solve ?(presolve = true) ?(cuts = true) ?(time_limit = 600.)
       ~sub_to_orig =
     let root_t0 = Clock.now () in
     let root = solve_root sub in
-    let root, cut_rounds, cuts_added =
-      if cuts then
-        Support.Trace.with_span "root-cuts" (fun () ->
-            root_cut_pass ~deadline:(t0 +. (0.25 *. time_limit)) sub root)
-      else (root, 0, 0)
-    in
     let root_time = Clock.since root_t0 in
-    Support.Metrics.add (Support.Metrics.counter "lp.cuts.added") cuts_added;
     let remaining = Float.max 1. (time_limit -. Clock.since t0) in
     let bb_warm =
       {
@@ -232,7 +182,7 @@ let solve ?(presolve = true) ?(cuts = true) ?(time_limit = 600.)
               r.Branch_bound.pc_out;
         }
     in
-    (* The search proves its bound on the presolved/cut problem while the
+    (* The search proves its bound on the presolved problem while the
        reported objective is re-evaluated on the original problem, so the
        two can disagree by float drift (observed at the 1e-5 scale on the
        larger allocation models), yielding the absurd report
@@ -244,8 +194,8 @@ let solve ?(presolve = true) ?(cuts = true) ?(time_limit = 600.)
     in
     finish status objective solution ~root_time
       ~root_obj:r.Branch_bound.root_objective ~nodes:r.Branch_bound.nodes
-      ~iters:r.Branch_bound.simplex_iterations ~cut_rounds ~cuts_added
-      ~best_bound ~heur:r.Branch_bound.heuristic_incumbents ~after_stats
+      ~iters:r.Branch_bound.simplex_iterations ~best_bound
+      ~heur:r.Branch_bound.heuristic_incumbents ~after_stats
       ~warm_used:r.Branch_bound.warm_seeded
       ~inc_src:r.Branch_bound.incumbent_source ~ws_out
   in
@@ -254,8 +204,8 @@ let solve ?(presolve = true) ?(cuts = true) ?(time_limit = 600.)
     match Support.Trace.with_span "presolve" (fun () -> Presolve.run p) with
     | Presolve.Infeasible_detected ->
         finish Infeasible infinity empty_solution ~root_time:0. ~root_obj:nan
-          ~nodes:0 ~iters:0 ~cut_rounds:0 ~cuts_added:0 ~best_bound:infinity
-          ~heur:0 ~after_stats:(Problem.stats p)
+          ~nodes:0 ~iters:0 ~best_bound:infinity ~heur:0
+          ~after_stats:(Problem.stats p)
     | Presolve.Reduced (reduced, info) ->
         let after_stats = Problem.stats reduced in
         if Problem.num_vars reduced = 0 then begin
@@ -263,8 +213,8 @@ let solve ?(presolve = true) ?(cuts = true) ?(time_limit = 600.)
           let solution = Presolve.postsolve info [||] in
           let objective = Problem.objective_value p solution in
           finish Optimal objective solution ~root_time:0.
-            ~root_obj:objective ~nodes:0 ~iters:0 ~cut_rounds:0 ~cuts_added:0
-            ~best_bound:objective ~heur:0 ~after_stats
+            ~root_obj:objective ~nodes:0 ~iters:0 ~best_bound:objective ~heur:0
+            ~after_stats
             ~inc_src:"presolve"
         end
         else begin
@@ -286,8 +236,7 @@ let solve ?(presolve = true) ?(cuts = true) ?(time_limit = 600.)
         end
   end
   else
-    (* root cuts append rows: give them a private copy of [p] *)
-    branch_and_bound (Problem.copy p) ~after_stats:(Problem.stats p)
+    branch_and_bound p ~after_stats:(Problem.stats p)
       ~postsolve_fn:(fun s -> s)
       ~map_orig_to_sub:(fun j ->
         if j >= 0 && j < Problem.num_vars p then Some j else None)

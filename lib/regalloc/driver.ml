@@ -347,7 +347,7 @@ let compile ?(options = default_options) ~file source =
    The front and model stages hold OCaml IR (ident-stamped graphs,
    hashtables keyed by idents) that has no faithful JSON form, so their
    replay is by in-process memo -- which is exactly the hot path of
-   `novac serve`; on disk they leave provenance stamps only.  The solve
+   `novac serve` -- and they write nothing to disk.  The solve
    stage is where the time goes, and its artifact *is* fully
    serializable: the MIP solution and warm-start data keyed by the LP's
    variable names ([Modelhash]), so a fresh process that rebuilds the
@@ -621,14 +621,6 @@ let cached_model_solve ~(store : Cache.Store.t) ~file ~key_front
           }
         in
         memo_add memo_model mk e;
-        let st = Lp.Problem.stats problem in
-        Cache.Store.store store ~stage:"model" ~key:mk
-          (Json.Obj
-             [
-               ("fingerprint", Json.Str fp);
-               ("vars", Json.Num (float_of_int st.Lp.Problem.n_vars));
-               ("rows", Json.Num (float_of_int st.Lp.Problem.n_rows));
-             ]);
         e
   in
   report_fp entry.me_fp;
@@ -738,17 +730,6 @@ let compile_incremental ?(options = default_options) ?store ~file source :
                 ~verify_each:options.verify_each ~file source
             in
             memo_add memo_front kf f;
-            (* provenance stamp: front IR itself is memo-only *)
-            Cache.Store.store store ~stage:"front" ~key:kf
-              (Json.Obj
-                 [
-                   ("file", Json.Str file);
-                   ( "cps_size",
-                     Json.Num (float_of_int (Cps.Ir.size f.f_term)) );
-                   ( "blocks",
-                     Json.Num
-                       (float_of_int (Ixp.Flowgraph.num_blocks f.f_graph)) );
-                 ]);
             f
       in
       let model_solve =

@@ -241,20 +241,39 @@ let build ?(allow_spill = false) ?(rematerialize = false)
       (fun (a, b) -> not (Ident.equal (clone_family a) (clone_family b)))
       (Ixp.Liveness.interferences live)
   in
-  (* §12 rematerialization: constants (Imm destinations) live in the
-     virtual bank C; their Imm "definition" is free bookkeeping and the
-     DefABW constraint is replaced by pinning the definition to C. *)
+  (* §12 rematerialization: constants live in the virtual bank C; their
+     Imm "definition" is free bookkeeping and the DefABW constraint is
+     replaced by pinning the definition to C.  A temporary is a constant
+     only when every definition of it is an Imm of one value: a block
+     parameter that an Imm initializes on one path and a move on another
+     is not. *)
   let const_value = Ident.Tbl.create 16 in
   let const_defs = ref [] in
-  if rematerialize then
+  if rematerialize then begin
+    let value_of = Ident.Tbl.create 16 in
+    List.iter
+      (fun (_, _, insn) ->
+        let value =
+          match insn with Insn.Imm { value; _ } -> Some value | _ -> None
+        in
+        List.iter
+          (fun v ->
+            match Ident.Tbl.find_opt value_of v with
+            | Some seen when seen <> value -> Ident.Tbl.replace value_of v None
+            | Some _ -> ()
+            | None -> Ident.Tbl.replace value_of v value)
+          (Insn.defs insn))
+      !insn_edges;
     List.iter
       (fun (_, p2, insn) ->
         match insn with
-        | Insn.Imm { dst; value } ->
+        | Insn.Imm { dst; value }
+          when Ident.Tbl.find_opt value_of dst = Some (Some value) ->
             Ident.Tbl.replace const_value dst value;
             const_defs := (p2, dst) :: !const_defs
         | _ -> ())
-      !insn_edges;
+      !insn_edges
+  end;
   let def_abw =
     ref
       (List.filter

@@ -71,9 +71,6 @@ let to_list t =
 
 let to_array t = Array.sub t.data 0 t.len
 
-let map f t =
-  { data = Array.init t.len (fun i -> f t.data.(i)); len = t.len }
-
 let sort cmp t =
   let a = to_array t in
   Array.sort cmp a;

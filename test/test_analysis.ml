@@ -531,19 +531,37 @@ let test_workloads_lint_clean_baseline () =
       ("aes", Workloads.Aes.source, Workloads.Aes.lint_regions);
       ("kasumi", Workloads.Kasumi.source, Workloads.Kasumi.lint_regions);
       ("nat", Workloads.Nat.source, Workloads.Nat.lint_regions);
+      ("csum", Workloads.Csum.source, Workloads.Csum.lint_regions);
+      ("qos", Workloads.Qos.source, Workloads.Qos.lint_regions);
     ]
 
+(* The workloads that lint clean, allocated by the ILP at a 128-node
+   budget (AES and NAT stop at it with an incumbent).  LPM and Firewall
+   still report [race] errors, see ROADMAP item 1. *)
 let test_kasumi_ilp_lint_clean () =
-  let c, report =
-    lint_workload
-      ~options:Regalloc.Driver.default_options (* ILP allocator *)
-      Workloads.Kasumi.source Workloads.Kasumi.lint_regions
+  let options =
+    { Regalloc.Driver.default_options with node_limit = 128; time_limit = 1e9 }
   in
-  checki "ilp lint errors" 0 (List.length (Analysis.Lint.errors report));
-  checki "ilp lint warnings" 0 (List.length (Analysis.Lint.warnings report));
-  (* and the assignment validator independently re-proves the solution *)
-  let vr = Regalloc.Validate.check c.Regalloc.Driver.assignment in
-  Alcotest.(check (list string)) "assignment re-proved" [] vr.Regalloc.Validate.errors
+  List.iter
+    (fun (name, source, regions) ->
+      let c, report = lint_workload ~options source regions in
+      checki (name ^ ": ilp lint errors") 0
+        (List.length (Analysis.Lint.errors report));
+      checki (name ^ ": ilp lint warnings") 0
+        (List.length (Analysis.Lint.warnings report));
+      (* and the assignment validator independently re-proves the
+         solution *)
+      let vr = Regalloc.Validate.check c.Regalloc.Driver.assignment in
+      Alcotest.(check (list string))
+        (name ^ ": assignment re-proved")
+        [] vr.Regalloc.Validate.errors)
+    [
+      ("kasumi", Workloads.Kasumi.source, Workloads.Kasumi.lint_regions);
+      ("aes", Workloads.Aes.source, Workloads.Aes.lint_regions);
+      ("nat", Workloads.Nat.source, Workloads.Nat.lint_regions);
+      ("csum", Workloads.Csum.source, Workloads.Csum.lint_regions);
+      ("qos", Workloads.Qos.source, Workloads.Qos.lint_regions);
+    ]
 
 let test_validate_accepts_baseline_workloads () =
   List.iter

@@ -306,6 +306,24 @@ let test_stage_invalidation () =
     (r5.Regalloc.Driver.model_fingerprint
     = r0.Regalloc.Driver.model_fingerprint)
 
+(* Only solve artifacts and heads are ever read back, so they are all a
+   cold compile writes to the store: the front and model stages are
+   memo-only. *)
+let test_store_holds_solves_only () =
+  Regalloc.Driver.clear_memos ();
+  with_dir @@ fun dir ->
+  ignore (compile_inc (Cache.Store.create ~dir ()) small_src);
+  let files = Array.to_list (Sys.readdir dir) in
+  checkb "a solve artifact is stored" true
+    (List.exists (fun f -> String.starts_with ~prefix:"solve-" f) files);
+  List.iter
+    (fun f ->
+      checkb (f ^ " is a solve artifact or a head") true
+        ((String.starts_with ~prefix:"solve-" f
+         && Filename.check_suffix f ".json")
+        || Filename.check_suffix f ".head"))
+    files
+
 (* A head file that does not lead to an artifact -- [plant] makes it
    unreadable or garbage -- is no head: the compile solves cold and
    returns the cold compile's move cost.  The head names are the ones a
@@ -449,6 +467,8 @@ let suites =
     ( "cache.driver",
       [
         Alcotest.test_case "stage invalidation" `Quick test_stage_invalidation;
+        Alcotest.test_case "a cold compile stores solves and heads only"
+          `Quick test_store_holds_solves_only;
         Alcotest.test_case "memo evicts least recently used" `Quick
           test_memo_lru;
       ] );

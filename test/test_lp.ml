@@ -768,8 +768,7 @@ let test_bb_domains_agree () =
   List.iter
     (fun seed ->
       let run d det =
-        (* cuts off so the search has to prove the optimum by branching *)
-        Mip.solve ~cuts:false ~rel_gap:0. ~domains:d ~deterministic:det
+        Mip.solve ~rel_gap:0. ~domains:d ~deterministic:det
           (seeded_cover_mip seed)
       in
       let r1 = run 1 false in
@@ -792,7 +791,7 @@ let test_bb_domains_agree () =
    node count (and everything else) reproduces exactly run to run. *)
 let test_bb_deterministic_nodes () =
   let run () =
-    Mip.solve ~cuts:false ~rel_gap:0. ~domains:2 ~deterministic:true
+    Mip.solve ~rel_gap:0. ~domains:2 ~deterministic:true
       (seeded_cover_mip 123)
   in
   let a = run () in
@@ -850,7 +849,7 @@ let test_bb_time_limit_honoured () =
     [ (1, false); (1, true); (2, false); (2, true); (4, false); (4, true) ]
 
 (* Seeded random packing instance: negative costs, <= 1 or <= 2 rows
-   over small random subsets.  Cover and clique cuts fire at its root. *)
+   over small random subsets. *)
 let seeded_packing_mip seed =
   let st = Random.State.make [| seed |] in
   let p = Problem.create () in
@@ -870,21 +869,21 @@ let seeded_packing_mip seed =
   done;
   p
 
-(* Root cuts are appended to a private copy: with presolve off (so the
-   solve works on the caller's problem directly), the caller's problem
-   keeps its rows, and solving it again proves the same optimum. *)
+(* A solve never writes to the caller's problem: with presolve off (so
+   the solve works on the caller's problem directly), the caller's
+   problem keeps its rows, and solving it again proves the same
+   optimum. *)
 let test_mip_leaves_problem_untouched () =
   let p = seeded_packing_mip 11 in
   let rows = Problem.num_rows p in
   let r = Mip.solve ~presolve:false p in
-  checkb "cuts fired" true (r.Mip.stats.Mip.cuts_added > 0);
   checki "caller's rows unchanged" rows (Problem.num_rows p);
   let again = Mip.solve ~presolve:false p in
   check (Alcotest.float 1e-9) "re-solve proves the same optimum"
     r.Mip.objective again.Mip.objective
 
-(* The root LP is solved once: when no cut fires on a fractional root,
-   branch and bound starts from the solver the cut pass separated on. *)
+(* The root LP is solved once: on a fractional root, branch and bound
+   starts from the solver [Mip] solved the root with. *)
 let test_mip_root_solved_once () =
   let solves = Support.Metrics.counter "lp.root_solves" in
   let before = Support.Metrics.counter_value solves in
@@ -893,8 +892,6 @@ let test_mip_root_solved_once () =
   checkb "optimal" true (r.Mip.status = Mip.Optimal);
   checkb "root is fractional" true
     (s.Mip.root_objective < r.Mip.objective -. 1e-6);
-  checki "one separation round" 1 s.Mip.cut_rounds;
-  checki "no cut fires" 0 s.Mip.cuts_added;
   checki "root LP solved once" 1
     (Support.Metrics.counter_value solves - before)
 
@@ -907,7 +904,7 @@ let test_mip_root_solved_once () =
 let test_mip_warm_start_equivalence () =
   List.iter
     (fun seed ->
-      let cold = Mip.solve ~cuts:false ~rel_gap:0. (seeded_cover_mip seed) in
+      let cold = Mip.solve ~rel_gap:0. (seeded_cover_mip seed) in
       checkb
         (Printf.sprintf "seed %d: baseline optimal" seed)
         true
@@ -929,9 +926,9 @@ let test_mip_warm_start_equivalence () =
         p
       in
       let warm_r =
-        Mip.solve ~cuts:false ~rel_gap:0. ~warm:cold.Mip.ws_out (edited ())
+        Mip.solve ~rel_gap:0. ~warm:cold.Mip.ws_out (edited ())
       in
-      let cold_r = Mip.solve ~cuts:false ~rel_gap:0. (edited ()) in
+      let cold_r = Mip.solve ~rel_gap:0. (edited ()) in
       checkb
         (Printf.sprintf "seed %d: warm solve optimal" seed)
         true
@@ -1695,52 +1692,8 @@ let test_revised_warm_chain_seeded () =
   done
 
 (* ------------------------------------------------------------------ *)
-(* Cuts and the primal heuristic                                       *)
+(* The primal heuristic                                               *)
 (* ------------------------------------------------------------------ *)
-
-(* Every generated cut must (a) be violated by the fractional LP point
-   it was separated from and (b) hold for every feasible 0-1 point. *)
-let cuts_are_valid =
-  QCheck.Test.make ~name:"root cuts are valid and violated at the LP point"
-    ~count:200
-    (QCheck.make ~print:print_random_lp random_binary_gen)
-    (fun spec ->
-      let p = build_random_binary spec in
-      let s = Revised.create p in
-      match Revised.solve s with
-      | Revised.Infeasible | Revised.Iteration_limit -> true
-      | Revised.Optimal ->
-          let x = Revised.primal s in
-          let cuts = Cuts.generate p x in
-          let n = Problem.num_vars p in
-          let cut_ok (c : Cuts.cut) =
-            let lhs_at z =
-              List.fold_left
-                (fun acc (v, a) -> acc +. (a *. z.(v)))
-                0. c.Cuts.cterms
-            in
-            (* violated at the separating point *)
-            lhs_at x > c.Cuts.crhs +. 1e-7
-            &&
-            (* valid for every feasible integral point *)
-            let ok = ref true in
-            let z = Array.make n 0. in
-            let rec go i =
-              if i = n then begin
-                if Problem.check_feasible ~eps:1e-9 p z then
-                  if lhs_at z > c.Cuts.crhs +. 1e-6 then ok := false
-              end
-              else begin
-                z.(i) <- 0.;
-                go (i + 1);
-                z.(i) <- 1.;
-                go (i + 1)
-              end
-            in
-            go 0;
-            !ok
-          in
-          List.for_all cut_ok cuts)
 
 (* The diving heuristic must return feasible integral solutions and
    restore every bound it touched. *)
@@ -1959,7 +1912,6 @@ let suites =
         Alcotest.test_case "no presolve" `Quick test_bb_without_presolve;
         Alcotest.test_case "best bound at optimality" `Quick test_bb_best_bound;
         QCheck_alcotest.to_alcotest bb_matches_brute_force;
-        QCheck_alcotest.to_alcotest cuts_are_valid;
         QCheck_alcotest.to_alcotest heuristic_is_sound;
         Alcotest.test_case "parallel domains agree on the optimum" `Quick
           test_bb_domains_agree;

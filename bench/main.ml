@@ -466,8 +466,8 @@ let pruning () =
 
 let remat () =
   rule "§12 rematerialization: constants through the virtual bank C";
-  Fmt.pr "%-8s | %12s %12s | %12s %12s | %s@." "" "cycles" "cycles+remat"
-    "moves" "moves+remat" "same SDRAM";
+  Fmt.pr "%-8s | %12s %12s | %12s %12s %12s | %s@." "" "cycles"
+    "cycles+remat" "moves" "moves+remat" "imms+remat" "same SDRAM";
   let node_limit = 128 in
   let failed = ref false in
   List.iter
@@ -500,9 +500,10 @@ let remat () =
           let cycles_r, image_r = run r in
           let same = image = image_r in
           if not same then failed := true;
-          Fmt.pr "%-8s | %12d %12d | %12d %12d | %b@." w.name cycles cycles_r
-            plain.Regalloc.Driver.stats.Regalloc.Driver.moves_inserted
-            r.Regalloc.Driver.stats.Regalloc.Driver.moves_inserted same
+          Fmt.pr "%-8s | %12d %12d | %12d %12d %12d | %b@." w.name cycles
+            cycles_r plain.Regalloc.Driver.stats.Regalloc.Driver.moves_inserted
+            r.Regalloc.Driver.stats.Regalloc.Driver.moves_inserted
+            r.Regalloc.Driver.stats.Regalloc.Driver.imms_inserted same
       | exception e ->
           failed := true;
           Fmt.pr "%-8s | remat compile failed: %s@." w.name

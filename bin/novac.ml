@@ -195,9 +195,10 @@ let compile_cmd =
             print_endline
               (Ixp.Asm.program_to_string compiled.Regalloc.Driver.physical)
         | Some `Stats | None -> ());
-        Fmt.epr "; %d virtual insns; %d moves, %d spills@."
+        Fmt.epr "; %d virtual insns; %d moves, %d imms, %d spills@."
           stats.Regalloc.Driver.virtual_insns
           stats.Regalloc.Driver.moves_inserted
+          stats.Regalloc.Driver.imms_inserted
           stats.Regalloc.Driver.spills_inserted;
         (match stats.Regalloc.Driver.mip with
         | Some m ->

@@ -428,16 +428,28 @@ let build (mg : Modelgen.t) : Assignment.t =
       Hashtbl.replace st.color (bank_key d, Bank.to_string Bank.L) c;
       Hashtbl.replace st.color (bank_key s, Bank.to_string Bank.S) c)
     mg.Modelgen.same_reg;
-  let moves_at p =
-    Ident.Set.fold
-      (fun v acc ->
-        let b = bank_before p v and b' = bank_after p v in
-        if Bank.equal b b' then acc else (v, b, b') :: acc)
-      mg.Modelgen.exists_at.(p) []
-  in
-  let xfer_color v b =
-    match Hashtbl.find_opt st.color (bank_key v, Bank.to_string b) with
-    | Some c -> c
-    | None -> 0
-  in
-  { Assignment.mg; bank_before; bank_after; moves_at; xfer_color }
+  (* the dense assignment: a move wherever a temporary's bank changes
+     within a point, listed by descending temporary *)
+  let npairs = Modelgen.num_pairs mg in
+  let before = Array.make npairs Bank.A and after = Array.make npairs Bank.A in
+  let moves = Array.make npoints [] in
+  for p = 0 to npoints - 1 do
+    for k = mg.Modelgen.ex_start.(p) to mg.Modelgen.ex_start.(p + 1) - 1 do
+      let v = mg.Modelgen.temps.(mg.Modelgen.ex_temp.(k)) in
+      let b = bank_before p v and b' = bank_after p v in
+      before.(k) <- b;
+      after.(k) <- b';
+      if not (Bank.equal b b') then moves.(p) <- (v, b, b') :: moves.(p)
+    done
+  done;
+  let colors = Assignment.no_colors mg in
+  Array.iteri
+    (fun i v ->
+      List.iter
+        (fun b ->
+          colors.(Assignment.color_index i b) <-
+            Option.value ~default:0
+              (Hashtbl.find_opt st.color (bank_key v, Bank.to_string b)))
+        Bank.xbanks)
+    mg.Modelgen.temps;
+  { Assignment.mg; before; after; moves; colors }

@@ -72,7 +72,8 @@ type stats = {
   coloring : Modelgen.coloring_stats;
   mip : Lp.Mip.stats option; (* None for the baseline *)
   solver_outcome : solver_outcome;
-  moves_inserted : int;
+  moves_inserted : int; (* register-to-register moves *)
+  imms_inserted : int; (* immediate loads of rematerialized constants *)
   spills_inserted : int;
   weighted_move_cost : float;
 }
@@ -98,6 +99,9 @@ type front = {
   f_term : Cps.Ir.term;
   f_size_initial : int;
   f_graph : Ident.t Ixp.Flowgraph.t;
+  f_plain_graph : Ident.t Ixp.Flowgraph.t;
+      (* instruction selection's own graph: [f_graph] before
+         [rematerialize] shared its constants, the same graph otherwise *)
 }
 
 (* Every identifier of a compile is minted here (typecheck, CPS
@@ -149,17 +153,28 @@ let front_end ?(entry = "main") ?(entry_args = []) ?(rematerialize = false)
   | Error e -> Diag.ice "SSU broke SSA: %s" e);
   verify ~pass:"ssu" ~stage:Cps.Verify.After_ssu term;
   differential ~pass:"ssu" deprocd term;
-  let graph = Trace.with_span "isel" (fun () -> Cps.Isel.run term) in
-  let graph = if rematerialize then Cps.Isel.share_constants graph else graph in
-  if verify_each then
-    Trace.with_span "verify" ~args:[ ("pass", Trace.Str "isel") ] (fun () ->
-        Ixp.Verify_virtual.check_exn ~pass:"isel" graph);
+  let verify_graph pass graph =
+    if verify_each then
+      Trace.with_span "verify" ~args:[ ("pass", Trace.Str pass) ] (fun () ->
+          Ixp.Verify_virtual.check_exn ~pass graph)
+  in
+  let plain_graph = Trace.with_span "isel" (fun () -> Cps.Isel.run term) in
+  verify_graph "isel" plain_graph;
+  let graph =
+    if rematerialize then begin
+      let graph = Cps.Isel.share_constants plain_graph in
+      verify_graph "share-constants" graph;
+      graph
+    end
+    else plain_graph
+  in
   {
     f_tprog = tprog;
     f_source = source_stats;
     f_term = term;
     f_size_initial = size_initial;
     f_graph = graph;
+    f_plain_graph = plain_graph;
   }
 
 (* Map an emitted block label back to the source function it was lowered
@@ -235,12 +250,26 @@ let allocate_with ~(model_solve : model_solve) (options : options)
   in
   (* No incumbent within the budget: either emit the baseline heuristic
      allocation (recording the fallback) or fail loudly. *)
-  let limit_fallback () =
+  let limit_fallback graph =
     if options.limit_fallback then begin
-      let mg = Modelgen.build front.f_graph in
+      let mg = Modelgen.build graph in
       (mg, Baseline.build mg, None, Outcome_fallback)
     end
     else raise (Allocation_failed "MIP solver hit its limit")
+  in
+  (* spill-free model first (paper §11): much smaller; fall back to the
+     full model with scratch enabled only when infeasible *)
+  let plain graph =
+    let mg, solved = model_solve ~variant:"nospill" graph in
+    match solved with
+    | Ok sol -> of_solution mg sol
+    | Error `Limit -> limit_fallback graph
+    | Error `Infeasible -> (
+        let mg, solved = model_solve ~variant:"spill" graph in
+        match solved with
+        | Ok sol -> of_solution mg sol
+        | Error `Infeasible -> raise (Allocation_failed "ILP model is infeasible")
+        | Error `Limit -> limit_fallback graph)
   in
   let mg, assignment, mip_stats, outcome =
     match options.allocator with
@@ -248,26 +277,17 @@ let allocate_with ~(model_solve : model_solve) (options : options)
         let mg = Modelgen.build front.f_graph in
         (mg, Baseline.build mg, None, Outcome_heuristic)
     | Ilp_allocator when options.rematerialize -> (
+        (* constants reach registers only through the moves out of bank
+           C, so the remat model can be infeasible where the plain one is
+           not: allocate the graph as it was before its constants were
+           shared then, as the spill-free model falls back to the spill
+           model *)
         let mg, solved = model_solve ~variant:"remat" front.f_graph in
         match solved with
         | Ok sol -> of_solution mg sol
-        | Error `Limit -> limit_fallback ()
-        | Error `Infeasible ->
-            raise (Allocation_failed "remat model infeasible"))
-    | Ilp_allocator -> (
-        (* spill-free model first (paper §11): much smaller; fall back to
-           the full model with scratch enabled only when infeasible *)
-        let mg, solved = model_solve ~variant:"nospill" front.f_graph in
-        match solved with
-        | Ok sol -> of_solution mg sol
-        | Error `Limit -> limit_fallback ()
-        | Error `Infeasible -> (
-            let mg, solved = model_solve ~variant:"spill" front.f_graph in
-            match solved with
-            | Ok sol -> of_solution mg sol
-            | Error `Infeasible ->
-                raise (Allocation_failed "ILP model is infeasible")
-            | Error `Limit -> limit_fallback ()))
+        | Error `Limit -> limit_fallback front.f_graph
+        | Error `Infeasible -> plain front.f_plain_graph)
+    | Ilp_allocator -> plain front.f_graph
   in
   if options.validate then begin
     match Trace.with_span "validate" (fun () -> Assignment.validate assignment)
@@ -300,7 +320,7 @@ let allocate_with ~(model_solve : model_solve) (options : options)
     options;
     tprog = front.f_tprog;
     cps_term = front.f_term;
-    virtual_graph = front.f_graph;
+    virtual_graph = mg.Modelgen.graph;
     mg;
     assignment;
     physical = emitted.Emit.physical;
@@ -309,12 +329,13 @@ let allocate_with ~(model_solve : model_solve) (options : options)
         source = front.f_source;
         cps_size_initial = front.f_size_initial;
         cps_size_optimized = Cps.Ir.size front.f_term;
-        virtual_blocks = Ixp.Flowgraph.num_blocks front.f_graph;
-        virtual_insns = Ixp.Flowgraph.num_insns front.f_graph;
+        virtual_blocks = Ixp.Flowgraph.num_blocks mg.Modelgen.graph;
+        virtual_insns = Ixp.Flowgraph.num_insns mg.Modelgen.graph;
         coloring = Modelgen.coloring_stats mg;
         mip = mip_stats;
         solver_outcome = outcome;
         moves_inserted = emitted.Emit.moves_inserted;
+        imms_inserted = emitted.Emit.imms_inserted;
         spills_inserted = emitted.Emit.spills_inserted;
         weighted_move_cost = Assignment.move_cost assignment;
       };

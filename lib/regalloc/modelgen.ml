@@ -38,13 +38,29 @@ type t = {
   live : Ixp.Liveness.t;
   freq : Ixp.Frequency.t;
   points : point array;
-  point_id : (string, int) Hashtbl.t; (* point name -> id *)
+  block_start : (string, int) Hashtbl.t;
+      (* block label -> id of its entry point; a block's points are
+         numbered consecutively, so point [pos] is that id + [pos] *)
   (* edges between points *)
   insn_edges : (int * int * Ident.t Insn.t) list; (* p1, p2, the insn *)
   control_edges : (int * int) list;
   temps : Ident.t array;
   temp_id : int Ident.Tbl.t;
   exists_at : Ident.Set.t array; (* by point id *)
+  (* Exists as dense pairs: point p's are [ex_start.(p)] ..
+     [ex_start.(p+1) - 1], one per temporary of [exists_at.(p)], in its
+     order (ascending temporary index) *)
+  ex_start : int array;
+  ex_temp : int array; (* pair -> temporary index *)
+  (* the non-identity moves the model offers each pair, under the
+     move-point restriction (a temporary moves freely only where
+     something relevant happens, and elsewhere at most out of the banks
+     an aggregate transfer needs vacated): pair k's are [mv_start.(k)] ..
+     [mv_start.(k+1) - 1], source bank ranging over the temporary's
+     allowed banks in order, then the destination *)
+  mv_start : int array;
+  mv_src : Bank.t array;
+  mv_dst : Bank.t array;
   copies : (int * int * Ident.t) list;
   (* operand classes, with point ids *)
   def_abw : (int * Ident.t) list; (* before-point of result *)
@@ -57,9 +73,9 @@ type t = {
   same_reg : (Ident.t * Ident.t) list; (* (read side d, write side s) *)
   clones : (int * int * Ident.t array * Ident.t) list; (* p1, p2, dsts, src *)
   clone_family : Ident.t -> Ident.t; (* representative *)
-  clone_mates : Ident.t -> Ident.t list; (* family incl. self *)
+  temp_family : int array; (* temporary index -> representative's *)
   interferes : (Ident.t * Ident.t) list; (* clone mates excluded *)
-  allowed : Bank.t list Ident.Tbl.t; (* §8 pruning *)
+  temp_allowed : Bank.t list array; (* §8 pruning, by temporary index *)
   (* §8-style model reduction: temporaries that can never live in a
      transfer bank are pre-assigned a GPR bank (2-colored around ALU
      operand conflicts) and left out of the ILP; the K constraints see
@@ -69,51 +85,34 @@ type t = {
      C; maps the temp to its constant value *)
   const_value : int Ident.Tbl.t;
   const_defs : (int * Ident.t) list; (* pin Before[p2,v,C] = 1 *)
-  (* move-point restriction: temps that may move freely at a point, and
-     temps that may only move OUT of certain banks there (vacating ahead
-     of an aggregate transfer) *)
-  move_all : (int, Ident.Set.t) Hashtbl.t;
-  move_from : (int, Bank.t list Ident.Tbl.t) Hashtbl.t;
   weights : float array; (* by point id *)
 }
 
 let point_of t id = t.points.(id)
-let id_of_point t (p : point) = Hashtbl.find t.point_id (FG.point_name p)
+let id_of_point t (p : point) = Hashtbl.find t.block_start p.FG.block + p.FG.pos
 
-let allowed_banks t v =
-  Option.value ~default:[ Bank.A; Bank.B; Bank.M ] (Ident.Tbl.find_opt t.allowed v)
+let temp_index t v = Ident.Tbl.find t.temp_id v
+let allowed_banks t v = t.temp_allowed.(temp_index t v)
 
 let fixed_bank t v = Ident.Tbl.find_opt t.fixed v
 let is_fixed t v = Ident.Tbl.mem t.fixed v
 
-let allowed_xfer t v = List.filter Bank.is_transfer (allowed_banks t v)
+let num_pairs t = Array.length t.ex_temp
 
-(* All (b1, b2) transitions the model offers temp [v] at point [p],
-   including the identity transitions (one per allowed bank). *)
-let legal_move_pairs t p v =
-  let allowed = allowed_banks t v in
-  let free =
-    match Hashtbl.find_opt t.move_all p with
-    | Some set -> Ident.Set.mem v set
-    | None -> false
-  in
-  let from_banks =
-    if free then allowed
+(* The pair of temporary index [i] at point [p], or -1 when it does not
+   exist there: a binary search of the point's pairs. *)
+let pair t p i =
+  let rec go lo hi =
+    if lo >= hi then -1
     else
-      match Hashtbl.find_opt t.move_from p with
-      | Some tbl -> Option.value ~default:[] (Ident.Tbl.find_opt tbl v)
-      | None -> []
+      let mid = (lo + hi) lsr 1 in
+      let j = t.ex_temp.(mid) in
+      if j = i then mid else if j < i then go (mid + 1) hi else go lo mid
   in
-  List.concat_map
-    (fun b1 ->
-      List.filter_map
-        (fun b2 ->
-          if Bank.equal b1 b2 then Some (b1, b2)
-          else if List.mem b1 from_banks && Bank.move_legal ~src:b1 ~dst:b2
-          then Some (b1, b2)
-          else None)
-        allowed)
-    allowed
+  go t.ex_start.(p) t.ex_start.(p + 1)
+
+let pair_of t p v =
+  match Ident.Tbl.find_opt t.temp_id v with Some i -> pair t p i | None -> -1
 
 (* ------------------------------------------------------------------ *)
 (* Construction                                                        *)
@@ -143,9 +142,12 @@ let build ?(allow_spill = false) ?(rematerialize = false)
   let live = Ixp.Liveness.compute graph in
   let freq = Ixp.Frequency.compute graph in
   let points = Array.of_list (FG.points graph) in
-  let point_id = Hashtbl.create (Array.length points) in
-  Array.iteri (fun i p -> Hashtbl.replace point_id (FG.point_name p) i) points;
-  let pid p = Hashtbl.find point_id (FG.point_name p) in
+  let block_start = Hashtbl.create 16 in
+  Array.iteri
+    (fun i (p : point) ->
+      if p.FG.pos = 0 then Hashtbl.replace block_start p.FG.block i)
+    points;
+  let pid (p : point) = Hashtbl.find block_start p.FG.block + p.FG.pos in
   let insn_edges = ref [] and control_edges = ref [] in
   List.iter
     (fun e ->
@@ -206,10 +208,7 @@ let build ?(allow_spill = false) ?(rematerialize = false)
   (* terminator constraints anchor at the block's exit point *)
   FG.iter_blocks
     (fun b ->
-      let exit_id =
-        Hashtbl.find point_id
-          (FG.point_name { FG.block = b.FG.label; pos = Array.length b.FG.insns })
-      in
+      let exit_id = pid { FG.block = b.FG.label; pos = Array.length b.FG.insns } in
       let c = Insn.term_constraints b.FG.term in
       add_classes exit_id exit_id c)
     graph;
@@ -220,10 +219,11 @@ let build ?(allow_spill = false) ?(rematerialize = false)
       let si = Ident.Tbl.find temp_id src in
       Array.iter (fun d -> ignore (Union_find.union uf si (Ident.Tbl.find temp_id d))) dsts)
     !clones;
+  let temp_family = Array.init (Array.length temps) (Union_find.find uf) in
   let clone_family v =
     match Ident.Tbl.find_opt temp_id v with
     | None -> v
-    | Some i -> temps.(Union_find.find uf i)
+    | Some i -> temps.(temp_family.(i))
   in
   let mates_tbl = Ident.Tbl.create 16 in
   Array.iteri
@@ -468,9 +468,60 @@ let build ?(allow_spill = false) ?(rematerialize = false)
          def/use-adjacent points this still lets values be re-banked once
          per region (e.g. hoisted out of a loop at the preheader's
          successor) at a fraction of the variables *)
-      let entry = Hashtbl.find point_id (FG.point_name { FG.block = b.FG.label; pos = 0 }) in
+      let entry = Hashtbl.find block_start b.FG.label in
       allow_move entry exists_at.(entry))
     graph;
+  (* dense Exists pairs and the moves each is offered *)
+  let ex_start = Array.make (Array.length points + 1) 0 in
+  Array.iteri
+    (fun p set -> ex_start.(p + 1) <- ex_start.(p) + Ident.Set.cardinal set)
+    exists_at;
+  let npairs = ex_start.(Array.length points) in
+  let ex_temp = Array.make npairs 0 in
+  let temp_allowed =
+    Array.map
+      (fun v ->
+        Option.value ~default:[ Bank.A; Bank.B; Bank.M ]
+          (Ident.Tbl.find_opt allowed v))
+      temps
+  in
+  let mv_start = Array.make (npairs + 1) 0 in
+  let mv_src = Vec.create () and mv_dst = Vec.create () in
+  Array.iteri
+    (fun p set ->
+      let free = Hashtbl.find_opt move_all p in
+      let from = Hashtbl.find_opt move_from p in
+      let k = ref ex_start.(p) in
+      Ident.Set.iter
+        (fun v ->
+          let i = Ident.Tbl.find temp_id v in
+          ex_temp.(!k) <- i;
+          let allowed = temp_allowed.(i) in
+          let from_banks =
+            match (free, from) with
+            | Some set, _ when Ident.Set.mem v set -> allowed
+            | _, Some tbl -> Option.value ~default:[] (Ident.Tbl.find_opt tbl v)
+            | _, None -> []
+          in
+          if from_banks <> [] then
+            List.iter
+              (fun b1 ->
+                if List.mem b1 from_banks then
+                  List.iter
+                    (fun b2 ->
+                      if
+                        (not (Bank.equal b1 b2))
+                        && Bank.move_legal ~src:b1 ~dst:b2
+                      then begin
+                        Vec.push mv_src b1;
+                        Vec.push mv_dst b2
+                      end)
+                    allowed)
+              allowed;
+          incr k;
+          mv_start.(!k) <- Vec.length mv_src)
+        set)
+    exists_at;
   let weights =
     Array.map (fun p -> max 1e-4 (Ixp.Frequency.point_frequency freq p)) points
   in
@@ -481,12 +532,17 @@ let build ?(allow_spill = false) ?(rematerialize = false)
     live;
     freq;
     points;
-    point_id;
+    block_start;
     insn_edges = !insn_edges;
     control_edges = !control_edges;
     temps;
     temp_id;
     exists_at;
+    ex_start;
+    ex_temp;
+    mv_start;
+    mv_src = Vec.to_array mv_src;
+    mv_dst = Vec.to_array mv_dst;
     copies;
     def_abw = !def_abw;
     def_ab = !def_ab;
@@ -498,14 +554,12 @@ let build ?(allow_spill = false) ?(rematerialize = false)
     same_reg = !same_reg;
     clones = !clones;
     clone_family;
-    clone_mates;
+    temp_family;
     interferes;
-    allowed;
+    temp_allowed;
     fixed;
     const_value;
     const_defs = !const_defs;
-    move_all;
-    move_from;
     weights;
   }
 

@@ -128,8 +128,8 @@ let check (a : Assignment.t) : report =
   in
   Array.iteri
     (fun p _ ->
-      count_side p "before" a.Assignment.bank_before;
-      count_side p "after" a.Assignment.bank_after)
+      count_side p "before" (Assignment.bank_before a);
+      count_side p "after" (Assignment.bank_after a))
     mg.Modelgen.points;
   (* 2b. transfer-register collisions: two temporaries resident in the
      same transfer bank on the same side of one point must not share a
@@ -147,7 +147,7 @@ let check (a : Assignment.t) : report =
       (fun v ->
         let b = side p v in
         if Bank.is_transfer b then begin
-          let c = a.Assignment.xfer_color v b in
+          let c = Assignment.xfer_color a v b in
           let fam = Ident.stamp (mg.Modelgen.clone_family v) in
           match Hashtbl.find_opt seen (Bank.to_string b, c) with
           | Some (fam', v') when fam' <> fam ->
@@ -161,19 +161,19 @@ let check (a : Assignment.t) : report =
   in
   Array.iteri
     (fun p _ ->
-      check_xfer_collisions p "before" a.Assignment.bank_before;
-      check_xfer_collisions p "after" a.Assignment.bank_after)
+      check_xfer_collisions p "before" (Assignment.bank_before a);
+      check_xfer_collisions p "after" (Assignment.bank_after a))
     mg.Modelgen.points;
   (* 3. transfer-aggregate adjacency, re-derived from the colors *)
   let check_agg what members bank =
     Array.iteri
       (fun j v ->
-        let c = a.Assignment.xfer_color v bank in
+        let c = Assignment.xfer_color a v bank in
         if c < 0 || c > 7 then
           err "%s: member %a has color %d outside 0..7 in %s" what Ident.pp v c
             (Bank.to_string bank);
         if j > 0 then begin
-          let c' = a.Assignment.xfer_color members.(j - 1) bank in
+          let c' = Assignment.xfer_color a members.(j - 1) bank in
           if c <> c' + 1 then
             err "%s: members %a (%d) and %a (%d) of bank %s are not adjacent \
                  ascending"
@@ -194,8 +194,8 @@ let check (a : Assignment.t) : report =
   (* 4. same-register pairs: read side in L, write side in S, one number *)
   List.iter
     (fun (d, s) ->
-      let cd = a.Assignment.xfer_color d Bank.L
-      and cs = a.Assignment.xfer_color s Bank.S in
+      let cd = Assignment.xfer_color a d Bank.L
+      and cs = Assignment.xfer_color a s Bank.S in
       if cd <> cs then
         err "same-reg pair: %a gets L%d but %a gets S%d" Ident.pp d cd Ident.pp
           s cs)

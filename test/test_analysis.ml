@@ -583,10 +583,8 @@ let test_validate_rejects_corrupt_colors () =
   let corrupt =
     {
       a with
-      Regalloc.Assignment.xfer_color =
-        (fun v b ->
-          let n = a.Regalloc.Assignment.xfer_color v b in
-          if n = 1 then 5 else n);
+      Regalloc.Assignment.colors =
+        Array.map (fun n -> if n = 1 then 5 else n) a.Regalloc.Assignment.colors;
     }
   in
   let vr = Regalloc.Validate.check corrupt in

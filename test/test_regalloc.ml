@@ -410,6 +410,105 @@ fun main () : word {
       ("nat.nova", Workloads.Nat.source);
     ]
 
+(* Under rematerialization a constant reaches a register through an
+   immediate load out of bank C.  Those are counted apart from the
+   register-to-register moves: every [Imm] of the emitted code is either
+   an immediate load or one of the program's own non-constant [Imm]s,
+   and every [Move] either a counted move or the second half of a
+   parallel-copy cycle broken through A15 (Kasumi spills nothing). *)
+let test_remat_counts_imms_apart () =
+  let count pred g =
+    let n = ref 0 in
+    Ixp.Flowgraph.iter_blocks
+      (fun b -> Array.iter (fun i -> if pred i then incr n) b.Ixp.Flowgraph.insns)
+      g;
+    !n
+  in
+  let is_imm = function Insn.Imm _ -> true | _ -> false in
+  let is_move = function Insn.Move _ -> true | _ -> false in
+  let is_cycle_break = function
+    | Insn.Move { dst; _ } -> Ixp.Reg.equal dst (Ixp.Reg.make Ixp.Bank.A 15)
+    | _ -> false
+  in
+  List.iter
+    (fun (what, rematerialize) ->
+      let c =
+        Regalloc.Driver.compile
+          ~options:
+            {
+              Regalloc.Driver.default_options with
+              rematerialize;
+              node_limit = node_budget;
+              time_limit = 1e9;
+            }
+          ~file:"kasumi.nova" Workloads.Kasumi.source
+      in
+      let s = c.Regalloc.Driver.stats in
+      let mg = c.Regalloc.Driver.mg in
+      let own_imms =
+        count
+          (function
+            | Insn.Imm { dst; _ } -> Regalloc.Modelgen.const_of mg dst = None
+            | _ -> false)
+          c.Regalloc.Driver.virtual_graph
+      in
+      let physical = c.Regalloc.Driver.physical in
+      checki (what ^ ": spills") 0 s.Regalloc.Driver.spills_inserted;
+      checki (what ^ ": every other Imm is an immediate load")
+        (count is_imm physical - own_imms)
+        s.Regalloc.Driver.imms_inserted;
+      checki (what ^ ": moves count register moves only")
+        (count is_move physical - count is_cycle_break physical)
+        s.Regalloc.Driver.moves_inserted;
+      if rematerialize then
+        checkb (what ^ ": constants loaded") true (s.Regalloc.Driver.imms_inserted > 0)
+      else checki (what ^ ": no immediate loads") 0 s.Regalloc.Driver.imms_inserted)
+    [ ("plain", false); ("remat", true) ]
+
+(* An infeasible remat model is not a failed compile: the driver
+   allocates without rematerialization, through the plain spill-free
+   model, and emits what the plain compile emits. *)
+let test_remat_infeasible_falls_back () =
+  let options =
+    {
+      Regalloc.Driver.default_options with
+      rematerialize = true;
+      node_limit = node_budget;
+      time_limit = 1e9;
+    }
+  in
+  let front =
+    Regalloc.Driver.front_end ~rematerialize:true ~file:"kasumi.nova"
+      Workloads.Kasumi.source
+  in
+  let direct = Regalloc.Driver.direct_model_solve options in
+  let asked = ref [] in
+  let model_solve ~variant graph =
+    asked := variant :: !asked;
+    if variant = "remat" then
+      (Regalloc.Modelgen.build ~rematerialize:true graph, Error `Infeasible)
+    else direct ~variant graph
+  in
+  let c = Regalloc.Driver.allocate_with ~model_solve options front in
+  Alcotest.(check (list string)) "variants asked" [ "remat"; "nospill" ]
+    (List.rev !asked);
+  let plain =
+    Regalloc.Driver.compile
+      ~options:{ options with rematerialize = false }
+      ~file:"kasumi.nova" Workloads.Kasumi.source
+  in
+  let cost (c : Regalloc.Driver.compiled) =
+    c.Regalloc.Driver.stats.Regalloc.Driver.weighted_move_cost
+  in
+  if cost c <> cost plain then
+    Alcotest.failf "move cost %.17g, plain compile %.17g" (cost c) (cost plain);
+  checki "no immediate loads" 0
+    c.Regalloc.Driver.stats.Regalloc.Driver.imms_inserted;
+  checkb "the plain compile's code" true
+    (String.equal
+       (Ixp.Asm.program_to_string c.Regalloc.Driver.physical)
+       (Ixp.Asm.program_to_string plain.Regalloc.Driver.physical))
+
 (* The stage spans every compile must record: the front end, each
    middle-end pass, model build, the solver's phases and emit. *)
 let required_spans =
@@ -615,6 +714,160 @@ let test_model_identity () =
       ("nat.nova", Workloads.Nat.source, "b5097f33d72cc72a87f3b296aae6168d");
     ]
 
+(* The code each workload compiles to, pinned by the MD5 of its assembly
+   text under both allocators: the ILP one cold on one domain under the
+   node budget, and the baseline heuristic.  A change to how the
+   solution is read back or emitted that moves a single register or
+   reorders a single move changes a digest. *)
+let test_emitted_code_pinned () =
+  let ilp =
+    {
+      Regalloc.Driver.default_options with
+      node_limit = node_budget;
+      time_limit = 1e9;
+    }
+  in
+  let baseline =
+    {
+      Regalloc.Driver.default_options with
+      allocator = Regalloc.Driver.Baseline_allocator;
+    }
+  in
+  List.iter
+    (fun (name, source, ilp_md5, baseline_md5) ->
+      let md5 options =
+        let c = Regalloc.Driver.compile ~options ~file:name source in
+        Digest.to_hex
+          (Digest.string (Ixp.Asm.program_to_string c.Regalloc.Driver.physical))
+      in
+      Alcotest.(check string) (name ^ ": ILP code") ilp_md5 (md5 ilp);
+      Alcotest.(check string)
+        (name ^ ": baseline code") baseline_md5 (md5 baseline))
+    [
+      ( "aes.nova", Workloads.Aes.source,
+        "dabb44ee2715e99ca8cb8692c2fdc19a", "3263079d39414773fe27dac3aabb097b" );
+      ( "kasumi.nova", Workloads.Kasumi.source,
+        "ed15aab06b693161acba4673a37180cd", "2037edfaedad8f4770e42e25fed850cb" );
+      ( "lpm.nova", Workloads.Lpm.source,
+        "be9369c7e54477732db982805bc56041", "6de5daf2ee6f79fb9e062916862f7284" );
+      ( "firewall.nova", Workloads.Firewall.source,
+        "e42def278bb1d2e52ad3ce379b4d51fb", "aa0ad3657d948f695aa3781cc85a409f" );
+      ( "csum.nova", Workloads.Csum.source,
+        "ffe3fdc5536b52c84885fe18ba3bd9c0", "7f2c9d2c3371edd2efdc44cca198fe20" );
+      ( "qos.nova", Workloads.Qos.source,
+        "246e4bb862b7a72c4040e1f753e8c1a6", "6a56f95e3f26785f56c622cb98ca846f" );
+      ( "nat.nova", Workloads.Nat.source,
+        "5a3acf052a92f2c56683bb2dc3528f6c", "1d844129dfc3ba4ec45047b6fbfa0ad0" );
+    ]
+
+(* The decoded assignment against a reference reader that looks every
+   variable up by its index tuple ([Ampl.Model.value]): each Exists
+   pair's banks (the first allowed bank whose variable is set; a fixed
+   temporary's own bank), each point's moves (every Move variable set,
+   listed by descending temporary and, within one, by descending
+   (source, destination) in allowed-bank order) and every transfer
+   temporary's colors (the lowest register set, or none). *)
+let test_decode_matches_reference () =
+  let module D = Ampl.Dataset in
+  let module M = Ampl.Model in
+  let module Bank = Ixp.Bank in
+  List.iter
+    (fun (name, source) ->
+      let f = Regalloc.Driver.front_end ~file:name source in
+      let mg = Regalloc.Modelgen.build f.Regalloc.Driver.f_graph in
+      let ilp = Regalloc.Ilp.build mg in
+      let sol =
+        match
+          Regalloc.Ilp.solve ~time_limit:1e9 ~node_limit:node_budget ilp
+        with
+        | Ok sol -> sol
+        | Error _ -> Alcotest.failf "%s: no solution" name
+      in
+      let a = Regalloc.Assignment.of_ilp sol in
+      let set fam tuple =
+        M.value ilp.Regalloc.Ilp.instance sol.Regalloc.Ilp.assignment fam tuple
+        > 0.5
+      in
+      let v_atom v = D.S (Support.Ident.name v) in
+      let b_atom b = D.S (Bank.to_string b) in
+      let bank fam p v =
+        match Regalloc.Modelgen.fixed_bank mg v with
+        | Some b -> Some b
+        | None ->
+            List.find_opt
+              (fun b -> set fam [ D.I p; v_atom v; b_atom b ])
+              (Regalloc.Modelgen.allowed_banks mg v)
+      in
+      let bank_name = function Some b -> Bank.to_string b | None -> "none" in
+      Array.iteri
+        (fun p live ->
+          let moves = ref [] in
+          Support.Ident.Set.iter
+            (fun v ->
+              let what side =
+                Fmt.str "%s: %s of %a at point %d" name side Support.Ident.pp v p
+              in
+              Alcotest.(check string) (what "bank before")
+                (bank_name (bank ilp.Regalloc.Ilp.before_f p v))
+                (Bank.to_string (Regalloc.Assignment.bank_before a p v));
+              Alcotest.(check string) (what "bank after")
+                (bank_name (bank ilp.Regalloc.Ilp.after_f p v))
+                (Bank.to_string (Regalloc.Assignment.bank_after a p v));
+              let banks = Regalloc.Modelgen.allowed_banks mg v in
+              List.iter
+                (fun b1 ->
+                  List.iter
+                    (fun b2 ->
+                      if
+                        (not (Bank.equal b1 b2))
+                        && set ilp.Regalloc.Ilp.move_f
+                             [ D.I p; v_atom v; b_atom b1; b_atom b2 ]
+                      then moves := (v, b1, b2) :: !moves)
+                    banks)
+                banks)
+            live;
+          let show l =
+            String.concat "; "
+              (List.map
+                 (fun (v, b1, b2) ->
+                   Fmt.str "%a %s->%s" Support.Ident.pp v (Bank.to_string b1)
+                     (Bank.to_string b2))
+                 l)
+          in
+          Alcotest.(check string)
+            (Fmt.str "%s: moves at point %d" name p)
+            (show !moves)
+            (show a.Regalloc.Assignment.moves.(p)))
+        mg.Regalloc.Modelgen.exists_at;
+      Array.iteri
+        (fun i v ->
+          List.iter
+            (fun b ->
+              let expected =
+                Option.value ~default:(-1)
+                  (List.find_opt
+                     (fun r ->
+                       set ilp.Regalloc.Ilp.color_f [ v_atom v; b_atom b; D.I r ])
+                     [ 0; 1; 2; 3; 4; 5; 6; 7 ])
+              in
+              Alcotest.(check int)
+                (Fmt.str "%s: %s color of %a" name (Bank.to_string b)
+                   Support.Ident.pp v)
+                expected
+                a.Regalloc.Assignment.colors.(Regalloc.Assignment.color_index i b))
+            (List.filter Bank.is_transfer
+               (Regalloc.Modelgen.allowed_banks mg v)))
+        mg.Regalloc.Modelgen.temps)
+    [
+      ("aes.nova", Workloads.Aes.source);
+      ("kasumi.nova", Workloads.Kasumi.source);
+      ("lpm.nova", Workloads.Lpm.source);
+      ("firewall.nova", Workloads.Firewall.source);
+      ("csum.nova", Workloads.Csum.source);
+      ("qos.nova", Workloads.Qos.source);
+      ("nat.nova", Workloads.Nat.source);
+    ]
+
 let suites =
   [
     ( "regalloc.pipeline",
@@ -644,11 +897,21 @@ let suites =
         Alcotest.test_case "model stats" `Quick test_model_stats;
         Alcotest.test_case "model identity pinned on all 7 workloads" `Quick
           test_model_identity;
+        Alcotest.test_case "emitted code pinned on all 7 workloads" `Quick
+          test_emitted_code_pinned;
+        Alcotest.test_case "decoded assignment matches a reference reader"
+          `Quick test_decode_matches_reference;
       ] );
     ( "regalloc.hardware",
       [ Alcotest.test_case "fifo + csr + ctx_arb" `Quick test_fifo_and_csr_path ] );
     ( "regalloc.remat",
-      [ Alcotest.test_case "constants via bank C" `Quick test_rematerialization ] );
+      [
+        Alcotest.test_case "constants via bank C" `Quick test_rematerialization;
+        Alcotest.test_case "immediate loads counted apart" `Quick
+          test_remat_counts_imms_apart;
+        Alcotest.test_case "infeasible remat model falls back" `Quick
+          test_remat_infeasible_falls_back;
+      ] );
     ( "regalloc.baseline",
       [
         Alcotest.test_case "baseline valid + agrees" `Quick

@@ -28,6 +28,11 @@ let test_dataset_ops () =
        false
      with Invalid_argument _ -> true)
 
+(* [lhs = rhs] over members of [fam], each with coefficient 1. *)
+let sum_eq model ~name fam tuples rhs =
+  List.iter (fun tup -> M.term model 1. (M.member fam tup)) tuples;
+  M.row model ~name Lp.Problem.Eq rhs
+
 (* A small assignment problem through the modeling layer. *)
 let test_model_assignment () =
   let model = M.create () in
@@ -38,21 +43,22 @@ let test_model_assignment () =
   (* each task to exactly one worker and vice versa *)
   D.iter
     (fun t ->
-      M.add_eq model ~name:"task"
-        (M.sum_over workers (fun w -> M.v x (t @ w)))
-        (M.const 1.))
+      sum_eq model ~name:"task" x
+        (List.map (fun w -> t @ w) (D.elements workers))
+        1.)
     tasks;
   D.iter
     (fun w ->
-      M.add_eq model ~name:"worker"
-        (M.sum_over tasks (fun t -> M.v x (t @ w)))
-        (M.const 1.))
+      sum_eq model ~name:"worker" x
+        (List.map (fun t -> t @ w) (D.elements tasks))
+        1.)
     workers;
   (* costs: t1/w1 = 5, t1/w2 = 1, t2/w1 = 2, t2/w2 = 9 *)
-  M.add_to_objective model (M.v x ~coef:5. [ D.S "t1"; D.S "w1" ]);
-  M.add_to_objective model (M.v x ~coef:1. [ D.S "t1"; D.S "w2" ]);
-  M.add_to_objective model (M.v x ~coef:2. [ D.S "t2"; D.S "w1" ]);
-  M.add_to_objective model (M.v x ~coef:9. [ D.S "t2"; D.S "w2" ]);
+  let cost c tup = M.objective_term model c (M.member x tup) in
+  cost 5. [ D.S "t1"; D.S "w1" ];
+  cost 1. [ D.S "t1"; D.S "w2" ];
+  cost 2. [ D.S "t2"; D.S "w1" ];
+  cost 9. [ D.S "t2"; D.S "w2" ];
   let inst = M.instantiate model in
   let r = Lp.Mip.solve inst.M.problem in
   checkb "optimal" true (r.Lp.Mip.status = Lp.Mip.Optimal);
@@ -65,9 +71,10 @@ let test_model_assignment () =
 (* The member table is the membership check: an out-of-set reference
    is an internal error whether it is the family's first reference or
    comes after members already have LP variables, in the objective or
-   in a row, and whatever the tuple's arity. *)
+   in a row, and whatever the tuple's arity.  A member of another
+   model's family is an internal error too. *)
 let test_model_strictness () =
-  let rejects what ~culprit build =
+  let rejects what ~msg build =
     let model = M.create () in
     let y =
       M.declare_binary_family model "Y"
@@ -75,33 +82,40 @@ let test_model_strictness () =
     in
     build model y;
     match M.instantiate model with
-    | _ -> Alcotest.failf "%s: out-of-set reference accepted" what
+    | _ -> Alcotest.failf "%s: bad reference accepted" what
     | exception Support.Diag.Compile_error d ->
         Alcotest.(check string)
           what
-          ("internal compiler error: Ampl: " ^ culprit
-         ^ " is outside the index set of Y")
+          ("internal compiler error: Ampl: " ^ msg)
           d.Support.Diag.message
   in
+  let outside culprit = culprit ^ " is outside the index set of Y" in
   let ok = [ D.I 1; D.S "a" ] in
-  rejects "first reference" ~culprit:"Y[3,a]" (fun model y ->
-      M.add_eq model ~name:"bad" (M.v y [ D.I 3; D.S "a" ]) (M.const 1.));
-  rejects "after members" ~culprit:"Y[1,c]" (fun model y ->
-      M.add_eq model ~name:"good" (M.v y ok) (M.const 1.);
-      M.add_le model ~name:"bad"
-        (M.add (M.v y ok) (M.v y [ D.I 1; D.S "c" ]))
-        (M.const 1.));
-  rejects "objective after members" ~culprit:"Y[a,1]" (fun model y ->
-      M.add_to_objective model (M.v y ok);
-      M.add_to_objective model (M.v y [ D.S "a"; D.I 1 ]));
-  rejects "wrong arity" ~culprit:"Y[1]" (fun model y ->
-      M.add_eq model ~name:"good" (M.v y ok) (M.const 1.);
-      M.add_eq model ~name:"bad" (M.v y [ D.I 1 ]) (M.const 1.))
+  rejects "first reference" ~msg:(outside "Y[3,a]") (fun model y ->
+      sum_eq model ~name:"bad" y [ [ D.I 3; D.S "a" ] ] 1.);
+  rejects "after members" ~msg:(outside "Y[1,c]") (fun model y ->
+      sum_eq model ~name:"good" y [ ok ] 1.;
+      M.term model 1. (M.member y ok);
+      M.term model 1. (M.member y [ D.I 1; D.S "c" ]);
+      M.row model ~name:"bad" Lp.Problem.Le 1.);
+  rejects "objective after members" ~msg:(outside "Y[a,1]") (fun model y ->
+      M.objective_term model 1. (M.member y ok);
+      M.objective_term model 1. (M.member y [ D.S "a"; D.I 1 ]));
+  rejects "wrong arity" ~msg:(outside "Y[1]") (fun model y ->
+      sum_eq model ~name:"good" y [ ok ] 1.;
+      sum_eq model ~name:"bad" y [ [ D.I 1 ] ] 1.);
+  rejects "another model's family"
+    ~msg:"family W belongs to another model" (fun model _ ->
+      let other = M.create () in
+      let w =
+        M.declare_binary_family other "W" ~index:(D.of_ints [ 1 ])
+      in
+      sum_eq model ~name:"foreign" w [ [ D.I 1 ] ] 1.)
 
 let test_unreferenced_default () =
   let model = M.create () in
   let z = M.declare_binary_family model "Z" ~index:(D.of_ints [ 1; 2; 3 ]) in
-  M.add_eq model ~name:"only_one" (M.v z [ D.I 1 ]) (M.const 1.);
+  sum_eq model ~name:"only_one" z [ [ D.I 1 ] ] 1.;
   let inst = M.instantiate model in
   let r = Lp.Mip.solve inst.M.problem in
   checkb "optimal" true (r.Lp.Mip.status = Lp.Mip.Optimal);

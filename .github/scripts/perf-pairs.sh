@@ -6,7 +6,8 @@
 # Builds perfbench/main.exe in a git worktree of BASE_SHA and in the
 # checkout, then runs five alternating pairs of
 #   perfbench benchmark --workload W --seed i --out FILE
-# on compile-search and compile-root.  The base runs first in odd pairs
+# on compile-search, compile-root and serve-edit (whose edits are mostly
+# model construction).  The base runs first in odd pairs
 # and the checkout in even ones, so a drift in the host's speed lands on
 # both sides alike.  Each side's runs are merged into
 # _artifacts/perf-pairs/{base,change}.json, and `perfbench compare`,
@@ -32,9 +33,10 @@ for dir in "$base" "$root"; do
   (cd "$dir" && dune build --root . perfbench/main.exe)
 done
 
-# run SIDE DIR PAIR: both workloads of one side of a pair
+# run SIDE DIR PAIR: the workloads of one side of a pair
+workloads="compile-search compile-root serve-edit"
 run() {
-  for w in compile-search compile-root; do
+  for w in $workloads; do
     echo "== pair $3: $1 $w"
     (cd "$2" && ./_build/default/perfbench/main.exe benchmark --workload "$w" \
       --seed "$3" --out "$out/$1-$w-$3.json")
@@ -52,7 +54,11 @@ for i in 1 2 3 4 5; do
 done
 
 for side in base change; do
-  jq -s '{runs: [.[].runs[]]}' "$out/$side"-compile-*.json >"$out/$side.json"
+  files=()
+  for w in $workloads; do
+    files+=("$out/$side-$w"-*.json)
+  done
+  jq -s '{runs: [.[].runs[]]}' "${files[@]}" >"$out/$side.json"
 done
 cd "$root"
 ./_build/default/perfbench/main.exe compare "$out/base.json" "$out/change.json"

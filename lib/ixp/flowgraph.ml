@@ -94,7 +94,7 @@ let point_compare a b =
 
 let pp_point ppf p = Fmt.pf ppf "%s.%d" p.block p.pos
 
-let point_name p = Printf.sprintf "%s.%d" p.block p.pos
+let point_name p = p.block ^ "." ^ string_of_int p.pos
 
 module Point_map = Map.Make (struct
   type t = point

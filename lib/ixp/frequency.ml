@@ -126,29 +126,41 @@ let compute (g : _ Flowgraph.t) =
      freq(p) * prob(p->b).  The damping bounds loop gains away from 1 so
      the iteration converges even for irreducible cycles; relative
      frequencies (what the objective needs) are preserved. *)
-  let freq = Hashtbl.create 16 in
-  Flowgraph.iter_blocks (fun b -> Hashtbl.replace freq b.Flowgraph.label 0.) g;
+  let blocks = Array.of_list (Flowgraph.blocks g) in
+  let index = Hashtbl.create (Array.length blocks) in
+  Array.iteri (fun i b -> Hashtbl.replace index b.Flowgraph.label i) blocks;
   let entry_label = (Flowgraph.entry g).Flowgraph.label in
   let preds = Flowgraph.predecessors g in
-  for _ = 1 to iterations do
-    Flowgraph.iter_blocks
+  (* each block's predecessors, by index, with the edge probability *)
+  let inflows =
+    Array.map
       (fun b ->
         let label = b.Flowgraph.label in
+        List.map
+          (fun pred ->
+            ( Hashtbl.find index pred,
+              Option.value ~default:0.
+                (Hashtbl.find_opt edge_prob (pred, label)) ))
+          (Option.value ~default:[] (Hashtbl.find_opt preds label)))
+      blocks
+  in
+  (* blocks are updated in layout order, each from its predecessors'
+     latest values *)
+  let f = Array.make (Array.length blocks) 0. in
+  for _ = 1 to iterations do
+    Array.iteri
+      (fun i b ->
         let inflow =
           List.fold_left
-            (fun acc pred ->
-              let p =
-                Option.value ~default:0.
-                  (Hashtbl.find_opt edge_prob (pred, label))
-              in
-              acc +. (damping *. p *. Hashtbl.find freq pred))
-            0.
-            (Option.value ~default:[] (Hashtbl.find_opt preds label))
+            (fun acc (j, p) -> acc +. (damping *. p *. f.(j)))
+            0. inflows.(i)
         in
-        let base = if label = entry_label then 1.0 else 0.0 in
-        Hashtbl.replace freq label (base +. inflow))
-      g
+        let base = if b.Flowgraph.label = entry_label then 1.0 else 0.0 in
+        f.(i) <- base +. inflow)
+      blocks
   done;
+  let freq = Hashtbl.create 16 in
+  Array.iteri (fun i b -> Hashtbl.replace freq b.Flowgraph.label f.(i)) blocks;
   { block_freq = freq; edge_prob }
 
 let block_frequency t label =

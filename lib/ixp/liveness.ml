@@ -166,24 +166,65 @@ let all_temps g =
 
 (* Interference in the classic sense: two temporaries are simultaneously
    live at some point.  The SSU pass later *removes* clone-mates from
-   this relation (paper §10). *)
+   this relation (paper §10).
+
+   The ILP states its Both rows in the order of this list, and the
+   pinned LPs keep it: the fold order of the [Hashtbl] that once
+   collected the pairs, made with 256 buckets and keyed by the pair,
+   filled in the order the pairs are first met (points in [exists]'
+   iteration order, each point's temporaries ascending).  It is computed
+   without the table ([Hashtbl_order]): a pair is met when its bit in a
+   matrix over the temporaries is first set, and only then hashed. *)
 let interferences t =
-  let pairs = Hashtbl.create 256 in
+  (* temporaries numbered densely in order of appearance; a pair is met
+     when its bit in an n x n matrix is first set *)
+  let max_stamp =
+    Hashtbl.fold
+      (fun _ set m ->
+        match Ident.Set.max_elt_opt set with
+        | Some v -> max m (Ident.stamp v)
+        | None -> m)
+      t.exists 0
+  in
+  let id = Array.make (max_stamp + 1) (-1) in
+  let n = ref 0 in
+  Hashtbl.iter
+    (fun _ set ->
+      Ident.Set.iter
+        (fun v ->
+          if id.(Ident.stamp v) < 0 then begin
+            id.(Ident.stamp v) <- !n;
+            incr n
+          end)
+        set)
+    t.exists;
+  let dim = !n in
+  let seen = Bytes.make (((dim * dim) + 7) / 8) '\000' in
+  let met = ref [] in
   let consider set =
     let l = Ident.Set.elements set in
     let rec go = function
       | [] -> ()
       | v :: rest ->
+          let row = id.(Ident.stamp v) * dim in
           List.iter
             (fun w ->
-              let key =
-                if Ident.compare v w < 0 then (v, w) else (w, v)
-              in
-              Hashtbl.replace pairs key ())
+              (* v precedes w: the set lists its elements ascending *)
+              let bit = row + id.(Ident.stamp w) in
+              let byte = Char.code (Bytes.unsafe_get seen (bit lsr 3)) in
+              let mask = 1 lsl (bit land 7) in
+              if byte land mask = 0 then begin
+                Bytes.unsafe_set seen (bit lsr 3) (Char.unsafe_chr (byte lor mask));
+                met := (v, w) :: !met
+              end)
             rest;
           go rest
     in
     go l
   in
   Hashtbl.iter (fun _ set -> consider set) t.exists;
-  Hashtbl.fold (fun (v, w) () acc -> (v, w) :: acc) pairs []
+  let pairs = Array.of_list (List.rev !met) in
+  Array.fold_left
+    (fun acc i -> pairs.(i) :: acc)
+    []
+    (Hashtbl_order.iter ~initial:256 (Array.map Hashtbl.hash pairs))

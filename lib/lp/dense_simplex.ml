@@ -75,13 +75,20 @@ module Make (F : Field.S) = struct
     let contradiction =
       List.exists (function `Contradiction -> true | _ -> false) !extra_ub_rows
     in
-    let orig_rows = ref [] in
-    Problem.iter_rows (fun r -> orig_rows := r :: !orig_rows) p;
-    let orig_rows = List.rev !orig_rows in
+    let orig_rows =
+      List.init (Problem.num_rows p) (fun i ->
+          ( Problem.row_sense p i,
+            Problem.row_rhs p i,
+            List.init
+              (Problem.row_end p i - Problem.row_begin p i)
+              (fun k ->
+                let k = Problem.row_begin p i + k in
+                (Problem.term_var p k, Problem.term_coef p k)) ))
+    in
     let slack_count =
       List.length ub_rows
       + List.length
-          (List.filter (fun r -> r.Problem.sense <> Problem.Eq) orig_rows)
+          (List.filter (fun (sense, _, _) -> sense <> Problem.Eq) orig_rows)
     in
     let nrows = List.length orig_rows + List.length ub_rows in
     let total_cols = !ncols + slack_count in
@@ -131,7 +138,7 @@ module Make (F : Field.S) = struct
       b.(i) <- !rhs
     in
     List.iteri
-      (fun i r -> set_row i r.Problem.sense (F.of_float r.Problem.rhs) r.terms)
+      (fun i (sense, rhs, terms) -> set_row i sense (F.of_float rhs) terms)
       orig_rows;
     List.iteri
       (fun k (col, ub) ->

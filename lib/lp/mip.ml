@@ -47,10 +47,13 @@ type stats = {
       (* "seeded" | "heuristic" | "branch" | "presolve" | "none" *)
 }
 
+(* [solution] is the incumbent, indexed by the original problem's
+   variables: [None] when there is none (infeasible, or a budget hit
+   before any incumbent), and then [objective] is [infinity]. *)
 type result = {
   status : status;
   objective : float;
-  solution : float array; (* indexed by the original problem's variables *)
+  solution : float array option;
   stats : stats;
   ws_out : warm_start; (* solution + pseudocosts for the next warm start *)
 }
@@ -155,13 +158,18 @@ let solve ?(presolve = true) ?(time_limit = 600.) ?(node_limit = 500_000)
       | Branch_bound.Infeasible -> Infeasible
       | Branch_bound.Limit -> Limit
     in
-    let solution, objective =
-      if status = Infeasible then
-        (Array.make (Problem.num_vars p) 0., infinity)
-      else begin
-        let s = postsolve_fn r.Branch_bound.solution in
-        (s, Problem.objective_value p s)
-      end
+    (* branch and bound reports a missing incumbent as an infinite
+       objective over a zero vector: that vector is no solution, and is
+       neither postsolved nor priced *)
+    let solution =
+      if status = Infeasible || not (Float.is_finite r.Branch_bound.objective)
+      then None
+      else Some (postsolve_fn r.Branch_bound.solution)
+    in
+    let objective =
+      match solution with
+      | Some s -> Problem.objective_value p s
+      | None -> infinity
     in
     let ws_out =
       if status = Infeasible then no_warm_start
@@ -169,11 +177,13 @@ let solve ?(presolve = true) ?(time_limit = 600.) ?(node_limit = 500_000)
         {
           ws_values =
             (let acc = ref [] in
-             for j = Problem.num_vars p - 1 downto 0 do
-               if Problem.var_integer p j
-                  && Float.abs solution.(j) > 1e-6
-               then acc := (j, Float.round solution.(j)) :: !acc
-             done;
+             Option.iter
+               (fun s ->
+                 for j = Problem.num_vars p - 1 downto 0 do
+                   if Problem.var_integer p j && Float.abs s.(j) > 1e-6 then
+                     acc := (j, Float.round s.(j)) :: !acc
+                 done)
+               solution;
              !acc);
           ws_pseudocosts =
             List.filter_map
@@ -199,11 +209,10 @@ let solve ?(presolve = true) ?(time_limit = 600.) ?(node_limit = 500_000)
       ~warm_used:r.Branch_bound.warm_seeded
       ~inc_src:r.Branch_bound.incumbent_source ~ws_out
   in
-  let empty_solution = Array.make (Problem.num_vars p) 0. in
   if presolve then begin
     match Support.Trace.with_span "presolve" (fun () -> Presolve.run p) with
     | Presolve.Infeasible_detected ->
-        finish Infeasible infinity empty_solution ~root_time:0. ~root_obj:nan
+        finish Infeasible infinity None ~root_time:0. ~root_obj:nan
           ~nodes:0 ~iters:0 ~best_bound:infinity ~heur:0
           ~after_stats:(Problem.stats p)
     | Presolve.Reduced (reduced, info) ->
@@ -212,7 +221,7 @@ let solve ?(presolve = true) ?(time_limit = 600.) ?(node_limit = 500_000)
           (* Fully solved by presolve. *)
           let solution = Presolve.postsolve info [||] in
           let objective = Problem.objective_value p solution in
-          finish Optimal objective solution ~root_time:0.
+          finish Optimal objective (Some solution) ~root_time:0.
             ~root_obj:objective ~nodes:0 ~iters:0 ~best_bound:objective ~heur:0
             ~after_stats
             ~inc_src:"presolve"

@@ -142,7 +142,7 @@ let add_entry w v r s =
 
 let init (p : Problem.t) =
   let n = Problem.num_vars p and m = Problem.num_rows p in
-  let nnz = (Problem.stats p).n_nonzeros in
+  let nnz = Problem.num_nonzeros p in
   let w =
     {
       n;
@@ -180,18 +180,17 @@ let init (p : Problem.t) =
   in
   let s = ref 0 in
   for r = 0 to m - 1 do
-    let row = Problem.row p r in
     w.row_start.(r) <- !s;
-    w.sense.(r) <- row.sense;
-    w.rhs.(r) <- row.rhs;
-    List.iter
-      (fun (v, c) ->
+    w.sense.(r) <- Problem.row_sense p r;
+    w.rhs.(r) <- Problem.row_rhs p r;
+    Problem.iter_row
+      (fun v c ->
         w.slot_var.(!s) <- v;
         w.slot_coef.(!s) <- c;
         add_entry w v r !s;
         w.live.(v) <- w.live.(v) + 1;
         incr s)
-      row.terms;
+      p r;
     w.row_len.(r) <- !s - w.row_start.(r);
     enqueue w r
   done;
@@ -447,7 +446,7 @@ let run (p : Problem.t) =
             o_sense = w.sense.(r);
             o_terms = List.sort (fun (a, _) (b, _) -> Int.compare a b) terms;
             o_rhs = w.rhs.(r);
-            o_name = (Problem.row p r).row_name;
+            o_name = Problem.row_name p r;
           }
         in
         match Row_key.find_opt merged o with

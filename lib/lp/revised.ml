@@ -109,41 +109,36 @@ let create (p : Problem.t) =
     if cost.(j) < 0. && not (Float.is_finite hi.(j)) then
       invalid_arg "Revised.create: negative cost needs a finite upper bound"
   done;
-  let rows = ref [] in
-  Problem.iter_rows (fun r -> rows := r :: !rows) p;
-  let rows = Array.of_list (List.rev !rows) in
   (* Row-wise copy first, then its transpose: scanning the rows in order
      lists each column's entries by increasing row. *)
   let row_start = Array.make (m + 1) 0 in
-  Array.iteri
-    (fun i (r : Problem.row) ->
-      row_start.(i + 1) <- row_start.(i) + List.length r.terms + 1)
-    rows;
+  for i = 0 to m - 1 do
+    row_start.(i + 1) <-
+      row_start.(i) + Problem.row_end p i - Problem.row_begin p i + 1
+  done;
   let nnz = row_start.(m) in
   let row_col = Array.make nnz 0 and row_val = Array.make nnz 0. in
-  Array.iteri
-    (fun i (r : Problem.row) ->
-      rhs.(i) <- r.rhs;
-      (match r.sense with
-      | Problem.Le ->
-          lo.(n + i) <- 0.;
-          hi.(n + i) <- infinity
-      | Problem.Ge ->
-          lo.(n + i) <- neg_infinity;
-          hi.(n + i) <- 0.
-      | Problem.Eq ->
-          lo.(n + i) <- 0.;
-          hi.(n + i) <- 0.);
-      let p = ref row_start.(i) in
-      List.iter
-        (fun (v, c) ->
-          row_col.(!p) <- v;
-          row_val.(!p) <- c;
-          incr p)
-        r.terms;
-      row_col.(!p) <- n + i;
-      row_val.(!p) <- 1.0)
-    rows;
+  for i = 0 to m - 1 do
+    rhs.(i) <- Problem.row_rhs p i;
+    (match Problem.row_sense p i with
+    | Problem.Le ->
+        lo.(n + i) <- 0.;
+        hi.(n + i) <- infinity
+    | Problem.Ge ->
+        lo.(n + i) <- neg_infinity;
+        hi.(n + i) <- 0.
+    | Problem.Eq ->
+        lo.(n + i) <- 0.;
+        hi.(n + i) <- 0.);
+    let q = ref row_start.(i) in
+    for k = Problem.row_begin p i to Problem.row_end p i - 1 do
+      row_col.(!q) <- Problem.term_var p k;
+      row_val.(!q) <- Problem.term_coef p k;
+      incr q
+    done;
+    row_col.(!q) <- n + i;
+    row_val.(!q) <- 1.0
+  done;
   let col_start = Array.make (nm + 1) 0 in
   Array.iter (fun j -> col_start.(j + 1) <- col_start.(j + 1) + 1) row_col;
   for j = 0 to nm - 1 do

@@ -89,9 +89,14 @@ let build (mg : Modelgen.t) : Assignment.t =
     Hashtbl.replace forced_before (p, bank_key v) strength
   in
   (* default: everything sits in its home bank everywhere it exists *)
-  Modelgen.iter_exists mg (fun p v ->
-      Hashtbl.replace st.before (p, bank_key v) (home v);
-      Hashtbl.replace st.after (p, bank_key v) (home v));
+  Array.iteri
+    (fun p _ ->
+      for k = mg.Modelgen.ex_start.(p) to mg.Modelgen.ex_start.(p + 1) - 1 do
+        let v = mg.Modelgen.temps.(mg.Modelgen.ex_temp.(k)) in
+        Hashtbl.replace st.before (p, bank_key v) (home v);
+        Hashtbl.replace st.after (p, bank_key v) (home v)
+      done)
+    mg.Modelgen.points;
   (* transfer-bank windows from aggregates *)
   List.iter
     (fun (ad : Modelgen.agg_def) ->

@@ -300,7 +300,18 @@ let allocate_with ~(model_solve : model_solve) (options : options)
                 Fmt.(list ~sep:cut string)
                 errs))
   end;
-  let emitted = Trace.with_span "emit" (fun () -> Emit.run assignment) in
+  let emitted =
+    Trace.with_span "emit" @@ fun () ->
+    match outcome with
+    | Outcome_heuristic | Outcome_fallback -> (
+        (* the baseline never spills: where a bank's pressure exceeds
+           its capacity it has no allocation, which is a diagnostic, not
+           an internal error *)
+        try Emit.run assignment
+        with Emit.Emit_error msg ->
+          raise (Allocation_failed ("baseline allocation failed: " ^ msg)))
+    | Outcome_optimal | Outcome_incumbent -> Emit.run assignment
+  in
   if options.validate then begin
     match
       Trace.with_span "machine-check" (fun () ->
@@ -517,7 +528,8 @@ let status_to_string = function
   | Lp.Mip.Limit -> "limit"
   | Lp.Mip.Infeasible -> "infeasible"
 
-let solve_artifact_of_result ~names (r : Lp.Mip.result) : Json.t =
+let solve_artifact_of_result ~names (sol : Ilp.solution) : Json.t =
+  let r = sol.Ilp.result in
   Json.Obj
     [
       ("status", Json.Str (status_to_string r.Lp.Mip.status));
@@ -529,7 +541,7 @@ let solve_artifact_of_result ~names (r : Lp.Mip.result) : Json.t =
       ("root_time", Json.Num r.Lp.Mip.stats.Lp.Mip.root_time);
       ("total_time", Json.Num r.Lp.Mip.stats.Lp.Mip.total_time);
       ("root_objective", Json.Num r.Lp.Mip.stats.Lp.Mip.root_objective);
-      ("solution", Modelhash.solution_to_json ~names r.Lp.Mip.solution);
+      ("solution", Modelhash.solution_to_json ~names sol.Ilp.assignment);
       ("ws", Modelhash.ws_to_json ~names r.Lp.Mip.ws_out);
     ]
 
@@ -591,7 +603,7 @@ let replay_solve (ilp : Ilp.t) ~index (doc : Json.t) :
                 Lp.Mip.status =
                   (if status = "optimal" then Lp.Mip.Optimal else Lp.Mip.Limit);
                 objective = stored_obj;
-                solution = x;
+                solution = Some x;
                 stats;
                 ws_out;
               }
@@ -678,7 +690,7 @@ let cached_model_solve ~(store : Cache.Store.t) ~file ~key_front
       | Ok sol ->
           if sol.Ilp.result.Lp.Mip.stats.Lp.Mip.warm_start_used then
             report_warm ();
-          Some (solve_artifact_of_result ~names sol.Ilp.result)
+          Some (solve_artifact_of_result ~names sol)
       | Error `Infeasible ->
           Some (Json.Obj [ ("status", Json.Str "infeasible") ])
       | Error `Limit ->

@@ -46,10 +46,9 @@ type t = {
   control_edges : (int * int) list;
   temps : Ident.t array;
   temp_id : int Ident.Tbl.t;
-  exists_at : Ident.Set.t array; (* by point id *)
-  (* Exists as dense pairs: point p's are [ex_start.(p)] ..
-     [ex_start.(p+1) - 1], one per temporary of [exists_at.(p)], in its
-     order (ascending temporary index) *)
+  (* The Exists set as dense pairs: point p's are [ex_start.(p)] ..
+     [ex_start.(p+1) - 1], one per temporary existing there, by
+     ascending temporary index *)
   ex_start : int array;
   ex_temp : int array; (* pair -> temporary index *)
   (* the non-identity moves the model offers each pair, under the
@@ -72,8 +71,7 @@ type t = {
   use_ab : (int * Ident.t) list;
   same_reg : (Ident.t * Ident.t) list; (* (read side d, write side s) *)
   clones : (int * int * Ident.t array * Ident.t) list; (* p1, p2, dsts, src *)
-  clone_family : Ident.t -> Ident.t; (* representative *)
-  temp_family : int array; (* temporary index -> representative's *)
+  temp_family : int array; (* temporary index -> clone family representative's *)
   interferes : (Ident.t * Ident.t) list; (* clone mates excluded *)
   temp_allowed : Bank.t list array; (* §8 pruning, by temporary index *)
   (* §8-style model reduction: temporaries that can never live in a
@@ -220,25 +218,13 @@ let build ?(allow_spill = false) ?(rematerialize = false)
       Array.iter (fun d -> ignore (Union_find.union uf si (Ident.Tbl.find temp_id d))) dsts)
     !clones;
   let temp_family = Array.init (Array.length temps) (Union_find.find uf) in
-  let clone_family v =
-    match Ident.Tbl.find_opt temp_id v with
-    | None -> v
-    | Some i -> temps.(temp_family.(i))
-  in
-  let mates_tbl = Ident.Tbl.create 16 in
-  Array.iteri
-    (fun i v ->
-      let rep = temps.(Union_find.find uf i) in
-      Ident.Tbl.replace mates_tbl rep
-        (v :: Option.value ~default:[] (Ident.Tbl.find_opt mates_tbl rep)))
-    temps;
-  let clone_mates v =
-    Option.value ~default:[ v ] (Ident.Tbl.find_opt mates_tbl (clone_family v))
-  in
+  let family v = temp_family.(Ident.Tbl.find temp_id v) in
+  let family_size = Array.make (Array.length temps) 0 in
+  Array.iter (fun f -> family_size.(f) <- family_size.(f) + 1) temp_family;
   (* interference: simultaneously existing, clone mates excluded *)
   let interferes =
     List.filter
-      (fun (a, b) -> not (Ident.equal (clone_family a) (clone_family b)))
+      (fun (a, b) -> family a <> family b)
       (Ixp.Liveness.interferences live)
   in
   (* §12 rematerialization: constants live in the virtual bank C; their
@@ -328,7 +314,7 @@ let build ?(allow_spill = false) ?(rematerialize = false)
   let qualifies v =
     (not (List.exists Bank.is_transfer (Option.value ~default:[] (Ident.Tbl.find_opt allowed v))))
     && (not (Ident.Tbl.mem const_value v))
-    && List.length (clone_mates v) = 1
+    && family_size.(family v) = 1
   in
   let arith_neighbors = Ident.Tbl.create 64 in
   List.iter
@@ -537,7 +523,6 @@ let build ?(allow_spill = false) ?(rematerialize = false)
     control_edges = !control_edges;
     temps;
     temp_id;
-    exists_at;
     ex_start;
     ex_temp;
     mv_start;
@@ -553,7 +538,6 @@ let build ?(allow_spill = false) ?(rematerialize = false)
     use_ab = !use_ab;
     same_reg = !same_reg;
     clones = !clones;
-    clone_family;
     temp_family;
     interferes;
     temp_allowed;
@@ -593,7 +577,3 @@ let coloring_stats t =
     use_s = count_uses is_sram;
     use_sd = count_uses is_sdram;
   }
-
-(* Exists as (point, temp) pairs, for iteration. *)
-let iter_exists t f =
-  Array.iteri (fun p set -> Ident.Set.iter (fun v -> f p v) set) t.exists_at

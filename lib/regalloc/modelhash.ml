@@ -12,8 +12,11 @@
 
      - [fingerprint] is the in-order digest of the whole instance: every
        variable's name, bounds, cost and integrality and every row's
-       name, sense, rhs and terms, by index, floats in hex.  Equal
-       fingerprints mean the same LP bit for bit, order included.
+       name, sense, rhs and terms, by index, read in place from the
+       problem's flat arrays into a self-delimiting binary encoding
+       (integers in LEB128, floats by their bits, names length-prefixed;
+       see [fingerprint]).  Equal fingerprints mean the same LP bit for
+       bit, names and order included.
 
      - [solution_to_json]/[solution_of_json] and
        [ws_to_json]/[ws_of_json] persist solutions and warm-start data
@@ -31,75 +34,94 @@ let index_of_names (names : string array) : (string, int) Hashtbl.t =
   Array.iteri (fun j name -> Hashtbl.replace tbl name j) names;
   tbl
 
-(* Floats keyed by their bits: -0. and 0. print differently. *)
-module Float_tbl = Hashtbl.Make (struct
-  type t = float
+(* The digest of a binary encoding of the instance, read in place from
+   its flat arrays:
 
-  let equal a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
-  let hash = Hashtbl.hash
-end)
+     n_vars, n_rows
+     per variable:  name, lo, hi, cost, integer
+     per row:       name, sense, rhs, n_terms, then (v, coef) per term
 
-(* The digest of the text
+   Integers are unsigned LEB128 (7 bits a byte, low first, high bit set
+   on all but the last byte).  A float is one tag byte for the values
+   the models are made of, 0., 1., -1. and infinity (by their bits, so
+   -0. is not 0.), and otherwise the tag 4 and its 64 IEEE bits.  A name
+   is its length, then its bytes; integrality and sense are one byte
+   each.  Every field is self-delimiting, so the bytes decode to exactly
+   one instance: equal fingerprints mean the same LP bit for bit, names
+   and order included. *)
+let bits_one = Int64.bits_of_float 1.
+let bits_minus_one = Int64.bits_of_float (-1.)
+let bits_infinity = Int64.bits_of_float infinity
 
-     v<j>|<name>|<lo>|<hi>|<cost>|<integer>        one line per variable
-     r<i>|<name>|<sense>|<rhs>|<v>*<coef>|...       one line per row
+(* Writers: each puts one field at [pos] and returns the position after
+   it. *)
+let[@inline] put_byte b pos x =
+  Bytes.unsafe_set b pos (Char.unsafe_chr x);
+  pos + 1
 
-   with floats in "%h".  The text runs to megabytes on the larger
-   workloads, so each distinct float is printed once per call, each
-   index once, and the buffer is sized for the whole text up front. *)
+let rec put_int b pos x =
+  if x < 0x80 then put_byte b pos x
+  else put_int b (put_byte b pos (0x80 lor (x land 0x7f))) (x lsr 7)
+
+let[@inline] put_float b pos x =
+  let bits = Int64.bits_of_float x in
+  if Int64.equal bits 0L then put_byte b pos 0
+  else if Int64.equal bits bits_one then put_byte b pos 1
+  else if Int64.equal bits bits_minus_one then put_byte b pos 2
+  else if Int64.equal bits bits_infinity then put_byte b pos 3
+  else begin
+    Bytes.set_int64_le b (pos + 1) bits;
+    put_byte b pos 4 + 8
+  end
+
+let put_name b pos s =
+  let pos = put_int b pos (String.length s) in
+  Bytes.blit_string s 0 b pos (String.length s);
+  pos + String.length s
+
+(* The encoding buffer, kept per domain between calls: a fingerprint
+   runs on every model the daemon builds, and a fresh megabyte each time
+   would be major-heap work. *)
+let scratch = Domain.DLS.new_key (fun () -> ref Bytes.empty)
+
 let fingerprint (p : P.t) : Cache.Key.t =
-  let st = P.stats p in
-  let n = st.P.n_vars in
-  let index = Array.init (max n st.P.n_rows) string_of_int in
-  let fnums = Float_tbl.create 64 in
-  let hex f =
-    match Float_tbl.find_opt fnums f with
-    | Some s -> s
-    | None ->
-        let s = Printf.sprintf "%h" f in
-        Float_tbl.replace fnums f s;
-        s
-  in
-  let name_bytes = ref 0 in
+  let n = P.num_vars p and m = P.num_rows p in
+  (* an upper bound: 5 bytes per integer, 9 per float *)
+  let size = ref (10 + (38 * n) + (24 * m) + (14 * P.num_nonzeros p)) in
   for j = 0 to n - 1 do
-    name_bytes := !name_bytes + String.length (P.var_name p j)
+    size := !size + String.length (P.var_name p j)
   done;
-  let b =
-    Buffer.create
-      (!name_bytes + (40 * n) + (48 * st.P.n_rows) + (16 * st.P.n_nonzeros))
-  in
-  let field s =
-    Buffer.add_char b '|';
-    Buffer.add_string b s
-  in
+  for i = 0 to m - 1 do
+    size := !size + String.length (P.row_name p i)
+  done;
+  let buf = Domain.DLS.get scratch in
+  if Bytes.length !buf < !size then
+    buf := Bytes.create (max !size (2 * Bytes.length !buf));
+  let b = !buf in
+  let pos = put_int b (put_int b 0 n) m in
+  let pos = ref pos in
   for j = 0 to n - 1 do
-    Buffer.add_char b 'v';
-    Buffer.add_string b index.(j);
-    field (P.var_name p j);
-    field (hex (P.var_lo p j));
-    field (hex (P.var_hi p j));
-    field (hex (P.var_obj p j));
-    field (string_of_bool (P.var_integer p j));
-    Buffer.add_char b '\n'
+    let q = put_name b !pos (P.var_name p j) in
+    let q = put_float b q (P.var_lo p j) in
+    let q = put_float b q (P.var_hi p j) in
+    let q = put_float b q (P.var_obj p j) in
+    pos := put_byte b q (Bool.to_int (P.var_integer p j))
   done;
-  let i = ref 0 in
-  P.iter_rows
-    (fun r ->
-      Buffer.add_char b 'r';
-      Buffer.add_string b index.(!i);
-      field r.P.row_name;
-      field (match r.P.sense with P.Le -> "<=" | P.Ge -> ">=" | P.Eq -> "=");
-      field (hex r.P.rhs);
-      List.iter
-        (fun (v, c) ->
-          field index.(v);
-          Buffer.add_char b '*';
-          Buffer.add_string b (hex c))
-        r.P.terms;
-      Buffer.add_char b '\n';
-      incr i)
-    p;
-  Cache.Key.text (Buffer.contents b)
+  let term_var = p.P.term_var and term_coef = p.P.term_coef in
+  for i = 0 to m - 1 do
+    let q = put_name b !pos (P.row_name p i) in
+    let q =
+      put_byte b q (match P.row_sense p i with P.Le -> 0 | P.Ge -> 1 | P.Eq -> 2)
+    in
+    let q = put_float b q (P.row_rhs p i) in
+    let first = P.row_begin p i and last = P.row_end p i in
+    let q = ref (put_int b q (last - first)) in
+    for k = first to last - 1 do
+      q := put_float b (put_int b !q term_var.(k)) (Float.Array.get term_coef k)
+    done;
+    pos := !q
+  done;
+  Digest.to_hex (Digest.subbytes b 0 !pos)
 
 (* ---------------- solution / warm-start serialization ---------------- *)
 

@@ -90,7 +90,7 @@ let check (a : Assignment.t) : report =
             let p = Modelgen.id_of_point mg point in
             Ident.Set.iter
               (fun v ->
-                if not (Ident.Set.mem v mg.Modelgen.exists_at.(p)) then
+                if Modelgen.pair_of mg p v < 0 then
                   err
                     "%a is live at %a by independent liveness but absent from \
                      the model's Exists set"
@@ -104,16 +104,16 @@ let check (a : Assignment.t) : report =
   let count_side p side_name side =
     let by_bank = Hashtbl.create 8 in
     let seen = Hashtbl.create 8 in
-    Ident.Set.iter
-      (fun v ->
-        let b = side p v in
-        let key = (Ident.name (mg.Modelgen.clone_family v), b) in
-        if not (Hashtbl.mem seen key) then begin
-          Hashtbl.replace seen key ();
-          Hashtbl.replace by_bank b
-            (1 + Option.value ~default:0 (Hashtbl.find_opt by_bank b))
-        end)
-      mg.Modelgen.exists_at.(p);
+    for k = mg.Modelgen.ex_start.(p) to mg.Modelgen.ex_start.(p + 1) - 1 do
+      let i = mg.Modelgen.ex_temp.(k) in
+      let b = side p mg.Modelgen.temps.(i) in
+      let key = (mg.Modelgen.temp_family.(i), b) in
+      if not (Hashtbl.mem seen key) then begin
+        Hashtbl.replace seen key ();
+        Hashtbl.replace by_bank b
+          (1 + Option.value ~default:0 (Hashtbl.find_opt by_bank b))
+      end
+    done;
     Hashtbl.iter
       (fun b n ->
         if n > Bank.k_capacity b then
@@ -142,22 +142,23 @@ let check (a : Assignment.t) : report =
      stores). *)
   let check_xfer_collisions p side_name side =
     let seen = Hashtbl.create 8 in
-    (* (bank, color) -> (family stamp, witness) *)
-    Ident.Set.iter
-      (fun v ->
-        let b = side p v in
-        if Bank.is_transfer b then begin
-          let c = Assignment.xfer_color a v b in
-          let fam = Ident.stamp (mg.Modelgen.clone_family v) in
-          match Hashtbl.find_opt seen (Bank.to_string b, c) with
-          | Some (fam', v') when fam' <> fam ->
-              err "%a and %a both occupy %s%d %s point %a" Ident.pp v' Ident.pp
-                v (Bank.to_string b) c side_name FG.pp_point
-                (Modelgen.point_of mg p)
-          | Some _ -> ()
-          | None -> Hashtbl.replace seen (Bank.to_string b, c) (fam, v)
-        end)
-      mg.Modelgen.exists_at.(p)
+    (* (bank, color) -> (family, witness) *)
+    for k = mg.Modelgen.ex_start.(p) to mg.Modelgen.ex_start.(p + 1) - 1 do
+      let i = mg.Modelgen.ex_temp.(k) in
+      let v = mg.Modelgen.temps.(i) in
+      let b = side p v in
+      if Bank.is_transfer b then begin
+        let c = Assignment.xfer_color a v b in
+        let fam = mg.Modelgen.temp_family.(i) in
+        match Hashtbl.find_opt seen (Bank.to_string b, c) with
+        | Some (fam', v') when fam' <> fam ->
+            err "%a and %a both occupy %s%d %s point %a" Ident.pp v' Ident.pp v
+              (Bank.to_string b) c side_name FG.pp_point
+              (Modelgen.point_of mg p)
+        | Some _ -> ()
+        | None -> Hashtbl.replace seen (Bank.to_string b, c) (fam, v)
+      end
+    done
   in
   Array.iteri
     (fun p _ ->

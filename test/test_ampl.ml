@@ -64,9 +64,9 @@ let test_model_assignment () =
   checkb "optimal" true (r.Lp.Mip.status = Lp.Mip.Optimal);
   Alcotest.(check (float 1e-6)) "objective" 3. r.Lp.Mip.objective;
   checkb "t1->w2" true
-    (M.is_one inst r.Lp.Mip.solution x [ D.S "t1"; D.S "w2" ]);
+    (M.is_one inst (Option.get r.Lp.Mip.solution) x [ D.S "t1"; D.S "w2" ]);
   checkb "t2->w1" true
-    (M.is_one inst r.Lp.Mip.solution x [ D.S "t2"; D.S "w1" ])
+    (M.is_one inst (Option.get r.Lp.Mip.solution) x [ D.S "t2"; D.S "w1" ])
 
 (* The member table is the membership check: an out-of-set reference
    is an internal error whether it is the family's first reference or
@@ -121,9 +121,9 @@ let test_unreferenced_default () =
   checkb "optimal" true (r.Lp.Mip.status = Lp.Mip.Optimal);
   (* Z[2] was never referenced: reported as 0 *)
   Alcotest.(check (float 0.)) "default zero" 0.
-    (M.value inst r.Lp.Mip.solution z [ D.I 2 ]);
+    (M.value inst (Option.get r.Lp.Mip.solution) z [ D.I 2 ]);
   Alcotest.(check (float 0.)) "referenced member" 1.
-    (M.value inst r.Lp.Mip.solution z [ D.I 1 ]);
+    (M.value inst (Option.get r.Lp.Mip.solution) z [ D.I 1 ]);
   checki "only referenced members get variables" 1
     (Lp.Problem.num_vars inst.M.problem)
 

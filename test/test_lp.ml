@@ -9,6 +9,14 @@ let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
 let checks = Alcotest.(check string)
 
+(* Row [i]'s terms, in the order the problem stores them. *)
+let row_terms p i =
+  List.init
+    (Problem.row_end p i - Problem.row_begin p i)
+    (fun k ->
+      let k = Problem.row_begin p i + k in
+      (Problem.term_var p k, Problem.term_coef p k))
+
 (* ------------------------------------------------------------------ *)
 (* Bigint                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -388,9 +396,21 @@ let test_bb_knapsack () =
   let r = Mip.solve p in
   checkb "optimal" true (r.Mip.status = Mip.Optimal);
   check (Alcotest.float 1e-6) "objective" (-16.) r.Mip.objective;
-  check (Alcotest.float 1e-6) "a" 1. r.Mip.solution.(a);
-  check (Alcotest.float 1e-6) "b" 1. r.Mip.solution.(b);
-  check (Alcotest.float 1e-6) "c" 0. r.Mip.solution.(c)
+  check (Alcotest.float 1e-6) "a" 1. (Option.get r.Mip.solution).(a);
+  check (Alcotest.float 1e-6) "b" 1. (Option.get r.Mip.solution).(b);
+  check (Alcotest.float 1e-6) "c" 0. (Option.get r.Mip.solution).(c)
+
+(* A budget hit before any incumbent is no solution: 2 x1 + ... + 2 x9
+   = 9 has a fractional relaxation and no 0-1 point, and one node cannot
+   prove that, so the solve stops at its limit with nothing to decode. *)
+let test_bb_limit_without_incumbent () =
+  let p = Problem.create () in
+  let xs = List.init 9 (fun i -> Problem.add_binary p ~obj:1. (Printf.sprintf "x%d" i)) in
+  Problem.add_row p Problem.Eq 9. (List.map (fun x -> (x, 2.)) xs);
+  let r = Mip.solve ~node_limit:1 p in
+  checkb "limit" true (r.Mip.status = Mip.Limit);
+  checkb "no solution" true (r.Mip.solution = None);
+  checkb "no objective" true (r.Mip.objective = infinity)
 
 let test_bb_assignment () =
   (* 3x3 assignment problem with distinct costs; optimum is a permutation. *)
@@ -492,7 +512,7 @@ let bb_matches_brute_force =
       | None, Mip.Infeasible -> true
       | Some (obj, _), Mip.Optimal ->
           Float.abs (obj -. r.Mip.objective) < 1e-6
-          && Problem.check_feasible ~eps:1e-6 p r.Mip.solution
+          && Problem.check_feasible ~eps:1e-6 p (Option.get r.Mip.solution)
       | None, Mip.Optimal -> false
       | Some _, Mip.Infeasible -> false
       | _, Mip.Limit -> false)
@@ -581,9 +601,8 @@ let test_presolve_written_order () =
           (("ge1", ">="), (0., [ (0, 1.); (1, -1.); (3, 1.) ]));
         ]
         (List.init (Problem.num_rows r) (fun i ->
-             let row = Problem.row r i in
-             ( (row.Problem.row_name, sense row.Problem.sense),
-               (row.Problem.rhs, row.Problem.terms) )));
+             ( (Problem.row_name r i, sense (Problem.row_sense r i)),
+               (Problem.row_rhs r i, row_terms r i) )));
       check
         Alcotest.(array (float 0.))
         "postsolve"
@@ -1770,7 +1789,7 @@ let test_add_row_normalization () =
     Problem.add_row p Problem.Le 0. terms;
     checks what
       (show_row (hashtbl_normalize terms))
-      (show_row (Problem.row p 0).Problem.terms)
+      (show_row (row_terms p 0))
   in
   (* hand cases: empty, explicit zeros of both signs, exact cancellation,
      and a sum whose rounding depends on the order of its terms *)
@@ -1907,6 +1926,8 @@ let suites =
     ( "lp.mip",
       [
         Alcotest.test_case "knapsack" `Quick test_bb_knapsack;
+        Alcotest.test_case "limit before any incumbent" `Quick
+          test_bb_limit_without_incumbent;
         Alcotest.test_case "assignment" `Quick test_bb_assignment;
         Alcotest.test_case "infeasible" `Quick test_bb_infeasible;
         Alcotest.test_case "no presolve" `Quick test_bb_without_presolve;

@@ -664,6 +664,45 @@ let test_history_independent () =
   List.iter2 (agree "reverse order") forward reverse;
   List.iter2 (agree "incremental") forward incremental
 
+(* A budget that ends before any incumbent: 48 SRAM words live across a
+   loop need spills, one node finds no allocation, and the baseline the
+   driver then falls back to cannot spill.  The compile ends in an
+   allocation failure, not an internal error from decoding a solution
+   that does not exist. *)
+let test_no_incumbent_fails_cleanly () =
+  let src =
+    {|
+fun main () : word {
+  let (a1, a2, a3, a4, a5, a6, a7, a8) = sram(0, 8);
+  let (b1, b2, b3, b4, b5, b6, b7, b8) = sram(32, 8);
+  let (c1, c2, c3, c4, c5, c6, c7, c8) = sram(64, 8);
+  let (d1, d2, d3, d4, d5, d6, d7, d8) = sram(96, 8);
+  let (e1, e2, e3, e4, e5, e6, e7, e8) = sram(128, 8);
+  let (f1, f2, f3, f4, f5, f6, f7, f8) = sram(160, 8);
+  var acc = 0;
+  var i = 0;
+  while (i < 2) {
+    acc := acc + a1 + a2 + a3 + a4 + a5 + a6 + a7 + a8;
+    acc := acc + b1 + b2 + b3 + b4 + b5 + b6 + b7 + b8;
+    acc := acc + c1 + c2 + c3 + c4 + c5 + c6 + c7 + c8;
+    acc := acc + d1 + d2 + d3 + d4 + d5 + d6 + d7 + d8;
+    acc := acc + e1 + e2 + e3 + e4 + e5 + e6 + e7 + e8;
+    acc := acc + f1 + f2 + f3 + f4 + f5 + f6 + f7 + f8;
+    i := i + 1;
+  }
+  acc
+}
+|}
+  in
+  let options =
+    { Regalloc.Driver.default_options with node_limit = 1; time_limit = 1e9 }
+  in
+  match compile ~options src with
+  | _ -> Alcotest.fail "compiled without an incumbent"
+  | exception Regalloc.Driver.Allocation_failed msg ->
+      checkb ("baseline diagnostic: " ^ msg) true
+        (String.starts_with ~prefix:"baseline allocation failed" msg)
+
 (* In-order digest of an LP: every variable's name, bounds, cost and
    integrality and every row's name, sense, rhs and terms, by index.
    Floats print in hex, so every bit counts. *)
@@ -674,22 +713,18 @@ let lp_digest (p : Lp.Problem.t) =
     Printf.bprintf b "v%d|%s|%h|%h|%h|%b\n" j (P.var_name p j) (P.var_lo p j)
       (P.var_hi p j) (P.var_obj p j) (P.var_integer p j)
   done;
-  let i = ref 0 in
-  P.iter_rows
-    (fun r ->
-      Printf.bprintf b "r%d|%s|%s|%h" !i r.P.row_name
-        (match r.P.sense with P.Le -> "<=" | P.Ge -> ">=" | P.Eq -> "=")
-        r.P.rhs;
-      List.iter (fun (v, c) -> Printf.bprintf b "|%d*%h" v c) r.P.terms;
-      Buffer.add_char b '\n';
-      incr i)
-    p;
+  for i = 0 to P.num_rows p - 1 do
+    Printf.bprintf b "r%d|%s|%s|%h" i (P.row_name p i)
+      (match P.row_sense p i with P.Le -> "<=" | P.Ge -> ">=" | P.Eq -> "=")
+      (P.row_rhs p i);
+    P.iter_row (fun v c -> Printf.bprintf b "|%d*%h" v c) p i;
+    Buffer.add_char b '\n'
+  done;
   Digest.to_hex (Digest.string (Buffer.contents b))
 
 (* The model each workload instantiates, pinned by its in-order digest: a
    reordering of variables or rows moves pivots and budget-limited
-   incumbents.  The fingerprint that keys solve artifacts is the same
-   digest, computed faster; [lp_digest] is the reference it must match. *)
+   incumbents. *)
 let test_model_identity () =
   List.iter
     (fun (name, source, digest) ->
@@ -698,10 +733,7 @@ let test_model_identity () =
       let ilp = Regalloc.Ilp.build mg in
       let p = ilp.Regalloc.Ilp.instance.Ampl.Model.problem in
       Alcotest.(check string) (name ^ ": in-order LP digest") digest
-        (lp_digest p);
-      Alcotest.(check string)
-        (name ^ ": fingerprint") digest
-        (Regalloc.Modelhash.fingerprint p))
+        (lp_digest p))
     [
       ("aes.nova", Workloads.Aes.source, "a90a6a86be86cda00578c329da9e9161");
       ( "kasumi.nova", Workloads.Kasumi.source,
@@ -713,6 +745,152 @@ let test_model_identity () =
       ("qos.nova", Workloads.Qos.source, "d31a409008945e538429f141011a008f");
       ("nat.nova", Workloads.Nat.source, "b5097f33d72cc72a87f3b296aae6168d");
     ]
+
+let workloads =
+  [
+    ("aes.nova", Workloads.Aes.source);
+    ("kasumi.nova", Workloads.Kasumi.source);
+    ("lpm.nova", Workloads.Lpm.source);
+    ("firewall.nova", Workloads.Firewall.source);
+    ("csum.nova", Workloads.Csum.source);
+    ("qos.nova", Workloads.Qos.source);
+    ("nat.nova", Workloads.Nat.source);
+  ]
+
+(* The other three models a compile can build, pinned the same way: the
+   spill model (scratch M allowed: the NeedsSpill/Occ headroom rows and
+   spill moves), the remat model (constants through bank C, built on the
+   constant-sharing graph) and the spill model under the
+   spill-feasibility objective. *)
+let variant_models ~file source =
+  let module R = Regalloc in
+  let f = R.Driver.front_end ~file source in
+  let fr = R.Driver.front_end ~rematerialize:true ~file source in
+  let spill = R.Modelgen.build ~allow_spill:true f.R.Driver.f_graph in
+  let remat = R.Modelgen.build ~rematerialize:true fr.R.Driver.f_graph in
+  let problem ?objective_mode mg =
+    (R.Ilp.build ?objective_mode mg).R.Ilp.instance.Ampl.Model.problem
+  in
+  [
+    ("spill", problem spill);
+    ("remat", problem remat);
+    ( "spill feasibility",
+      problem ~objective_mode:R.Ilp.Spill_feasibility spill );
+  ]
+
+let test_model_variants_pinned () =
+  List.iter
+    (fun (name, source, digests) ->
+      List.iter2
+        (fun (variant, p) digest ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s: %s model digest" name variant)
+            digest (lp_digest p))
+        (variant_models ~file:name source)
+        digests)
+    [
+      ( "aes.nova", Workloads.Aes.source,
+        [
+          "e79bf9db733acbaf28937ac850c62cd8";
+          "4efd8d03a0489f59e64262184467256b";
+          "0e05d8ac574aa9fdbafdf940136255e4";
+        ] );
+      ( "kasumi.nova", Workloads.Kasumi.source,
+        [
+          "2e1e945724dc81803f606db4ba911092";
+          "021afc6bab3547391e63a87fc90180e7";
+          "450582b127fe6a6f04f605d90e96b1f8";
+        ] );
+      ( "lpm.nova", Workloads.Lpm.source,
+        [
+          "5e63aebf159a9d9461f61b0006280143";
+          "af0cfb673ec1b93af12676f75c5392c5";
+          "9ec1c7ce1d653fe46f278470db2a2bb4";
+        ] );
+      ( "firewall.nova", Workloads.Firewall.source,
+        [
+          "8dfb9fe85eb9309a7d936fea04038fd0";
+          "c9cc0f690de35c43fa442210b7b21a1d";
+          "71d93071c569b3f475d609c9a8220288";
+        ] );
+      ( "csum.nova", Workloads.Csum.source,
+        [
+          "e5c48e28cace93333e6f32bc42b470fc";
+          "e12e6c3d405696b7984bf3fcb37b0c1c";
+          "407bfd4b9a56f74a92ffddaa97ed86d1";
+        ] );
+      ( "qos.nova", Workloads.Qos.source,
+        [
+          "8bdb7e85fa9da8d400daa6a18d73680a";
+          "d486eca6edea4b219a3e663c9dd7cf8d";
+          "445c6413e9bdbeeff80610c0ccc47e5b";
+        ] );
+      ( "nat.nova", Workloads.Nat.source,
+        [
+          "baeb2ee408d1ff4dcccd098901f9c7ed";
+          "924974695edffb3ab19cbf824b90e4fe";
+          "5b2ead4c1eb2bb3a08120fa131308539";
+        ] );
+    ]
+
+(* The fingerprint that keys solve artifacts means what [lp_digest]
+   means, computed without printing: over the four models of every
+   workload, each built twice, two fingerprints are equal exactly when
+   the two digests are. *)
+let test_fingerprint_matches_digest () =
+  let models =
+    List.concat_map
+      (fun (name, source) ->
+        List.concat_map
+          (fun build ->
+            let f = Regalloc.Driver.front_end ~file:name source in
+            let plain = Regalloc.Modelgen.build f.Regalloc.Driver.f_graph in
+            ( build ^ " spill-free",
+              (Regalloc.Ilp.build plain).Regalloc.Ilp.instance
+                .Ampl.Model.problem )
+            :: variant_models ~file:name source
+            |> List.map (fun (variant, p) ->
+                   ( Printf.sprintf "%s %s %s" name build variant,
+                     lp_digest p,
+                     Regalloc.Modelhash.fingerprint p )))
+          [ "first"; "second" ])
+      workloads
+  in
+  checki "models" 56 (List.length models);
+  List.iter
+    (fun (a, da, fa) ->
+      List.iter
+        (fun (b, db, fb) ->
+          if String.equal da db <> String.equal fa fb then
+            Alcotest.failf "%s and %s: digests %s, fingerprints %s" a b
+              (if da = db then "equal" else "differ")
+              (if fa = fb then "equal" else "differ"))
+        models)
+    models
+
+(* A deterministic work bound on the model stage: the words allocated,
+   minor plus direct major, while Kasumi's model is built, instantiated
+   and fingerprinted, per LP nonzero.  Flushing the minor heap first
+   makes the count exact.  The flat builder allocates 52 words per
+   nonzero (58 when the fingerprint's buffer is first made); the builder
+   on tuples and row lists before it allocated 99. *)
+let test_model_stage_allocation () =
+  let f = Regalloc.Driver.front_end ~file:"kasumi.nova" Workloads.Kasumi.source in
+  let allocated () =
+    Gc.minor ();
+    let s = Gc.quick_stat () in
+    s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
+  in
+  let before = allocated () in
+  let mg = Regalloc.Modelgen.build f.Regalloc.Driver.f_graph in
+  let p = (Regalloc.Ilp.build mg).Regalloc.Ilp.instance.Ampl.Model.problem in
+  ignore (Regalloc.Modelhash.fingerprint p);
+  let per_nonzero =
+    (allocated () -. before) /. float_of_int (Lp.Problem.num_nonzeros p)
+  in
+  if per_nonzero > 75. then
+    Alcotest.failf "model stage allocated %.1f words per nonzero (bound 75)"
+      per_nonzero
 
 (* The code each workload compiles to, pinned by the MD5 of its assembly
    text under both allocators: the ILP one cold on one domain under the
@@ -799,10 +977,11 @@ let test_decode_matches_reference () =
               (Regalloc.Modelgen.allowed_banks mg v)
       in
       let bank_name = function Some b -> Bank.to_string b | None -> "none" in
+      let ex_start = mg.Regalloc.Modelgen.ex_start in
       Array.iteri
-        (fun p live ->
+        (fun p _ ->
           let moves = ref [] in
-          Support.Ident.Set.iter
+          List.iter
             (fun v ->
               let what side =
                 Fmt.str "%s: %s of %a at point %d" name side Support.Ident.pp v p
@@ -825,7 +1004,10 @@ let test_decode_matches_reference () =
                       then moves := (v, b1, b2) :: !moves)
                     banks)
                 banks)
-            live;
+            (List.init
+               (ex_start.(p + 1) - ex_start.(p))
+               (fun j ->
+                 mg.Regalloc.Modelgen.temps.(mg.Regalloc.Modelgen.ex_temp.(ex_start.(p) + j))));
           let show l =
             String.concat "; "
               (List.map
@@ -838,7 +1020,7 @@ let test_decode_matches_reference () =
             (Fmt.str "%s: moves at point %d" name p)
             (show !moves)
             (show a.Regalloc.Assignment.moves.(p)))
-        mg.Regalloc.Modelgen.exists_at;
+        mg.Regalloc.Modelgen.points;
       Array.iteri
         (fun i v ->
           List.iter
@@ -883,6 +1065,8 @@ let suites =
         Alcotest.test_case "ssa coloring feasible" `Quick
           test_ssa_makes_coloring_feasible;
         Alcotest.test_case "high pressure" `Slow test_spill_fallback;
+        Alcotest.test_case "no incumbent ends in a diagnostic" `Slow
+          test_no_incumbent_fails_cleanly;
         Alcotest.test_case "cold compiles pin the pivot path" `Quick
           test_cold_pivot_path;
         Alcotest.test_case "2-domain deterministic AES search pinned" `Quick
@@ -897,6 +1081,12 @@ let suites =
         Alcotest.test_case "model stats" `Quick test_model_stats;
         Alcotest.test_case "model identity pinned on all 7 workloads" `Quick
           test_model_identity;
+        Alcotest.test_case "spill, remat and spill-feasibility models pinned"
+          `Quick test_model_variants_pinned;
+        Alcotest.test_case "fingerprints equal exactly when digests are"
+          `Quick test_fingerprint_matches_digest;
+        Alcotest.test_case "model stage allocation bounded" `Quick
+          test_model_stage_allocation;
         Alcotest.test_case "emitted code pinned on all 7 workloads" `Quick
           test_emitted_code_pinned;
         Alcotest.test_case "decoded assignment matches a reference reader"

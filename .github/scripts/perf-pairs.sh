@@ -6,8 +6,9 @@
 # Builds perfbench/main.exe in a git worktree of BASE_SHA and in the
 # checkout, then runs five alternating pairs of
 #   perfbench benchmark --workload W --seed i --out FILE
-# on compile-search, compile-root and serve-edit (whose edits are mostly
-# model construction).  The base runs first in odd pairs
+# on compile-search, compile-root, serve-edit (whose edits are mostly
+# model construction) and chip-sim (the simulator: chip, cluster and
+# event engine).  The base runs first in odd pairs
 # and the checkout in even ones, so a drift in the host's speed lands on
 # both sides alike.  Each side's runs are merged into
 # _artifacts/perf-pairs/{base,change}.json, and `perfbench compare`,
@@ -34,7 +35,7 @@ for dir in "$base" "$root"; do
 done
 
 # run SIDE DIR PAIR: the workloads of one side of a pair
-workloads="compile-search compile-root serve-edit"
+workloads="compile-search compile-root serve-edit chip-sim"
 run() {
   for w in $workloads; do
     echo "== pair $3: $1 $w"

@@ -141,11 +141,13 @@ let term_targets = function
   | Halt -> []
 
 (* Does executing this instruction hand the engine to another ready
-   context?  Mirrors [Simulator.step_thread]: references whose latency
-   exceeds the 2-cycle issue cost yield -- under the default timing
-   model that is every memory, hash, and FIFO operation -- and so does
-   the voluntary [Ctx_arb].  ALU work, immediates, moves, and CSR
-   accesses complete in-pipe and never yield.
+   context?  A static statement of the default timing model: the
+   simulator yields after a reference whose latency exceeds the 2-cycle
+   issue cost, which under [Memory.default_config] is every memory,
+   hash, and FIFO operation, and after the voluntary [Ctx_arb].  ALU
+   work, immediates, moves, and CSR accesses complete in-pipe and never
+   yield; the simulator's straight runs hold only such instructions
+   (tested against this predicate on every workload).
 
    Note that [Ctx_arb] (like the CSR instructions) is a *plain*
    instruction, not a terminator: control resumes at the next

@@ -158,8 +158,21 @@ let poke t space word v =
   in_bounds img word;
   store img word (v land word_mask)
 
+(* Store the first [len] words of [values] from word [word_offset] on,
+   with one bounds check for the whole range. *)
+let load_prefix t space ~word_offset values ~len =
+  let img = space_image t space in
+  if
+    len < 0
+    || len > Array.length values
+    || (len > 0 && (word_offset < 0 || word_offset + len > img.words))
+  then invalid_arg "index out of bounds";
+  for k = 0 to len - 1 do
+    store img (word_offset + k) (Array.unsafe_get values k land word_mask)
+  done
+
 let load_words t space ~word_offset values =
-  Array.iteri (fun k v -> poke t space (word_offset + k) v) values
+  load_prefix t space ~word_offset values ~len:(Array.length values)
 
 (* bit_test_set: atomically OR [v] into SRAM at [byte_addr], returning
    the previous value. *)
@@ -243,7 +256,7 @@ let bus_channel bus = function
    stall.  Deterministic: depends only on the arrival order of
    requests. *)
 let channel_request chan ~now ~latency =
-  let start = max now chan.free_at in
+  let start = if now > chan.free_at then now else chan.free_at in
   let stall = start - now in
   chan.free_at <- start + chan.occupancy;
   chan.requests <- chan.requests + 1;

@@ -187,12 +187,14 @@ type t = {
    platform, no dependence on the global Random state. *)
 let mask = 0xFFFFFFFF
 
-let prng_next g =
-  let x = g.state in
+let[@inline] prng_step x =
   let x = x lxor (x lsl 13) land mask in
   let x = x lxor (x lsr 17) in
   let x = x lxor (x lsl 5) land mask in
-  let x = if x = 0 then 0x9E3779B9 else x in
+  if x = 0 then 0x9E3779B9 else x
+
+let prng_next g =
+  let x = prng_step g.state in
   g.state <- x;
   x
 
@@ -253,12 +255,8 @@ let create config =
   let hseed = ref ((config.seed * 0x85EBCA77 land mask) lor 1) in
   let flow_hash =
     Array.init n (fun i ->
-        let x = !hseed in
-        let x = x lxor (x lsl 13) land mask in
-        let x = x lxor (x lsr 17) in
-        let x = x lxor (x lsl 5) land mask in
-        hseed := if x = 0 then 0x9E3779B9 else x;
-        mix32 (x lxor i))
+        hseed := prng_step !hseed;
+        mix32 (!hseed lxor i))
   in
   {
     config;
@@ -357,9 +355,13 @@ let next_into g v =
     let flow = flow_of g in
     let arrival = arrival_of g in
     let words = (size + 3) / 4 in
+    (* the PRNG state stays in a register while the payload fills *)
+    let x = ref g.state and payload = v.v_payload in
     for k = 0 to words - 1 do
-      v.v_payload.(k) <- prng_next g
+      x := prng_step !x;
+      payload.(k) <- !x
     done;
+    g.state <- !x;
     g.emitted <- g.emitted + 1;
     v.v_seq <- seq;
     v.v_port <- seq mod g.config.ports;

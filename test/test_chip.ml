@@ -237,6 +237,48 @@ let test_wheel_cursor_rollback () =
   checki "pop it" 1 (Ixp.Event_wheel.pop w);
   checki "later event intact" 0 (Ixp.Event_wheel.pop w)
 
+(* The wheel keeps the earliest id between operations.  Against a plain
+   scan of a shadow array, over random schedules (earlier, later, tied,
+   of the earliest event or another), cancels and pops, every peek and
+   pop must agree. *)
+let test_wheel_matches_scan () =
+  let n = 6 in
+  let w = Ixp.Event_wheel.create n in
+  let shadow = Array.make n Ixp.Event_wheel.no_event in
+  let earliest () =
+    let best = ref (-1) in
+    Array.iteri
+      (fun id c ->
+        if c <> Ixp.Event_wheel.no_event && (!best < 0 || c < shadow.(!best))
+        then best := id)
+      shadow;
+    !best
+  in
+  let rng = Random.State.make [| 27 |] in
+  for step = 1 to 20_000 do
+    let id = Random.State.int rng n in
+    (match Random.State.int rng 4 with
+    | 0 | 1 ->
+        let cycle = Random.State.int rng 8 in
+        Ixp.Event_wheel.schedule w id ~cycle;
+        shadow.(id) <- cycle
+    | 2 ->
+        Ixp.Event_wheel.cancel w id;
+        shadow.(id) <- Ixp.Event_wheel.no_event
+    | _ ->
+        let e = earliest () in
+        if e >= 0 then begin
+          checki (Printf.sprintf "pop at step %d" step) e
+            (Ixp.Event_wheel.pop w);
+          shadow.(e) <- Ixp.Event_wheel.no_event
+        end);
+    let e = earliest () in
+    checki
+      (Printf.sprintf "next_time at step %d" step)
+      (if e < 0 then Ixp.Event_wheel.no_event else shadow.(e))
+      (Ixp.Event_wheel.next_time w)
+  done
+
 let test_wheel_sparse_jump () =
   (* events far apart in time: next_time finds the distant one once the
      near one is gone *)
@@ -762,6 +804,7 @@ let suites =
           test_wheel_reschedule_cancel;
         Alcotest.test_case "cursor rollback" `Quick test_wheel_cursor_rollback;
         Alcotest.test_case "sparse jump" `Quick test_wheel_sparse_jump;
+        Alcotest.test_case "matches a plain scan" `Quick test_wheel_matches_scan;
       ] );
     ( "chip.bus",
       [

@@ -89,15 +89,6 @@ let compile_cmd =
             "Worker domains for branch&bound; the calling domain is worker \
              0, and with 1 each round is a single dive")
   in
-  let solver_deterministic =
-    Arg.(
-      value & flag
-      & info [ "solver-deterministic" ]
-          ~doc:
-            "With --solver-domains >= 2, distribute nodes on a fixed \
-             schedule so node counts are reproducible run to run (slightly \
-             less pruning)")
-  in
   let no_validate =
     Arg.(
       value & flag
@@ -147,8 +138,8 @@ let compile_cmd =
              errors; same as `novac lint` but without workload whitelists")
   in
   let run file allocator dump entry_args time_limit node_limit rel_gap
-      solver_domains solver_deterministic no_validate verify_each
-      no_verify_each trace_out metrics lint_flag =
+      solver_domains no_validate verify_each no_verify_each trace_out metrics
+      lint_flag =
     handle_errors (fun () ->
         let source = read_file file in
         if trace_out <> None then Support.Trace.enable ();
@@ -177,7 +168,6 @@ let compile_cmd =
             node_limit;
             rel_gap;
             solver_domains;
-            solver_deterministic;
             validate = not no_validate;
             verify_each = verify_each || not no_verify_each;
           }
@@ -233,9 +223,8 @@ let compile_cmd =
     (Cmd.info "compile" ~doc:"Compile a Nova program to IXP assembly")
     Term.(
       const run $ file $ allocator $ dump $ entry_args $ time_limit
-      $ node_limit $ rel_gap $ solver_domains $ solver_deterministic
-      $ no_validate $ verify_each $ no_verify_each $ trace_out $ metrics
-      $ lint_flag)
+      $ node_limit $ rel_gap $ solver_domains $ no_validate $ verify_each
+      $ no_verify_each $ trace_out $ metrics $ lint_flag)
 
 (* ---------------- serve ---------------- *)
 
@@ -262,12 +251,6 @@ let serve_cmd =
       & info [ "solver-domains" ]
           ~doc:"Worker domains for parallel branch&bound, for every job")
   in
-  let solver_deterministic =
-    Arg.(
-      value & flag
-      & info [ "solver-deterministic" ]
-          ~doc:"Fixed node-distribution schedule for every job")
-  in
   let time_limit =
     Arg.(
       value & opt float 300.
@@ -282,8 +265,7 @@ let serve_cmd =
   let quiet =
     Arg.(value & flag & info [ "quiet"; "q" ] ~doc:"No per-job log lines")
   in
-  let run socket cache_dir solver_domains solver_deterministic time_limit
-      metrics quiet =
+  let run socket cache_dir solver_domains time_limit metrics quiet =
     handle_errors (fun () ->
         let config =
           {
@@ -293,7 +275,6 @@ let serve_cmd =
               {
                 Regalloc.Driver.default_options with
                 solver_domains;
-                solver_deterministic;
                 time_limit;
               };
             verbose = not quiet;
@@ -311,8 +292,8 @@ let serve_cmd =
           in-memory hot cache over the stage-cached driver and persistent \
           solve artifacts for warm-started rebuilds")
     Term.(
-      const run $ socket $ cache_dir $ solver_domains $ solver_deterministic
-      $ time_limit $ metrics $ quiet)
+      const run $ socket $ cache_dir $ solver_domains $ time_limit $ metrics
+      $ quiet)
 
 (* ---------------- lint ---------------- *)
 

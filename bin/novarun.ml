@@ -200,18 +200,10 @@ let run_cmd =
             "Worker domains for branch&bound; the calling domain is worker \
              0, and with 1 each round is a single dive")
   in
-  let solver_deterministic =
-    Arg.(
-      value & flag
-      & info [ "solver-deterministic" ]
-          ~doc:
-            "With --solver-domains >= 2, distribute nodes on a fixed \
-             schedule so node counts are reproducible run to run")
-  in
   let run file entry_args sram sdram trace trace_out metrics allocator engines
       threads cluster balancer drop_budget profile offered_load packets seed
       ports rx_capacity no_contention time_limit node_limit rel_gap
-      solver_domains solver_deterministic =
+      solver_domains =
     try
       if trace_out <> None then Support.Trace.enable ();
       let finally () =
@@ -234,7 +226,6 @@ let run_cmd =
           node_limit;
           rel_gap;
           solver_domains;
-          solver_deterministic;
           allocator =
             (match allocator with
             | `Ilp -> Regalloc.Driver.Ilp_allocator
@@ -382,6 +373,6 @@ let run_cmd =
       $ metrics $ allocator $ engines $ threads $ cluster $ balancer
       $ drop_budget $ profile $ offered_load $ packets $ seed $ ports
       $ rx_capacity $ no_contention $ time_limit $ node_limit $ rel_gap
-      $ solver_domains $ solver_deterministic)
+      $ solver_domains)
 
 let () = exit (Cmd.eval run_cmd)

@@ -40,18 +40,15 @@
    degenerate round: one seed dived to the end of its chain, which is
    exactly the classic dive-then-pop-the-best-bound search.
 
-   In deterministic mode seeds are dealt round-robin by worker index and
-   each worker prunes against the incumbent as of the round's start plus
-   its own finds, so the set of nodes expanded is a pure function of the
-   problem.  In the default (opportunistic) mode workers take seeds from
-   a shared cursor and prune against an atomically published global
-   incumbent, trading reproducibility for strictly more pruning.
+   Seeds are dealt round-robin by worker index, and each worker prunes
+   against the incumbent as of the round's start plus its own finds, so
+   the set of nodes expanded is a pure function of the problem and the
+   domain count.
 
    Budgets are checked before every node, inside chains: a worker past
    the wall-clock or node budget parks the node, so its bound still
-   counts at exit.  The node check counts every node expanded so far;
-   in deterministic mode, the total at the start of the round plus the
-   worker's own, which keeps it reproducible. *)
+   counts at exit.  The node check counts the nodes expanded before the
+   round plus the worker's own in it, which keeps it reproducible. *)
 
 type status = Optimal | Infeasible | Limit
 
@@ -291,27 +288,6 @@ let select_branch (p : Problem.t) pc n x =
   !best
 
 (* ------------------------------------------------------------------ *)
-(* Incumbent publication (shared across worker domains)                *)
-(* ------------------------------------------------------------------ *)
-
-type incumbent = { i_obj : float; i_x : float array }
-
-(* Strictly-better-only compare-and-set loop: under any interleaving of
-   concurrent publications the stored objective never regresses, and the
-   final value is the minimum of everything published. *)
-let publish_incumbent (best : incumbent option Atomic.t) ~obj ~x =
-  let rec go () =
-    let cur = Atomic.get best in
-    let cur_obj = match cur with None -> infinity | Some i -> i.i_obj in
-    if obj < cur_obj then
-      if Atomic.compare_and_set best cur (Some { i_obj = obj; i_x = x }) then
-        true
-      else go ()
-    else false
-  in
-  go ()
-
-(* ------------------------------------------------------------------ *)
 (* Search                                                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -339,14 +315,14 @@ type wout = {
   mutable o_children : node list; (* parked nodes, newest first *)
   mutable o_incumbent : (float * float array * string) option;
       (* round's best, with its source tag *)
+  mutable o_nodes : int; (* nodes expanded this round *)
   mutable o_heur : int; (* heuristic incumbents, cumulative *)
   mutable o_iters : int; (* solver iterations, cumulative *)
   mutable o_limit : bool; (* a budget or the simplex iteration limit hit *)
 }
 
 let solve ?(time_limit = 600.) ?(node_limit = 500_000) ?(rel_gap = 1e-4)
-    ?(domains = 1) ?(deterministic = false) ?(warm = no_warm) ~root
-    (p : Problem.t) =
+    ?(domains = 1) ?(warm = no_warm) ~root (p : Problem.t) =
   let t0 = Clock.now () in
   let deadline = t0 +. time_limit in
   let domains = max 1 domains in
@@ -373,11 +349,8 @@ let solve ?(time_limit = 600.) ?(node_limit = 500_000) ?(rel_gap = 1e-4)
   Heap.push heap
     { nb = neg_infinity; fixings = []; depth = 0; bvar = -1; bfrac = 0.;
       bup = false };
-  let nodes = Atomic.make 0 in
-  let shared_best : incumbent option Atomic.t = Atomic.make None in
   (* The round's seeds and starting point, set before workers wake. *)
-  let seeds = ref [||] and round_best = ref infinity and round_nodes = ref 0 in
-  let steal = Atomic.make 0 in
+  let seeds = ref [||] and round_best = ref infinity and nodes = ref 0 in
   let batch, chain_cap =
     if domains = 1 then (1, max_int)
     else (domains * par_seeds_per_worker, par_chain_cap)
@@ -390,8 +363,8 @@ let solve ?(time_limit = 600.) ?(node_limit = 500_000) ?(rel_gap = 1e-4)
   in
   let outs =
     Array.init domains (fun _ ->
-        { o_children = []; o_incumbent = None; o_heur = 0; o_iters = 0;
-          o_limit = false })
+        { o_children = []; o_incumbent = None; o_nodes = 0; o_heur = 0;
+          o_iters = 0; o_limit = false })
   in
   (* Worker [d] on [solver]: returns the function that runs its share of
      one round. *)
@@ -411,25 +384,16 @@ let solve ?(time_limit = 600.) ?(node_limit = 500_000) ?(rel_gap = 1e-4)
         fixings;
       applied := fixings
     in
-    let my_nodes = ref 0 and round_mine = ref 0 and local_best = ref infinity in
-    let cutoff () =
-      cutoff_of
-        (match Atomic.get shared_best with
-        | Some i when not deterministic -> Float.min !local_best i.i_obj
-        | _ -> !local_best)
-    in
+    let my_nodes = ref 0 and local_best = ref infinity in
+    let cutoff () = cutoff_of !local_best in
     let out_of_budget () =
-      Clock.since t0 > time_limit
-      || (if deterministic then !round_nodes + !round_mine
-          else Atomic.get nodes)
-         >= node_limit
+      Clock.since t0 > time_limit || !nodes + out.o_nodes >= node_limit
     in
     let record src obj x =
       (match out.o_incumbent with
       | Some (o, _, _) when o <= obj -> ()
       | _ -> out.o_incumbent <- Some (obj, x, src));
       local_best := Float.min !local_best obj;
-      if not deterministic then ignore (publish_incumbent shared_best ~obj ~x);
       Support.Metrics.incr m_incumbents;
       if Support.Trace.is_enabled () then
         Support.Trace.instant ~tid:d
@@ -451,8 +415,7 @@ let solve ?(time_limit = 600.) ?(node_limit = 500_000) ?(rel_gap = 1e-4)
       else begin
         activate nd.fixings;
         incr my_nodes;
-        incr round_mine;
-        Atomic.incr nodes;
+        out.o_nodes <- out.o_nodes + 1;
         Support.Metrics.incr m_nodes;
         if Support.Trace.is_enabled () && !my_nodes land 255 = 0 then
           Support.Trace.counter ~tid:d "bb"
@@ -523,19 +486,11 @@ let solve ?(time_limit = 600.) ?(node_limit = 500_000) ?(rel_gap = 1e-4)
     fun () ->
       out.o_children <- [];
       out.o_incumbent <- None;
+      out.o_nodes <- 0;
       out.o_limit <- false;
-      round_mine := 0;
       local_best := !round_best;
-      (* Worker [d] starts on seed [d], then takes every [domains]-th
-         (deterministic) or whichever the shared cursor hands it. *)
-      let sds = !seeds in
-      let i = ref d in
-      while !i < Array.length sds do
-        expand sds.(!i) 0;
-        i :=
-          if deterministic then !i + domains
-          else Atomic.fetch_and_add steal 1
-      done;
+      (* worker [d] takes seeds d, d + domains, ... *)
+      Array.iteri (fun i nd -> if i mod domains = d then expand nd 0) !seeds;
       out.o_iters <- Revised.iterations solver
   in
   (* Workers 1 .. domains-1 run in their own domains, one round each
@@ -577,6 +532,7 @@ let solve ?(time_limit = 600.) ?(node_limit = 500_000) ?(rel_gap = 1e-4)
     | Some ((obj, _, _) as inc) when obj < best_obj () -> best := Some inc
     | _ -> ());
     List.iter (Heap.push heap) (List.rev out.o_children);
+    nodes := !nodes + out.o_nodes;
     if out.o_limit then limit_hit := true
   in
   let rec rounds () =
@@ -592,8 +548,6 @@ let solve ?(time_limit = 600.) ?(node_limit = 500_000) ?(rel_gap = 1e-4)
     if !count > 0 then begin
       seeds := Array.of_list (List.rev !buf);
       round_best := best_obj ();
-      round_nodes := Atomic.get nodes;
-      Atomic.set steal domains;
       if domains > 1 && !helpers = [||] && !count > 1 then
         helpers :=
           Array.init (domains - 1) (fun i -> Domain.spawn (helper (i + 1)));
@@ -631,7 +585,7 @@ let solve ?(time_limit = 600.) ?(node_limit = 500_000) ?(rel_gap = 1e-4)
        else Optimal);
     objective;
     solution;
-    nodes = Atomic.get nodes;
+    nodes = !nodes;
     root_objective = !root_objective;
     total_time = Clock.since t0;
     simplex_iterations = Array.fold_left (fun a o -> a + o.o_iters) 0 outs;

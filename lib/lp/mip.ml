@@ -89,8 +89,7 @@ let solve_root (p : Problem.t) =
       (solver, Revised.solve solver))
 
 let solve ?(presolve = true) ?(time_limit = 600.) ?(node_limit = 500_000)
-    ?(rel_gap = 1e-4) ?(domains = 1) ?(deterministic = false)
-    ?(warm = no_warm_start) (p : Problem.t) =
+    ?(rel_gap = 1e-4) ?(domains = 1) ?(warm = no_warm_start) (p : Problem.t) =
   let t0 = Clock.now () in
   let before = Problem.stats p in
   let finish ?(warm_used = false) ?(inc_src = "none")
@@ -150,7 +149,7 @@ let solve ?(presolve = true) ?(time_limit = 600.) ?(node_limit = 500_000)
     let r =
       Support.Trace.with_span "branch-and-bound" (fun () ->
           Branch_bound.solve ~time_limit:remaining ~node_limit ~rel_gap
-            ~domains ~deterministic ~warm:bb_warm ~root sub)
+            ~domains ~warm:bb_warm ~root sub)
     in
     let status =
       match r.Branch_bound.status with

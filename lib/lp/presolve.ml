@@ -245,15 +245,22 @@ let find_slot w r u =
     in
     walk w.first.(u)
 
+(* A derived bound [x] carries one rounding (a quotient, or a
+   difference over a unit slope), so it may lie up to one ulp inside the
+   true bound.  A continuous variable's bound is therefore moved one ulp
+   outward, so it never cuts off a point the rows allow; an integer
+   variable's is rounded to the integer within [feas_tol]. *)
 let tighten_lo w v x =
   if x > w.lo.(v) then begin
-    w.lo.(v) <- (if w.integer.(v) then Float.ceil (x -. feas_tol) else x);
+    w.lo.(v) <-
+      (if w.integer.(v) then Float.ceil (x -. feas_tol) else Float.pred x);
     if w.lo.(v) > w.hi.(v) +. feas_tol then w.infeasible <- true
   end
 
 let tighten_hi w v x =
   if x < w.hi.(v) then begin
-    w.hi.(v) <- (if w.integer.(v) then Float.floor (x +. feas_tol) else x);
+    w.hi.(v) <-
+      (if w.integer.(v) then Float.floor (x +. feas_tol) else Float.succ x);
     if w.lo.(v) > w.hi.(v) +. feas_tol then w.infeasible <- true
   end
 

@@ -17,13 +17,6 @@ type options = {
   node_limit : int; (* branch&bound node budget (deterministic) *)
   rel_gap : float;
   solver_domains : int; (* worker domains for parallel branch&bound *)
-  solver_deterministic : bool;
-      (* fixed node-distribution schedule: reproducible node counts at
-         the cost of slightly less pruning (only matters when
-         solver_domains >= 2) *)
-  limit_fallback : bool;
-      (* when the solver exhausts its budget without an incumbent, emit
-         the baseline heuristic allocation instead of failing *)
   entry : string;
   entry_args : int list;
   validate : bool; (* run Assignment.validate and Checker *)
@@ -39,8 +32,6 @@ let default_options =
     node_limit = 500_000;
     rel_gap = 1e-4;
     solver_domains = 1;
-    solver_deterministic = false;
-    limit_fallback = true;
     entry = "main";
     entry_args = [];
     validate = true;
@@ -230,8 +221,7 @@ let direct_model_solve (options : options) : model_solve =
   ( mg,
     Trace.with_span "solve" (fun () ->
         Ilp.solve ~time_limit:options.time_limit ~node_limit:options.node_limit
-          ~rel_gap:options.rel_gap ~domains:options.solver_domains
-          ~deterministic:options.solver_deterministic ilp) )
+          ~rel_gap:options.rel_gap ~domains:options.solver_domains ilp) )
 
 let allocate_with ~(model_solve : model_solve) (options : options)
     (front : front) : compiled =
@@ -248,14 +238,11 @@ let allocate_with ~(model_solve : model_solve) (options : options)
     in
     (mg, Assignment.of_ilp sol, Some sol.Ilp.result.Lp.Mip.stats, outcome)
   in
-  (* No incumbent within the budget: either emit the baseline heuristic
-     allocation (recording the fallback) or fail loudly. *)
+  (* No incumbent within the budget: emit the baseline heuristic
+     allocation, recording the fallback. *)
   let limit_fallback graph =
-    if options.limit_fallback then begin
-      let mg = Modelgen.build graph in
-      (mg, Baseline.build mg, None, Outcome_fallback)
-    end
-    else raise (Allocation_failed "MIP solver hit its limit")
+    let mg = Modelgen.build graph in
+    (mg, Baseline.build mg, None, Outcome_fallback)
   in
   (* spill-free model first (paper §11): much smaller; fall back to the
      full model with scratch enabled only when infeasible *)
@@ -421,11 +408,11 @@ let obj_tag = function
   | Ilp.Spill_feasibility -> "spillfeas"
 
 (* Options fingerprints.  [fp_front] covers exactly what [front_end]
-   reads; [fp_solve] covers the solver budget and gap (worker-domain
-   count and the deterministic schedule change the search path, not
-   what a returned proof means, so they are deliberately excluded --
-   a proven optimum is replayable regardless of how many domains found
-   it); [fp_alloc] covers everything else that shapes [compiled]. *)
+   reads; [fp_solve] covers the solver budget and gap (the worker-domain
+   count changes the search path, not what a returned proof means, so it
+   is deliberately excluded -- a proven optimum is replayable regardless
+   of how many domains found it); [fp_alloc] covers everything else that
+   shapes [compiled]. *)
 let fp_front (o : options) =
   Cache.Key.combine
     [
@@ -457,7 +444,6 @@ let fp_alloc (o : options) =
       | Baseline_allocator -> "baseline");
       obj_tag o.objective;
       fp_solve o;
-      string_of_bool o.limit_fallback;
       string_of_bool o.validate;
     ]
 
@@ -682,8 +668,7 @@ let cached_model_solve ~(store : Cache.Store.t) ~file ~key_front
       Trace.with_span "solve" (fun () ->
           Ilp.solve ~time_limit:options.time_limit
             ~node_limit:options.node_limit ~rel_gap:options.rel_gap
-            ~domains:options.solver_domains
-            ~deterministic:options.solver_deterministic ~warm ilp)
+            ~domains:options.solver_domains ~warm ilp)
     in
     let artifact =
       match solved with

@@ -997,11 +997,10 @@ type solution = {
 }
 
 let solve ?(time_limit = 300.) ?(node_limit = 500_000) ?(rel_gap = 1e-4)
-    ?(domains = 1) ?(deterministic = false)
-    ?(warm = Lp.Mip.no_warm_start) (ilp : t) =
+    ?(domains = 1) ?(warm = Lp.Mip.no_warm_start) (ilp : t) =
   let result =
-    Lp.Mip.solve ~time_limit ~node_limit ~rel_gap ~domains ~deterministic
-      ~warm ilp.instance.M.problem
+    Lp.Mip.solve ~time_limit ~node_limit ~rel_gap ~domains ~warm
+      ilp.instance.M.problem
   in
   match (result.Lp.Mip.status, result.Lp.Mip.solution) with
   | Lp.Mip.Infeasible, _ -> Error `Infeasible

@@ -17,9 +17,8 @@
    A compile job carries the source text plus optional per-job
    overrides of the daemon's base options: "time_limit" (seconds),
    "node_limit", "rel_gap", "allocator" ("ilp"|"baseline"),
-   "objective" ("moves"|"spillfeas"), "entry".  Worker-domain count and
-   the deterministic schedule are daemon-level settings
-   (`--solver-domains`, `--solver-deterministic`) and cannot be
+   "objective" ("moves"|"spillfeas"), "entry".  The worker-domain count
+   is a daemon-level setting (`--solver-domains`) and cannot be
    overridden per job.
 
    Responses always carry "ok": true/false; failures carry "error".

@@ -357,30 +357,49 @@ let test_presolve_detects_infeasible () =
   | Presolve.Infeasible_detected -> ()
   | Presolve.Reduced _ -> Alcotest.fail "should detect infeasibility")
 
+(* The exact reference gives the reduced LP the original's status and
+   optimum, and postsolve maps the reduced optimum to a feasible point. *)
+let presolve_keeps_lp_optimum spec =
+  let p = build_random_lp spec in
+  let module E = Dense_simplex.Exact in
+  let before = E.solve p in
+  match Presolve.run p with
+  | Presolve.Infeasible_detected -> before.E.status = E.Infeasible
+  | Presolve.Reduced (r, info) -> (
+      let after = E.solve r in
+      match (before.E.status, after.E.status) with
+      | E.Optimal, E.Optimal ->
+          (* objective values agree, and postsolve yields feasible pt *)
+          let reduced_sol = Array.map Rat.to_float after.E.solution in
+          let full = Presolve.postsolve info reduced_sol in
+          Float.abs
+            (Rat.to_float before.E.objective -. Problem.objective_value p full)
+          < 1e-6
+          && Problem.check_feasible ~eps:1e-6 p full
+      | E.Infeasible, E.Infeasible -> true
+      | E.Optimal, E.Infeasible | E.Infeasible, E.Optimal -> false
+      | _ -> true)
+
 let presolve_preserves_optimum =
   QCheck.Test.make ~name:"presolve preserves LP optimum" ~count:200
     (QCheck.make ~print:print_random_lp random_lp_gen)
-    (fun spec ->
-      let p = build_random_lp spec in
-      let module E = Dense_simplex.Exact in
-      let before = E.solve p in
-      match Presolve.run p with
-      | Presolve.Infeasible_detected -> before.E.status = E.Infeasible
-      | Presolve.Reduced (r, info) -> (
-          let after = E.solve r in
-          match (before.E.status, after.E.status) with
-          | E.Optimal, E.Optimal ->
-              (* objective values agree, and postsolve yields feasible pt *)
-              let reduced_sol = Array.map Rat.to_float after.E.solution in
-              let full = Presolve.postsolve info reduced_sol in
-              Float.abs
-                (Rat.to_float before.E.objective
-                -. Problem.objective_value p full)
-              < 1e-6
-              && Problem.check_feasible ~eps:1e-6 p full
-          | E.Infeasible, E.Infeasible -> true
-          | E.Optimal, E.Infeasible | E.Infeasible, E.Optimal -> false
-          | _ -> true))
+    presolve_keeps_lp_optimum
+
+(* The row 3 x0 <= 4 bounds x0 by 4/3, whose nearest float lies below
+   it, while the other rows force x0 >= 4/3 exactly: a bound taken at
+   that float makes the reduced LP infeasible in exact arithmetic. *)
+let test_presolve_inexact_bound () =
+  checkb "presolve keeps the optimum" true
+    (presolve_keeps_lp_optimum
+       ( 2,
+         [ -1.; -3. ],
+         [
+           (Problem.Le, 7., [ -2.; -2. ]);
+           (Problem.Le, -1., [ -3.; -3. ]);
+           (Problem.Le, -4., [ -3.; 3. ]);
+           (Problem.Le, 2., [ -2.; 3. ]);
+           (Problem.Le, 4., [ 3.; 0. ]);
+         ] ))
 
 (* ------------------------------------------------------------------ *)
 (* Branch & bound / MIP                                                *)
@@ -781,38 +800,29 @@ let seeded_cover_mip seed =
   p
 
 (* The proven optimum must not depend on how many domains search for it:
-   1, 2 and 4 workers (with and without the deterministic schedule) all
-   prove the same objective with rel_gap = 0. *)
+   1, 2 and 4 workers all prove the same objective with rel_gap = 0. *)
 let test_bb_domains_agree () =
   List.iter
     (fun seed ->
-      let run d det =
-        Mip.solve ~rel_gap:0. ~domains:d ~deterministic:det
-          (seeded_cover_mip seed)
-      in
-      let r1 = run 1 false in
+      let run d = Mip.solve ~rel_gap:0. ~domains:d (seeded_cover_mip seed) in
+      let r1 = run 1 in
       checkb "1-domain optimal" true (r1.Mip.status = Mip.Optimal);
       List.iter
-        (fun (d, det) ->
-          let r = run d det in
+        (fun d ->
+          let r = run d in
           checkb
-            (Printf.sprintf "seed %d: %d-domain optimal (det=%b)" seed d det)
-            true
-            (r.Mip.status = Mip.Optimal);
+            (Printf.sprintf "seed %d: %d-domain optimal" seed d)
+            true (r.Mip.status = Mip.Optimal);
           check (Alcotest.float 1e-6)
-            (Printf.sprintf "seed %d: objective at %d domains (det=%b)" seed d
-               det)
+            (Printf.sprintf "seed %d: objective at %d domains" seed d)
             r1.Mip.objective r.Mip.objective)
-        [ (2, false); (2, true); (4, false); (4, true) ])
+        [ 2; 4 ])
     [ 11; 42 ]
 
-(* In deterministic mode the node distribution schedule is fixed, so the
-   node count (and everything else) reproduces exactly run to run. *)
+(* The node distribution schedule is fixed, so the node count (and
+   everything else) of a parallel search reproduces exactly run to run. *)
 let test_bb_deterministic_nodes () =
-  let run () =
-    Mip.solve ~rel_gap:0. ~domains:2 ~deterministic:true
-      (seeded_cover_mip 123)
-  in
+  let run () = Mip.solve ~rel_gap:0. ~domains:2 (seeded_cover_mip 123) in
   let a = run () in
   let b = run () in
   checkb "optimal" true (a.Mip.status = Mip.Optimal);
@@ -848,24 +858,24 @@ let pigeonhole_mip () =
   done;
   p
 
-(* The wall-clock budget is honoured inside worker chains, in every
-   mode: a search that cannot finish stops with [Limit] within half a
-   second of its limit at 1, 2 and 4 domains. *)
+(* The wall-clock budget is honoured inside worker chains: a search that
+   cannot finish stops with [Limit] within half a second of its limit at
+   1, 2 and 4 domains. *)
 let test_bb_time_limit_honoured () =
   List.iter
-    (fun (d, det) ->
+    (fun d ->
       let p = pigeonhole_mip () in
       let r =
-        Branch_bound.solve ~time_limit:0.5 ~domains:d ~deterministic:det
-          ~root:(Mip.solve_root p) p
+        Branch_bound.solve ~time_limit:0.5 ~domains:d ~root:(Mip.solve_root p)
+          p
       in
-      let what = Printf.sprintf "%d domains (det=%b)" d det in
+      let what = Printf.sprintf "%d domains" d in
       checkb (what ^ ": stopped by the limit") true
         (r.Branch_bound.status = Branch_bound.Limit);
       if r.Branch_bound.total_time > 1.0 then
         Alcotest.failf "%s: ran %.3f s against a 0.5 s limit" what
           r.Branch_bound.total_time)
-    [ (1, false); (1, true); (2, false); (2, true); (4, false); (4, true) ]
+    [ 1; 2; 4 ]
 
 (* Seeded random packing instance: negative costs, <= 1 or <= 2 rows
    over small random subsets. *)
@@ -966,44 +976,28 @@ let test_mip_warm_start_equivalence () =
            [ "seeded"; "heuristic"; "branch"; "presolve" ]))
     [ 7; 21; 42; 99 ]
 
-(* Concurrent incumbent publication: under any interleaving the stored
-   bound never regresses (each domain's observations are non-increasing)
-   and the final value is the minimum of everything published. *)
-let incumbent_publication_is_monotone =
-  QCheck.Test.make
-    ~name:"concurrent incumbent publication never regresses the bound"
-    ~count:50
-    QCheck.(
-      list_of_size (Gen.int_range 1 30) (int_range (-1000) 1000))
-    (fun objs_i ->
-      let objs = List.map float_of_int objs_i in
-      let best : Branch_bound.incumbent option Atomic.t = Atomic.make None in
-      let regressed = Atomic.make false in
-      let publisher l () =
-        let last = ref infinity in
-        List.iter
-          (fun o ->
-            ignore (Branch_bound.publish_incumbent best ~obj:o ~x:[| o |]);
-            match Atomic.get best with
-            | Some i ->
-                if i.Branch_bound.i_obj > !last +. 1e-12 then
-                  Atomic.set regressed true
-                else last := i.Branch_bound.i_obj
-            | None -> Atomic.set regressed true)
-          l
-      in
-      let a = List.filteri (fun i _ -> i mod 2 = 0) objs in
-      let b = List.filteri (fun i _ -> i mod 2 = 1) objs in
-      let d1 = Domain.spawn (publisher a) in
-      let d2 = Domain.spawn (publisher b) in
-      Domain.join d1;
-      Domain.join d2;
-      let expect = List.fold_left Float.min infinity objs in
-      (not (Atomic.get regressed))
-      &&
-      match Atomic.get best with
-      | Some i -> i.Branch_bound.i_obj = expect
-      | None -> false)
+(* A node budget stops the search after the round that reaches it, and a
+   larger budget expands a superset of each worker's nodes in every round
+   up to that one, so the best objective at budget k is the merged
+   incumbent of a round boundary: it never rises as k grows, at 1, 2 and
+   4 domains. *)
+let test_bb_incumbent_monotone () =
+  let p = seeded_cover_mip 11 in
+  List.iter
+    (fun d ->
+      let last = ref infinity in
+      for k = 1 to 40 do
+        let r =
+          Branch_bound.solve ~rel_gap:0. ~node_limit:k ~domains:d
+            ~root:(Mip.solve_root p) p
+        in
+        let obj = r.Branch_bound.objective in
+        if obj > !last then
+          Alcotest.failf "%d domains: objective %g at %d nodes after %g" d obj
+            k !last;
+        last := obj
+      done)
+    [ 1; 2; 4 ]
 
 (* ------------------------------------------------------------------ *)
 (* Sparse LU kernel                                                    *)
@@ -1915,6 +1909,8 @@ let suites =
         Alcotest.test_case "detects infeasible" `Quick
           test_presolve_detects_infeasible;
         QCheck_alcotest.to_alcotest presolve_preserves_optimum;
+        Alcotest.test_case "continuous bound rounds outward" `Quick
+          test_presolve_inexact_bound;
         Alcotest.test_case "presolve written order" `Quick
           test_presolve_written_order;
         QCheck_alcotest.to_alcotest
@@ -1946,7 +1942,8 @@ let suites =
           `Quick test_mip_leaves_problem_untouched;
         Alcotest.test_case "root LP solved once when no cut fires" `Quick
           test_mip_root_solved_once;
-        QCheck_alcotest.to_alcotest incumbent_publication_is_monotone;
+        Alcotest.test_case "incumbent never rises between rounds" `Quick
+          test_bb_incumbent_monotone;
       ] );
     ( "lp.problem",
       [

@@ -591,8 +591,7 @@ let test_two_domain_aes_pinned () =
   let p = (Regalloc.Ilp.build mg).Regalloc.Ilp.instance.Ampl.Model.problem in
   let solve run =
     let r =
-      Lp.Mip.solve ~time_limit:1e9 ~node_limit:node_budget ~domains:2
-        ~deterministic:true p
+      Lp.Mip.solve ~time_limit:1e9 ~node_limit:node_budget ~domains:2 p
     in
     let s = r.Lp.Mip.stats in
     checki (run ^ ": nodes") 176 s.Lp.Mip.nodes;

@@ -1,4 +1,4 @@
-(* Tests for the support library: idents, bitsets, union-find, vec. *)
+(* Tests for the support library: idents, union-find, vec. *)
 
 open Support
 
@@ -21,24 +21,6 @@ let test_ident_collections () =
       (List.mapi (fun i x -> (i, x)) xs)
   in
   checki "map lookup" 42 (Ident.Map.find (List.nth xs 42) map)
-
-let test_bitset () =
-  let b = Bitset.create 130 in
-  Bitset.add b 0;
-  Bitset.add b 64;
-  Bitset.add b 129;
-  checkb "mem 0" true (Bitset.mem b 0);
-  checkb "mem 64" true (Bitset.mem b 64);
-  checkb "mem 129" true (Bitset.mem b 129);
-  checkb "not mem 1" false (Bitset.mem b 1);
-  checki "cardinal" 3 (Bitset.cardinal b);
-  Bitset.remove b 64;
-  checkb "removed" false (Bitset.mem b 64);
-  let c = Bitset.create 130 in
-  Bitset.add c 5;
-  checkb "union changes" true (Bitset.union_into ~dst:b ~src:c);
-  checkb "union no change" false (Bitset.union_into ~dst:b ~src:c);
-  checkb "after union" true (Bitset.mem b 5)
 
 let test_union_find () =
   let uf = Union_find.create 10 in
@@ -64,14 +46,6 @@ let test_vec () =
   checki "fold" (1000 + (98 * 99 / 2) - 0) (Vec.fold_left ( + ) 0 v);
   let l = Vec.to_list v in
   checki "to_list length" 99 (List.length l)
-let bitset_qcheck =
-  QCheck.Test.make ~name:"bitset models a set of small ints" ~count:200
-    QCheck.(small_list (int_range 0 63))
-    (fun xs ->
-      let b = Bitset.create 64 in
-      List.iter (Bitset.add b) xs;
-      let expected = List.sort_uniq compare xs in
-      Bitset.elements b = expected)
 
 (* ---------------- monotonic clock ---------------- *)
 
@@ -344,10 +318,8 @@ let suites =
       [
         Alcotest.test_case "ident freshness" `Quick test_ident_freshness;
         Alcotest.test_case "ident collections" `Quick test_ident_collections;
-        Alcotest.test_case "bitset" `Quick test_bitset;
         Alcotest.test_case "union find" `Quick test_union_find;
         Alcotest.test_case "vec" `Quick test_vec;
-        QCheck_alcotest.to_alcotest bitset_qcheck;
       ] );
     ( "observability",
       [

@@ -442,7 +442,7 @@ let pruning () =
       let size allow_spill =
         let mg = Regalloc.Modelgen.build ~allow_spill f.Regalloc.Driver.f_graph in
         let ilp = Regalloc.Ilp.build mg in
-        let p = ilp.Regalloc.Ilp.instance.Ampl.Model.problem in
+        let p = ilp.Regalloc.Ilp.problem in
         let st = Lp.Problem.stats p in
         (st.Lp.Problem.n_vars, st.Lp.Problem.n_rows, p)
       in
@@ -542,7 +542,7 @@ let solve_workload_model ?(time_limit = 120.) ?rel_gap ?(domains = 1) w =
   let f = front w in
   let mg = Regalloc.Modelgen.build ~allow_spill:false f.Regalloc.Driver.f_graph in
   let ilp = Regalloc.Ilp.build mg in
-  let p = ilp.Regalloc.Ilp.instance.Ampl.Model.problem in
+  let p = ilp.Regalloc.Ilp.problem in
   let r = Lp.Mip.solve ~time_limit ~node_limit:20_000 ?rel_gap ~domains p in
   let s = r.Lp.Mip.stats in
   {

@@ -95,18 +95,14 @@ let compile_cmd =
       & info [ "no-validate" ]
           ~doc:"Skip the post-allocation assignment and machine-legality checks")
   in
-  let verify_each =
-    Arg.(
-      value & flag
-      & info [ "verify-each" ]
-          ~doc:
-            "Re-verify IR invariants (scoping, SSA, SSU, aggregate widths) and \
-             diff interpreter semantics after every middle-end pass (default)")
-  in
   let no_verify_each =
     Arg.(
       value & flag
-      & info [ "no-verify-each" ] ~doc:"Disable the per-pass IR verification")
+      & info [ "no-verify-each" ]
+          ~doc:
+            "Skip the per-pass verification, on by default, that re-checks \
+             IR invariants (scoping, SSA, SSU, aggregate widths) and diffs \
+             interpreter semantics after every middle-end pass")
   in
   let trace_out =
     Arg.(
@@ -138,8 +134,7 @@ let compile_cmd =
              errors; same as `novac lint` but without workload whitelists")
   in
   let run file allocator dump entry_args time_limit node_limit rel_gap
-      solver_domains no_validate verify_each no_verify_each trace_out metrics
-      lint_flag =
+      solver_domains no_validate no_verify_each trace_out metrics lint_flag =
     handle_errors (fun () ->
         let source = read_file file in
         if trace_out <> None then Support.Trace.enable ();
@@ -169,7 +164,7 @@ let compile_cmd =
             rel_gap;
             solver_domains;
             validate = not no_validate;
-            verify_each = verify_each || not no_verify_each;
+            verify_each = not no_verify_each;
           }
         in
         let compiled = Regalloc.Driver.compile ~options ~file source in
@@ -223,8 +218,8 @@ let compile_cmd =
     (Cmd.info "compile" ~doc:"Compile a Nova program to IXP assembly")
     Term.(
       const run $ file $ allocator $ dump $ entry_args $ time_limit
-      $ node_limit $ rel_gap $ solver_domains $ no_validate $ verify_each
-      $ no_verify_each $ trace_out $ metrics $ lint_flag)
+      $ node_limit $ rel_gap $ solver_domains $ no_validate $ no_verify_each
+      $ trace_out $ metrics $ lint_flag)
 
 (* ---------------- serve ---------------- *)
 
@@ -581,7 +576,7 @@ let model_cmd =
         let front = Regalloc.Driver.front_end ~file source in
         let mg = Regalloc.Modelgen.build ~allow_spill:spill front.Regalloc.Driver.f_graph in
         let ilp = Regalloc.Ilp.build mg in
-        let p = ilp.Regalloc.Ilp.instance.Ampl.Model.problem in
+        let p = ilp.Regalloc.Ilp.problem in
         let st = Lp.Problem.stats p in
         Fmt.pr "model: %d variables, %d constraints, %d nonzeros, %d objective terms@."
           st.Lp.Problem.n_vars st.Lp.Problem.n_rows st.Lp.Problem.n_nonzeros

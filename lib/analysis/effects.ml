@@ -241,12 +241,6 @@ type solution = { graph : Ident.t FG.t; sol : Solver.solution }
 
 let solve graph = { graph; sol = Solver.solve ~widen_after:3 spec graph }
 
-let env_at s ~block ~pos =
-  let b = FG.block s.graph block in
-  match (Solver.point_facts spec s.sol b).(pos) with
-  | Env_lattice.Bot -> None
-  | Env_lattice.Env m -> Some m
-
 (* ------------------------------------------------------------------ *)
 (* Access footprints                                                   *)
 (* ------------------------------------------------------------------ *)

@@ -91,7 +91,6 @@ let create ?(config = default_config) program =
   }
 
 let chip t c = t.chips.(c)
-let num_chips t = Array.length t.chips
 let iter_chips f t = Array.iter f t.chips
 
 (* ------------------------------------------------------------------ *)

@@ -35,16 +35,13 @@ let dloc = Support.Srcloc.dummy
 let sram_ro_base = 0x1000
 let sram_ro_words = 64
 let sram_rw_base = 0x2000
-let sram_rw_words = 64
 let result_addr = 0x2100
 let scratch_ro_base = 0x100
 let scratch_ro_words = 32
 let scratch_rw_base = 0x180
-let scratch_rw_words = 32
 let sdram_ro_base = 0x400
 let sdram_ro_words = 128
 let sdram_rw_base = 0x600
-let sdram_rw_words = 128
 
 (* masked dynamic offsets keep every access fully inside its window
    (see [gen_addr]); the oracle's comparison regions are supersets *)
@@ -443,5 +440,3 @@ let program ?(max_size = 20) (rng : Random.State.t) : A.program =
       }
   in
   { A.decls = consts @ helpers @ [ main ] }
-
-let source_of (p : A.program) = Nova.Pp.program_to_string p

@@ -400,6 +400,3 @@ let trace config =
     match next g with None -> List.rev acc | Some p -> go (p :: acc)
   in
   go []
-
-let pp_packet ppf p =
-  Fmt.pf ppf "#%d port%d @%d %dB flow%d" p.seq p.port p.arrival p.size p.flow

@@ -159,9 +159,6 @@ let divmod_mag_limb a d =
   done;
   (q, !r)
 
-let shift_left_limbs mag k =
-  if k = 0 then mag else Array.append (Array.make k 0) mag
-
 (* Knuth algorithm D on normalized magnitudes.  Requires |a| >= |b| and
    [b] with at least 2 limbs (single-limb case handled separately). *)
 let divmod_mag a b =

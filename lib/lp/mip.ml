@@ -88,7 +88,7 @@ let solve_root (p : Problem.t) =
       let solver = Revised.create p in
       (solver, Revised.solve solver))
 
-let solve ?(presolve = true) ?(time_limit = 600.) ?(node_limit = 500_000)
+let solve ?(time_limit = 600.) ?(node_limit = 500_000)
     ?(rel_gap = 1e-4) ?(domains = 1) ?(warm = no_warm_start) (p : Problem.t) =
   let t0 = Clock.now () in
   let before = Problem.stats p in
@@ -122,130 +122,96 @@ let solve ?(presolve = true) ?(time_limit = 600.) ?(node_limit = 500_000)
       ws_out;
     }
   in
-  (* [map_orig_to_sub] translates warm data given on original variable
-     indices to the (presolved) subproblem's index space; [sub_to_orig]
-     is the inverse, for exporting the final pseudocost table back.
-     Identity when presolve is off. *)
-  let branch_and_bound sub ~after_stats ~postsolve_fn ~map_orig_to_sub
-      ~sub_to_orig =
-    let root_t0 = Clock.now () in
-    let root = solve_root sub in
-    let root_time = Clock.since root_t0 in
-    let remaining = Float.max 1. (time_limit -. Clock.since t0) in
-    let bb_warm =
-      {
-        Branch_bound.w_hints =
-          List.filter_map
-            (fun (j, v) ->
-              Option.map (fun j' -> (j', v)) (map_orig_to_sub j))
-            warm.ws_values;
-        w_pc =
-          List.filter_map
-            (fun (j, h) ->
-              Option.map (fun j' -> (j', h)) (map_orig_to_sub j))
-            warm.ws_pseudocosts;
-      }
-    in
-    let r =
-      Support.Trace.with_span "branch-and-bound" (fun () ->
-          Branch_bound.solve ~time_limit:remaining ~node_limit ~rel_gap
-            ~domains ~warm:bb_warm ~root sub)
-    in
-    let status =
-      match r.Branch_bound.status with
-      | Branch_bound.Optimal -> Optimal
-      | Branch_bound.Infeasible -> Infeasible
-      | Branch_bound.Limit -> Limit
-    in
-    (* branch and bound reports a missing incumbent as an infinite
-       objective over a zero vector: that vector is no solution, and is
-       neither postsolved nor priced *)
-    let solution =
-      if status = Infeasible || not (Float.is_finite r.Branch_bound.objective)
-      then None
-      else Some (postsolve_fn r.Branch_bound.solution)
-    in
-    let objective =
-      match solution with
-      | Some s -> Problem.objective_value p s
-      | None -> infinity
-    in
-    let ws_out =
-      if status = Infeasible then no_warm_start
-      else
+  match Support.Trace.with_span "presolve" (fun () -> Presolve.run p) with
+  | Presolve.Infeasible_detected ->
+      finish Infeasible infinity None ~root_time:0. ~root_obj:nan ~nodes:0
+        ~iters:0 ~best_bound:infinity ~heur:0 ~after_stats:(Problem.stats p)
+  | Presolve.Reduced (sub, info) when Problem.num_vars sub = 0 ->
+      (* Fully solved by presolve. *)
+      let solution = Presolve.postsolve info [||] in
+      let objective = Problem.objective_value p solution in
+      finish Optimal objective (Some solution) ~root_time:0.
+        ~root_obj:objective ~nodes:0 ~iters:0 ~best_bound:objective ~heur:0
+        ~after_stats:(Problem.stats sub) ~inc_src:"presolve"
+  | Presolve.Reduced (sub, info) ->
+      let after_stats = Problem.stats sub in
+      (* Warm data comes in on the original variable indices and goes
+         through [keep_map] to the presolved problem's; the final
+         pseudocost table goes back through its inverse. *)
+      let keep_map = info.Presolve.keep_map in
+      let inverse = Array.make (Problem.num_vars sub) (-1) in
+      Array.iteri (fun j j' -> if j' >= 0 then inverse.(j') <- j) keep_map;
+      let remap map l =
+        List.filter_map
+          (fun (j, x) ->
+            if j < 0 || j >= Array.length map || map.(j) < 0 then None
+            else Some (map.(j), x))
+          l
+      in
+      let root_t0 = Clock.now () in
+      let root = solve_root sub in
+      let root_time = Clock.since root_t0 in
+      let remaining = Float.max 1. (time_limit -. Clock.since t0) in
+      let bb_warm =
         {
-          ws_values =
-            (let acc = ref [] in
-             Option.iter
-               (fun s ->
-                 for j = Problem.num_vars p - 1 downto 0 do
-                   if Problem.var_integer p j && Float.abs s.(j) > 1e-6 then
-                     acc := (j, Float.round s.(j)) :: !acc
-                 done)
-               solution;
-             !acc);
-          ws_pseudocosts =
-            List.filter_map
-              (fun (j, h) ->
-                Option.map (fun j' -> (j', h)) (sub_to_orig j))
-              r.Branch_bound.pc_out;
+          Branch_bound.w_hints = remap keep_map warm.ws_values;
+          w_pc = remap keep_map warm.ws_pseudocosts;
         }
-    in
-    (* The search proves its bound on the presolved problem while the
-       reported objective is re-evaluated on the original problem, so the
-       two can disagree by float drift (observed at the 1e-5 scale on the
-       larger allocation models), yielding the absurd report
-       "best_bound < objective" on a proven optimum.  At optimality the
-       objective itself is the tightest valid bound: clamp to it. *)
-    let best_bound =
-      if status = Optimal then Float.max r.Branch_bound.best_bound objective
-      else r.Branch_bound.best_bound
-    in
-    finish status objective solution ~root_time
-      ~root_obj:r.Branch_bound.root_objective ~nodes:r.Branch_bound.nodes
-      ~iters:r.Branch_bound.simplex_iterations ~best_bound
-      ~heur:r.Branch_bound.heuristic_incumbents ~after_stats
-      ~warm_used:r.Branch_bound.warm_seeded
-      ~inc_src:r.Branch_bound.incumbent_source ~ws_out
-  in
-  if presolve then begin
-    match Support.Trace.with_span "presolve" (fun () -> Presolve.run p) with
-    | Presolve.Infeasible_detected ->
-        finish Infeasible infinity None ~root_time:0. ~root_obj:nan
-          ~nodes:0 ~iters:0 ~best_bound:infinity ~heur:0
-          ~after_stats:(Problem.stats p)
-    | Presolve.Reduced (reduced, info) ->
-        let after_stats = Problem.stats reduced in
-        if Problem.num_vars reduced = 0 then begin
-          (* Fully solved by presolve. *)
-          let solution = Presolve.postsolve info [||] in
-          let objective = Problem.objective_value p solution in
-          finish Optimal objective (Some solution) ~root_time:0.
-            ~root_obj:objective ~nodes:0 ~iters:0 ~best_bound:objective ~heur:0
-            ~after_stats
-            ~inc_src:"presolve"
-        end
-        else begin
-          let keep_map = info.Presolve.keep_map in
-          let n_orig = Array.length keep_map in
-          let inverse = Array.make (Problem.num_vars reduced) (-1) in
-          Array.iteri
-            (fun j j' -> if j' >= 0 then inverse.(j') <- j)
-            keep_map;
-          branch_and_bound reduced ~after_stats
-            ~postsolve_fn:(Presolve.postsolve info)
-            ~map_orig_to_sub:(fun j ->
-              if j < 0 || j >= n_orig || keep_map.(j) < 0 then None
-              else Some keep_map.(j))
-            ~sub_to_orig:(fun j' ->
-              if j' < 0 || j' >= Array.length inverse || inverse.(j') < 0
-              then None
-              else Some inverse.(j'))
-        end
-  end
-  else
-    branch_and_bound p ~after_stats:(Problem.stats p)
-      ~postsolve_fn:(fun s -> s)
-      ~map_orig_to_sub:(fun j ->
-        if j >= 0 && j < Problem.num_vars p then Some j else None)
-      ~sub_to_orig:(fun j -> Some j)
+      in
+      let r =
+        Support.Trace.with_span "branch-and-bound" (fun () ->
+            Branch_bound.solve ~time_limit:remaining ~node_limit ~rel_gap
+              ~domains ~warm:bb_warm ~root sub)
+      in
+      let status =
+        match r.Branch_bound.status with
+        | Branch_bound.Optimal -> Optimal
+        | Branch_bound.Infeasible -> Infeasible
+        | Branch_bound.Limit -> Limit
+      in
+      (* branch and bound reports a missing incumbent as an infinite
+         objective over a zero vector: that vector is no solution, and is
+         neither postsolved nor priced *)
+      let solution =
+        if status = Infeasible || not (Float.is_finite r.Branch_bound.objective)
+        then None
+        else Some (Presolve.postsolve info r.Branch_bound.solution)
+      in
+      let objective =
+        match solution with
+        | Some s -> Problem.objective_value p s
+        | None -> infinity
+      in
+      let ws_out =
+        if status = Infeasible then no_warm_start
+        else
+          {
+            ws_values =
+              (let acc = ref [] in
+               Option.iter
+                 (fun s ->
+                   for j = Problem.num_vars p - 1 downto 0 do
+                     if Problem.var_integer p j && Float.abs s.(j) > 1e-6 then
+                       acc := (j, Float.round s.(j)) :: !acc
+                   done)
+                 solution;
+               !acc);
+            ws_pseudocosts = remap inverse r.Branch_bound.pc_out;
+          }
+      in
+      (* The search proves its bound on the presolved problem while the
+         reported objective is re-evaluated on the original problem, so
+         the two can disagree by float drift (observed at the 1e-5 scale
+         on the larger allocation models), yielding the absurd report
+         "best_bound < objective" on a proven optimum.  At optimality the
+         objective itself is the tightest valid bound: clamp to it. *)
+      let best_bound =
+        if status = Optimal then Float.max r.Branch_bound.best_bound objective
+        else r.Branch_bound.best_bound
+      in
+      finish status objective solution ~root_time
+        ~root_obj:r.Branch_bound.root_objective ~nodes:r.Branch_bound.nodes
+        ~iters:r.Branch_bound.simplex_iterations ~best_bound
+        ~heur:r.Branch_bound.heuristic_incumbents ~after_stats
+        ~warm_used:r.Branch_bound.warm_seeded
+        ~inc_src:r.Branch_bound.incumbent_source ~ws_out

@@ -51,11 +51,6 @@ type ty =
   | Texn of ty * loc (* exception carrying a payload of type t *)
   | Tunit of loc
 
-let ty_loc = function
-  | Tword l | Tbool l | Ttuple (_, l) | Trecord (_, l) | Tpacked (_, l)
-  | Tunpacked (_, l) | Tfun (_, _, l) | Texn (_, l) | Tunit l ->
-      l
-
 (* ------------------------------------------------------------------ *)
 (* Expressions and statements                                          *)
 (* ------------------------------------------------------------------ *)

@@ -63,7 +63,7 @@ let xfer_color a v b =
 let of_ilp (s : Ilp.solution) : t =
   let ilp = s.Ilp.ilp in
   let mg = ilp.Ilp.mg in
-  let one m = Ampl.Model.member_is_one ilp.Ilp.instance s.Ilp.assignment m in
+  let one m = Ampl.Model.member_is_one ilp.Ilp.model s.Ilp.assignment m in
   let npairs = Modelgen.num_pairs mg in
   let before = Array.make npairs Bank.A and after = Array.make npairs Bank.A in
   let moves = Array.make (Array.length mg.Modelgen.points) [] in

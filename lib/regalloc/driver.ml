@@ -542,7 +542,7 @@ let num_field doc name ~default =
    different model than the fingerprint claimed. *)
 let replay_solve (ilp : Ilp.t) ~index (doc : Json.t) :
     (Ilp.solution, [ `Infeasible | `Limit ]) result option =
-  let p = ilp.Ilp.instance.Ampl.Model.problem in
+  let p = ilp.Ilp.problem in
   let status =
     Option.bind (Json.member "status" doc) Json.to_string
     |> Option.value ~default:""
@@ -623,7 +623,7 @@ let cached_model_solve ~(store : Cache.Store.t) ~file ~key_front
           Trace.with_span "ilp-build" (fun () ->
               Ilp.build ~objective_mode:options.objective mg)
         in
-        let problem = ilp.Ilp.instance.Ampl.Model.problem in
+        let problem = ilp.Ilp.problem in
         let names, fp =
           Trace.with_span "model-fingerprint" (fun () ->
               let names = Modelhash.names problem in

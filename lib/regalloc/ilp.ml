@@ -26,17 +26,12 @@ type objective_mode = Minimize_moves | Spill_feasibility
 type t = {
   mg : Modelgen.t;
   model : M.t;
-  instance : M.instance;
+  problem : Lp.Problem.t; (* the LP [model] stated *)
   objective_mode : objective_mode;
-  (* the families the solution is read back through *)
-  before_f : M.family;
-  after_f : M.family;
-  move_f : M.family;
-  color_f : M.family;
-  (* their members by dense index.  Exists pair k's Before and After
-     members are [slot_start.(k)] .. [slot_start.(k+1) - 1], one per
-     allowed bank of its temporary in order ([slot_bank]); fixed
-     temporaries have none.  Move's are [Modelgen]'s moves, one for one.
+  (* the members the solution is read back through, by dense index.
+     Exists pair k's Before and After members are [slot_start.(k)] ..
+     [slot_start.(k+1) - 1], one per allowed bank of its temporary in
+     order ([slot_bank]); fixed temporaries have none.  Move's are [Modelgen]'s moves, one for one.
      Temporary i's Color members start at [color_start.(i)]: register r
      of its j-th transfer bank is [color_start.(i) + 8j + r]. *)
   slot_start : int array;
@@ -967,16 +962,11 @@ let build ?(objective_mode = Minimize_moves) (mg : Modelgen.t) : t =
         row "needs_spill_hi" le (rhs 0. 0.)
       end)
     headroom;
-  let instance = M.instantiate model in
   {
     mg;
     model;
-    instance;
+    problem = M.problem model;
     objective_mode;
-    before_f;
-    after_f;
-    move_f;
-    color_f;
     slot_start;
     slot_bank;
     before_m;
@@ -999,8 +989,7 @@ type solution = {
 let solve ?(time_limit = 300.) ?(node_limit = 500_000) ?(rel_gap = 1e-4)
     ?(domains = 1) ?(warm = Lp.Mip.no_warm_start) (ilp : t) =
   let result =
-    Lp.Mip.solve ~time_limit ~node_limit ~rel_gap ~domains ~warm
-      ilp.instance.M.problem
+    Lp.Mip.solve ~time_limit ~node_limit ~rel_gap ~domains ~warm ilp.problem
   in
   match (result.Lp.Mip.status, result.Lp.Mip.solution) with
   | Lp.Mip.Infeasible, _ -> Error `Infeasible

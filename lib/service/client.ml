@@ -14,10 +14,6 @@ let connect ~socket_path : t =
 
 let close t = try Unix.close t.fd with Unix.Unix_error _ -> ()
 
-let with_connection ~socket_path f =
-  let t = connect ~socket_path in
-  Fun.protect ~finally:(fun () -> close t) (fun () -> f t)
-
 (* Retry [connect] until the daemon's socket accepts, for callers that
    just spawned the daemon; gives up after [timeout] seconds. *)
 let connect_retry ?(timeout = 10.) ~socket_path () : t =

@@ -15,11 +15,15 @@
      {"op":"batch", "jobs":[{...compile job...}, ...]}
 
    A compile job carries the source text plus optional per-job
-   overrides of the daemon's base options: "time_limit" (seconds),
-   "node_limit", "rel_gap", "allocator" ("ilp"|"baseline"),
-   "objective" ("moves"|"spillfeas"), "entry".  The worker-domain count
-   is a daemon-level setting (`--solver-domains`) and cannot be
-   overridden per job.
+   overrides of the daemon's base options: "time_limit" (seconds) and
+   "rel_gap" (finite, non-negative numbers), "node_limit" (a
+   non-negative integer), "allocator" ("ilp"|"baseline"), "objective"
+   ("moves"|"spillfeas"), "entry" (a string).  An override that is
+   present with another type or value, "null" included, fails the
+   request with an error naming the field; it never falls back to the
+   daemon's option.  A batch with one such job fails whole.  The
+   worker-domain count is a daemon-level setting (`--solver-domains`)
+   and cannot be overridden per job.
 
    Responses always carry "ok": true/false; failures carry "error".
    Successful compiles report the assembly, headline stats, the
@@ -47,35 +51,61 @@ type request =
   | Batch of job list
 
 let job_of_json (doc : Json.t) : (job, string) result =
-  let str name = Option.bind (Json.member name doc) Json.to_string in
-  let num name = Option.bind (Json.member name doc) Json.to_float in
-  match (str "file", str "source") with
-  | None, _ -> Error "compile job: missing \"file\""
-  | _, None -> Error "compile job: missing \"source\""
-  | Some file, Some source ->
-      let allocator =
-        match str "allocator" with
-        | Some "ilp" -> Some Regalloc.Driver.Ilp_allocator
-        | Some "baseline" -> Some Regalloc.Driver.Baseline_allocator
-        | _ -> None
-      in
-      let objective =
-        match str "objective" with
-        | Some "moves" -> Some Regalloc.Ilp.Minimize_moves
-        | Some "spillfeas" -> Some Regalloc.Ilp.Spill_feasibility
-        | _ -> None
-      in
-      Ok
-        {
-          job_file = file;
-          job_source = source;
-          job_time_limit = num "time_limit";
-          job_node_limit = Option.map int_of_float (num "node_limit");
-          job_rel_gap = num "rel_gap";
-          job_allocator = allocator;
-          job_objective = objective;
-          job_entry = str "entry";
-        }
+  let ( let* ) = Result.bind in
+  (* [None] when absent; present, it must read as [what] *)
+  let field name what read =
+    match Json.member name doc with
+    | None -> Ok None
+    | Some v -> (
+        match read v with
+        | Some x -> Ok (Some x)
+        | None -> Error (Printf.sprintf "compile job: %S must be %s" name what))
+  in
+  let str name = field name "a string" Json.to_string in
+  let required name =
+    let* v = str name in
+    Option.to_result ~none:(Printf.sprintf "compile job: missing %S" name) v
+  in
+  let num name what ok =
+    field name what (fun v ->
+        match Json.to_float v with Some f when ok f -> Some f | _ -> None)
+  in
+  let nonneg f = Float.is_finite f && f >= 0. in
+  let enum name cases =
+    field name
+      (String.concat " or " (List.map (Printf.sprintf "%S") (List.map fst cases)))
+      (fun v -> Option.bind (Json.to_string v) (fun s -> List.assoc_opt s cases))
+  in
+  let* file = required "file" in
+  let* source = required "source" in
+  let* time_limit = num "time_limit" "a finite non-negative number" nonneg in
+  let* node_limit =
+    num "node_limit" "a non-negative integer" (fun f ->
+        Float.is_integer f && f >= 0. && f < Float.of_int max_int)
+  in
+  let* rel_gap = num "rel_gap" "a finite non-negative number" nonneg in
+  let* allocator =
+    enum "allocator"
+      [ ("ilp", Regalloc.Driver.Ilp_allocator);
+        ("baseline", Regalloc.Driver.Baseline_allocator) ]
+  in
+  let* objective =
+    enum "objective"
+      [ ("moves", Regalloc.Ilp.Minimize_moves);
+        ("spillfeas", Regalloc.Ilp.Spill_feasibility) ]
+  in
+  let* entry = str "entry" in
+  Ok
+    {
+      job_file = file;
+      job_source = source;
+      job_time_limit = time_limit;
+      job_node_limit = Option.map int_of_float node_limit;
+      job_rel_gap = rel_gap;
+      job_allocator = allocator;
+      job_objective = objective;
+      job_entry = entry;
+    }
 
 let request_of_json (doc : Json.t) : (request, string) result =
   match Option.bind (Json.member "op" doc) Json.to_string with

@@ -27,8 +27,6 @@ let error ?(loc = Srcloc.dummy) fmt =
       raise (Compile_error { severity = Error; loc; message }))
     fmt
 
-let errorf ?loc fmt = error ?loc fmt
-
 (* Pass-by-pass verification failure: an invariant the back end relies
    on no longer holds, and [pass] is the pipeline stage that introduced
    the breakage.  A species of internal compiler error, but tagged with
@@ -52,16 +50,6 @@ let ice fmt =
         (Compile_error
            { severity = Error; loc = Srcloc.dummy;
              message = "internal compiler error: " ^ message }))
-    fmt
-
-let warning_printer :
-    (t -> unit) ref =
-  ref (fun d -> Fmt.epr "%a@." pp d)
-
-let warn ?(loc = Srcloc.dummy) fmt =
-  Fmt.kstr
-    (fun message ->
-      !warning_printer { severity = Warning; loc; message })
     fmt
 
 (* Run [f] and capture a compile error as [Result.Error]. *)

@@ -27,7 +27,6 @@ let hash a = a.stamp
 
 let name t = Printf.sprintf "%s_%d" t.base t.stamp
 let pp ppf t = Fmt.pf ppf "%s_%d" t.base t.stamp
-let pp_base ppf t = Fmt.string ppf t.base
 let to_string = name
 
 (* Restart the stamp counter.  [Regalloc.Driver.front_end] calls it

@@ -20,7 +20,6 @@ let merge a b =
 
 let file t = t.file
 let start_line t = t.start_pos.line
-let start_col t = t.start_pos.col
 
 let pp ppf t =
   if t == dummy then Fmt.string ppf "<unknown location>"

@@ -218,7 +218,7 @@ let build_problem source =
   in
   let mg = Regalloc.Modelgen.build f.Regalloc.Driver.f_graph in
   let ilp = Regalloc.Ilp.build mg in
-  ilp.Regalloc.Ilp.instance.Ampl.Model.problem
+  ilp.Regalloc.Ilp.problem
 
 let test_fingerprint_stability () =
   (* each build numbers its identifiers afresh, so two builds of the same
@@ -435,6 +435,94 @@ let test_daemon_survives_failing_job () =
   Sys.remove parent;
   checkb "next job answered" true (ok (compile ()))
 
+(* Malformed requests on one connection: each bad line is answered in
+   order with an error that starts with what is wrong, a compile
+   override that is mistyped, unknown or out of range included, and the
+   connection goes on to answer the ping that follows. *)
+let test_daemon_malformed_requests () =
+  let module J = Support.Json in
+  Regalloc.Driver.clear_memos ();
+  with_dir @@ fun dir ->
+  let store = Cache.Store.create ~dir () in
+  let config =
+    {
+      Service.Daemon.socket_path = "unused.sock";
+      cache_dir = Some dir;
+      base_options = fast_options;
+      verbose = false;
+    }
+  in
+  let job extra =
+    ("file", J.Str "test.nova") :: ("source", J.Str small_src) :: extra
+  in
+  let compile extra = J.encode (J.Obj (("op", J.Str "compile") :: job extra)) in
+  let bad =
+    [
+      ("not JSON", {|{"op":|}, "bad request: ");
+      ("not an object", "[1]", {|missing "op"|});
+      ("unknown op", {|{"op":"nope"}|}, {|unknown op "nope"|});
+      ( "no source", {|{"op":"compile","file":"test.nova"}|},
+        {|compile job: missing "source"|} );
+      ( "unknown allocator", compile [ ("allocator", J.Str "ilpp") ],
+        {|compile job: "allocator" must be|} );
+      ( "mistyped node_limit", compile [ ("node_limit", J.Str "ten") ],
+        {|compile job: "node_limit" must be|} );
+      ( "negative time_limit", compile [ ("time_limit", J.Num (-1.)) ],
+        {|compile job: "time_limit" must be|} );
+      ( "infinite rel_gap",
+        {|{"op":"compile","file":"t.nova","source":"","rel_gap":1e999}|},
+        {|compile job: "rel_gap" must be|} );
+      ( "mistyped entry", compile [ ("entry", J.Num 3.) ],
+        {|compile job: "entry" must be|} );
+      ( "batch with one bad job",
+        J.encode
+          (J.Obj
+             [ ("op", J.Str "batch");
+               ("jobs",
+                 J.Arr
+                   [ J.Obj (job []);
+                     J.Obj (job [ ("node_limit", J.Num 1e30) ]) ] ) ]),
+        {|compile job: "node_limit" must be|} );
+    ]
+  in
+  let ours, theirs = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close ours) @@ fun () ->
+  let oc = Unix.out_channel_of_descr ours in
+  List.iter (fun (_, line, _) -> output_string oc (line ^ "\n")) bad;
+  output_string oc {|{"op":"ping"}|};
+  output_char oc '\n';
+  flush oc;
+  Unix.shutdown ours Unix.SHUTDOWN_SEND;
+  checkb "verdict" true
+    (Service.Daemon.serve_connection config store theirs = `Continue);
+  let ic = Unix.in_channel_of_descr ours in
+  let rec responses acc =
+    match input_line ic with
+    | line -> responses (line :: acc)
+    | exception End_of_file -> List.rev acc
+  in
+  let responses = responses [] in
+  checki "one response per line" (List.length bad + 1) (List.length responses);
+  let parse line =
+    match J.parse line with Ok doc -> doc | Error e -> Alcotest.fail e
+  in
+  let str name doc = Option.bind (J.member name doc) J.to_string in
+  List.iter2
+    (fun (what, _, expected) line ->
+      let doc = parse line in
+      checkb (what ^ ": ok is false") true
+        (J.member "ok" doc = Some (J.Bool false));
+      match str "error" doc with
+      | Some e when String.starts_with ~prefix:expected e -> ()
+      | e ->
+          Alcotest.failf "%s: error %S does not start with %S" what
+            (Option.value ~default:"(none)" e) expected)
+    bad
+    (List.filteri (fun i _ -> i < List.length bad) responses);
+  let ping = parse (List.nth responses (List.length bad)) in
+  checkb "ping answered" true (J.member "ok" ping = Some (J.Bool true));
+  checkb "ping op" true (str "op" ping = Some "ping")
+
 let suites =
   [
     ( "cache.key",
@@ -476,5 +564,7 @@ let suites =
       [
         Alcotest.test_case "a failing job is answered" `Quick
           test_daemon_survives_failing_job;
+        Alcotest.test_case "malformed requests on one connection" `Quick
+          test_daemon_malformed_requests;
       ] );
   ]

@@ -461,15 +461,6 @@ let test_bb_infeasible () =
   let r = Mip.solve p in
   checkb "infeasible" true (r.Mip.status = Mip.Infeasible)
 
-let test_bb_without_presolve () =
-  let p = Problem.create () in
-  let a = Problem.add_binary p ~obj:(-10.) "a" in
-  let b = Problem.add_binary p ~obj:(-6.) "b" in
-  Problem.add_row p Problem.Le 1. [ (a, 1.); (b, 1.) ];
-  let r = Mip.solve ~presolve:false p in
-  checkb "optimal" true (r.Mip.status = Mip.Optimal);
-  check (Alcotest.float 1e-6) "objective" (-10.) r.Mip.objective
-
 (* Brute force 0-1 enumeration as ground truth. *)
 let brute_force_binary p =
   let n = Problem.num_vars p in
@@ -898,16 +889,16 @@ let seeded_packing_mip seed =
   done;
   p
 
-(* A solve never writes to the caller's problem: with presolve off (so
-   the solve works on the caller's problem directly), the caller's
-   problem keeps its rows, and solving it again proves the same
+(* A solve never writes to the caller's problem: presolve reads it into
+   working arrays of its own and builds the reduced problem anew, so the
+   caller's problem keeps its rows, and solving it again proves the same
    optimum. *)
 let test_mip_leaves_problem_untouched () =
   let p = seeded_packing_mip 11 in
   let rows = Problem.num_rows p in
-  let r = Mip.solve ~presolve:false p in
+  let r = Mip.solve p in
   checki "caller's rows unchanged" rows (Problem.num_rows p);
-  let again = Mip.solve ~presolve:false p in
+  let again = Mip.solve p in
   check (Alcotest.float 1e-9) "re-solve proves the same optimum"
     r.Mip.objective again.Mip.objective
 
@@ -1926,7 +1917,6 @@ let suites =
           test_bb_limit_without_incumbent;
         Alcotest.test_case "assignment" `Quick test_bb_assignment;
         Alcotest.test_case "infeasible" `Quick test_bb_infeasible;
-        Alcotest.test_case "no presolve" `Quick test_bb_without_presolve;
         Alcotest.test_case "best bound at optimality" `Quick test_bb_best_bound;
         QCheck_alcotest.to_alcotest bb_matches_brute_force;
         QCheck_alcotest.to_alcotest heuristic_is_sound;

@@ -1,6 +1,6 @@
 (* Remaining corners: diagnostics, source locations, the LP-format
    writer, interpreter guards, frequency on irreducible graphs, and the
-   AMPL dataset printer. *)
+   AMPL model summary printer. *)
 
 open Support
 module Insn = Ixp.Insn
@@ -114,25 +114,11 @@ let test_frequency_irreducible () =
   checkb "cycle blocks hotter than entry" true
     (Ixp.Frequency.block_frequency freq "a" > 0.)
 
-(* ---------------- AMPL dataset printer ---------------- *)
-
-let test_dataset_dat_printer () =
-  let d =
-    Ampl.Dataset.of_list 2
-      [ [ Ampl.Dataset.S "p1"; Ampl.Dataset.S "a" ];
-        [ Ampl.Dataset.S "p2"; Ampl.Dataset.S "b" ] ]
-  in
-  let s = Fmt.str "%a" (Ampl.Dataset.pp_dat ~name:"Exists") d in
-  checkb "set name" true (is_infix ~affix:"set Exists :=" s);
-  checkb "tuple" true (is_infix ~affix:"(p1,a)" s)
-
 (* ---------------- model summary printer ---------------- *)
 
 let test_model_summary () =
   let m = Ampl.Model.create () in
-  ignore
-    (Ampl.Model.declare_binary_family m "Move"
-       ~index:(Ampl.Dataset.of_ints [ 1; 2; 3 ]));
+  ignore (Ampl.Model.declare_binary m "Move" 3 ~index:Ampl.Model.add_nat);
   let s = Fmt.str "%a" Ampl.Model.pp_summary m in
   checkb "mentions family" true (is_infix ~affix:"var Move {3 tuples} binary" s)
 
@@ -158,7 +144,6 @@ let suites =
         Alcotest.test_case "interp memory fault" `Quick test_interp_memory_fault;
         Alcotest.test_case "irreducible frequency" `Quick
           test_frequency_irreducible;
-        Alcotest.test_case "dataset .dat printer" `Quick test_dataset_dat_printer;
         Alcotest.test_case "model summary" `Quick test_model_summary;
         Alcotest.test_case "srcloc merge" `Quick test_srcloc_merge;
       ] );

@@ -588,7 +588,7 @@ let test_two_domain_aes_pinned () =
   let mg =
     Regalloc.Modelgen.build ~allow_spill:false f.Regalloc.Driver.f_graph
   in
-  let p = (Regalloc.Ilp.build mg).Regalloc.Ilp.instance.Ampl.Model.problem in
+  let p = (Regalloc.Ilp.build mg).Regalloc.Ilp.problem in
   let solve run =
     let r =
       Lp.Mip.solve ~time_limit:1e9 ~node_limit:node_budget ~domains:2 p
@@ -730,7 +730,7 @@ let test_model_identity () =
       let f = Regalloc.Driver.front_end ~file:name source in
       let mg = Regalloc.Modelgen.build f.Regalloc.Driver.f_graph in
       let ilp = Regalloc.Ilp.build mg in
-      let p = ilp.Regalloc.Ilp.instance.Ampl.Model.problem in
+      let p = ilp.Regalloc.Ilp.problem in
       Alcotest.(check string) (name ^ ": in-order LP digest") digest
         (lp_digest p))
     [
@@ -768,7 +768,7 @@ let variant_models ~file source =
   let spill = R.Modelgen.build ~allow_spill:true f.R.Driver.f_graph in
   let remat = R.Modelgen.build ~rematerialize:true fr.R.Driver.f_graph in
   let problem ?objective_mode mg =
-    (R.Ilp.build ?objective_mode mg).R.Ilp.instance.Ampl.Model.problem
+    (R.Ilp.build ?objective_mode mg).R.Ilp.problem
   in
   [
     ("spill", problem spill);
@@ -845,8 +845,7 @@ let test_fingerprint_matches_digest () =
             let f = Regalloc.Driver.front_end ~file:name source in
             let plain = Regalloc.Modelgen.build f.Regalloc.Driver.f_graph in
             ( build ^ " spill-free",
-              (Regalloc.Ilp.build plain).Regalloc.Ilp.instance
-                .Ampl.Model.problem )
+              (Regalloc.Ilp.build plain).Regalloc.Ilp.problem )
             :: variant_models ~file:name source
             |> List.map (fun (variant, p) ->
                    ( Printf.sprintf "%s %s %s" name build variant,
@@ -882,7 +881,7 @@ let test_model_stage_allocation () =
   in
   let before = allocated () in
   let mg = Regalloc.Modelgen.build f.Regalloc.Driver.f_graph in
-  let p = (Regalloc.Ilp.build mg).Regalloc.Ilp.instance.Ampl.Model.problem in
+  let p = (Regalloc.Ilp.build mg).Regalloc.Ilp.problem in
   ignore (Regalloc.Modelhash.fingerprint p);
   let per_nonzero =
     (allocated () -. before) /. float_of_int (Lp.Problem.num_nonzeros p)
@@ -938,15 +937,15 @@ let test_emitted_code_pinned () =
     ]
 
 (* The decoded assignment against a reference reader that looks every
-   variable up by its index tuple ([Ampl.Model.value]): each Exists
-   pair's banks (the first allowed bank whose variable is set; a fixed
-   temporary's own bank), each point's moves (every Move variable set,
-   listed by descending temporary and, within one, by descending
-   (source, destination) in allowed-bank order) and every transfer
-   temporary's colors (the lowest register set, or none). *)
+   variable up by its printed LP name ("Before[p,v,b]", "After[p,v,b]",
+   "Move[p,v,b1,b2]", "Color[v,b,r]") in a table of the problem's
+   variable names: each Exists pair's banks (the first allowed bank
+   whose variable is set; a fixed temporary's own bank), each point's
+   moves (every Move variable set, listed by descending temporary and,
+   within one, by descending (source, destination) in allowed-bank
+   order) and every transfer temporary's colors (the lowest register
+   set, or none).  A name with no variable reads as 0. *)
 let test_decode_matches_reference () =
-  let module D = Ampl.Dataset in
-  let module M = Ampl.Model in
   let module Bank = Ixp.Bank in
   List.iter
     (fun (name, source) ->
@@ -961,18 +960,26 @@ let test_decode_matches_reference () =
         | Error _ -> Alcotest.failf "%s: no solution" name
       in
       let a = Regalloc.Assignment.of_ilp sol in
-      let set fam tuple =
-        M.value ilp.Regalloc.Ilp.instance sol.Regalloc.Ilp.assignment fam tuple
-        > 0.5
+      let p = ilp.Regalloc.Ilp.problem in
+      let by_name = Hashtbl.create (Lp.Problem.num_vars p) in
+      for j = 0 to Lp.Problem.num_vars p - 1 do
+        Hashtbl.replace by_name (Lp.Problem.var_name p j) j
+      done;
+      let set fam index =
+        match
+          Hashtbl.find_opt by_name
+            (Printf.sprintf "%s[%s]" fam (String.concat "," index))
+        with
+        | Some j -> sol.Regalloc.Ilp.assignment.(j) > 0.5
+        | None -> false
       in
-      let v_atom v = D.S (Support.Ident.name v) in
-      let b_atom b = D.S (Bank.to_string b) in
+      let v_atom = Support.Ident.name and b_atom = Bank.to_string in
       let bank fam p v =
         match Regalloc.Modelgen.fixed_bank mg v with
         | Some b -> Some b
         | None ->
             List.find_opt
-              (fun b -> set fam [ D.I p; v_atom v; b_atom b ])
+              (fun b -> set fam [ string_of_int p; v_atom v; b_atom b ])
               (Regalloc.Modelgen.allowed_banks mg v)
       in
       let bank_name = function Some b -> Bank.to_string b | None -> "none" in
@@ -986,10 +993,10 @@ let test_decode_matches_reference () =
                 Fmt.str "%s: %s of %a at point %d" name side Support.Ident.pp v p
               in
               Alcotest.(check string) (what "bank before")
-                (bank_name (bank ilp.Regalloc.Ilp.before_f p v))
+                (bank_name (bank "Before" p v))
                 (Bank.to_string (Regalloc.Assignment.bank_before a p v));
               Alcotest.(check string) (what "bank after")
-                (bank_name (bank ilp.Regalloc.Ilp.after_f p v))
+                (bank_name (bank "After" p v))
                 (Bank.to_string (Regalloc.Assignment.bank_after a p v));
               let banks = Regalloc.Modelgen.allowed_banks mg v in
               List.iter
@@ -998,8 +1005,8 @@ let test_decode_matches_reference () =
                     (fun b2 ->
                       if
                         (not (Bank.equal b1 b2))
-                        && set ilp.Regalloc.Ilp.move_f
-                             [ D.I p; v_atom v; b_atom b1; b_atom b2 ]
+                        && set "Move"
+                             [ string_of_int p; v_atom v; b_atom b1; b_atom b2 ]
                       then moves := (v, b1, b2) :: !moves)
                     banks)
                 banks)
@@ -1028,7 +1035,7 @@ let test_decode_matches_reference () =
                 Option.value ~default:(-1)
                   (List.find_opt
                      (fun r ->
-                       set ilp.Regalloc.Ilp.color_f [ v_atom v; b_atom b; D.I r ])
+                       set "Color" [ v_atom v; b_atom b; string_of_int r ])
                      [ 0; 1; 2; 3; 4; 5; 6; 7 ])
               in
               Alcotest.(check int)

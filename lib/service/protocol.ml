@@ -66,11 +66,12 @@ let job_of_json (doc : Json.t) : (job, string) result =
     let* v = str name in
     Option.to_result ~none:(Printf.sprintf "compile job: missing %S" name) v
   in
-  let num name what ok =
-    field name what (fun v ->
-        match Json.to_float v with Some f when ok f -> Some f | _ -> None)
+  let nonneg name =
+    field name "a finite non-negative number" (fun v ->
+        match Json.to_float v with
+        | Some f when Float.is_finite f && f >= 0. -> Some f
+        | _ -> None)
   in
-  let nonneg f = Float.is_finite f && f >= 0. in
   let enum name cases =
     field name
       (String.concat " or " (List.map (Printf.sprintf "%S") (List.map fst cases)))
@@ -78,12 +79,12 @@ let job_of_json (doc : Json.t) : (job, string) result =
   in
   let* file = required "file" in
   let* source = required "source" in
-  let* time_limit = num "time_limit" "a finite non-negative number" nonneg in
+  let* time_limit = nonneg "time_limit" in
   let* node_limit =
-    num "node_limit" "a non-negative integer" (fun f ->
-        Float.is_integer f && f >= 0. && f < Float.of_int max_int)
+    field "node_limit" "a non-negative integer" (fun v ->
+        match Json.to_int v with Some n when n >= 0 -> Some n | _ -> None)
   in
-  let* rel_gap = num "rel_gap" "a finite non-negative number" nonneg in
+  let* rel_gap = nonneg "rel_gap" in
   let* allocator =
     enum "allocator"
       [ ("ilp", Regalloc.Driver.Ilp_allocator);
@@ -100,7 +101,7 @@ let job_of_json (doc : Json.t) : (job, string) result =
       job_file = file;
       job_source = source;
       job_time_limit = time_limit;
-      job_node_limit = Option.map int_of_float node_limit;
+      job_node_limit = node_limit;
       job_rel_gap = rel_gap;
       job_allocator = allocator;
       job_objective = objective;

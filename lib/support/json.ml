@@ -250,6 +250,12 @@ let to_float = function Num f -> Some f | _ -> None
 let to_string = function Str s -> Some s | _ -> None
 let to_bool = function Bool b -> Some b | _ -> None
 
+(* an integral number in [int]'s range; [int_of_float] is unspecified
+   outside it *)
 let to_int = function
-  | Num f when Float.is_integer f -> Some (int_of_float f)
+  | Num f
+    when Float.is_integer f
+         && f >= Float.of_int min_int
+         && f < Float.of_int max_int ->
+      Some (int_of_float f)
   | _ -> None

@@ -304,8 +304,10 @@ let test_json_parser () =
   checkb "unicode escape" true
     (Option.bind (Json.member "u" (ok unicode)) Json.to_string
     = Some "A\xc3\xa9");
-  checkb "to_int" true
-    (Option.bind (Json.member "n" (ok {| {"n": 42} |})) Json.to_int = Some 42);
+  let to_int s = Option.bind (Json.member "n" (ok s)) Json.to_int in
+  checkb "to_int" true (to_int {| {"n": 42} |} = Some 42);
+  checkb "to_int of a fraction" true (to_int {| {"n": 4.5} |} = None);
+  checkb "to_int out of range" true (to_int {| {"n": 1e30} |} = None);
   bad "{";
   bad "[1,]";
   bad "{\"a\" 1}";

@@ -538,12 +538,12 @@ let solver_status_string = function
   | Lp.Mip.Infeasible -> "infeasible"
   | Lp.Mip.Limit -> "limit"
 
-let solve_workload_model ?(time_limit = 120.) ?rel_gap ?(domains = 1) w =
+let solve_workload_model ?(time_limit = 120.) ?rel_gap w =
   let f = front w in
   let mg = Regalloc.Modelgen.build ~allow_spill:false f.Regalloc.Driver.f_graph in
   let ilp = Regalloc.Ilp.build mg in
   let p = ilp.Regalloc.Ilp.problem in
-  let r = Lp.Mip.solve ~time_limit ~node_limit:20_000 ?rel_gap ~domains p in
+  let r = Lp.Mip.solve ~time_limit ~node_limit:20_000 ?rel_gap p in
   let s = r.Lp.Mip.stats in
   {
     sb_name = w.name;
@@ -619,25 +619,18 @@ let solver () =
    AES under a 2 s limit must stop with status [limit] within a second
    of the limit, so a budget the search ignores fails the gate.  It is
    solved at a zero gap: at the default gap AES proves optimal in about
-   1 s, while a zero-gap proof takes longer than 20 s.  With [domains]
-   >= 2 the Kasumi model is additionally solved twice by the parallel
-   search, and the gate also fails if the parallel objective disagrees
-   with the sequential one or the node count does not reproduce. *)
-let solver_smoke ?(domains = 1) () =
+   1 s, while a zero-gap proof takes longer than 20 s. *)
+let solver_smoke () =
   rule
-    (if domains >= 2 then
-       Printf.sprintf
-         "Solver smoke: Kasumi + random instances + AES budget (+%d-domain \
-          parallel search) under a hard ceiling"
-         domains
-     else
-       "Solver smoke: Kasumi + random instances + AES budget under a hard \
-        ceiling");
+    "Solver smoke: Kasumi + random instances + AES budget under a hard \
+     ceiling";
   let ceiling = 60. in
   let t0 = Unix.gettimeofday () in
   solver_header ();
-  let seq = solve_workload_model ~time_limit:50. kasumi in
-  let rows = seq :: List.map solve_random_instance [ 1; 2 ] in
+  let rows =
+    solve_workload_model ~time_limit:50. kasumi
+    :: List.map solve_random_instance [ 1; 2 ]
+  in
   List.iter pp_solver_row rows;
   let failures = ref [] in
   let budget = 2. in
@@ -650,36 +643,6 @@ let solver_smoke ?(domains = 1) () =
          %.0f s)"
         budget limited.sb_status limited.sb_total (budget +. 1.)
       :: !failures;
-  if domains >= 2 then begin
-    let par name r =
-      pp_solver_row { r with sb_name = name };
-      if r.sb_status <> "optimal" then
-        failures :=
-          Printf.sprintf "%s: status %s" name r.sb_status :: !failures;
-      r
-    in
-    let a =
-      par
-        (Printf.sprintf "par-%d-a" domains)
-        (solve_workload_model ~time_limit:50. ~domains kasumi)
-    in
-    let b =
-      par
-        (Printf.sprintf "par-%d-b" domains)
-        (solve_workload_model ~time_limit:50. ~domains kasumi)
-    in
-    if Float.abs (a.sb_obj -. seq.sb_obj) > 1e-6 then
-      failures :=
-        Printf.sprintf "parallel objective %.6f != sequential %.6f" a.sb_obj
-          seq.sb_obj
-        :: !failures;
-    if a.sb_nodes <> b.sb_nodes || a.sb_iters <> b.sb_iters then
-      failures :=
-        Printf.sprintf
-          "parallel run did not reproduce: %d/%d nodes, %d/%d iters"
-          a.sb_nodes b.sb_nodes a.sb_iters b.sb_iters
-        :: !failures
-  end;
   let wall = Unix.gettimeofday () -. t0 in
   let all_optimal = List.for_all (fun r -> r.sb_status = "optimal") rows in
   Fmt.pr "smoke wall time: %.2fs (ceiling %.0fs), all optimal: %b@." wall
@@ -689,30 +652,6 @@ let solver_smoke ?(domains = 1) () =
     Fmt.epr "solver-smoke FAILED@.";
     exit 1
   end
-
-(* Speedup table for EXPERIMENTS.md: the AES and NAT models solved by
-   1/2/4/8 worker domains under the standard budgets.  Speedups are
-   relative to the 1-domain wall time of the same model; on a
-   single-core host expect ~1x or worse across the board (the table
-   records what the measurement host can actually show, not an
-   extrapolation). *)
-let solver_scaling () =
-  rule "Solver scaling: wall time vs worker domains (120 s / 20k nodes)";
-  Fmt.pr "(host reports %d core(s) available)@."
-    (Domain.recommended_domain_count ());
-  Fmt.pr "%-8s | %7s | %-8s | %10s | %7s | %6s | %7s@." "" "domains" "status"
-    "objective" "tot(s)" "nodes" "speedup";
-  List.iter
-    (fun w ->
-      let base = ref nan in
-      List.iter
-        (fun d ->
-          let r = solve_workload_model ~domains:d w in
-          if d = 1 then base := r.sb_total;
-          Fmt.pr "%-8s | %7d | %-8s | %10.4f | %7.2f | %6d | %6.2fx@." r.sb_name
-            d r.sb_status r.sb_obj r.sb_total r.sb_nodes (!base /. r.sb_total))
-        [ 1; 2; 4; 8 ])
-    [ aes; nat ]
 
 (* ---------------- incremental compilation bench + service smoke ------- *)
 
@@ -1060,25 +999,6 @@ let verify () =
 
 (* ---------------- driver ---------------- *)
 
-(* solver-smoke --solver-domains N adds the parallel legs *)
-let solver_domains () =
-  let rec find = function
-    | "--solver-domains" :: v :: _ -> (
-        match int_of_string_opt v with
-        | Some n when n >= 1 -> n
-        | _ ->
-            Fmt.epr "solver-smoke: --solver-domains expects a positive \
-                     integer, got %S@."
-              v;
-            exit 2)
-    | [ "--solver-domains" ] ->
-        Fmt.epr "solver-smoke: --solver-domains expects a value@.";
-        exit 2
-    | _ :: rest -> find rest
-    | [] -> 1
-  in
-  find (Array.to_list Sys.argv)
-
 let every_experiment () =
   figure5 ();
   figure6 ();
@@ -1106,12 +1026,7 @@ let commands =
       rates ~full:true);
     ("rates-smoke", "a smaller rates table (CI gate)", rates ~full:false);
     ("solver", "root-LP and integer solve times", solver);
-    ( "solver-smoke",
-      "solver under a hard ceiling (CI gate); --solver-domains N adds \
-       parallel legs",
-      fun () -> solver_smoke ~domains:(solver_domains ()) () );
-    ("solver-scaling", "solver wall time against worker domains",
-      solver_scaling);
+    ("solver-smoke", "solver under a hard ceiling (CI gate)", solver_smoke);
     ("incremental", "cold, no-op and edit rebuilds (CI gate)", incremental);
     ( "service-smoke",
       "daemon compile, a cache hit, then novac's answer (CI gate)",

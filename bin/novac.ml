@@ -81,14 +81,6 @@ let compile_cmd =
             "Branch&bound relative optimality gap: stop once the incumbent \
              is proven within this fraction of the optimum")
   in
-  let solver_domains =
-    Arg.(
-      value & opt int 1
-      & info [ "solver-domains" ]
-          ~doc:
-            "Worker domains for branch&bound; the calling domain is worker \
-             0, and with 1 each round is a single dive")
-  in
   let no_validate =
     Arg.(
       value & flag
@@ -134,7 +126,7 @@ let compile_cmd =
              errors; same as `novac lint` but without workload whitelists")
   in
   let run file allocator dump entry_args time_limit node_limit rel_gap
-      solver_domains no_validate no_verify_each trace_out metrics lint_flag =
+      no_validate no_verify_each trace_out metrics lint_flag =
     handle_errors (fun () ->
         let source = read_file file in
         if trace_out <> None then Support.Trace.enable ();
@@ -162,7 +154,6 @@ let compile_cmd =
             time_limit;
             node_limit;
             rel_gap;
-            solver_domains;
             validate = not no_validate;
             verify_each = not no_verify_each;
           }
@@ -218,7 +209,7 @@ let compile_cmd =
     (Cmd.info "compile" ~doc:"Compile a Nova program to IXP assembly")
     Term.(
       const run $ file $ allocator $ dump $ entry_args $ time_limit
-      $ node_limit $ rel_gap $ solver_domains $ no_validate $ no_verify_each
+      $ node_limit $ rel_gap $ no_validate $ no_verify_each
       $ trace_out $ metrics $ lint_flag)
 
 (* ---------------- serve ---------------- *)
@@ -240,12 +231,6 @@ let serve_cmd =
             "Artifact store directory (default: _artifacts/cache); holds \
              the persistent solve artifacts that survive daemon restarts")
   in
-  let solver_domains =
-    Arg.(
-      value & opt int 1
-      & info [ "solver-domains" ]
-          ~doc:"Worker domains for parallel branch&bound, for every job")
-  in
   let time_limit =
     Arg.(
       value & opt float 300.
@@ -260,18 +245,13 @@ let serve_cmd =
   let quiet =
     Arg.(value & flag & info [ "quiet"; "q" ] ~doc:"No per-job log lines")
   in
-  let run socket cache_dir solver_domains time_limit metrics quiet =
+  let run socket cache_dir time_limit metrics quiet =
     handle_errors (fun () ->
         let config =
           {
             Service.Daemon.socket_path = socket;
             cache_dir;
-            base_options =
-              {
-                Regalloc.Driver.default_options with
-                solver_domains;
-                time_limit;
-              };
+            base_options = { Regalloc.Driver.default_options with time_limit };
             verbose = not quiet;
           }
         in
@@ -287,8 +267,7 @@ let serve_cmd =
           in-memory hot cache over the stage-cached driver and persistent \
           solve artifacts for warm-started rebuilds")
     Term.(
-      const run $ socket $ cache_dir $ solver_domains $ time_limit $ metrics
-      $ quiet)
+      const run $ socket $ cache_dir $ time_limit $ metrics $ quiet)
 
 (* ---------------- lint ---------------- *)
 

@@ -192,18 +192,9 @@ let run_cmd =
             "Branch&bound relative optimality gap: stop once the incumbent \
              is proven within this fraction of the optimum")
   in
-  let solver_domains =
-    Arg.(
-      value & opt int 1
-      & info [ "solver-domains" ]
-          ~doc:
-            "Worker domains for branch&bound; the calling domain is worker \
-             0, and with 1 each round is a single dive")
-  in
   let run file entry_args sram sdram trace trace_out metrics allocator engines
       threads cluster balancer drop_budget profile offered_load packets seed
-      ports rx_capacity no_contention time_limit node_limit rel_gap
-      solver_domains =
+      ports rx_capacity no_contention time_limit node_limit rel_gap =
     try
       if trace_out <> None then Support.Trace.enable ();
       let finally () =
@@ -225,7 +216,6 @@ let run_cmd =
           time_limit;
           node_limit;
           rel_gap;
-          solver_domains;
           allocator =
             (match allocator with
             | `Ilp -> Regalloc.Driver.Ilp_allocator
@@ -372,7 +362,6 @@ let run_cmd =
       const run $ file $ entry_args $ sram $ sdram $ trace $ trace_out
       $ metrics $ allocator $ engines $ threads $ cluster $ balancer
       $ drop_budget $ profile $ offered_load $ packets $ seed $ ports
-      $ rx_capacity $ no_contention $ time_limit $ node_limit $ rel_gap
-      $ solver_domains)
+      $ rx_capacity $ no_contention $ time_limit $ node_limit $ rel_gap)
 
 let () = exit (Cmd.eval run_cmd)

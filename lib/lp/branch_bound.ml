@@ -1,11 +1,13 @@
 (* Branch and bound for 0-1 (and general-integer) programs over the
-   revised dual simplex, on one domain or across several OCaml 5
-   domains.
+   revised dual simplex.
 
-   A solver state is threaded through a whole search chain; nodes only
+   One solver state is threaded through the whole search; nodes only
    change variable bounds, which keeps the current basis dual feasible,
    so child re-solves are warm-started (the solver only re-examines the
-   variables whose bounds actually changed between two nodes).
+   variables whose bounds actually changed between two nodes).  That
+   solver is the one the caller hands over as [~root], at the root
+   optimum when the status is [Optimal]: the root is expanded from that
+   basis and status without a second solve.
 
    Search order is dive-with-best-first-fallback: from each node the
    child with the better pseudocost estimate is explored immediately
@@ -28,27 +30,9 @@
    and periodically at nodes so pruning starts before the dive reaches a
    leaf.  All time accounting is wall clock via [Clock].
 
-   The tree is explored in rounds.  Each round the calling domain pops a
-   batch of seeds off the best-bound heap, the workers dive from them,
-   and their parked children and incumbents are merged back in a fixed
-   worker order.  The calling domain is worker 0: it owns the solver the
-   caller hands over as [~root] (at the root optimum when the status is
-   [Optimal]), and expands the root as its first seed from that basis
-   and status.  Workers 1 .. [domains]-1 each own a private [Revised]
-   solver, so every node re-solve stays a warm restart; they are spawned
-   on the first round with more than one seed.  One domain is the
-   degenerate round: one seed dived to the end of its chain, which is
-   exactly the classic dive-then-pop-the-best-bound search.
-
-   Seeds are dealt round-robin by worker index, and each worker prunes
-   against the incumbent as of the round's start plus its own finds, so
-   the set of nodes expanded is a pure function of the problem and the
-   domain count.
-
-   Budgets are checked before every node, inside chains: a worker past
-   the wall-clock or node budget parks the node, so its bound still
-   counts at exit.  The node check counts the nodes expanded before the
-   round plus the worker's own in it, which keeps it reproducible. *)
+   Budgets are checked before every node, inside chains: past the
+   wall-clock or node budget the node is parked, so its bound still
+   counts at exit, and the search expands at most [node_limit] nodes. *)
 
 type status = Optimal | Infeasible | Limit
 
@@ -70,7 +54,7 @@ let no_warm = { w_hints = []; w_pc = [] }
 type result = {
   status : status;
   objective : float;
-  solution : float array;
+  solution : float array option; (* [None]: no incumbent *)
   nodes : int;
   root_objective : float;
   total_time : float;
@@ -108,7 +92,6 @@ module Heap = struct
     { nb = 0.; fixings = []; depth = 0; bvar = -1; bfrac = 0.; bup = false }
 
   let create () = { a = Array.make 64 dummy; len = 0 }
-  let size h = h.len
 
   let push h x =
     if h.len = Array.length h.a then begin
@@ -156,7 +139,7 @@ module Heap = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* Pseudocost state (one instance per search thread)                   *)
+(* Pseudocost state                                                    *)
 (* ------------------------------------------------------------------ *)
 
 type pc = {
@@ -218,20 +201,6 @@ let pc_export n pc =
         :: !acc
   done;
   !acc
-
-(* Element-wise sum of several per-worker tables (parallel search). *)
-let pc_merge n (tables : pc array) =
-  let m = pc_create n in
-  Array.iter
-    (fun pc ->
-      for j = 0 to n - 1 do
-        m.sum_dn.(j) <- m.sum_dn.(j) +. pc.sum_dn.(j);
-        m.cnt_dn.(j) <- m.cnt_dn.(j) + pc.cnt_dn.(j);
-        m.sum_up.(j) <- m.sum_up.(j) +. pc.sum_up.(j);
-        m.cnt_up.(j) <- m.cnt_up.(j) + pc.cnt_up.(j)
-      done)
-    tables;
-  m
 
 let hints_of_warm n (w : warm) =
   if w.w_hints = [] then None
@@ -296,304 +265,168 @@ let m_incumbents = Support.Metrics.counter "lp.bb.incumbents"
 let m_heur = Support.Metrics.counter "lp.bb.heuristic_incumbents"
 
 (* The diving heuristic runs at the root and at every [heur_period]-th
-   node a worker expands. *)
+   node. *)
 let heur_period = 128
 
-(* Round geometry on two domains or more: up to [par_seeds_per_worker]
-   seeds per worker, each dived for at most [par_chain_cap] nodes before
-   the rest of its chain is parked back on the heap.  Large enough to
-   amortize the round barrier over hundreds of LP solves, small enough
-   that cutoff improvements propagate between workers every few hundred
-   nodes.  One domain has no barrier to amortize: one seed, no cap. *)
-let par_seeds_per_worker = 4
-let par_chain_cap = 64
-
-(* What one worker hands back at the round barrier.  Written by exactly
-   one worker between barrier crossings; read by the calling domain only
-   after the barrier, so no field needs finer-grained synchronization. *)
-type wout = {
-  mutable o_children : node list; (* parked nodes, newest first *)
-  mutable o_incumbent : (float * float array * string) option;
-      (* round's best, with its source tag *)
-  mutable o_nodes : int; (* nodes expanded this round *)
-  mutable o_heur : int; (* heuristic incumbents, cumulative *)
-  mutable o_iters : int; (* solver iterations, cumulative *)
-  mutable o_limit : bool; (* a budget or the simplex iteration limit hit *)
-}
-
 let solve ?(time_limit = 600.) ?(node_limit = 500_000) ?(rel_gap = 1e-4)
-    ?(domains = 1) ?(warm = no_warm) ~root (p : Problem.t) =
+    ?(warm = no_warm) ~root (p : Problem.t) =
   let t0 = Clock.now () in
   let deadline = t0 +. time_limit in
-  let domains = max 1 domains in
   let n = Problem.num_vars p in
-  let root_solver, root_status = root in
+  let solver, root_status = root in
   let orig_lo = Array.init n (Problem.var_lo p) in
   let orig_hi = Array.init n (Problem.var_hi p) in
+  let hints = hints_of_warm n warm in
+  let pc = pc_create n in
+  pc_import pc n warm;
+  let best = ref None (* objective, solution, source *) in
+  let best_obj () = match !best with Some (o, _, _) -> o | None -> infinity in
   (* The gap is taken relative to max(1, |incumbent|): the regalloc
      objectives carry 1e-7-scale symmetry-breaking perturbations, so a
      near-zero objective would otherwise keep the search alive chasing
      perturbation noise the gap can never close.  rel_gap = 0 remains an
      exact proof. *)
-  let cutoff_of obj =
+  let cutoff () =
+    let obj = best_obj () in
     if obj = infinity then infinity
     else obj -. (rel_gap *. Float.max 1. (Float.abs obj)) -. 1e-9
   in
-  let hints = hints_of_warm n warm in
-  (* Search state owned by the calling domain. *)
-  let best = ref None (* objective, solution, source *) in
-  let best_obj () = match !best with Some (o, _, _) -> o | None -> infinity in
+  let nodes = ref 0 and heur = ref 0 and limit_hit = ref false in
   let warm_seeded = ref false and root_objective = ref nan in
-  let limit_hit = ref false in
   let heap = Heap.create () in
-  Heap.push heap
-    { nb = neg_infinity; fixings = []; depth = 0; bvar = -1; bfrac = 0.;
-      bup = false };
-  (* The round's seeds and starting point, set before workers wake. *)
-  let seeds = ref [||] and round_best = ref infinity and nodes = ref 0 in
-  let batch, chain_cap =
-    if domains = 1 then (1, max_int)
-    else (domains * par_seeds_per_worker, par_chain_cap)
+  (* Bound activation: undo the previous node's fixings, apply the new
+     ones.  A variable appearing in both with the same bounds produces
+     no net change, so the solver's incremental restart does no work for
+     the shared prefix of the two paths. *)
+  let applied = ref [] in
+  let activate fixings =
+    List.iter
+      (fun (v, _, _) ->
+        Revised.set_bounds solver v ~lo:orig_lo.(v) ~hi:orig_hi.(v))
+      !applied;
+    List.iter (fun (v, l, h) -> Revised.set_bounds solver v ~lo:l ~hi:h)
+      fixings;
+    applied := fixings
   in
-  let pcs =
-    Array.init domains (fun _ ->
-        let pc = pc_create n in
-        pc_import pc n warm;
-        pc)
+  let record src obj x =
+    if obj < best_obj () then best := Some (obj, x, src);
+    Support.Metrics.incr m_incumbents;
+    if Support.Trace.is_enabled () then
+      Support.Trace.instant
+        (if src = "branch" then "incumbent" else src ^ "-incumbent")
+        ~args:
+          [
+            ("objective", Support.Trace.Float obj);
+            ("node", Support.Trace.Int !nodes);
+          ]
   in
-  let outs =
-    Array.init domains (fun _ ->
-        { o_children = []; o_incumbent = None; o_nodes = 0; o_heur = 0;
-          o_iters = 0; o_limit = false })
-  in
-  (* Worker [d] on [solver]: returns the function that runs its share of
-     one round. *)
-  let worker d solver =
-    let pc = pcs.(d) and out = outs.(d) in
-    (* Bound activation: undo the previous node's fixings, apply the new
-       ones.  A variable appearing in both with the same bounds produces
-       no net change, so the solver's incremental restart does no work
-       for the shared prefix of the two paths. *)
-    let applied = ref [] in
-    let activate fixings =
-      List.iter
-        (fun (v, _, _) ->
-          Revised.set_bounds solver v ~lo:orig_lo.(v) ~hi:orig_hi.(v))
-        !applied;
-      List.iter (fun (v, l, h) -> Revised.set_bounds solver v ~lo:l ~hi:h)
-        fixings;
-      applied := fixings
-    in
-    let my_nodes = ref 0 and local_best = ref infinity in
-    let cutoff () = cutoff_of !local_best in
-    let out_of_budget () =
-      Clock.since t0 > time_limit || !nodes + out.o_nodes >= node_limit
-    in
-    let record src obj x =
-      (match out.o_incumbent with
-      | Some (o, _, _) when o <= obj -> ()
-      | _ -> out.o_incumbent <- Some (obj, x, src));
-      local_best := Float.min !local_best obj;
-      Support.Metrics.incr m_incumbents;
-      if Support.Trace.is_enabled () then
-        Support.Trace.instant ~tid:d
-          (if src = "branch" then "incumbent" else src ^ "-incumbent")
-          ~args:
-            [
-              ("objective", Support.Trace.Float obj);
-              ("node", Support.Trace.Int !my_nodes);
-            ]
-    in
-    let rec expand nd chain =
-      let park nd = out.o_children <- nd :: out.o_children in
-      if nd.nb >= cutoff () then () (* pruned *)
-      else if chain >= chain_cap then park nd
-      else if out_of_budget () then begin
-        out.o_limit <- true;
-        park nd
-      end
-      else begin
-        activate nd.fixings;
-        incr my_nodes;
-        out.o_nodes <- out.o_nodes + 1;
-        Support.Metrics.incr m_nodes;
-        if Support.Trace.is_enabled () && !my_nodes land 255 = 0 then
-          Support.Trace.counter ~tid:d "bb"
-            [ ("nodes", float_of_int !my_nodes); ("incumbent", !local_best) ];
-        (* only worker 0 ever sees the root: its first seed *)
-        match if nd.depth = 0 then root_status else Revised.solve solver with
-        | Revised.Iteration_limit ->
-            out.o_limit <- true;
-            park nd
-        | Revised.Infeasible -> ()
-        | Revised.Optimal ->
-            let obj = Revised.objective solver in
-            if nd.depth = 0 then root_objective := obj;
-            pc_learn pc nd obj;
-            if obj < cutoff () then begin
-              let x = Revised.primal solver in
-              match select_branch p pc n x with
-              | -1 -> record "branch" obj (Array.copy x)
-              | v ->
-                  (* Warm-start seeding, once, at the root: fix the
-                     previous solution's values and let the guided dive
-                     repair the remainder.  An incumbent before the
-                     first branch is what collapses the tree. *)
-                  (match hints with
-                  | Some h when nd.depth = 0 ->
-                      Heuristic.guided_dive ~cutoff:(cutoff ()) ~deadline
-                        ~hints:h solver p
-                      |> Option.iter (fun (hobj, hx) ->
-                             warm_seeded := true;
-                             record "seeded" hobj hx)
-                  | _ -> ());
-                  if nd.depth = 0 || !my_nodes mod heur_period = 0 then
-                    Heuristic.dive ~cutoff:(cutoff ()) ~deadline solver p
+  let park = Heap.push heap in
+  let rec expand nd =
+    if nd.nb >= cutoff () then () (* pruned *)
+    else if Clock.since t0 > time_limit || !nodes >= node_limit then begin
+      limit_hit := true;
+      park nd
+    end
+    else begin
+      activate nd.fixings;
+      incr nodes;
+      Support.Metrics.incr m_nodes;
+      if Support.Trace.is_enabled () && !nodes land 255 = 0 then
+        Support.Trace.counter "bb"
+          [ ("nodes", float_of_int !nodes); ("incumbent", best_obj ()) ];
+      match if nd.depth = 0 then root_status else Revised.solve solver with
+      | Revised.Iteration_limit ->
+          limit_hit := true;
+          park nd
+      | Revised.Infeasible -> ()
+      | Revised.Optimal ->
+          let obj = Revised.objective solver in
+          if nd.depth = 0 then root_objective := obj;
+          pc_learn pc nd obj;
+          if obj < cutoff () then begin
+            let x = Revised.primal solver in
+            match select_branch p pc n x with
+            | -1 -> record "branch" obj (Array.copy x)
+            | v ->
+                (* Warm-start seeding, once, at the root: fix the previous
+                   solution's values and let the guided dive repair the
+                   remainder.  An incumbent before the first branch is
+                   what collapses the tree. *)
+                (match hints with
+                | Some h when nd.depth = 0 ->
+                    Heuristic.guided_dive ~cutoff:(cutoff ()) ~deadline
+                      ~hints:h solver p
                     |> Option.iter (fun (hobj, hx) ->
-                           out.o_heur <- out.o_heur + 1;
-                           Support.Metrics.incr m_heur;
-                           record "heuristic" hobj hx);
-                  let f = x.(v) -. floor x.(v) in
-                  let cl, ch = Revised.bounds solver v in
-                  let base = List.filter (fun (w, _, _) -> w <> v) nd.fixings in
-                  let mk_child l h up =
-                    if l > h +. 1e-9 then None
-                    else
-                      Some
-                        {
-                          nb = obj;
-                          fixings = (v, l, h) :: base;
-                          depth = nd.depth + 1;
-                          bvar = v;
-                          bfrac = f;
-                          bup = up;
-                        }
-                  in
-                  let down = mk_child cl (floor x.(v)) false in
-                  let up = mk_child (ceil x.(v)) ch true in
-                  let est_down = obj +. (pc_est p pc false v *. f) in
-                  let est_up = obj +. (pc_est p pc true v *. (1. -. f)) in
-                  let dive_first, parked =
-                    if est_down <= est_up then (down, up) else (up, down)
-                  in
-                  Option.iter park parked;
-                  match dive_first with
-                  | Some c -> expand c (chain + 1)
-                  | None -> ()
-            end
-      end
-    in
-    fun () ->
-      out.o_children <- [];
-      out.o_incumbent <- None;
-      out.o_nodes <- 0;
-      out.o_limit <- false;
-      local_best := !round_best;
-      (* worker [d] takes seeds d, d + domains, ... *)
-      Array.iteri (fun i nd -> if i mod domains = d then expand nd 0) !seeds;
-      out.o_iters <- Revised.iterations solver
-  in
-  (* Workers 1 .. domains-1 run in their own domains, one round each
-     time [round] advances. *)
-  let mu = Mutex.create () and cv = Condition.create () in
-  let round = ref 0 and stop = ref false and done_count = ref 0 in
-  let helper d () =
-    let work = worker d (Revised.create p) in
-    let rec loop seen =
-      Mutex.lock mu;
-      while (not !stop) && !round = seen do
-        Condition.wait cv mu
-      done;
-      if !stop then Mutex.unlock mu
-      else begin
-        let r = !round in
-        Mutex.unlock mu;
-        work ();
-        Mutex.lock mu;
-        incr done_count;
-        Condition.broadcast cv;
-        Mutex.unlock mu;
-        loop r
-      end
-    in
-    loop 0
-  in
-  let helpers = ref [||] in
-  let stop_helpers () =
-    Mutex.lock mu;
-    stop := true;
-    Condition.broadcast cv;
-    Mutex.unlock mu;
-    Array.iter Domain.join !helpers
-  in
-  let work0 = worker 0 root_solver in
-  let merge out =
-    (match out.o_incumbent with
-    | Some ((obj, _, _) as inc) when obj < best_obj () -> best := Some inc
-    | _ -> ());
-    List.iter (Heap.push heap) (List.rev out.o_children);
-    nodes := !nodes + out.o_nodes;
-    if out.o_limit then limit_hit := true
-  in
-  let rec rounds () =
-    let cut = cutoff_of (best_obj ()) in
-    let buf = ref [] and count = ref 0 in
-    while !count < batch && Heap.size heap > 0 do
-      match Heap.pop heap with
-      | Some nd when nd.nb < cut ->
-          buf := nd :: !buf;
-          incr count
-      | _ -> () (* pruned *)
-    done;
-    if !count > 0 then begin
-      seeds := Array.of_list (List.rev !buf);
-      round_best := best_obj ();
-      if domains > 1 && !helpers = [||] && !count > 1 then
-        helpers :=
-          Array.init (domains - 1) (fun i -> Domain.spawn (helper (i + 1)));
-      let k = Array.length !helpers in
-      if k > 0 then begin
-        Mutex.lock mu;
-        done_count := 0;
-        incr round;
-        Condition.broadcast cv;
-        Mutex.unlock mu
-      end;
-      work0 ();
-      if k > 0 then begin
-        Mutex.lock mu;
-        while !done_count < k do
-          Condition.wait cv mu
-        done;
-        Mutex.unlock mu
-      end;
-      (* merge in fixed worker order (determinism) *)
-      Array.iter merge outs;
-      if not !limit_hit then rounds ()
+                           warm_seeded := true;
+                           record "seeded" hobj hx)
+                | _ -> ());
+                if nd.depth = 0 || !nodes mod heur_period = 0 then
+                  Heuristic.dive ~cutoff:(cutoff ()) ~deadline solver p
+                  |> Option.iter (fun (hobj, hx) ->
+                         incr heur;
+                         Support.Metrics.incr m_heur;
+                         record "heuristic" hobj hx);
+                let f = x.(v) -. floor x.(v) in
+                let cl, ch = Revised.bounds solver v in
+                let base = List.filter (fun (w, _, _) -> w <> v) nd.fixings in
+                let mk_child l h up =
+                  if l > h +. 1e-9 then None
+                  else
+                    Some
+                      {
+                        nb = obj;
+                        fixings = (v, l, h) :: base;
+                        depth = nd.depth + 1;
+                        bvar = v;
+                        bfrac = f;
+                        bup = up;
+                      }
+                in
+                let down = mk_child cl (floor x.(v)) false in
+                let up = mk_child (ceil x.(v)) ch true in
+                let est_down = obj +. (pc_est p pc false v *. f) in
+                let est_up = obj +. (pc_est p pc true v *. (1. -. f)) in
+                let dive_first, parked =
+                  if est_down <= est_up then (down, up) else (up, down)
+                in
+                Option.iter park parked;
+                Option.iter expand dive_first
+          end
     end
   in
-  (* never leave worker domains blocked on the round condition *)
-  Fun.protect ~finally:stop_helpers rounds;
+  park
+    { nb = neg_infinity; fixings = []; depth = 0; bvar = -1; bfrac = 0.;
+      bup = false };
+  (* Pop the best-bound open node and dive from it, until the heap
+     empties or a budget stops a dive. *)
+  let rec search () =
+    match Heap.pop heap with
+    | Some nd ->
+        expand nd;
+        if not !limit_hit then search ()
+    | None -> ()
+  in
+  search ();
   let objective, solution, incumbent_source =
     match !best with
-    | Some (o, x, src) -> (o, x, src)
-    | None -> (infinity, Array.make n 0., "none")
+    | Some (o, x, src) -> (o, Some x, src)
+    | None -> (infinity, None, "none")
   in
   {
     status =
-      (if !limit_hit then Limit else if !best = None then Infeasible
+      (if !limit_hit then Limit else if Option.is_none solution then Infeasible
        else Optimal);
     objective;
     solution;
     nodes = !nodes;
     root_objective = !root_objective;
     total_time = Clock.since t0;
-    simplex_iterations = Array.fold_left (fun a o -> a + o.o_iters) 0 outs;
+    simplex_iterations = Revised.iterations solver;
     best_bound =
       (if !limit_hit then Float.min (Heap.min_bound heap) objective
        else objective);
-    heuristic_incumbents = Array.fold_left (fun a o -> a + o.o_heur) 0 outs;
+    heuristic_incumbents = !heur;
     incumbent_source;
     warm_seeded = !warm_seeded;
-    pc_out = pc_export n (pc_merge n pcs);
+    pc_out = pc_export n pc;
   }

@@ -89,7 +89,7 @@ let solve_root (p : Problem.t) =
       (solver, Revised.solve solver))
 
 let solve ?(time_limit = 600.) ?(node_limit = 500_000)
-    ?(rel_gap = 1e-4) ?(domains = 1) ?(warm = no_warm_start) (p : Problem.t) =
+    ?(rel_gap = 1e-4) ?(warm = no_warm_start) (p : Problem.t) =
   let t0 = Clock.now () in
   let before = Problem.stats p in
   let finish ?(warm_used = false) ?(inc_src = "none")
@@ -161,7 +161,7 @@ let solve ?(time_limit = 600.) ?(node_limit = 500_000)
       let r =
         Support.Trace.with_span "branch-and-bound" (fun () ->
             Branch_bound.solve ~time_limit:remaining ~node_limit ~rel_gap
-              ~domains ~warm:bb_warm ~root sub)
+              ~warm:bb_warm ~root sub)
       in
       let status =
         match r.Branch_bound.status with
@@ -169,13 +169,8 @@ let solve ?(time_limit = 600.) ?(node_limit = 500_000)
         | Branch_bound.Infeasible -> Infeasible
         | Branch_bound.Limit -> Limit
       in
-      (* branch and bound reports a missing incumbent as an infinite
-         objective over a zero vector: that vector is no solution, and is
-         neither postsolved nor priced *)
       let solution =
-        if status = Infeasible || not (Float.is_finite r.Branch_bound.objective)
-        then None
-        else Some (Presolve.postsolve info r.Branch_bound.solution)
+        Option.map (Presolve.postsolve info) r.Branch_bound.solution
       in
       let objective =
         match solution with

@@ -16,7 +16,9 @@ type options = {
   time_limit : float; (* branch&bound wall-clock budget, seconds *)
   node_limit : int; (* branch&bound node budget (deterministic) *)
   rel_gap : float;
-  solver_domains : int; (* worker domains for parallel branch&bound *)
+  solver_domains : int;
+      (* read by nothing: branch and bound runs on one domain, and
+         perfbench's suite, the only writer, goes with ROADMAP item 4 *)
   entry : string;
   entry_args : int list;
   validate : bool; (* run Assignment.validate and Checker *)
@@ -221,7 +223,7 @@ let direct_model_solve (options : options) : model_solve =
   ( mg,
     Trace.with_span "solve" (fun () ->
         Ilp.solve ~time_limit:options.time_limit ~node_limit:options.node_limit
-          ~rel_gap:options.rel_gap ~domains:options.solver_domains ilp) )
+          ~rel_gap:options.rel_gap ilp) )
 
 let allocate_with ~(model_solve : model_solve) (options : options)
     (front : front) : compiled =
@@ -408,11 +410,8 @@ let obj_tag = function
   | Ilp.Spill_feasibility -> "spillfeas"
 
 (* Options fingerprints.  [fp_front] covers exactly what [front_end]
-   reads; [fp_solve] covers the solver budget and gap (the worker-domain
-   count changes the search path, not what a returned proof means, so it
-   is deliberately excluded -- a proven optimum is replayable regardless
-   of how many domains found it); [fp_alloc] covers everything else that
-   shapes [compiled]. *)
+   reads; [fp_solve] covers the solver budget and gap; [fp_alloc] covers
+   everything else that shapes [compiled]. *)
 let fp_front (o : options) =
   Cache.Key.combine
     [
@@ -667,8 +666,7 @@ let cached_model_solve ~(store : Cache.Store.t) ~file ~key_front
     let solved =
       Trace.with_span "solve" (fun () ->
           Ilp.solve ~time_limit:options.time_limit
-            ~node_limit:options.node_limit ~rel_gap:options.rel_gap
-            ~domains:options.solver_domains ~warm ilp)
+            ~node_limit:options.node_limit ~rel_gap:options.rel_gap ~warm ilp)
     in
     let artifact =
       match solved with

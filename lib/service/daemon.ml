@@ -2,10 +2,10 @@
 
    Accepts connections on a Unix domain socket and serves
    newline-delimited JSON requests ([Protocol]) sequentially: compile
-   jobs are CPU-bound and the solver already parallelizes across
-   domains, so one job at a time is the right concurrency model -- the
-   win of the daemon is the warm in-process cache ([Regalloc.Driver]'s
-   stage memos plus the artifact store), not connection parallelism.
+   jobs are CPU-bound, so one job at a time is the right concurrency
+   model -- the win of the daemon is the warm in-process cache
+   ([Regalloc.Driver]'s stage memos plus the artifact store), not
+   connection parallelism.
 
    Every job runs under a `serve-job` trace span and is timed
    individually; the response carries the per-stage cache report so
@@ -146,6 +146,11 @@ let run ?(ready = fun () -> ()) (config : config) : unit =
       try Unix.unlink config.socket_path with Unix.Unix_error _ -> ())
     (fun () ->
       Unix.bind sock (Unix.ADDR_UNIX config.socket_path);
+      (* A client that disconnects before its response must cost only
+         its connection: with SIGPIPE ignored, the failed write raises
+         EPIPE, which [serve_connection] catches, instead of killing the
+         process. *)
+      Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
       Unix.listen sock 16;
       ready ();
       log config "listening on %s" config.socket_path;

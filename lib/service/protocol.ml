@@ -21,9 +21,7 @@
    ("moves"|"spillfeas"), "entry" (a string).  An override that is
    present with another type or value, "null" included, fails the
    request with an error naming the field; it never falls back to the
-   daemon's option.  A batch with one such job fails whole.  The
-   worker-domain count is a daemon-level setting (`--solver-domains`)
-   and cannot be overridden per job.
+   daemon's option.  A batch with one such job fails whole.
 
    Responses always carry "ok": true/false; failures carry "error".
    Successful compiles report the assembly, headline stats, the

@@ -9,10 +9,11 @@
    returned record directly.  [reset] zeroes every registered instrument
    in place, keeping previously resolved handles valid.
 
-   Domain-safety: the solver now runs branch-and-bound workers on
-   OCaml 5 domains, and those workers bump counters (node counts,
-   refactorizations) concurrently.  Counters and gauges are therefore
-   [Atomic.t] cells -- an increment stays a single lock-free RMW -- and
+   Domain-safety: in `bench` and `perfbench` the compile daemon runs on
+   its own OCaml 5 domain beside the client, and both bump counters
+   (node counts, cache hits) concurrently.  Counters and gauges are
+   therefore [Atomic.t] cells -- an increment stays a single lock-free
+   RMW -- and
    the registry hashtable plus the multi-word histogram updates are
    guarded by one module mutex.  Registration is cold (handles are
    resolved once), and histograms are fed either from single-domain

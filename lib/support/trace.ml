@@ -29,10 +29,11 @@ type event = {
   ev_args : (string * value) list;
 }
 
-(* Worker domains of the parallel branch-and-bound emit spans and
-   instants concurrently, so the enabled flag is an [Atomic] (a plain
-   [ref] read could be torn against [enable]'s buffer clear) and every
-   buffer mutation happens under one mutex.  The disabled-path cost is
+(* In `bench` and `perfbench` the compile daemon runs on its own domain
+   beside the client, and both emit spans and instants concurrently, so
+   the enabled flag is an [Atomic] (a plain [ref] read could be torn
+   against [enable]'s buffer clear) and every buffer mutation happens
+   under one mutex.  The disabled-path cost is
    unchanged: a single atomic load, no lock. *)
 let on = Atomic.make false
 let origin_ns = ref 0L

@@ -523,6 +523,42 @@ let test_daemon_malformed_requests () =
   checkb "ping answered" true (J.member "ok" ping = Some (J.Bool true));
   checkb "ping op" true (str "op" ping = Some "ping")
 
+(* A client that sends a compile and disconnects before its response
+   costs the daemon that connection only: the failed write is an error
+   the connection handler catches, not a SIGPIPE that ends the process,
+   so the next client's ping is answered and a shutdown ends the daemon
+   cleanly. *)
+let test_daemon_survives_disconnect () =
+  Regalloc.Driver.clear_memos ();
+  with_dir @@ fun dir ->
+  Sys.mkdir dir 0o755;
+  let socket_path = Filename.concat dir "daemon.sock" in
+  let config =
+    {
+      Service.Daemon.socket_path;
+      cache_dir = Some (Filename.concat dir "cache");
+      base_options = fast_options;
+      verbose = false;
+    }
+  in
+  let daemon = Domain.spawn (fun () -> Service.Daemon.run config) in
+  let quitter = Service.Client.connect_retry ~socket_path () in
+  let request =
+    Service.Client.compile_request ~node_limit:64 ~file:"test.nova"
+      ~source:small_src ()
+  in
+  output_string quitter.Service.Client.oc
+    (Support.Json.encode request ^ "\n");
+  flush quitter.Service.Client.oc;
+  Service.Client.close quitter;
+  let t = Service.Client.connect_retry ~socket_path () in
+  let ping = Service.Client.ping t in
+  let shutdown = Service.Client.shutdown t in
+  Service.Client.close t;
+  Domain.join daemon;
+  checkb "next client's ping answered" true (Result.is_ok ping);
+  checkb "shutdown answered" true (Result.is_ok shutdown)
+
 let suites =
   [
     ( "cache.key",
@@ -566,5 +602,7 @@ let suites =
           test_daemon_survives_failing_job;
         Alcotest.test_case "malformed requests on one connection" `Quick
           test_daemon_malformed_requests;
+        Alcotest.test_case "a client that disconnects early" `Quick
+          test_daemon_survives_disconnect;
       ] );
   ]

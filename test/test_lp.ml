@@ -421,7 +421,8 @@ let test_bb_knapsack () =
 
 (* A budget hit before any incumbent is no solution: 2 x1 + ... + 2 x9
    = 9 has a fractional relaxation and no 0-1 point, and one node cannot
-   prove that, so the solve stops at its limit with nothing to decode. *)
+   prove that, so the solve stops at its limit with nothing to decode,
+   both from [Mip] and from the branch and bound underneath it. *)
 let test_bb_limit_without_incumbent () =
   let p = Problem.create () in
   let xs = List.init 9 (fun i -> Problem.add_binary p ~obj:1. (Printf.sprintf "x%d" i)) in
@@ -429,7 +430,13 @@ let test_bb_limit_without_incumbent () =
   let r = Mip.solve ~node_limit:1 p in
   checkb "limit" true (r.Mip.status = Mip.Limit);
   checkb "no solution" true (r.Mip.solution = None);
-  checkb "no objective" true (r.Mip.objective = infinity)
+  checkb "no objective" true (r.Mip.objective = infinity);
+  let b = Branch_bound.solve ~node_limit:1 ~root:(Mip.solve_root p) p in
+  checkb "branch and bound: limit" true
+    (b.Branch_bound.status = Branch_bound.Limit);
+  checkb "branch and bound: no solution" true (b.Branch_bound.solution = None);
+  checkb "branch and bound: no objective" true
+    (b.Branch_bound.objective = infinity)
 
 let test_bb_assignment () =
   (* 3x3 assignment problem with distinct costs; optimum is a permutation. *)
@@ -760,13 +767,13 @@ let test_presolve_scales_linearly () =
   measure "alias chain" b ~vars:(n + 1) ~rows:n
 
 (* ------------------------------------------------------------------ *)
-(* Parallel branch and bound (OCaml 5 domains)                         *)
+(* Branch-and-bound budgets                                            *)
 (* ------------------------------------------------------------------ *)
 
 (* Seeded random set-covering instance: positive costs, >=1 rows over
    random subsets.  Always feasible (all-ones covers), fractional at the
-   root, and large enough that the parallel search actually runs several
-   coordinator rounds instead of finishing inside the root dive. *)
+   root, and large enough that the search pops several open nodes
+   instead of finishing inside the root dive. *)
 let seeded_cover_mip seed =
   let nvars = 40 and nrows = 60 in
   let st = Random.State.make [| seed |] in
@@ -789,39 +796,6 @@ let seeded_cover_mip seed =
     Problem.add_row p Problem.Ge 1. !terms
   done;
   p
-
-(* The proven optimum must not depend on how many domains search for it:
-   1, 2 and 4 workers all prove the same objective with rel_gap = 0. *)
-let test_bb_domains_agree () =
-  List.iter
-    (fun seed ->
-      let run d = Mip.solve ~rel_gap:0. ~domains:d (seeded_cover_mip seed) in
-      let r1 = run 1 in
-      checkb "1-domain optimal" true (r1.Mip.status = Mip.Optimal);
-      List.iter
-        (fun d ->
-          let r = run d in
-          checkb
-            (Printf.sprintf "seed %d: %d-domain optimal" seed d)
-            true (r.Mip.status = Mip.Optimal);
-          check (Alcotest.float 1e-6)
-            (Printf.sprintf "seed %d: objective at %d domains" seed d)
-            r1.Mip.objective r.Mip.objective)
-        [ 2; 4 ])
-    [ 11; 42 ]
-
-(* The node distribution schedule is fixed, so the node count (and
-   everything else) of a parallel search reproduces exactly run to run. *)
-let test_bb_deterministic_nodes () =
-  let run () = Mip.solve ~rel_gap:0. ~domains:2 (seeded_cover_mip 123) in
-  let a = run () in
-  let b = run () in
-  checkb "optimal" true (a.Mip.status = Mip.Optimal);
-  checki "node count reproduces" a.Mip.stats.Mip.nodes b.Mip.stats.Mip.nodes;
-  check (Alcotest.float 0.) "objective reproduces" a.Mip.objective
-    b.Mip.objective;
-  checki "simplex iterations reproduce" a.Mip.stats.Mip.simplex_iterations
-    b.Mip.stats.Mip.simplex_iterations
 
 (* Pigeonhole with pairwise conflicts: 11 pigeons, 10 holes, each pigeon
    in exactly one hole, no two pigeons sharing one.  Integer infeasible,
@@ -849,24 +823,16 @@ let pigeonhole_mip () =
   done;
   p
 
-(* The wall-clock budget is honoured inside worker chains: a search that
-   cannot finish stops with [Limit] within half a second of its limit at
-   1, 2 and 4 domains. *)
+(* The wall-clock budget is checked before every node, inside dives: a
+   search that cannot finish stops with [Limit] within half a second of
+   its limit. *)
 let test_bb_time_limit_honoured () =
-  List.iter
-    (fun d ->
-      let p = pigeonhole_mip () in
-      let r =
-        Branch_bound.solve ~time_limit:0.5 ~domains:d ~root:(Mip.solve_root p)
-          p
-      in
-      let what = Printf.sprintf "%d domains" d in
-      checkb (what ^ ": stopped by the limit") true
-        (r.Branch_bound.status = Branch_bound.Limit);
-      if r.Branch_bound.total_time > 1.0 then
-        Alcotest.failf "%s: ran %.3f s against a 0.5 s limit" what
-          r.Branch_bound.total_time)
-    [ 1; 2; 4 ]
+  let p = pigeonhole_mip () in
+  let r = Branch_bound.solve ~time_limit:0.5 ~root:(Mip.solve_root p) p in
+  checkb "stopped by the limit" true
+    (r.Branch_bound.status = Branch_bound.Limit);
+  if r.Branch_bound.total_time > 1.0 then
+    Alcotest.failf "ran %.3f s against a 0.5 s limit" r.Branch_bound.total_time
 
 (* Seeded random packing instance: negative costs, <= 1 or <= 2 rows
    over small random subsets. *)
@@ -967,28 +933,23 @@ let test_mip_warm_start_equivalence () =
            [ "seeded"; "heuristic"; "branch"; "presolve" ]))
     [ 7; 21; 42; 99 ]
 
-(* A node budget stops the search after the round that reaches it, and a
-   larger budget expands a superset of each worker's nodes in every round
-   up to that one, so the best objective at budget k is the merged
-   incumbent of a round boundary: it never rises as k grows, at 1, 2 and
-   4 domains. *)
+(* A node budget of k stops the search after exactly its first k nodes,
+   and a larger budget expands the same nodes first, so the best
+   objective at budget k never rises as k grows. *)
 let test_bb_incumbent_monotone () =
   let p = seeded_cover_mip 11 in
-  List.iter
-    (fun d ->
-      let last = ref infinity in
-      for k = 1 to 40 do
-        let r =
-          Branch_bound.solve ~rel_gap:0. ~node_limit:k ~domains:d
-            ~root:(Mip.solve_root p) p
-        in
-        let obj = r.Branch_bound.objective in
-        if obj > !last then
-          Alcotest.failf "%d domains: objective %g at %d nodes after %g" d obj
-            k !last;
-        last := obj
-      done)
-    [ 1; 2; 4 ]
+  let last = ref infinity in
+  for k = 1 to 40 do
+    let r =
+      Branch_bound.solve ~rel_gap:0. ~node_limit:k ~root:(Mip.solve_root p) p
+    in
+    if r.Branch_bound.nodes > k then
+      Alcotest.failf "%d nodes against a budget of %d" r.Branch_bound.nodes k;
+    let obj = r.Branch_bound.objective in
+    if obj > !last then
+      Alcotest.failf "objective %g at %d nodes after %g" obj k !last;
+    last := obj
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Sparse LU kernel                                                    *)
@@ -1920,19 +1881,15 @@ let suites =
         Alcotest.test_case "best bound at optimality" `Quick test_bb_best_bound;
         QCheck_alcotest.to_alcotest bb_matches_brute_force;
         QCheck_alcotest.to_alcotest heuristic_is_sound;
-        Alcotest.test_case "parallel domains agree on the optimum" `Quick
-          test_bb_domains_agree;
-        Alcotest.test_case "deterministic mode reproduces node counts" `Quick
-          test_bb_deterministic_nodes;
-        Alcotest.test_case "time limit honoured at every domain count" `Quick
+        Alcotest.test_case "time limit honoured inside dives" `Quick
           test_bb_time_limit_honoured;
         Alcotest.test_case "warm start proves the cold objective" `Quick
           test_mip_warm_start_equivalence;
         Alcotest.test_case "solve leaves the caller's problem untouched"
           `Quick test_mip_leaves_problem_untouched;
-        Alcotest.test_case "root LP solved once when no cut fires" `Quick
+        Alcotest.test_case "root LP solved once" `Quick
           test_mip_root_solved_once;
-        Alcotest.test_case "incumbent never rises between rounds" `Quick
+        Alcotest.test_case "node budget exact, incumbent never rises" `Quick
           test_bb_incumbent_monotone;
       ] );
     ( "lp.problem",

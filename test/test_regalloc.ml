@@ -579,27 +579,6 @@ let test_cold_pivot_path () =
           4.4873869440000007 );
       ]
 
-(* Two deterministic 2-domain searches of the AES model under the node
-   budget expand the same tree, pinned exactly: the fixed round schedule
-   decides which node each domain takes, so neither the count nor the
-   reproduction may depend on thread timing. *)
-let test_two_domain_aes_pinned () =
-  let f = Regalloc.Driver.front_end ~file:"aes.nova" Workloads.Aes.source in
-  let mg =
-    Regalloc.Modelgen.build ~allow_spill:false f.Regalloc.Driver.f_graph
-  in
-  let p = (Regalloc.Ilp.build mg).Regalloc.Ilp.problem in
-  let solve run =
-    let r =
-      Lp.Mip.solve ~time_limit:1e9 ~node_limit:node_budget ~domains:2 p
-    in
-    let s = r.Lp.Mip.stats in
-    checki (run ^ ": nodes") 176 s.Lp.Mip.nodes;
-    checki (run ^ ": simplex iterations") 4053 s.Lp.Mip.simplex_iterations
-  in
-  solve "first run";
-  solve "second run"
-
 (* A compile's result depends on its source and options alone, not on
    what the process compiled before: five workloads compiled in forward
    order, then in reverse order, then each once more through the stage-
@@ -1075,8 +1054,6 @@ let suites =
           test_no_incumbent_fails_cleanly;
         Alcotest.test_case "cold compiles pin the pivot path" `Quick
           test_cold_pivot_path;
-        Alcotest.test_case "2-domain deterministic AES search pinned" `Quick
-          test_two_domain_aes_pinned;
         Alcotest.test_case "compiles are history-independent" `Quick
           test_history_independent;
       ] );

@@ -414,7 +414,8 @@ let solve ?(time_limit = 600.) ?(node_limit = 500_000) ?(rel_gap = 1e-4)
   in
   {
     status =
-      (if !limit_hit then Limit else if Option.is_none solution then Infeasible
+      (if !limit_hit then Limit
+       else if Option.is_none solution then Infeasible
        else Optimal);
     objective;
     solution;

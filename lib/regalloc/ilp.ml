@@ -988,7 +988,9 @@ type solution = {
 
 let solve ?(time_limit = 300.) ?(node_limit = 500_000) ?(rel_gap = 1e-4)
     ?(warm = Lp.Mip.no_warm_start) (ilp : t) =
-  let result = Lp.Mip.solve ~time_limit ~node_limit ~rel_gap ~warm ilp.problem in
+  let result =
+    Lp.Mip.solve ~time_limit ~node_limit ~rel_gap ~warm ilp.problem
+  in
   match (result.Lp.Mip.status, result.Lp.Mip.solution) with
   | Lp.Mip.Infeasible, _ -> Error `Infeasible
   (* a feasible incumbent found within the budget is still a valid

@@ -543,7 +543,10 @@ let solve_workload_model ?(time_limit = 120.) ?rel_gap w =
   let mg = Regalloc.Modelgen.build ~allow_spill:false f.Regalloc.Driver.f_graph in
   let ilp = Regalloc.Ilp.build mg in
   let p = ilp.Regalloc.Ilp.problem in
-  let r = Lp.Mip.solve ~time_limit ~node_limit:20_000 ?rel_gap p in
+  let r =
+    Lp.Mip.solve ~time_limit ~node_limit:20_000 ?rel_gap
+      ~branch_first:ilp.Regalloc.Ilp.branch_first p
+  in
   let s = r.Lp.Mip.stats in
   {
     sb_name = w.name;
@@ -616,23 +619,39 @@ let solver () =
 
 (* CI gate: small models under a hard wall-clock ceiling, so a basis or
    pricing regression fails the build rather than just getting slower.
-   AES under a 2 s limit must stop with status [limit] within a second
-   of the limit, so a budget the search ignores fails the gate.  It is
-   solved at a zero gap: at the default gap AES proves optimal in about
-   1 s, while a zero-gap proof takes longer than 20 s. *)
+   At the default gap AES and NAT must prove optimal within a node cap
+   (AES 128 nodes in about 0.15 s, NAT 36 in about 0.35 s on a 2-vCPU
+   host), so a search that stops branching on the transfer-register
+   colors first (327 and 381 nodes) fails the gate.  AES under a 2 s
+   limit must stop with status [limit] within a second of the limit, so
+   a budget the search ignores fails the gate.  It is solved at a zero
+   gap, whose proof takes longer than 20 s. *)
 let solver_smoke () =
   rule
-    "Solver smoke: Kasumi + random instances + AES budget under a hard \
-     ceiling";
+    "Solver smoke: Kasumi, AES, NAT + random instances + AES budget under \
+     a hard ceiling";
   let ceiling = 60. in
   let t0 = Unix.gettimeofday () in
   solver_header ();
+  let searched =
+    List.map
+      (fun (w, cap) -> (solve_workload_model ~time_limit:20. w, cap))
+      [ (aes, 150); (nat, 40) ]
+  in
   let rows =
-    solve_workload_model ~time_limit:50. kasumi
-    :: List.map solve_random_instance [ 1; 2 ]
+    (solve_workload_model ~time_limit:50. kasumi :: List.map fst searched)
+    @ List.map solve_random_instance [ 1; 2 ]
   in
   List.iter pp_solver_row rows;
   let failures = ref [] in
+  List.iter
+    (fun (r, cap) ->
+      if r.sb_nodes > cap then
+        failures :=
+          Printf.sprintf "%s at the default gap: %d nodes (cap %d)" r.sb_name
+            r.sb_nodes cap
+          :: !failures)
+    searched;
   let budget = 2. in
   let limited = solve_workload_model ~time_limit:budget ~rel_gap:0. aes in
   pp_solver_row { limited with sb_name = "AES-2s" };
@@ -656,7 +675,8 @@ let solver_smoke () =
 (* ---------------- incremental compilation bench + service smoke ------- *)
 
 (* The deterministic solver budget of the incremental bench and the
-   service smoke: AES and NAT stop at it with an incumbent. *)
+   service smoke: AES and NAT branch under it, and both prove optimal
+   within it, AES at its last node. *)
 let node_budget = 128
 
 (* Cold / no-op / one-line-edit rebuild times through the stage-cached

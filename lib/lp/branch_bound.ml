@@ -19,12 +19,15 @@
    optimality gap actually closes instead of the search rat-holing in
    one subtree.
 
-   Branching variables are chosen by pseudocosts: per-variable running
-   averages of (LP objective degradation) / (distance branched), learned
-   from every solved child.  Until a variable has history its estimate
-   falls back to the global average, then to its objective coefficient
-   (which preserves the old heuristic of branching on real decision
-   variables before the symmetric color variables).
+   Branching has one priority class: while a variable the caller marks
+   in [branch_first] is fractional, the search branches on one of them,
+   and only then on the rest.  The register allocator marks its
+   transfer-register colors; once they are fixed, its bank and move
+   variables mostly come out integral by themselves.  Within a class
+   the variable is chosen by pseudocosts: per-variable running averages
+   of (LP objective degradation) / (distance branched), learned from
+   every solved child.  Until a variable has history its estimate falls
+   back to the global average, then to its objective coefficient.
 
    A rounding/diving primal heuristic (see [Heuristic]) runs at the root
    and periodically at nodes so pruning starts before the dive reaches a
@@ -236,10 +239,13 @@ let pc_learn pc (nd : node) obj =
     end
   end
 
-(* Pseudocost product-score branching variable, or -1 if integral. *)
-let select_branch (p : Problem.t) pc n x =
-  let best = ref (-1) in
-  let best_score = ref neg_infinity in
+(* The branching variable, or -1 if [x] is integral: the fractional
+   variable with the best pseudocost product score among those marked in
+   [first], or among all of them when none marked is fractional.  One
+   scan keeps both bests. *)
+let select_branch (p : Problem.t) pc first n x =
+  let best = ref (-1) and best_score = ref neg_infinity in
+  let best_first = ref (-1) and best_first_score = ref neg_infinity in
   for j = 0 to n - 1 do
     if Problem.var_integer p j then begin
       let f = x.(j) -. floor x.(j) in
@@ -247,14 +253,20 @@ let select_branch (p : Problem.t) pc n x =
         let dn = pc_est p pc false j *. f in
         let up = pc_est p pc true j *. (1. -. f) in
         let score = Float.max dn 1e-8 *. Float.max up 1e-8 in
-        if score > !best_score then begin
+        if first.(j) then begin
+          if score > !best_first_score then begin
+            best_first := j;
+            best_first_score := score
+          end
+        end
+        else if score > !best_score then begin
           best := j;
           best_score := score
         end
       end
     end
   done;
-  !best
+  if !best_first >= 0 then !best_first else !best
 
 (* ------------------------------------------------------------------ *)
 (* Search                                                              *)
@@ -269,10 +281,13 @@ let m_heur = Support.Metrics.counter "lp.bb.heuristic_incumbents"
 let heur_period = 128
 
 let solve ?(time_limit = 600.) ?(node_limit = 500_000) ?(rel_gap = 1e-4)
-    ?(warm = no_warm) ~root (p : Problem.t) =
+    ?(warm = no_warm) ?branch_first ~root (p : Problem.t) =
   let t0 = Clock.now () in
   let deadline = t0 +. time_limit in
   let n = Problem.num_vars p in
+  let first =
+    match branch_first with Some a -> a | None -> Array.make n false
+  in
   let solver, root_status = root in
   let orig_lo = Array.init n (Problem.var_lo p) in
   let orig_hi = Array.init n (Problem.var_hi p) in
@@ -345,7 +360,7 @@ let solve ?(time_limit = 600.) ?(node_limit = 500_000) ?(rel_gap = 1e-4)
           pc_learn pc nd obj;
           if obj < cutoff () then begin
             let x = Revised.primal solver in
-            match select_branch p pc n x with
+            match select_branch p pc first n x with
             | -1 -> record "branch" obj (Array.copy x)
             | v ->
                 (* Warm-start seeding, once, at the root: fix the previous

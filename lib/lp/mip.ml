@@ -88,8 +88,11 @@ let solve_root (p : Problem.t) =
       let solver = Revised.create p in
       (solver, Revised.solve solver))
 
+(* [branch_first] lists original variables that branch and bound
+   branches on before any other ([Branch_bound]'s priority class). *)
 let solve ?(time_limit = 600.) ?(node_limit = 500_000)
-    ?(rel_gap = 1e-4) ?(warm = no_warm_start) (p : Problem.t) =
+    ?(rel_gap = 1e-4) ?(warm = no_warm_start) ?(branch_first = [||])
+    (p : Problem.t) =
   let t0 = Clock.now () in
   let before = Problem.stats p in
   let finish ?(warm_used = false) ?(inc_src = "none")
@@ -135,9 +138,10 @@ let solve ?(time_limit = 600.) ?(node_limit = 500_000)
         ~after_stats:(Problem.stats sub) ~inc_src:"presolve"
   | Presolve.Reduced (sub, info) ->
       let after_stats = Problem.stats sub in
-      (* Warm data comes in on the original variable indices and goes
-         through [keep_map] to the presolved problem's; the final
-         pseudocost table goes back through its inverse. *)
+      (* Warm data and the branching priority come in on the original
+         variable indices and go through [keep_map] to the presolved
+         problem's; the final pseudocost table goes back through its
+         inverse. *)
       let keep_map = info.Presolve.keep_map in
       let inverse = Array.make (Problem.num_vars sub) (-1) in
       Array.iteri (fun j j' -> if j' >= 0 then inverse.(j') <- j) keep_map;
@@ -158,10 +162,16 @@ let solve ?(time_limit = 600.) ?(node_limit = 500_000)
           w_pc = remap keep_map warm.ws_pseudocosts;
         }
       in
+      let first = Array.make (Problem.num_vars sub) false in
+      Array.iter
+        (fun j ->
+          if j >= 0 && j < Array.length keep_map && keep_map.(j) >= 0 then
+            first.(keep_map.(j)) <- true)
+        branch_first;
       let r =
         Support.Trace.with_span "branch-and-bound" (fun () ->
             Branch_bound.solve ~time_limit:remaining ~node_limit ~rel_gap
-              ~warm:bb_warm ~root sub)
+              ~warm:bb_warm ~branch_first:first ~root sub)
       in
       let status =
         match r.Branch_bound.status with

@@ -425,10 +425,17 @@ let fp_front (o : options) =
 let front_key (o : options) source =
   Cache.Key.combine [ Cache.Key.text source; fp_front o ]
 
+(* The solve stage's version, in [fp_solve] and [solve_key].  Bump it
+   whenever the search can end differently on the same model and
+   budget, so a persisted artifact of the old search is a miss rather
+   than replayed as the new search's result.  v2: branch and bound
+   branches on the transfer-register colors first. *)
+let solve_version = "solve:v2"
+
 let fp_solve (o : options) =
   Cache.Key.combine
     [
-      "solve:v1";
+      solve_version;
       Printf.sprintf "%.17g" o.time_limit;
       string_of_int o.node_limit;
       Printf.sprintf "%.17g" o.rel_gap;
@@ -445,6 +452,11 @@ let fp_alloc (o : options) =
       fp_solve o;
       string_of_bool o.validate;
     ]
+
+(* The key a solve artifact of the model with fingerprint
+   [fingerprint] is stored under. *)
+let solve_key (o : options) ~fingerprint =
+  Cache.Key.combine [ solve_version; fingerprint; fp_solve o ]
 
 (* In-process memos.  Small and process-global: the daemon's hot cache.
    Each holds at most [memo_cap] entries; adding one more evicts the
@@ -644,9 +656,7 @@ let cached_model_solve ~(store : Cache.Store.t) ~file ~key_front
   report_fp entry.me_fp;
   let ilp = entry.me_ilp in
   let names = entry.me_names and index = entry.me_index in
-  let key_solve =
-    Cache.Key.combine [ "solve:v1"; entry.me_fp; fp_solve options ]
-  in
+  let key_solve = solve_key options ~fingerprint:entry.me_fp in
   let head_name =
     Printf.sprintf "solve-%s-%s-%s" file variant (obj_tag options.objective)
   in

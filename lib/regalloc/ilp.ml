@@ -41,6 +41,10 @@ type t = {
   move_m : M.member array;
   color_start : int array;
   color_m : M.member array;
+  (* the Color members' LP variables: branch and bound branches on them
+     before any other, since the bank and move variables mostly come
+     out integral once the colors are fixed *)
+  branch_first : int array;
 }
 
 let xregs = [ 0; 1; 2; 3; 4; 5; 6; 7 ]
@@ -962,6 +966,7 @@ let build ?(objective_mode = Minimize_moves) (mg : Modelgen.t) : t =
         row "needs_spill_hi" le (rhs 0. 0.)
       end)
     headroom;
+  let branch_first = Array.map (M.resolve model) color_m in
   {
     mg;
     model;
@@ -974,6 +979,7 @@ let build ?(objective_mode = Minimize_moves) (mg : Modelgen.t) : t =
     move_m;
     color_start;
     color_m;
+    branch_first;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -989,7 +995,8 @@ type solution = {
 let solve ?(time_limit = 300.) ?(node_limit = 500_000) ?(rel_gap = 1e-4)
     ?(warm = Lp.Mip.no_warm_start) (ilp : t) =
   let result =
-    Lp.Mip.solve ~time_limit ~node_limit ~rel_gap ~warm ilp.problem
+    Lp.Mip.solve ~time_limit ~node_limit ~rel_gap ~warm
+      ~branch_first:ilp.branch_first ilp.problem
   in
   match (result.Lp.Mip.status, result.Lp.Mip.solution) with
   | Lp.Mip.Infeasible, _ -> Error `Infeasible

@@ -86,19 +86,82 @@ let handle_request config store (req : Protocol.request) :
           ],
         `Continue )
 
-(* Serve one connection until the peer closes it; returns whether a
-   shutdown was requested. *)
+(* The longest request line the daemon reads, in bytes.  A longer one is
+   answered with an error and its connection closed, so a line that
+   never ends cannot grow the daemon's memory without bound. *)
+let max_request_bytes = 8 lsl 20
+
+(* A connection's input: [chunk.(pos) .. chunk.(len - 1)] is read and
+   not yet consumed; [line] holds the request line so far. *)
+type reader = {
+  ic : in_channel;
+  chunk : Bytes.t;
+  mutable pos : int;
+  mutable len : int;
+  line : Buffer.t;
+}
+
+(* The next request line without its newline, as [input_line] reads it
+   (a last line may lack the newline), or [`Too_long] once the line
+   passes [max_request_bytes], or [`Eof]. *)
+let read_request r =
+  Buffer.clear r.line;
+  let rec go () =
+    if r.pos = r.len then begin
+      r.pos <- 0;
+      r.len <- input r.ic r.chunk 0 (Bytes.length r.chunk)
+    end;
+    if r.len = 0 then
+      if Buffer.length r.line = 0 then `Eof else `Line (Buffer.contents r.line)
+    else begin
+      let stop = ref r.pos in
+      while !stop < r.len && Bytes.get r.chunk !stop <> '\n' do
+        incr stop
+      done;
+      Buffer.add_subbytes r.line r.chunk r.pos (!stop - r.pos);
+      r.pos <- Int.min r.len (!stop + 1);
+      if Buffer.length r.line > max_request_bytes then `Too_long
+      else if !stop < r.len then `Line (Buffer.contents r.line)
+      else go ()
+    end
+  in
+  go ()
+
+(* Serve one connection until the peer closes it or sends a request
+   line longer than [max_request_bytes]; returns whether a shutdown was
+   requested. *)
 let serve_connection config store fd : [ `Continue | `Shutdown ] =
-  let ic = Unix.in_channel_of_descr fd in
+  let r =
+    {
+      ic = Unix.in_channel_of_descr fd;
+      chunk = Bytes.create 65536;
+      pos = 0;
+      len = 0;
+      line = Buffer.create 4096;
+    }
+  in
   let oc = Unix.out_channel_of_descr fd in
+  let respond response =
+    output_string oc (Json.encode response);
+    output_char oc '\n';
+    flush oc
+  in
   let verdict = ref `Continue in
   (try
      let continue_ = ref true in
      while !continue_ do
-       match input_line ic with
-       | exception End_of_file -> continue_ := false
-       | line when String.trim line = "" -> ()
-       | line ->
+       match read_request r with
+       | `Eof -> continue_ := false
+       | `Too_long ->
+           log config "request line longer than %d bytes: closing"
+             max_request_bytes;
+           respond
+             (Protocol.error_json
+                (Printf.sprintf "bad request: line longer than %d bytes"
+                   max_request_bytes));
+           continue_ := false
+       | `Line line when String.trim line = "" -> ()
+       | `Line line ->
            let response, v =
              match Json.parse line with
              | Error e ->
@@ -108,9 +171,7 @@ let serve_connection config store fd : [ `Continue | `Shutdown ] =
                  | Error e -> (Protocol.error_json e, `Continue)
                  | Ok req -> handle_request config store req)
            in
-           output_string oc (Json.encode response);
-           output_char oc '\n';
-           flush oc;
+           respond response;
            if v = `Shutdown then begin
              verdict := `Shutdown;
              continue_ := false

@@ -536,8 +536,8 @@ let test_workloads_lint_clean_baseline () =
     ]
 
 (* The workloads that lint clean, allocated by the ILP at a 128-node
-   budget (AES and NAT stop at it with an incumbent).  LPM and Firewall
-   still report [race] errors, see ROADMAP item 1. *)
+   budget (AES and NAT branch under it and prove optimal within it).
+   LPM and Firewall still report [race] errors, see ROADMAP item 2. *)
 let test_kasumi_ilp_lint_clean () =
   let options =
     { Regalloc.Driver.default_options with node_limit = 128; time_limit = 1e9 }

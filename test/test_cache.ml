@@ -357,6 +357,49 @@ let test_store_garbage_head =
       Out_channel.with_open_bin file (fun oc ->
           output_string oc "no-such-key\x00\xff"))
 
+(* A solve artifact stored by an older search is a miss.  The solve key
+   of the first version ("solve:v1", before branch and bound branched on
+   colors first) is rebuilt here by its old formula; a cold compile's
+   own artifact stored under it must not replay, while the same
+   artifact under the current key does. *)
+let test_old_solve_key_misses () =
+  Regalloc.Driver.clear_memos ();
+  let o = fast_options in
+  let doc, fingerprint =
+    with_dir @@ fun dir ->
+    let store = Cache.Store.create ~dir () in
+    let _, r = compile_inc store small_src in
+    let fingerprint = r.Regalloc.Driver.model_fingerprint in
+    let key = Regalloc.Driver.solve_key o ~fingerprint in
+    (Option.get (Cache.Store.lookup store ~stage:"solve" ~key), fingerprint)
+  in
+  let v1_key =
+    Cache.Key.combine
+      [
+        "solve:v1";
+        fingerprint;
+        Cache.Key.combine
+          [
+            "solve:v1";
+            Printf.sprintf "%.17g" o.Regalloc.Driver.time_limit;
+            string_of_int o.Regalloc.Driver.node_limit;
+            Printf.sprintf "%.17g" o.Regalloc.Driver.rel_gap;
+          ];
+      ]
+  in
+  let replays key =
+    with_dir @@ fun dir ->
+    let store = Cache.Store.create ~dir () in
+    Cache.Store.store store ~stage:"solve" ~key doc;
+    Regalloc.Driver.clear_memos ();
+    (snd (compile_inc store small_src)).Regalloc.Driver.solve_hit
+  in
+  checkb "the old key differs" false
+    (v1_key = Regalloc.Driver.solve_key o ~fingerprint);
+  checkb "stored under the old key: a miss" false (replays v1_key);
+  checkb "stored under the current key: a hit" true
+    (replays (Regalloc.Driver.solve_key o ~fingerprint))
+
 (* The in-process memos evict their least recently used entry.  After
    eight distinct compiles and a resend of the first, a ninth distinct
    compile evicts one entry from each memo (front, model and full); in
@@ -523,12 +566,10 @@ let test_daemon_malformed_requests () =
   checkb "ping answered" true (J.member "ok" ping = Some (J.Bool true));
   checkb "ping op" true (str "op" ping = Some "ping")
 
-(* A client that sends a compile and disconnects before its response
-   costs the daemon that connection only: the failed write is an error
-   the connection handler catches, not a SIGPIPE that ends the process,
-   so the next client's ping is answered and a shutdown ends the daemon
-   cleanly. *)
-let test_daemon_survives_disconnect () =
+(* [with_daemon f] runs a daemon on a fresh socket in its own domain and
+   calls [f] with the socket's path.  Then the daemon must answer a new
+   client's ping and shutdown, and it ends; the result is [f]'s. *)
+let with_daemon f =
   Regalloc.Driver.clear_memos ();
   with_dir @@ fun dir ->
   Sys.mkdir dir 0o755;
@@ -542,6 +583,23 @@ let test_daemon_survives_disconnect () =
     }
   in
   let daemon = Domain.spawn (fun () -> Service.Daemon.run config) in
+  let result = f socket_path in
+  let t = Service.Client.connect_retry ~socket_path () in
+  let ping = Service.Client.ping t in
+  let shutdown = Service.Client.shutdown t in
+  Service.Client.close t;
+  Domain.join daemon;
+  checkb "next client's ping answered" true (Result.is_ok ping);
+  checkb "shutdown answered" true (Result.is_ok shutdown);
+  result
+
+(* A client that sends a compile and disconnects before its response
+   costs the daemon that connection only: the failed write is an error
+   the connection handler catches, not a SIGPIPE that ends the process,
+   so the next client's ping is answered and a shutdown ends the daemon
+   cleanly. *)
+let test_daemon_survives_disconnect () =
+  with_daemon @@ fun socket_path ->
   let quitter = Service.Client.connect_retry ~socket_path () in
   let request =
     Service.Client.compile_request ~node_limit:64 ~file:"test.nova"
@@ -550,14 +608,46 @@ let test_daemon_survives_disconnect () =
   output_string quitter.Service.Client.oc
     (Support.Json.encode request ^ "\n");
   flush quitter.Service.Client.oc;
-  Service.Client.close quitter;
-  let t = Service.Client.connect_retry ~socket_path () in
-  let ping = Service.Client.ping t in
-  let shutdown = Service.Client.shutdown t in
-  Service.Client.close t;
-  Domain.join daemon;
-  checkb "next client's ping answered" true (Result.is_ok ping);
-  checkb "shutdown answered" true (Result.is_ok shutdown)
+  Service.Client.close quitter
+
+(* A request line longer than the daemon's cap is answered with an error
+   and its connection closed: the ping sent after it on the same
+   connection gets no answer, while the next client's ping does. *)
+let test_daemon_refuses_oversized_request () =
+  let responses =
+    with_daemon @@ fun socket_path ->
+    let c = Service.Client.connect_retry ~socket_path () in
+    (* the daemon may close the connection before the ping is written:
+       with SIGPIPE ignored by [Daemon.run], that write fails here *)
+    (try
+       output_string c.Service.Client.oc
+         (String.make (Service.Daemon.max_request_bytes + 1) 'x');
+       output_string c.Service.Client.oc "\n{\"op\":\"ping\"}\n";
+       flush c.Service.Client.oc;
+       Unix.shutdown c.Service.Client.fd Unix.SHUTDOWN_SEND
+     with Sys_error _ | Unix.Unix_error _ -> ());
+    let rec responses acc =
+      match input_line c.Service.Client.ic with
+      | line -> responses (line :: acc)
+      | exception (End_of_file | Sys_error _) -> List.rev acc
+    in
+    let responses = responses [] in
+    Service.Client.close c;
+    responses
+  in
+  checki "one response, then the connection closes" 1 (List.length responses);
+  let doc =
+    match Support.Json.parse (List.hd responses) with
+    | Ok doc -> doc
+    | Error e -> Alcotest.fail e
+  in
+  checkb "ok is false" true
+    (Support.Json.member "ok" doc = Some (Support.Json.Bool false));
+  checkb "the error names the cap" true
+    (Option.bind (Support.Json.member "error" doc) Support.Json.to_string
+    = Some
+        (Printf.sprintf "bad request: line longer than %d bytes"
+           Service.Daemon.max_request_bytes))
 
 let suites =
   [
@@ -595,6 +685,8 @@ let suites =
           `Quick test_store_holds_solves_only;
         Alcotest.test_case "memo evicts least recently used" `Quick
           test_memo_lru;
+        Alcotest.test_case "an artifact under the old solve key is a miss"
+          `Quick test_old_solve_key_misses;
       ] );
     ( "service.daemon",
       [
@@ -604,5 +696,7 @@ let suites =
           test_daemon_malformed_requests;
         Alcotest.test_case "a client that disconnects early" `Quick
           test_daemon_survives_disconnect;
+        Alcotest.test_case "an oversized request line is refused" `Quick
+          test_daemon_refuses_oversized_request;
       ] );
   ]

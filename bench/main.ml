@@ -690,7 +690,12 @@ let node_budget = 128
        i.e. no solver invocation at all), or
      - the edit rebuild misses the solve cache or changes the proven
        move cost / outcome versus the cold compile, or
-     - the NAT edit rebuild is not >= 5x faster than its cold compile. *)
+     - the NAT edit rebuild is not >= 5x faster than its cold compile.
+   A last row makes a model-changing AES edit (one checksum line
+   deleted) in the same store, so the previous solve warm-starts it, and
+   compiles the edited source cold in a store of its own; it fails
+   unless the warm leg's warm start fired and its move cost is no higher
+   than the cold leg's. *)
 
 type inc_row = {
   inc_name : string;
@@ -757,6 +762,46 @@ let measure_incremental ~store ~fail:(report : string -> unit) (w : workload)
     inc_outcome = outcome c0;
   }
 
+let aes_c3_line = "csum := csum + (c3 >> 16) + (c3 & 0xFFFF);"
+
+let measure_model_edit ~store ~fail:(report : string -> unit) =
+  let fail fmt = Printf.ksprintf report fmt in
+  let edited =
+    String.split_on_char '\n' aes.source
+    |> List.filter (fun l -> String.trim l <> aes_c3_line)
+    |> String.concat "\n"
+  in
+  let run store =
+    Regalloc.Driver.clear_memos ();
+    let t0 = Unix.gettimeofday () in
+    let c, r =
+      Regalloc.Driver.compile_incremental ~options:incremental_options ~store
+        ~file:"aes.nova" edited
+    in
+    let s = c.Regalloc.Driver.stats in
+    let nodes = Option.fold ~none:0 ~some:(fun m -> m.Lp.Mip.nodes) s.mip in
+    (Unix.gettimeofday () -. t0, nodes, s.weighted_move_cost, r)
+  in
+  let warm_t, warm_nodes, warm_cost, warm_r = run store in
+  let cold_dir = artifact "cache-bench-cold" in
+  rm_rf cold_dir;
+  let cold_t, cold_nodes, cold_cost, _ =
+    run (Cache.Store.create ~dir:cold_dir ())
+  in
+  Fmt.pr "@.AES model edit (the c3 checksum line deleted):@.";
+  Fmt.pr "%-5s | %5s | %8s | %-10s | %s@." "" "nodes" "time(s)" "warm_start"
+    "move cost";
+  Fmt.pr "%-5s | %5d | %8.3f | %-10s | %.7f@." "cold" cold_nodes cold_t "no"
+    cold_cost;
+  Fmt.pr "%-5s | %5d | %8.3f | %-10s | %.7f@." "warm" warm_nodes warm_t
+    (if warm_r.Regalloc.Driver.warm_used then "yes" else "no")
+    warm_cost;
+  if not warm_r.Regalloc.Driver.warm_used then
+    fail "AES model edit: the warm leg did not use its warm start";
+  if warm_cost > cold_cost then
+    fail "AES model edit: warm move cost %.7f above cold %.7f" warm_cost
+      cold_cost
+
 let incremental () =
   rule
     (Printf.sprintf
@@ -787,6 +832,7 @@ let incremental () =
       fail "NAT edit rebuild only %.1fx faster than cold (need >= 5x)"
         (r.inc_cold /. Float.max 1e-9 r.inc_edit)
   | _ -> ());
+  measure_model_edit ~store ~fail:(fun s -> failures := s :: !failures);
   match !failures with
   | [] -> Fmt.pr "incremental PASSED@."
   | fs ->

@@ -39,21 +39,6 @@
 
 type status = Optimal | Infeasible | Limit
 
-(* Warm-start input: hints from a previous solve of this (or a closely
-   related) problem, both keyed by variable index.  [w_hints] is the
-   previous integral solution -- seeded into an incumbent at the root by
-   the guided dive ([Heuristic.guided_dive]) -- and [w_pc] is the
-   previous search's pseudocost history (sum_dn, cnt_dn, sum_up,
-   cnt_up), imported so branching is informed from node one instead of
-   relearning degradation rates.  Stale entries (index out of range
-   after a model change) are ignored. *)
-type warm = {
-  w_hints : (int * float) list;
-  w_pc : (int * (float * int * float * int)) list;
-}
-
-let no_warm = { w_hints = []; w_pc = [] }
-
 type result = {
   status : status;
   objective : float;
@@ -69,8 +54,6 @@ type result = {
          guided dive), "heuristic" (plain rounding dive), "branch"
          (integral LP leaf), or "none" *)
   warm_seeded : bool; (* the warm-start hints produced an incumbent *)
-  pc_out : (int * (float * int * float * int)) list;
-      (* final pseudocost table, for the next warm start *)
 }
 
 let int_tol = 1e-6
@@ -177,48 +160,16 @@ let pc_est (p : Problem.t) pc up v =
   else if gcnt > 0 then gsum /. float_of_int gcnt
   else Float.abs (Problem.var_obj p v) +. 1e-6
 
-(* Seed a pseudocost table from a previous search's exported history.
-   Imported history also feeds the global fallback averages, so even
-   variables without their own record branch better than cold. *)
-let pc_import pc n (w : warm) =
-  List.iter
-    (fun (j, (sd, cd, su, cu)) ->
-      if j >= 0 && j < n then begin
-        pc.sum_dn.(j) <- sd;
-        pc.cnt_dn.(j) <- cd;
-        pc.sum_up.(j) <- su;
-        pc.cnt_up.(j) <- cu;
-        pc.g_sum_dn <- pc.g_sum_dn +. sd;
-        pc.g_cnt_dn <- pc.g_cnt_dn + cd;
-        pc.g_sum_up <- pc.g_sum_up +. su;
-        pc.g_cnt_up <- pc.g_cnt_up + cu
-      end)
-    w.w_pc
-
-let pc_export n pc =
-  let acc = ref [] in
-  for j = n - 1 downto 0 do
-    if pc.cnt_dn.(j) > 0 || pc.cnt_up.(j) > 0 then
-      acc :=
-        (j, (pc.sum_dn.(j), pc.cnt_dn.(j), pc.sum_up.(j), pc.cnt_up.(j)))
-        :: !acc
-  done;
-  !acc
-
-let hints_of_warm n (w : warm) =
-  if w.w_hints = [] then None
-  else begin
-    let h = Array.make n nan in
-    let any = ref false in
-    List.iter
-      (fun (j, v) ->
-        if j >= 0 && j < n then begin
-          h.(j) <- v;
-          any := true
-        end)
-      w.w_hints;
-    if !any then Some h else None
-  end
+(* The hint array the guided dive takes: [nan] where [hints] suggests
+   nothing.  Entries out of range (stale after a model change) are
+   ignored. *)
+let hint_array n hints =
+  match List.filter (fun (j, _) -> j >= 0 && j < n) hints with
+  | [] -> None
+  | hints ->
+      let h = Array.make n nan in
+      List.iter (fun (j, v) -> h.(j) <- v) hints;
+      Some h
 
 let pc_learn pc (nd : node) obj =
   if nd.bvar >= 0 then begin
@@ -280,8 +231,12 @@ let m_heur = Support.Metrics.counter "lp.bb.heuristic_incumbents"
    node. *)
 let heur_period = 128
 
+(* [hints] is a warm start: variable values, by index, from a previous
+   solve of this or a closely related problem -- typically its integral
+   solution -- that the guided dive ([Heuristic.guided_dive]) turns into
+   an incumbent at the root. *)
 let solve ?(time_limit = 600.) ?(node_limit = 500_000) ?(rel_gap = 1e-4)
-    ?(warm = no_warm) ?branch_first ~root (p : Problem.t) =
+    ?(hints = []) ?branch_first ~root (p : Problem.t) =
   let t0 = Clock.now () in
   let deadline = t0 +. time_limit in
   let n = Problem.num_vars p in
@@ -291,9 +246,8 @@ let solve ?(time_limit = 600.) ?(node_limit = 500_000) ?(rel_gap = 1e-4)
   let solver, root_status = root in
   let orig_lo = Array.init n (Problem.var_lo p) in
   let orig_hi = Array.init n (Problem.var_hi p) in
-  let hints = hints_of_warm n warm in
+  let hints = hint_array n hints in
   let pc = pc_create n in
-  pc_import pc n warm;
   let best = ref None (* objective, solution, source *) in
   let best_obj () = match !best with Some (o, _, _) -> o | None -> infinity in
   (* The gap is taken relative to max(1, |incumbent|): the regalloc
@@ -444,5 +398,4 @@ let solve ?(time_limit = 600.) ?(node_limit = 500_000) ?(rel_gap = 1e-4)
     heuristic_incumbents = !heur;
     incumbent_source;
     warm_seeded = !warm_seeded;
-    pc_out = pc_export n pc;
   }

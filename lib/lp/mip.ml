@@ -11,20 +11,6 @@
 
 type status = Optimal | Infeasible | Limit
 
-(* Warm-start input/output, keyed by the *original* problem's variable
-   indices (callers never see presolve's reduced index space; the
-   mapping through [Presolve.info.keep_map] happens here).  [ws_values]
-   is an integral solution to seed the incumbent from; [ws_pseudocosts]
-   is the branching history (sum_dn, cnt_dn, sum_up, cnt_up) to import.
-   A solve's [ws_out] is exactly this shape, so "persist ws_out, feed it
-   back as [warm] next time" is the whole reuse protocol. *)
-type warm_start = {
-  ws_values : (int * float) list;
-  ws_pseudocosts : (int * (float * int * float * int)) list;
-}
-
-let no_warm_start = { ws_values = []; ws_pseudocosts = [] }
-
 type stats = {
   vars_before : int;
   rows_before : int;
@@ -44,7 +30,9 @@ type stats = {
   heuristic_incumbents : int; (* incumbents found by the diving heuristic *)
   warm_start_used : bool; (* warm hints seeded the incumbent *)
   incumbent_source : string;
-      (* "seeded" | "heuristic" | "branch" | "presolve" | "none" *)
+      (* "seeded" | "heuristic" | "branch" | "presolve" | "none", or
+         "cache" for a solve replayed from an artifact
+         ([Regalloc.Driver.replay_solve]) *)
 }
 
 (* [solution] is the incumbent, indexed by the original problem's
@@ -55,7 +43,6 @@ type result = {
   objective : float;
   solution : float array option;
   stats : stats;
-  ws_out : warm_start; (* solution + pseudocosts for the next warm start *)
 }
 
 let default_stats =
@@ -88,16 +75,21 @@ let solve_root (p : Problem.t) =
       let solver = Revised.create p in
       (solver, Revised.solve solver))
 
-(* [branch_first] lists original variables that branch and bound
-   branches on before any other ([Branch_bound]'s priority class). *)
+(* [hints] is a warm start: (variable, value) pairs, typically a
+   previous solve's integral solution, that seed the incumbent
+   ([Branch_bound.solve]).  [branch_first] lists variables that branch
+   and bound branches on before any other ([Branch_bound]'s priority
+   class).  Both are keyed by the original problem's variable indices:
+   callers never see presolve's reduced index space, and the mapping
+   through [Presolve.info.keep_map] happens here. *)
 let solve ?(time_limit = 600.) ?(node_limit = 500_000)
-    ?(rel_gap = 1e-4) ?(warm = no_warm_start) ?(branch_first = [||])
+    ?(rel_gap = 1e-4) ?(hints = []) ?(branch_first = [||])
     (p : Problem.t) =
   let t0 = Clock.now () in
   let before = Problem.stats p in
-  let finish ?(warm_used = false) ?(inc_src = "none")
-      ?(ws_out = no_warm_start) status objective solution ~root_time
-      ~root_obj ~nodes ~iters ~best_bound ~heur ~after_stats =
+  let finish ?(warm_used = false) ?(inc_src = "none") status objective
+      solution ~root_time ~root_obj ~nodes ~iters ~best_bound ~heur
+      ~after_stats =
     let total_time = Clock.since t0 in
     {
       status;
@@ -122,7 +114,6 @@ let solve ?(time_limit = 600.) ?(node_limit = 500_000)
           warm_start_used = warm_used;
           incumbent_source = inc_src;
         };
-      ws_out;
     }
   in
   match Support.Trace.with_span "presolve" (fun () -> Presolve.run p) with
@@ -138,40 +129,27 @@ let solve ?(time_limit = 600.) ?(node_limit = 500_000)
         ~after_stats:(Problem.stats sub) ~inc_src:"presolve"
   | Presolve.Reduced (sub, info) ->
       let after_stats = Problem.stats sub in
-      (* Warm data and the branching priority come in on the original
+      (* Hints and the branching priority come in on the original
          variable indices and go through [keep_map] to the presolved
-         problem's; the final pseudocost table goes back through its
-         inverse. *)
+         problem's. *)
       let keep_map = info.Presolve.keep_map in
-      let inverse = Array.make (Problem.num_vars sub) (-1) in
-      Array.iteri (fun j j' -> if j' >= 0 then inverse.(j') <- j) keep_map;
-      let remap map l =
-        List.filter_map
-          (fun (j, x) ->
-            if j < 0 || j >= Array.length map || map.(j) < 0 then None
-            else Some (map.(j), x))
-          l
-      in
+      let kept j = j >= 0 && j < Array.length keep_map && keep_map.(j) >= 0 in
       let root_t0 = Clock.now () in
       let root = solve_root sub in
       let root_time = Clock.since root_t0 in
       let remaining = Float.max 1. (time_limit -. Clock.since t0) in
-      let bb_warm =
-        {
-          Branch_bound.w_hints = remap keep_map warm.ws_values;
-          w_pc = remap keep_map warm.ws_pseudocosts;
-        }
+      let hints =
+        List.filter_map
+          (fun (j, x) -> if kept j then Some (keep_map.(j), x) else None)
+          hints
       in
       let first = Array.make (Problem.num_vars sub) false in
-      Array.iter
-        (fun j ->
-          if j >= 0 && j < Array.length keep_map && keep_map.(j) >= 0 then
-            first.(keep_map.(j)) <- true)
+      Array.iter (fun j -> if kept j then first.(keep_map.(j)) <- true)
         branch_first;
       let r =
         Support.Trace.with_span "branch-and-bound" (fun () ->
             Branch_bound.solve ~time_limit:remaining ~node_limit ~rel_gap
-              ~warm:bb_warm ~branch_first:first ~root sub)
+              ~hints ~branch_first:first ~root sub)
       in
       let status =
         match r.Branch_bound.status with
@@ -186,23 +164,6 @@ let solve ?(time_limit = 600.) ?(node_limit = 500_000)
         match solution with
         | Some s -> Problem.objective_value p s
         | None -> infinity
-      in
-      let ws_out =
-        if status = Infeasible then no_warm_start
-        else
-          {
-            ws_values =
-              (let acc = ref [] in
-               Option.iter
-                 (fun s ->
-                   for j = Problem.num_vars p - 1 downto 0 do
-                     if Problem.var_integer p j && Float.abs s.(j) > 1e-6 then
-                       acc := (j, Float.round s.(j)) :: !acc
-                   done)
-                 solution;
-               !acc);
-            ws_pseudocosts = remap inverse r.Branch_bound.pc_out;
-          }
       in
       (* The search proves its bound on the presolved problem while the
          reported objective is re-evaluated on the original problem, so
@@ -219,4 +180,4 @@ let solve ?(time_limit = 600.) ?(node_limit = 500_000)
         ~iters:r.Branch_bound.simplex_iterations ~best_bound
         ~heur:r.Branch_bound.heuristic_incumbents ~after_stats
         ~warm_used:r.Branch_bound.warm_seeded
-        ~inc_src:r.Branch_bound.incumbent_source ~ws_out
+        ~inc_src:r.Branch_bound.incumbent_source

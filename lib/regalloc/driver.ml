@@ -370,18 +370,20 @@ let compile ?(options = default_options) ~file source =
    replay is by in-process memo -- which is exactly the hot path of
    `novac serve` -- and they write nothing to disk.  The solve
    stage is where the time goes, and its artifact *is* fully
-   serializable: the MIP solution and warm-start data keyed by the LP's
-   variable names ([Modelhash]), so a fresh process that rebuilds the
-   front and model cheaply can still skip branch and bound entirely when
-   the model fingerprint matches.
+   serializable: the MIP solution keyed by the LP's variable names
+   ([Modelhash]), so a fresh process that rebuilds the front and model
+   cheaply can still skip branch and bound entirely when the model
+   fingerprint matches.
 
    On a solve miss, the previous solve of the same (file, variant,
    objective) -- located through a store head pointer -- seeds a warm
-   start: its solution becomes the incumbent hints and its pseudocost
-   table primes branching ([Lp.Mip.warm_start]).  Values map by
-   variable name, so hints survive partial model changes wherever the
+   start: the integer values of its stored solution become the
+   incumbent hints ([Lp.Mip.solve ~hints]).  Values map by variable
+   name, so hints survive partial model changes wherever the
    identifiers before the edit keep their stamps; unmappable names are
-   simply dropped.
+   simply dropped.  Artifacts written before the warm start was hints
+   only also carry a "ws" field (hints and a pseudocost table); it is
+   ignored.
 
    Replayed solves are re-validated: the stored solution must be
    feasible on the freshly built instance and reproduce the stored
@@ -539,7 +541,6 @@ let solve_artifact_of_result ~names (sol : Ilp.solution) : Json.t =
       ("total_time", Json.Num r.Lp.Mip.stats.Lp.Mip.total_time);
       ("root_objective", Json.Num r.Lp.Mip.stats.Lp.Mip.root_objective);
       ("solution", Modelhash.solution_to_json ~names sol.Ilp.assignment);
-      ("ws", Modelhash.ws_to_json ~names r.Lp.Mip.ws_out);
     ]
 
 let num_field doc name ~default =
@@ -577,11 +578,6 @@ let replay_solve (ilp : Ilp.t) ~index (doc : Json.t) :
                > 1e-6 *. (1. +. Float.abs stored_obj)
           then None
           else begin
-            let ws_out =
-              match Json.member "ws" doc with
-              | Some w -> Modelhash.ws_of_json ~index w
-              | None -> Lp.Mip.no_warm_start
-            in
             let stats =
               {
                 Lp.Mip.default_stats with
@@ -602,7 +598,6 @@ let replay_solve (ilp : Ilp.t) ~index (doc : Json.t) :
                 objective = stored_obj;
                 solution = Some x;
                 stats;
-                ws_out;
               }
             in
             Some (Ok { Ilp.assignment = x; result; ilp })
@@ -662,21 +657,23 @@ let cached_model_solve ~(store : Cache.Store.t) ~file ~key_front
   in
   let live () =
     (* warm start from the previous solve of this target, if any *)
-    let warm =
+    let hints =
       match Cache.Store.head store ~name:head_name with
       | Some prev_key when prev_key <> key_solve -> (
-          match Cache.Store.lookup store ~stage:"solve" ~key:prev_key with
-          | Some doc -> (
-              match Json.member "ws" doc with
-              | Some w -> Modelhash.ws_of_json ~index w
-              | None -> Lp.Mip.no_warm_start)
-          | None -> Lp.Mip.no_warm_start)
-      | _ -> Lp.Mip.no_warm_start
+          match
+            Option.bind
+              (Cache.Store.lookup store ~stage:"solve" ~key:prev_key)
+              (Json.member "solution")
+          with
+          | Some doc ->
+              Modelhash.hints_of_solution ~index ilp.Ilp.problem doc
+          | None -> [])
+      | _ -> []
     in
     let solved =
       Trace.with_span "solve" (fun () ->
           Ilp.solve ~time_limit:options.time_limit
-            ~node_limit:options.node_limit ~rel_gap:options.rel_gap ~warm ilp)
+            ~node_limit:options.node_limit ~rel_gap:options.rel_gap ~hints ilp)
     in
     let artifact =
       match solved with

@@ -993,9 +993,9 @@ type solution = {
 }
 
 let solve ?(time_limit = 300.) ?(node_limit = 500_000) ?(rel_gap = 1e-4)
-    ?(warm = Lp.Mip.no_warm_start) (ilp : t) =
+    ?hints (ilp : t) =
   let result =
-    Lp.Mip.solve ~time_limit ~node_limit ~rel_gap ~warm
+    Lp.Mip.solve ~time_limit ~node_limit ~rel_gap ?hints
       ~branch_first:ilp.branch_first ilp.problem
   in
   match (result.Lp.Mip.status, result.Lp.Mip.solution) with

@@ -18,10 +18,10 @@
        see [fingerprint]).  Equal fingerprints mean the same LP bit for
        bit, names and order included.
 
-     - [solution_to_json]/[solution_of_json] and
-       [ws_to_json]/[ws_of_json] persist solutions and warm-start data
-       keyed by variable name, so a value saved by one compile maps onto
-       the instance of the next even when an edit has added or removed
+     - [solution_to_json]/[solution_of_json] persist a solution keyed
+       by variable name, and [hints_of_solution] reads a stored one back
+       as warm-start hints, so a value saved by one compile maps onto the
+       instance of the next even when an edit has added or removed
        variables. *)
 
 open Support
@@ -123,7 +123,7 @@ let fingerprint (p : P.t) : Cache.Key.t =
   done;
   Digest.to_hex (Digest.subbytes b 0 !pos)
 
-(* ---------------- solution / warm-start serialization ---------------- *)
+(* ---------------- solution serialization and hints ---------------- *)
 
 (* A solution is stored sparsely: variable name -> value, nonzeros
    only.  Reconstruction fills unmentioned variables with 0. *)
@@ -153,71 +153,20 @@ let solution_of_json ~(index : (string, int) Hashtbl.t) ~(n : int)
       if !ok then Some x else None
   | _ -> None
 
-(* Warm-start data tolerates partial mapping by design (the model has
-   changed; that is why it is a warm start and not a replay): unknown
-   names are skipped, known ones become hints on this instance's
-   indices. *)
-let ws_to_json ~(names : string array) (ws : Lp.Mip.warm_start) : Json.t =
-  let name_of j =
-    if j >= 0 && j < Array.length names then Some names.(j) else None
-  in
-  Json.Obj
-    [
-      ( "values",
-        Json.Obj
-          (List.filter_map
-             (fun (j, v) ->
-               Option.map (fun nm -> (nm, Json.Num v)) (name_of j))
-             ws.Lp.Mip.ws_values) );
-      ( "pc",
-        Json.Obj
-          (List.filter_map
-             (fun (j, (sd, cd, su, cu)) ->
-               Option.map
-                 (fun nm ->
-                   ( nm,
-                     Json.Arr
-                       [
-                         Json.Num sd;
-                         Json.Num (float_of_int cd);
-                         Json.Num su;
-                         Json.Num (float_of_int cu);
-                       ] ))
-                 (name_of j))
-             ws.Lp.Mip.ws_pseudocosts) );
-    ]
-
-let ws_of_json ~(index : (string, int) Hashtbl.t) (doc : Json.t) :
-    Lp.Mip.warm_start =
-  let values =
-    match Json.member "values" doc with
-    | Some (Json.Obj fields) ->
-        List.filter_map
-          (fun (name, v) ->
-            match (Hashtbl.find_opt index name, Json.to_float v) with
-            | Some j, Some f -> Some (j, f)
-            | _ -> None)
-          fields
-    | _ -> []
-  in
-  let pc =
-    match Json.member "pc" doc with
-    | Some (Json.Obj fields) ->
-        List.filter_map
-          (fun (name, v) ->
-            match (Hashtbl.find_opt index name, v) with
-            | Some j, Json.Arr [ a; b; c; d ] -> (
-                match
-                  ( Json.to_float a,
-                    Json.to_float b,
-                    Json.to_float c,
-                    Json.to_float d )
-                with
-                | Some sd, Some cd, Some su, Some cu ->
-                    Some (j, (sd, int_of_float cd, su, int_of_float cu))
-                | _ -> None)
-            | _ -> None)
-          fields
-    | _ -> []
-  in
-  { Lp.Mip.ws_values = values; ws_pseudocosts = pc }
+(* Warm-start hints from a stored solution: its integer variables with
+   a nonzero value, rounded, on this instance's indices.  Unlike a
+   replay, this tolerates partial mapping by design (the model has
+   changed; that is why it is a warm start and not a replay): names
+   this instance lacks are skipped. *)
+let hints_of_solution ~(index : (string, int) Hashtbl.t) (p : P.t)
+    (doc : Json.t) : (int * float) list =
+  match doc with
+  | Json.Obj fields ->
+      List.filter_map
+        (fun (name, v) ->
+          match (Hashtbl.find_opt index name, Json.to_float v) with
+          | Some j, Some f when P.var_integer p j && Float.abs f > 1e-6 ->
+              Some (j, Float.round f)
+          | _ -> None)
+        fields
+  | _ -> []

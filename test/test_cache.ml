@@ -400,6 +400,113 @@ let test_old_solve_key_misses () =
   checkb "stored under the current key: a hit" true
     (replays (Regalloc.Driver.solve_key o ~fingerprint))
 
+(* AES with one checksum line deleted: an edit that changes the model
+   while the previous allocation still fits most of it. *)
+let aes_c3_line = "csum := csum + (c3 >> 16) + (c3 & 0xFFFF);"
+
+let aes_edited =
+  String.split_on_char '\n' Workloads.Aes.source
+  |> List.filter (fun l -> String.trim l <> aes_c3_line)
+  |> String.concat "\n"
+
+(* The node budget at which the AES search branches (see
+   [test_regalloc.ml]'s pins). *)
+let aes_options = { fast_options with node_limit = 128 }
+
+let compile_aes store src =
+  Regalloc.Driver.compile_incremental ~options:aes_options ~store
+    ~file:"aes.nova" src
+
+let aes_cost (c : Regalloc.Driver.compiled) =
+  c.Regalloc.Driver.stats.Regalloc.Driver.weighted_move_cost
+
+let aes_mip (c : Regalloc.Driver.compiled) =
+  Option.get c.Regalloc.Driver.stats.Regalloc.Driver.mip
+
+(* A model-changing edit compiled through the store that holds the
+   previous solve starts warm: the previous solution seeds the incumbent,
+   and the search proves the cold compile's optimum, bit for bit, in
+   fewer nodes (11 against 128 when this test was written). *)
+let test_warm_start_fires () =
+  checkb "the edit deletes one line" true
+    (String.length aes_edited < String.length Workloads.Aes.source);
+  Regalloc.Driver.clear_memos ();
+  let cold =
+    with_dir @@ fun dir ->
+    fst (compile_aes (Cache.Store.create ~dir ()) aes_edited)
+  in
+  Regalloc.Driver.clear_memos ();
+  with_dir @@ fun dir ->
+  let store = Cache.Store.create ~dir () in
+  ignore (compile_aes store Workloads.Aes.source);
+  let warm, r = compile_aes store aes_edited in
+  checkb "solved live" false r.Regalloc.Driver.solve_hit;
+  checkb "warm start used" true r.Regalloc.Driver.warm_used;
+  checks "incumbent source" "seeded" (aes_mip warm).Lp.Mip.incumbent_source;
+  checks "outcome" "optimal"
+    (Regalloc.Driver.solver_outcome_to_string
+       warm.Regalloc.Driver.stats.Regalloc.Driver.solver_outcome);
+  check (Alcotest.float 0.) "the cold move cost" (aes_cost cold)
+    (aes_cost warm);
+  let nodes c = (aes_mip c).Lp.Mip.nodes in
+  checkb
+    (Printf.sprintf "fewer nodes than cold (%d < %d)" (nodes warm)
+       (nodes cold))
+    true
+    (nodes warm < nodes cold)
+
+(* A solve artifact written while the warm start also carried a
+   pseudocost table has a "ws" field ("values": the hints by name, "pc":
+   four numbers per variable).  It still replays, and its solution still
+   seeds a later model-changing edit. *)
+let test_old_artifact_with_ws () =
+  Regalloc.Driver.clear_memos ();
+  with_dir @@ fun dir ->
+  let store = Cache.Store.create ~dir () in
+  let _, r = compile_aes store Workloads.Aes.source in
+  let key =
+    Regalloc.Driver.solve_key aes_options
+      ~fingerprint:r.Regalloc.Driver.model_fingerprint
+  in
+  let fields =
+    match Cache.Store.lookup store ~stage:"solve" ~key with
+    | Some (Support.Json.Obj fields) -> fields
+    | _ -> Alcotest.fail "no solve artifact"
+  in
+  let solution =
+    match List.assoc "solution" fields with
+    | Support.Json.Obj sol -> sol
+    | _ -> Alcotest.fail "no solution in the artifact"
+  in
+  let num f = Support.Json.Num f in
+  let ws =
+    Support.Json.Obj
+      [
+        ( "values",
+          Support.Json.Obj
+            (List.map
+               (fun (name, v) ->
+                 let v = Option.get (Support.Json.to_float v) in
+                 (name, num (Float.round v)))
+               solution) );
+        ( "pc",
+          Support.Json.Obj
+            (List.map
+               (fun (name, _) ->
+                 (name, Support.Json.Arr [ num 0.5; num 3.; num 2.; num 1. ]))
+               solution) );
+      ]
+  in
+  Cache.Store.store store ~stage:"solve" ~key
+    (Support.Json.Obj (fields @ [ ("ws", ws) ]));
+  Cache.Store.clear_memory store;
+  Regalloc.Driver.clear_memos ();
+  let _, replay = compile_aes store Workloads.Aes.source in
+  checkb "the old artifact replays" true replay.Regalloc.Driver.solve_hit;
+  let _, edit = compile_aes store aes_edited in
+  checkb "the edit solves live" false edit.Regalloc.Driver.solve_hit;
+  checkb "the old artifact seeds the edit" true edit.Regalloc.Driver.warm_used
+
 (* The in-process memos evict their least recently used entry.  After
    eight distinct compiles and a resend of the first, a ninth distinct
    compile evicts one entry from each memo (front, model and full); in
@@ -687,6 +794,10 @@ let suites =
           test_memo_lru;
         Alcotest.test_case "an artifact under the old solve key is a miss"
           `Quick test_old_solve_key_misses;
+        Alcotest.test_case "a model-changing edit starts warm" `Quick
+          test_warm_start_fires;
+        Alcotest.test_case "an artifact with the old ws field" `Quick
+          test_old_artifact_with_ws;
       ] );
     ( "service.daemon",
       [

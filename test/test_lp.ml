@@ -148,21 +148,15 @@ let mk_classic () =
   p
 
 let test_dense_exact_classic () =
-  let module S = Dense_simplex.Exact in
+  let module S = Dense_simplex in
   let r = S.solve (mk_classic ()) in
   checkb "optimal" true (r.S.status = S.Optimal);
   checks "objective" "-36" (Rat.to_string r.S.objective);
   checks "x" "2" (Rat.to_string r.S.solution.(0));
   checks "y" "6" (Rat.to_string r.S.solution.(1))
 
-let test_dense_float_classic () =
-  let module S = Dense_simplex.Approx in
-  let r = S.solve (mk_classic ()) in
-  checkb "optimal" true (r.S.status = S.Optimal);
-  check (Alcotest.float 1e-9) "objective" (-36.) r.S.objective
-
 let test_dense_infeasible () =
-  let module S = Dense_simplex.Exact in
+  let module S = Dense_simplex in
   let p = Problem.create () in
   let x = Problem.add_var p ~lo:0. ~hi:infinity "x" in
   Problem.add_row p Problem.Ge 3. [ (x, 1.) ];
@@ -171,7 +165,7 @@ let test_dense_infeasible () =
   checkb "infeasible" true (r.S.status = S.Infeasible)
 
 let test_dense_unbounded () =
-  let module S = Dense_simplex.Exact in
+  let module S = Dense_simplex in
   let p = Problem.create () in
   let x = Problem.add_var p ~lo:0. ~hi:infinity ~obj:(-1.) "x" in
   Problem.add_row p Problem.Ge 0. [ (x, 1.) ];
@@ -280,7 +274,7 @@ let simplex_cross_check =
     (QCheck.make ~print:print_random_lp random_lp_gen)
     (fun spec ->
       let p = build_random_lp spec in
-      let module E = Dense_simplex.Exact in
+      let module E = Dense_simplex in
       let exact = E.solve p in
       let s = Revised.create p in
       match (exact.E.status, Revised.solve s) with
@@ -361,7 +355,7 @@ let test_presolve_detects_infeasible () =
    optimum, and postsolve maps the reduced optimum to a feasible point. *)
 let presolve_keeps_lp_optimum spec =
   let p = build_random_lp spec in
-  let module E = Dense_simplex.Exact in
+  let module E = Dense_simplex in
   let before = E.solve p in
   match Presolve.run p with
   | Presolve.Infeasible_detected -> before.E.status = E.Infeasible
@@ -881,12 +875,12 @@ let test_mip_root_solved_once () =
   checki "root LP solved once" 1
     (Support.Metrics.counter_value solves - before)
 
-(* Warm starts: re-solving a slightly edited instance seeded with the
-   previous solve's solution and pseudocost history must prove exactly
-   the objective a cold solve of the edited instance proves, and must
-   report its bookkeeping honestly ([warm_start_used],
-   [incumbent_source]).  The edit bumps a few objective coefficients, so
-   the previous solution stays feasible and the seed can land. *)
+(* Warm starts: re-solving a slightly edited instance with the previous
+   solve's integral values as hints must prove exactly the objective a
+   cold solve of the edited instance proves, and must report its
+   bookkeeping honestly ([warm_start_used], [incumbent_source]).  The
+   edit bumps a few objective coefficients, so the previous solution
+   stays feasible and the seed can land. *)
 let test_mip_warm_start_equivalence () =
   List.iter
     (fun seed ->
@@ -898,10 +892,16 @@ let test_mip_warm_start_equivalence () =
       checkb
         (Printf.sprintf "seed %d: cold solve not warm-started" seed)
         false cold.Mip.stats.Mip.warm_start_used;
+      (* every variable is binary: the hints are the ones set *)
+      let hints =
+        let x = Option.get cold.Mip.solution in
+        List.filter_map
+          (fun j -> if x.(j) > 0.5 then Some (j, 1.) else None)
+          (List.init (Array.length x) Fun.id)
+      in
       checkb
-        (Printf.sprintf "seed %d: cold solve exports hints" seed)
-        true
-        (cold.Mip.ws_out.Mip.ws_values <> []);
+        (Printf.sprintf "seed %d: cold solve has integral values" seed)
+        true (hints <> []);
       let edited () =
         let p = seeded_cover_mip seed in
         let st = Random.State.make [| (seed * 7) + 1 |] in
@@ -911,9 +911,7 @@ let test_mip_warm_start_equivalence () =
         done;
         p
       in
-      let warm_r =
-        Mip.solve ~rel_gap:0. ~warm:cold.Mip.ws_out (edited ())
-      in
+      let warm_r = Mip.solve ~rel_gap:0. ~hints (edited ()) in
       let cold_r = Mip.solve ~rel_gap:0. (edited ()) in
       checkb
         (Printf.sprintf "seed %d: warm solve optimal" seed)
@@ -1670,7 +1668,7 @@ let seeded_lp st =
 
 let test_revised_vs_exact_seeded () =
   let st = Random.State.make [| 0x5eed |] in
-  let module E = Dense_simplex.Exact in
+  let module E = Dense_simplex in
   let optimal = ref 0 in
   for case = 1 to 100 do
     let p = seeded_lp st in
@@ -1899,7 +1897,6 @@ let suites =
     ( "lp.simplex",
       [
         Alcotest.test_case "dense exact classic" `Quick test_dense_exact_classic;
-        Alcotest.test_case "dense float classic" `Quick test_dense_float_classic;
         Alcotest.test_case "dense infeasible" `Quick test_dense_infeasible;
         Alcotest.test_case "dense unbounded" `Quick test_dense_unbounded;
         Alcotest.test_case "revised classic" `Quick test_revised_classic_bounded;

@@ -682,14 +682,15 @@ let node_budget = 128
 (* Cold / no-op / one-line-edit rebuild times through the stage-cached
    driver ([Regalloc.Driver.compile_incremental]), per workload, under
    [node_budget].  The one-line edit appends a `//` comment: the front
-   end re-runs (the source hash changed) but the model fingerprint is
-   unchanged, so the solve stage must replay from the artifact store
-   instead of invoking the solver.  Prints the table and fails (exit 1)
-   if
+   end re-runs (the source hash changed) but the flowgraph is unchanged,
+   so the model stage must replay from its memo and the solve stage from
+   the artifact store instead of invoking the solver.  Prints the table
+   and fails (exit 1) if
      - the no-op rebuild is not a pure cache hit (full-compile memo,
        i.e. no solver invocation at all), or
-     - the edit rebuild misses the solve cache or changes the proven
-       move cost / outcome versus the cold compile, or
+     - the edit rebuild misses the model memo or the solve cache, or
+       changes the proven move cost / outcome versus the cold compile,
+       or
      - the NAT edit rebuild is not >= 5x faster than its cold compile.
    A last row makes a model-changing AES edit (one checksum line
    deleted) in the same store, so the previous solve warm-starts it, and
@@ -702,6 +703,7 @@ type inc_row = {
   inc_cold : float;
   inc_noop : float;
   inc_edit : float;
+  inc_model_hit : bool; (* the edit leg replayed the model memo *)
   inc_outcome : string;
 }
 
@@ -742,6 +744,8 @@ let measure_incremental ~store ~fail:(report : string -> unit) (w : workload)
   let edit_t, (c2, r2) = run edited in
   if r2.Regalloc.Driver.full_hit then
     fail "%s: edited source reported a full-compile cache hit" w.name;
+  if not r2.Regalloc.Driver.model_hit then
+    fail "%s: edit rebuild missed the model memo (graph drift?)" w.name;
   if not r2.Regalloc.Driver.solve_hit then
     fail "%s: edit rebuild missed the solve cache (fingerprint drift?)" w.name;
   let cost c = c.Regalloc.Driver.stats.Regalloc.Driver.weighted_move_cost in
@@ -759,6 +763,7 @@ let measure_incremental ~store ~fail:(report : string -> unit) (w : workload)
     inc_cold = cold_t;
     inc_noop = noop_t;
     inc_edit = edit_t;
+    inc_model_hit = r2.Regalloc.Driver.model_hit;
     inc_outcome = outcome c0;
   }
 
@@ -818,13 +823,14 @@ let incremental () =
       (measure_incremental ~store ~fail:(fun s -> failures := s :: !failures))
       [ kasumi; aes; nat; lpm; firewall; csum; qos ]
   in
-  Fmt.pr "%-8s | %8s | %8s | %8s | %8s | %-9s@." "" "cold(s)" "noop(s)"
-    "edit(s)" "speedup" "outcome";
+  Fmt.pr "%-8s | %8s | %8s | %8s | %8s | %-5s | %-9s@." "" "cold(s)"
+    "noop(s)" "edit(s)" "speedup" "model" "outcome";
   List.iter
     (fun r ->
-      Fmt.pr "%-8s | %8.3f | %8.3f | %8.3f | %7.1fx | %-9s@." r.inc_name
-        r.inc_cold r.inc_noop r.inc_edit
+      Fmt.pr "%-8s | %8.3f | %8.3f | %8.3f | %7.1fx | %-5s | %-9s@."
+        r.inc_name r.inc_cold r.inc_noop r.inc_edit
         (r.inc_cold /. Float.max 1e-9 r.inc_edit)
+        (if r.inc_model_hit then "hit" else "miss")
         r.inc_outcome)
     rows;
   (match List.find_opt (fun r -> r.inc_name = "NAT") rows with

@@ -12,7 +12,9 @@
         [Regalloc.Validate] (enforced inside the driver) and both lint
         clean over the sandbox regions;
      4. warm-vs-cold -- recompiling through a stage-cache store replays
-        the stored solve and reproduces the cold compile's observables.
+        the stored solve and reproduces the cold compile's observables;
+        so does the source with one comment line prepended, compiled
+        with the memos kept, which must also replay the model.
 
    All stages run on the *printed* source, so a counterexample written
    to the corpus replays the exact compiles that failed. *)
@@ -183,12 +185,32 @@ let observables (c : Regalloc.Driver.compiled) =
     s.Regalloc.Driver.spills_inserted,
     s.Regalloc.Driver.weighted_move_cost )
 
+let asm (c : Regalloc.Driver.compiled) =
+  Ixp.Asm.program_to_string c.Regalloc.Driver.physical
+
 let warm_vs_cold ~options ~file source =
   let store = Cache.Store.create () in
   try
     Regalloc.Driver.clear_memos ();
     let cold, _ =
       Regalloc.Driver.compile_incremental ~options ~store ~file source
+    in
+    (* keep the memos: a comment shifts every line but leaves the graph
+       as it was, so the model memo and the stored solve both replay *)
+    let comment, rc =
+      Regalloc.Driver.compile_incremental ~options ~store ~file
+        ("// fuzz comment leg\n" ^ source)
+    in
+    let* () =
+      if not (rc.Regalloc.Driver.model_hit && rc.Regalloc.Driver.solve_hit)
+      then
+        fail "warm-vs-cold" "comment leg: model_hit=%b solve_hit=%b"
+          rc.Regalloc.Driver.model_hit rc.Regalloc.Driver.solve_hit
+      else if observables comment <> observables cold then
+        fail "warm-vs-cold" "comment leg: observables differ from cold"
+      else if asm comment <> asm cold then
+        fail "warm-vs-cold" "comment leg: physical program differs from cold"
+      else Ok ()
     in
     (* drop the in-process memos but keep the store: the warm leg must
        reconstruct the compile from persisted artifacts *)

@@ -361,9 +361,15 @@ let compile ?(options = default_options) ~file source =
    every stage boundary cacheable:
 
      front    source text + front options        -> front IR (memo)
-     model    front key + variant + objective    -> Modelgen/ILP (memo)
+     model    graph digest + variant + objective -> Modelgen/ILP (memo)
      solve    model fingerprint + solve options  -> MIP result (disk)
      full     front key + all options            -> compiled (memo)
+
+   The model stage reads nothing but the flowgraph it is given, so it is
+   keyed on that graph's digest ([Modelhash.graph_digest]) rather than
+   on the source: an edit that leaves the program unchanged (a comment,
+   formatting) misses the front and full memos but hits the model memo,
+   and skips modelgen, the ILP build and the fingerprint.
 
    The front and model stages hold OCaml IR (ident-stamped graphs,
    hashtables keyed by idents) that has no faithful JSON form, so their
@@ -394,7 +400,8 @@ let compile ?(options = default_options) ~file source =
 
 type cache_report = {
   front_hit : bool; (* front IR replayed from the in-process memo *)
-  model_hit : bool; (* Modelgen/ILP build replayed from the memo *)
+  model_hit : bool; (* Modelgen/ILP build replayed from the memo, keyed
+                        on the graph, so a comment edit hits it too *)
   solve_hit : bool; (* MIP solution replayed from an artifact *)
   full_hit : bool; (* whole compile replayed (no stage ran at all) *)
   warm_used : bool; (* live solve seeded its incumbent from a warm start *)
@@ -503,7 +510,6 @@ let memo_add (tbl : 'a memo) key value =
 let memo_front : front memo = Hashtbl.create 8
 
 type model_entry = {
-  me_graph : Ident.t Ixp.Flowgraph.t; (* identity guard, see below *)
   me_mg : Modelgen.t;
   me_ilp : Ilp.t;
   me_fp : string;
@@ -606,23 +612,27 @@ let replay_solve (ilp : Ilp.t) ~index (doc : Json.t) :
 
 (* ---------------- the cached model+solve hook ---------------- *)
 
-let cached_model_solve ~(store : Cache.Store.t) ~file ~key_front
+let cached_model_solve ~(store : Cache.Store.t) ~file
     ~(report_model_hit : unit -> unit) ~(report_solve_hit : unit -> unit)
     ~(report_warm : unit -> unit) ~(report_fp : string -> unit)
     (options : options) : model_solve =
  fun ~variant graph ->
-  (* model stage: memo keyed by (front key, variant, objective), and
-     reused only with the very front object it was built from (a
-     physical-identity guard backs the key), so a model and the front it
-     allocates always come from one compile *)
-  let mk = Cache.Key.combine [ key_front; variant; obj_tag options.objective ] in
+  (* model stage: memo keyed by (graph digest, variant, objective), all
+     that modelgen and the ILP build read.  An equal graph gives the same
+     model, LP, fingerprint and names, so a hit may come from another
+     source text; what the compile reports about the source (provenance)
+     comes from its own front. *)
+  let mk =
+    Cache.Key.combine
+      [ Modelhash.graph_digest graph; variant; obj_tag options.objective ]
+  in
   let entry =
     match memo_find memo_model mk with
-    | Some e when e.me_graph == graph ->
+    | Some e ->
         report_model_hit ();
         Metrics.incr m_hit;
         e
-    | _ ->
+    | None ->
         Metrics.incr m_miss;
         let mg = build_variant ~variant graph in
         let ilp =
@@ -637,7 +647,6 @@ let cached_model_solve ~(store : Cache.Store.t) ~file ~key_front
         in
         let e =
           {
-            me_graph = graph;
             me_mg = mg;
             me_ilp = ilp;
             me_fp = fp;
@@ -756,7 +765,7 @@ let compile_incremental ?(options = default_options) ?store ~file source :
             f
       in
       let model_solve =
-        cached_model_solve ~store ~file ~key_front:kf
+        cached_model_solve ~store ~file
           ~report_model_hit:(fun () -> model_hit := true)
           ~report_solve_hit:(fun () -> solve_hit := true)
           ~report_warm:(fun () -> warm_used := true)

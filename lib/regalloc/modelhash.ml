@@ -18,6 +18,9 @@
        see [fingerprint]).  Equal fingerprints mean the same LP bit for
        bit, names and order included.
 
+     - [graph_digest] is the digest of the virtual flowgraph a model is
+       built from, the key of [Driver]'s in-process model memo.
+
      - [solution_to_json]/[solution_of_json] persist a solution keyed
        by variable name, and [hints_of_solution] reads a stored one back
        as warm-start hints, so a value saved by one compile maps onto the
@@ -122,6 +125,19 @@ let fingerprint (p : P.t) : Cache.Key.t =
     pos := !q
   done;
   Digest.to_hex (Digest.subbytes b 0 !pos)
+
+(* The digest of a flowgraph's blocks in layout order: every label,
+   instruction field, identifier (base and stamp) and terminator.
+   Modelgen, [Ilp.build] and the names read nothing else, and they mint
+   no identifiers, so equal digests give the same model, LP, fingerprint
+   and names.  [No_sharing] makes the bytes a function of the value
+   alone, whatever the graph shares; the digest is never persisted, so
+   the stability of [Marshal]'s format across compilers does not
+   matter. *)
+let graph_digest (g : Ident.t Ixp.Flowgraph.t) : Cache.Key.t =
+  Digest.to_hex
+    (Digest.string
+       (Marshal.to_string (Ixp.Flowgraph.blocks g) [ Marshal.No_sharing ]))
 
 (* ---------------- solution serialization and hints ---------------- *)
 

@@ -175,13 +175,15 @@ let test_store_truncated_artifact () =
 
 (* ---------------- model fingerprints ---------------- *)
 
-let small_src =
-  {|
+(* A small loop; [small_src] runs it three times. *)
+let small_loop bound =
+  Printf.sprintf
+    {|
 fun main () : word {
   let (a, b, c, d) = sram(100);
   var acc = 0;
   var i = 0;
-  while (i < 3) {
+  while (i < %d) {
     acc := acc + a + b - c;
     i := i + 1;
   }
@@ -189,13 +191,17 @@ fun main () : word {
   acc + d
 }
 |}
+    bound
+
+let small_src = small_loop 3
 
 (* [small_src] with one token added to the result expression ("+ a"):
    this stretches [a]'s live range across the stores to the very end of
    the program, so the allocation model itself changes.  (Note that a
    mere opcode flip like "- c" -> "+ c" would NOT change the model: the
    ILP sees operands, liveness and program points, not instruction
-   semantics, and the cache is correct to reuse the solve.) *)
+   semantics, and the cache is correct to reuse the solve; see
+   [small_src_opcode_flip].) *)
 let small_src_semantic_edit =
   {|
 fun main () : word {
@@ -208,6 +214,23 @@ fun main () : word {
   }
   sram(200) <- (acc, d);
   acc + d + a
+}
+|}
+
+(* [small_src] with the opcode flip "- c" -> "+ c": a different program,
+   so a different graph, but the same allocation model. *)
+let small_src_opcode_flip =
+  {|
+fun main () : word {
+  let (a, b, c, d) = sram(100);
+  var acc = 0;
+  var i = 0;
+  while (i < 3) {
+    acc := acc + a + b + c;
+    i := i + 1;
+  }
+  sram(200) <- (acc, d);
+  acc + d
 }
 |}
 
@@ -245,6 +268,84 @@ let test_fingerprint_stability () =
   checki "names are unique"
     (Array.length n1)
     (S.cardinal (S.of_list (Array.to_list n1)))
+
+(* ---------------- the model memo's key ---------------- *)
+
+(* The model memo's key of a two-block graph built by hand; each
+   argument is one field the key must see.  [share] builds every use of
+   an identifier from one record; without it each use gets a copy of its
+   own, so an equal graph with other sharing must give the same key. *)
+let graph_key ?(share = true) ?(entry = "entry") ?(swap = false)
+    ?(op = Ixp.Insn.Add) ?(x_base = "x") ?(x_stamp = 1) ?(lit = 7) ?(disp = 4)
+    ?(space = Ixp.Insn.Sram) ?(target = "exit") ?(cond = Ixp.Insn.Lt) () =
+  let module I = Ixp.Insn in
+  let made = Hashtbl.create 4 in
+  let id base stamp =
+    let fresh () = { Support.Ident.base; stamp } in
+    if not share then fresh ()
+    else
+      match Hashtbl.find_opt made stamp with
+      | Some v -> v
+      | None ->
+          let v = fresh () in
+          Hashtbl.replace made stamp v;
+          v
+  in
+  let x () = id x_base x_stamp and y () = id "y" 2 and z () = id "z" 3 in
+  let blocks =
+    [
+      ( entry,
+        [
+          I.Imm { dst = y (); value = 1 };
+          I.Alu { dst = z (); op; x = x (); y = I.Lit lit };
+          I.Read
+            {
+              space;
+              dsts = [| y () |];
+              addr = { I.base = I.Reg (z ()); disp };
+            };
+        ],
+        I.Branch
+          { cond; x = y (); y = I.Reg (z ()); ifso = target; ifnot = "exit" } );
+      ( "exit",
+        [
+          I.Write
+            {
+              space = I.Sram;
+              srcs = [| y () |];
+              addr = { I.base = I.Lit 0; disp = 0 };
+            };
+        ],
+        I.Halt );
+    ]
+  in
+  let g = Ixp.Flowgraph.create () in
+  List.iter
+    (fun (label, insns, term) ->
+      ignore (Ixp.Flowgraph.add_block g ~label ~insns ~term))
+    (if swap then List.rev blocks else blocks);
+  Regalloc.Modelhash.graph_digest g
+
+let test_graph_key_complete () =
+  let key = graph_key () in
+  checks "an equal graph built apart: the same key" key (graph_key ());
+  checks "an equal graph shared otherwise: the same key" key
+    (graph_key ~share:false ());
+  List.iter
+    (fun (what, other) ->
+      checkb (what ^ " changes the key") false (other = key))
+    [
+      ("a block label", graph_key ~entry:"start" ());
+      ("the block order", graph_key ~swap:true ());
+      ("an opcode", graph_key ~op:Ixp.Insn.Sub ());
+      ("a register's base", graph_key ~x_base:"w" ());
+      ("a register's stamp", graph_key ~x_stamp:4 ());
+      ("a literal", graph_key ~lit:8 ());
+      ("an address displacement", graph_key ~disp:8 ());
+      ("a memory space", graph_key ~space:Ixp.Insn.Scratch ());
+      ("a terminator's target", graph_key ~target:"entry" ());
+      ("a terminator's condition", graph_key ~cond:Ixp.Insn.Ge ());
+    ]
 
 (* ---------------- stage invalidation through the driver ---------------- *)
 
@@ -285,6 +386,10 @@ let test_stage_invalidation () =
   let c3, r3 = compile_inc store (small_src ^ "\n// edited\n") in
   checkb "comment edit: no front hit" false r3.Regalloc.Driver.front_hit;
   checkb "comment edit: no full hit" false r3.Regalloc.Driver.full_hit;
+  checkb "comment edit: model memo hits (the graph is unchanged)" true
+    r3.Regalloc.Driver.model_hit;
+  checks "comment edit: the cold fingerprint"
+    r0.Regalloc.Driver.model_fingerprint r3.Regalloc.Driver.model_fingerprint;
   checkb "comment edit: solve replays" true r3.Regalloc.Driver.solve_hit;
   check (Alcotest.float 1e-6) "comment edit: same move cost"
     c0.Regalloc.Driver.stats.Regalloc.Driver.weighted_move_cost
@@ -298,9 +403,43 @@ let test_stage_invalidation () =
   checkb "rel_gap change: model memo survives" true
     r4.Regalloc.Driver.model_hit;
   checkb "rel_gap change: solve re-runs" false r4.Regalloc.Driver.solve_hit;
+  (* two comment lines prepended: every line shifts, the graph does not.
+     The model and the solve replay, the code is what a plain compile of
+     the edited text emits, and the provenance follows the new lines *)
+  let shifted = "// one\n// two\n" ^ small_src in
+  let c6, r6 = compile_inc store shifted in
+  checkb "shifted lines: no front hit" false r6.Regalloc.Driver.front_hit;
+  checkb "shifted lines: model memo hits" true r6.Regalloc.Driver.model_hit;
+  checkb "shifted lines: solve replays" true r6.Regalloc.Driver.solve_hit;
+  let asm (c : Regalloc.Driver.compiled) =
+    Ixp.Asm.program_to_string c.Regalloc.Driver.physical
+  in
+  let plain =
+    Regalloc.Driver.compile ~options:fast_options ~file:"test.nova" shifted
+  in
+  checks "shifted lines: the code of a plain compile" (asm plain) (asm c6);
+  (* a label of the form blocks lowered from [main] print as (this
+     program's blocks are all continuations, with fabricated bases) *)
+  let main_label = "main_1" in
+  let line (c : Regalloc.Driver.compiled) =
+    match
+      Regalloc.Driver.provenance_of_tprog c.Regalloc.Driver.tprog main_label
+    with
+    | Some loc -> Support.Srcloc.start_line loc
+    | None -> Alcotest.failf "no provenance for %s" main_label
+  in
+  checki "shifted lines: provenance two lines down" (line c0 + 2) (line c6);
+  (* opcode flip "- c" -> "+ c": the graph changes, so the model is
+     rebuilt, but the LP does not, so the solve replays *)
+  let _, r7 = compile_inc store small_src_opcode_flip in
+  checkb "opcode flip: model rebuilt" false r7.Regalloc.Driver.model_hit;
+  checkb "opcode flip: solve replays" true r7.Regalloc.Driver.solve_hit;
+  checks "opcode flip: the cold fingerprint"
+    r0.Regalloc.Driver.model_fingerprint r7.Regalloc.Driver.model_fingerprint;
   (* semantic one-token edit: model fingerprint changes, solve re-runs *)
   let _, r5 = compile_inc store small_src_semantic_edit in
   checkb "semantic edit: no front hit" false r5.Regalloc.Driver.front_hit;
+  checkb "semantic edit: model rebuilt" false r5.Regalloc.Driver.model_hit;
   checkb "semantic edit: solve re-runs" false r5.Regalloc.Driver.solve_hit;
   checkb "semantic edit: new fingerprint" false
     (r5.Regalloc.Driver.model_fingerprint
@@ -511,12 +650,14 @@ let test_old_artifact_with_ws () =
    eight distinct compiles and a resend of the first, a ninth distinct
    compile evicts one entry from each memo (front, model and full); in
    the full memo that is the second program, while the first, just
-   resent, and the ninth, just compiled, still hit in full. *)
+   resent, and the ninth, just compiled, still hit in full.  The
+   programs differ in code (the loop bound), not only in text, so each
+   has a graph and a model entry of its own. *)
 let test_memo_lru () =
   Regalloc.Driver.clear_memos ();
   with_dir @@ fun dir ->
   let store = Cache.Store.create ~dir () in
-  let variant i = small_src ^ Printf.sprintf "\n// variant %d\n" i in
+  let variant i = small_loop (i + 2) in
   for i = 1 to 8 do
     ignore (compile_inc store (variant i))
   done;
@@ -784,6 +925,8 @@ let suites =
       [
         Alcotest.test_case "stability across builds" `Quick
           test_fingerprint_stability;
+        Alcotest.test_case "the model memo's key sees the whole graph" `Quick
+          test_graph_key_complete;
       ] );
     ( "cache.driver",
       [

@@ -521,6 +521,17 @@ let remat () =
    budgets (120 s / 20k nodes), plus seeded random 0-1 instances.
    EXPERIMENTS.md records them next to the seed revision's. *)
 
+(* The LU work of one solve: LP rows after presolve, factorizations
+   (the first one included) and refactorizations, active-submatrix
+   entries moved, and L + U entries summed over the factorizations. *)
+type lu_work = {
+  lu_rows : int;
+  lu_factorizations : int;
+  lu_refactorizations : int;
+  lu_moves : int;
+  lu_entries : int;
+}
+
 type solver_row = {
   sb_name : string;
   sb_status : string;
@@ -531,7 +542,30 @@ type solver_row = {
   sb_nodes : int;
   sb_iters : int;
   sb_heur : int;
+  sb_lu : lu_work;
 }
+
+(* [Lp.Mip.solve] by [solve], with the LU counters it advanced. *)
+let lu_measured solve =
+  let module M = Support.Metrics in
+  let counters () =
+    let c name = M.counter_value (M.counter name) in
+    ( M.histogram_count (M.histogram "lp.lu.factorize_us"),
+      c "lp.lu.refactorizations",
+      c "lp.lu.moves",
+      c "lp.lu.l_nnz" + c "lp.lu.u_nnz" )
+  in
+  let f0, r0, m0, e0 = counters () in
+  let r = solve () in
+  let f1, r1, m1, e1 = counters () in
+  ( r,
+    {
+      lu_rows = r.Lp.Mip.stats.Lp.Mip.rows_after;
+      lu_factorizations = f1 - f0;
+      lu_refactorizations = r1 - r0;
+      lu_moves = m1 - m0;
+      lu_entries = e1 - e0;
+    } )
 
 let solver_status_string = function
   | Lp.Mip.Optimal -> "optimal"
@@ -543,9 +577,10 @@ let solve_workload_model ?(time_limit = 120.) ?rel_gap w =
   let mg = Regalloc.Modelgen.build ~allow_spill:false f.Regalloc.Driver.f_graph in
   let ilp = Regalloc.Ilp.build mg in
   let p = ilp.Regalloc.Ilp.problem in
-  let r =
-    Lp.Mip.solve ~time_limit ~node_limit:20_000 ?rel_gap
-      ~branch_first:ilp.Regalloc.Ilp.branch_first p
+  let r, lu =
+    lu_measured (fun () ->
+        Lp.Mip.solve ~time_limit ~node_limit:20_000 ?rel_gap
+          ~branch_first:ilp.Regalloc.Ilp.branch_first p)
   in
   let s = r.Lp.Mip.stats in
   {
@@ -558,6 +593,7 @@ let solve_workload_model ?(time_limit = 120.) ?rel_gap w =
     sb_nodes = s.Lp.Mip.nodes;
     sb_iters = s.Lp.Mip.simplex_iterations;
     sb_heur = s.Lp.Mip.heuristic_incumbents;
+    sb_lu = lu;
   }
 
 (* seeded random set-packing/covering mixes, all solved to optimality *)
@@ -586,7 +622,9 @@ let solver_random_instance seed =
 
 let solve_random_instance seed =
   let p = solver_random_instance seed in
-  let r = Lp.Mip.solve ~time_limit:60. ~node_limit:100_000 p in
+  let r, lu =
+    lu_measured (fun () -> Lp.Mip.solve ~time_limit:60. ~node_limit:100_000 p)
+  in
   let s = r.Lp.Mip.stats in
   {
     sb_name = Printf.sprintf "rand-%d" seed;
@@ -598,6 +636,7 @@ let solve_random_instance seed =
     sb_nodes = s.Lp.Mip.nodes;
     sb_iters = s.Lp.Mip.simplex_iterations;
     sb_heur = s.Lp.Mip.heuristic_incumbents;
+    sb_lu = lu;
   }
 
 let pp_solver_row r =
@@ -619,6 +658,11 @@ let solver () =
 
 (* CI gate: small models under a hard wall-clock ceiling, so a basis or
    pricing regression fails the build rather than just getting slower.
+   The LU work of AES and NAT is printed, and AES may move at most four
+   times as many active-submatrix entries as its factorizations hold
+   (L + U entries plus m per factorization), a deterministic bound: AES
+   moves 0.14 M entries under a limit of 1.06 M, and a factorization
+   that shifts the whole column tail to close each gap moves 6.5 M.
    At the default gap AES and NAT must prove optimal within a node cap
    (AES 128 nodes in about 0.15 s, NAT 36 in about 0.35 s on a 2-vCPU
    host), so a search that stops branching on the transfer-register
@@ -644,6 +688,24 @@ let solver_smoke () =
   in
   List.iter pp_solver_row rows;
   let failures = ref [] in
+  List.iter
+    (fun ((r : solver_row), _) ->
+      let lu = r.sb_lu in
+      let limit =
+        4 * (lu.lu_entries + (lu.lu_rows * lu.lu_factorizations))
+      in
+      Fmt.pr
+        "%s LU: %d refactorizations, %d entries moved, %d L+U entries, m = \
+         %d@."
+        r.sb_name lu.lu_refactorizations lu.lu_moves lu.lu_entries lu.lu_rows;
+      if r.sb_name = aes.name && lu.lu_moves > limit then
+        failures :=
+          Printf.sprintf
+            "%s moved %d active-submatrix entries (limit 4 x (L+U + m per \
+             factorization) = %d)"
+            r.sb_name lu.lu_moves limit
+          :: !failures)
+    searched;
   List.iter
     (fun (r, cap) ->
       if r.sb_nodes > cap then

@@ -193,12 +193,12 @@ let pc_learn pc (nd : node) obj =
 (* The branching variable, or -1 if [x] is integral: the fractional
    variable with the best pseudocost product score among those marked in
    [first], or among all of them when none marked is fractional.  One
-   scan keeps both bests. *)
-let select_branch (p : Problem.t) pc first n x =
+   scan keeps both bests; [integer] flags the integer variables. *)
+let select_branch (p : Problem.t) pc ~integer first n x =
   let best = ref (-1) and best_score = ref neg_infinity in
   let best_first = ref (-1) and best_first_score = ref neg_infinity in
   for j = 0 to n - 1 do
-    if Problem.var_integer p j then begin
+    if integer.(j) then begin
       let f = x.(j) -. floor x.(j) in
       if f > int_tol && f < 1. -. int_tol then begin
         let dn = pc_est p pc false j *. f in
@@ -246,6 +246,9 @@ let solve ?(time_limit = 600.) ?(node_limit = 500_000) ?(rel_gap = 1e-4)
   let solver, root_status = root in
   let orig_lo = Array.init n (Problem.var_lo p) in
   let orig_hi = Array.init n (Problem.var_hi p) in
+  let integer = Array.init n (Problem.var_integer p) in
+  (* the LP solution of the node being expanded *)
+  let x = Array.make n 0. in
   let hints = hint_array n hints in
   let pc = pc_create n in
   let best = ref None (* objective, solution, source *) in
@@ -313,8 +316,8 @@ let solve ?(time_limit = 600.) ?(node_limit = 500_000) ?(rel_gap = 1e-4)
           if nd.depth = 0 then root_objective := obj;
           pc_learn pc nd obj;
           if obj < cutoff () then begin
-            let x = Revised.primal solver in
-            match select_branch p pc first n x with
+            Revised.primal_into solver x;
+            match select_branch p pc ~integer first n x with
             | -1 -> record "branch" obj (Array.copy x)
             | v ->
                 (* Warm-start seeding, once, at the root: fix the previous
@@ -324,13 +327,14 @@ let solve ?(time_limit = 600.) ?(node_limit = 500_000) ?(rel_gap = 1e-4)
                 (match hints with
                 | Some h when nd.depth = 0 ->
                     Heuristic.guided_dive ~cutoff:(cutoff ()) ~deadline
-                      ~hints:h solver p
+                      ~integer ~hints:h solver p
                     |> Option.iter (fun (hobj, hx) ->
                            warm_seeded := true;
                            record "seeded" hobj hx)
                 | _ -> ());
                 if nd.depth = 0 || !nodes mod heur_period = 0 then
-                  Heuristic.dive ~cutoff:(cutoff ()) ~deadline solver p
+                  Heuristic.dive ~cutoff:(cutoff ()) ~deadline ~integer solver
+                    p
                   |> Option.iter (fun (hobj, hx) ->
                          incr heur;
                          Support.Metrics.incr m_heur;

@@ -22,14 +22,17 @@ let int_tol = 1e-6
    hitting this means the dive wandered somewhere expensive -- abort. *)
 let dive_max_iters = 2_000
 
-(* [dive solver p ~cutoff ~deadline] assumes [solver] has just solved the
-   LP over its current bounds to optimality.  Returns [Some (obj, x)]
-   with an integral solution strictly better than [cutoff], or [None].
-   All bounds touched are restored before returning (the solver's basis
-   is left wherever the dive ended; the caller re-solves as needed). *)
+(* [dive solver p ~cutoff ~deadline ~integer] assumes [solver] has just
+   solved the LP over its current bounds to optimality; [integer.(j)]
+   flags [p]'s integer variables.  Returns [Some (obj, x)] with an
+   integral solution strictly better than [cutoff], or [None].  All
+   bounds touched are restored before returning (the solver's basis is
+   left wherever the dive ended; the caller re-solves as needed). *)
 let dive ?(max_fixes = 500) ?(cutoff = infinity) ?(deadline = infinity)
-    (solver : Revised.t) (p : Problem.t) =
+    ~integer (solver : Revised.t) (p : Problem.t) =
   let n = Problem.num_vars p in
+  (* the LP solution at each step, returned when it is integral *)
+  let x = Array.make n 0. in
   let saved = Hashtbl.create 32 in
   let save v =
     if not (Hashtbl.mem saved v) then
@@ -46,11 +49,11 @@ let dive ?(max_fixes = 500) ?(cutoff = infinity) ?(deadline = infinity)
   let rec go fixes =
     if fixes > max_fixes || Clock.now () > deadline then None
     else begin
-      let x = Revised.primal solver in
+      Revised.primal_into solver x;
       (* least-fractional unfixed integer variable *)
       let best = ref (-1) and bestf = ref infinity in
       for j = 0 to n - 1 do
-        if Problem.var_integer p j then begin
+        if integer.(j) then begin
           let f = Float.abs (x.(j) -. Float.round x.(j)) in
           if f > int_tol && f < !bestf then begin
             best := j;
@@ -63,7 +66,7 @@ let dive ?(max_fixes = 500) ?(cutoff = infinity) ?(deadline = infinity)
         let obj = Revised.objective solver in
         if obj < cutoff then begin
           for j = 0 to n - 1 do
-            if Problem.var_integer p j then x.(j) <- Float.round x.(j)
+            if integer.(j) then x.(j) <- Float.round x.(j)
           done;
           Some (obj, x)
         end
@@ -109,17 +112,18 @@ let dive ?(max_fixes = 500) ?(cutoff = infinity) ?(deadline = infinity)
    comes back infeasible and the caller falls back to the plain dive.
 
    [hints.(j)] is the suggested value for variable [j], or [nan] for no
-   suggestion.  All bounds touched are restored before returning. *)
+   suggestion; [integer] is as in [dive].  All bounds touched are
+   restored before returning. *)
 let guided_max_iters = 20_000
 
-let guided_dive ?(cutoff = infinity) ?(deadline = infinity)
+let guided_dive ?(cutoff = infinity) ?(deadline = infinity) ~integer
     ~(hints : float array) (solver : Revised.t) (p : Problem.t) =
   let n = Problem.num_vars p in
   let saved = ref [] in
   let fixed = ref 0 in
   for j = 0 to min n (Array.length hints) - 1 do
     let h = hints.(j) in
-    if Problem.var_integer p j && not (Float.is_nan h) then begin
+    if integer.(j) && not (Float.is_nan h) then begin
       let lo, hi = Revised.bounds solver j in
       let v = Float.max lo (Float.min hi (Float.round h)) in
       saved := (j, lo, hi) :: !saved;
@@ -143,7 +147,7 @@ let guided_dive ?(cutoff = infinity) ?(deadline = infinity)
           else
             (* hinted variables are fixed integral; the plain dive now
                only has the unhinted remainder to round *)
-            dive ~cutoff ~deadline solver p
+            dive ~cutoff ~deadline ~integer solver p
     in
     restore ();
     result

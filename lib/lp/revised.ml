@@ -43,12 +43,16 @@ type t = {
   row_col : int array;
   row_val : float array;
   rhs : float array; (* length m *)
-  mutable lu : Sparse_lu.t; (* factored basis *)
+  lu : Sparse_lu.t; (* factored basis, refactorized in place *)
   basis : int array; (* length m: variable in basis position i *)
   in_basis : int array; (* var -> basis position, or -1 *)
   at_upper : bool array; (* nonbasic status; meaningful when not basic *)
   xb : float array; (* values of basic variables *)
   dvals : float array; (* reduced costs, maintained incrementally *)
+  duals : float array; (* workspace: the dual values [refresh_dvals]
+                          computes, length m *)
+  nz : int array; (* workspace: the nonzero positions of [xb] or [duals]
+                     for a solve *)
   mutable dvals_fresh : bool;
   mutable xb_fresh : bool;
   (* cheap-restart queue: (nonbasic var, its value before the bound
@@ -68,8 +72,9 @@ type t = {
   row_cols : int array; (* workspace: columns the pivot row touched *)
   dw : float array; (* devex reference weights, one per basis row *)
   (* Pricing candidates: the first [ncand] entries of [cand] list the
-     rows whose x_B changed since pricing last found them feasible, and
-     [in_cand] marks them.  Every infeasible row is listed. *)
+     rows whose x_B or basic variable's bounds changed since pricing
+     last found them feasible, and [in_cand] marks them.  Every
+     infeasible row is listed, between solves too. *)
   cand : int array;
   in_cand : bool array;
   mutable ncand : int;
@@ -81,14 +86,6 @@ type t = {
 let feas_tol = 1e-7
 let dual_tol = 1e-7
 let pivot_tol = 1e-9
-
-(* The column of basis position [k], in the form [Sparse_lu.factorize]
-   reads. *)
-let basis_column col_start col_row col_val basis k f =
-  let j = basis.(k) in
-  for p = col_start.(j) to col_start.(j + 1) - 1 do
-    f col_row.(p) col_val.(p)
-  done
 
 let create (p : Problem.t) =
   let n = Problem.num_vars p in
@@ -166,12 +163,14 @@ let create (p : Problem.t) =
     else if not (Float.is_finite lo.(j)) then at_upper.(j) <- true
   done;
   (* All-slack basis: the identity factors trivially. *)
-  let lu = Sparse_lu.factorize m (basis_column col_start col_row col_val basis) in
+  let lu = Sparse_lu.factorize ~col_start ~col_row ~col_val basis in
   {
     n; m; cost; lo; hi; col_start; col_row; col_val; row_start; row_col;
     row_val; rhs; lu; basis; in_basis; at_upper;
     xb = Array.make m 0.;
     dvals = Array.make nm 0.;
+    duals = Array.make m 0.;
+    nz = Array.make m 0;
     dvals_fresh = false;
     xb_fresh = false;
     bound_deltas = [];
@@ -201,24 +200,23 @@ let m_refactorizations = Support.Metrics.counter "lp.lu.refactorizations"
 let refactorize t =
   t.factorizations <- t.factorizations + 1;
   Support.Metrics.incr m_refactorizations;
-  match
-    Sparse_lu.factorize t.m
-      (basis_column t.col_start t.col_row t.col_val t.basis)
-  with
-  | lu -> t.lu <- lu
-  | exception Sparse_lu.Singular -> failwith "Revised.refactorize: singular basis"
+  try
+    ignore
+      (Sparse_lu.factorize ~into:t.lu ~col_start:t.col_start
+         ~col_row:t.col_row ~col_val:t.col_val t.basis)
+  with Sparse_lu.Singular -> failwith "Revised.refactorize: singular basis"
 
-(* The positions of [v]'s nonzeros, for a solve's right-hand side. *)
-let nonzero_list v =
-  let nz = Array.make (Array.length v) 0 and n = ref 0 in
-  Array.iteri
-    (fun i x ->
-      if x <> 0. then begin
-        nz.(!n) <- i;
-        incr n
-      end)
-    v;
-  (nz, !n)
+(* List the positions of [v]'s nonzeros in [t.nz], for a solve's
+   right-hand side; returns how many there are. *)
+let nonzero_list t v =
+  let n = ref 0 in
+  for i = 0 to t.m - 1 do
+    if v.(i) <> 0. then begin
+      t.nz.(!n) <- i;
+      incr n
+    end
+  done;
+  !n
 
 (* List every row as a pricing candidate. *)
 let all_candidates t =
@@ -235,7 +233,8 @@ let add_candidate t i =
     t.ncand <- t.ncand + 1
   end
 
-(* Recompute x_B = Binv (b - N x_N) from scratch. *)
+(* Recompute x_B = Binv (b - N x_N) from scratch, and list every row for
+   pricing. *)
 let recompute_xb t =
   Array.blit t.rhs 0 t.xb 0 t.m;
   for j = 0 to t.n + t.m - 1 do
@@ -248,18 +247,17 @@ let recompute_xb t =
         done
     end
   done;
-  let nz, n = nonzero_list t.xb in
-  ignore (Sparse_lu.ftran t.lu t.xb nz n);
-  t.xb_fresh <- true
+  ignore (Sparse_lu.ftran t.lu t.xb t.nz (nonzero_list t t.xb));
+  t.xb_fresh <- true;
+  all_candidates t
 
 (* Dual values and reduced costs for all variables, from one BTRAN. *)
 let refresh_dvals t =
-  let y = Array.make t.m 0. in
+  let y = t.duals in
   for i = 0 to t.m - 1 do
     y.(i) <- t.cost.(t.basis.(i))
   done;
-  let nz, n = nonzero_list y in
-  ignore (Sparse_lu.btran t.lu y nz n);
+  ignore (Sparse_lu.btran t.lu y t.nz (nonzero_list t y));
   for j = 0 to t.n + t.m - 1 do
     if t.in_basis.(j) >= 0 then t.dvals.(j) <- 0.
     else begin
@@ -314,6 +312,8 @@ let set_bounds t j ~lo ~hi =
     t.in_basis.(j) < 0
     && not (List.exists (fun (k, _) -> k = j) t.bound_deltas)
   then t.bound_deltas <- (j, nonbasic_value t j) :: t.bound_deltas;
+  (* a basic variable's new bounds can make its row infeasible *)
+  if t.in_basis.(j) >= 0 then add_candidate t t.in_basis.(j);
   t.lo.(j) <- lo;
   t.hi.(j) <- hi
 
@@ -353,19 +353,17 @@ let clear_pivot_row t n =
   done
 
 let solve ?(max_iters = 200_000) t =
-  let lu_reads = ref 0 in
-  (* Refactorize, recompute x_B and the duals from the fresh factors,
-     and list every row for pricing. *)
+  (* Refactorize, recompute x_B (listing every row for pricing) and the
+     duals from the fresh factors. *)
   let refresh () =
-    lu_reads := !lu_reads + Sparse_lu.take_reads t.lu;
     refactorize t;
     recompute_xb t;
-    refresh_dvals t;
-    all_candidates t
+    refresh_dvals t
   in
   if not t.dvals_fresh then refresh_dvals t;
   (* Incremental restart: re-place the variables whose bounds changed,
-     then shift x_B by the net value changes (one FTRAN each). *)
+     then shift x_B by the net value changes (one FTRAN each), listing
+     the rows each shift touches. *)
   if t.xb_fresh then
     List.iter
       (fun (j, old_value) ->
@@ -377,7 +375,8 @@ let solve ?(max_iters = 200_000) t =
             ftran_col t j;
             for k = 0 to t.nw - 1 do
               let i = t.w_nz.(k) in
-              t.xb.(i) <- t.xb.(i) -. (delta *. t.wcol.(i))
+              t.xb.(i) <- t.xb.(i) -. (delta *. t.wcol.(i));
+              add_candidate t i
             done
           end
         end)
@@ -387,7 +386,6 @@ let solve ?(max_iters = 200_000) t =
     recompute_xb t
   end;
   t.bound_deltas <- [];
-  all_candidates t;
   t.iters <- 0;
   let price_s = ref 0. and btran_s = ref 0. and row_s = ref 0. in
   let ftran_s = ref 0. and update_s = ref 0. in
@@ -601,23 +599,23 @@ let solve ?(max_iters = 200_000) t =
      Support.Metrics.add m_alpha_nnz !alpha_nnz;
      Support.Metrics.add m_w_nnz !w_nnz;
      Support.Metrics.add m_row_reads !row_reads;
-     Support.Metrics.add m_solve_reads
-       (!lu_reads + Sparse_lu.take_reads t.lu);
+     Support.Metrics.add m_solve_reads (Sparse_lu.take_reads t.lu);
      s)
 
-let primal t =
-  let x = Array.make t.n 0. in
+let value t j =
+  let pos = t.in_basis.(j) in
+  if pos >= 0 then t.xb.(pos) else nonbasic_value t j
+
+(* Write the structural variables' values into [x.(0)] .. [x.(n - 1)]. *)
+let primal_into t x =
   for j = 0 to t.n - 1 do
-    let pos = t.in_basis.(j) in
-    x.(j) <- (if pos >= 0 then t.xb.(pos) else nonbasic_value t j)
-  done;
-  x
+    x.(j) <- value t j
+  done
 
 let objective t =
-  let x = primal t in
   let acc = ref 0. in
   for j = 0 to t.n - 1 do
-    acc := !acc +. (t.cost.(j) *. x.(j))
+    acc := !acc +. (t.cost.(j) *. value t j)
   done;
   !acc
 

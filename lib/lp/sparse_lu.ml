@@ -35,6 +35,13 @@
    update is O(nnz w) and leaves L and U alone; the caller refactorizes
    once the eta file is long, every few dozen pivots.
 
+   A refactorization reads the basis columns straight from the caller's
+   compressed sparse columns and rebuilds the factors in the previous
+   factors' storage: the elimination workspace, L, U and the solve
+   workspace are reused and only grow.  Removing the pivot row from a
+   column closes the gap from the column's shorter side, so a long
+   column whose rows leave from the front moves no entries.
+
    The solves are hypersparse: a right-hand side with a few nonzeros
    reaches a few elimination steps, and FTRAN and BTRAN touch only
    those.  Both take the vector's nonzero positions and return them.  A
@@ -58,8 +65,28 @@ type eta = {
   mutable e_stamp : int; (* BTRAN applies the eta when it is [t.stamp] *)
 }
 
+(* The active submatrix of an elimination, kept with the factors so that
+   a refactorization reuses its arrays; [factorize] describes them. *)
+type work = {
+  mutable c_row : int array;
+  mutable c_val : float array;
+  c_beg : int array;
+  c_cap : int array;
+  colcnt : int array;
+  where : int array;
+  rowcnt : int array;
+  r_beg : int array;
+  r_len : int array;
+  r_cap : int array;
+  mutable r_col : int array;
+  head : int array; (* length m+1 *)
+  cnext : int array;
+  cprev : int array;
+}
+
 (* L and U are stored compressed by elimination step: step k's entries
-   are [start.(k)] .. [start.(k+1) - 1] of parallel index/value arrays. *)
+   are [start.(k)] .. [start.(k+1) - 1] of parallel index/value arrays,
+   which may be longer than the [start.(m)] entries in use. *)
 type t = {
   m : int;
   pr : int array; (* elimination step -> pivot row *)
@@ -68,16 +95,17 @@ type t = {
   step_of_pos : int array; (* inverse of [pc] *)
   pivots : float array; (* elimination step -> pivot value *)
   l_start : int array; (* length m+1 *)
-  l_row : int array; (* row of each multiplier *)
-  l_mult : float array;
-  l_steps : int array; (* the steps whose L column is not empty, ascending *)
+  mutable l_row : int array; (* row of each multiplier *)
+  mutable l_mult : float array;
+  mutable l_steps : int array; (* the steps whose L column is not empty,
+                                  ascending *)
   u_start : int array; (* length m+1 *)
-  u_step : int array; (* later elimination step of each U entry *)
-  u_val : float array;
+  mutable u_step : int array; (* later elimination step of each U entry *)
+  mutable u_val : float array;
   ut_start : int array; (* length m+1 *)
-  ut_step : int array; (* U by columns: the earlier steps whose row holds
-                          step l, ascending *)
-  lu_nnz : int;
+  mutable ut_step : int array; (* U by columns: the earlier steps whose row
+                                  holds step l, ascending *)
+  mutable lu_nnz : int;
   etas : eta Support.Vec.t;
   mutable eta_nnz : int;
   (* The etas each position takes part in, newest first: position i's
@@ -99,6 +127,7 @@ type t = {
   next : int array; (* ... and the next edge of each *)
   mutable reads : int; (* L, U, eta and eta-index entries the solves
                           read, the search's edges included *)
+  work : work;
 }
 
 let drop_tol = 1e-13
@@ -170,22 +199,84 @@ let h_factorize_us = Support.Metrics.histogram "lp.lu.factorize_us"
 let m_search_reads = Support.Metrics.counter "lp.lu.search_reads"
 let m_l_nnz = Support.Metrics.counter "lp.lu.l_nnz"
 let m_u_nnz = Support.Metrics.counter "lp.lu.u_nnz"
+let m_moves = Support.Metrics.counter "lp.lu.moves"
 
-(* [factorize m column] factors the m x m matrix whose [j]-th column has
-   the entries that [column j f] passes to [f row value]; a row passed
-   twice gets the sum, and zeros are skipped.  [column] is called twice
-   per column and must pass the same entries both times.  Raises
-   [Singular] when no acceptable pivot remains.  Each successful call
-   records its duration in the [lp.lu.factorize_us] histogram and adds
-   the count-list entries its pivot search read to [lp.lu.search_reads]
-   and the off-diagonal entries of L and U to [lp.lu.l_nnz] and
-   [lp.lu.u_nnz].
+(* Storage for the factors of an m x m basis.  The growable arrays start
+   empty; [factorize] sizes them. *)
+let create m =
+  {
+    m;
+    pr = Array.make m (-1);
+    pc = Array.make m (-1);
+    step_of_row = Array.make m 0;
+    step_of_pos = Array.make m 0;
+    pivots = Array.make m 0.;
+    l_start = Array.make (m + 1) 0;
+    l_row = [||];
+    l_mult = [||];
+    l_steps = [||];
+    u_start = Array.make (m + 1) 0;
+    u_step = [||];
+    u_val = [||];
+    ut_start = Array.make (m + 1) 0;
+    ut_step = [||];
+    lu_nnz = 0;
+    etas = Support.Vec.create ();
+    eta_nnz = 0;
+    eta_head = Array.make m (-1);
+    ws = Array.make m 0.;
+    visit = Array.make m 0;
+    mark = Array.make m 0;
+    stamp = 0;
+    reach = Array.make m 0;
+    stack = Array.make m 0;
+    next = Array.make m 0;
+    reads = 0;
+    work =
+      {
+        c_row = [||];
+        c_val = [||];
+        c_beg = Array.make m 0;
+        c_cap = Array.make m 0;
+        colcnt = Array.make m 0;
+        where = Array.make m (-1);
+        rowcnt = Array.make m 0;
+        r_beg = Array.make m 0;
+        r_len = Array.make m 0;
+        r_cap = Array.make m 0;
+        r_col = [||];
+        head = Array.make (m + 1) (-1);
+        cnext = Array.make m (-1);
+        cprev = Array.make m (-1);
+      };
+  }
+
+(* [factorize ~col_start ~col_row ~col_val basis] factors the m x m
+   matrix B, m = [Array.length basis], whose column k is column
+   [basis.(k)] of the compressed sparse columns: entries
+   [col_start.(j)] .. [col_start.(j + 1) - 1] of [col_row] and
+   [col_val].  A row listed twice in a column gets the sum, and zeros
+   are skipped.  Raises [Singular] when no acceptable pivot remains.
+
+   With [~into], the factors are rebuilt in the storage of [into], which
+   must be of the same m, and [into] is returned: its elimination
+   workspace, its L and U arrays and its solve workspace are reused, its
+   etas dropped, and its solve [stamp] and [reads] carried forward.  The
+   factors equal a fresh call's bit for bit.  After [Singular], [into]
+   holds no usable factors.
+
+   Each successful call records its duration in the
+   [lp.lu.factorize_us] histogram and adds the count-list entries its
+   pivot search read to [lp.lu.search_reads], the off-diagonal entries
+   of L and U to [lp.lu.l_nnz] and [lp.lu.u_nnz], and the active-
+   submatrix entries it moved (closing gaps, moving slots) to
+   [lp.lu.moves].
 
    The order is written down, because it decides which of several equal
    pivots wins and the order U rows are summed in, and so which of
    several equal-cost optima the simplex reaches:
 
-   - a column lists its rows in the order [column j] passed them, a
+   - a column lists its rows in the order of its compressed entries, a
      duplicate summed in place; a row lists its columns ascending.
      Fill-in goes at the end of both, and a cancelled entry leaves its
      column with the rest kept in order;
@@ -197,8 +288,20 @@ let m_u_nnz = Support.Metrics.counter "lp.lu.u_nnz"
      largest magnitude, then comes first in the column;
    - L column k and U row k keep the pivot column's and pivot row's
      order. *)
-let factorize m column =
+let factorize ?into ~col_start ~col_row ~col_val basis =
   let t0 = Clock.now () in
+  let m = Array.length basis in
+  let t =
+    match into with
+    | None -> create m
+    | Some t ->
+        if t.m <> m then invalid_arg "Sparse_lu.factorize: size mismatch";
+        Support.Vec.clear t.etas;
+        t.eta_nnz <- 0;
+        Array.fill t.eta_head 0 m (-1);
+        t
+  in
+  let w = t.work in
   (* Active submatrix.  Column j holds rows [c_row] and values [c_val]
      at [c_beg.(j)] .. [c_beg.(j) + colcnt.(j) - 1], in a slot with room
      for [c_cap.(j)]; [colcnt.(j)] is -1 once column j is pivoted.  Row
@@ -209,66 +312,75 @@ let factorize m column =
      the arenas start a quarter larger than their entries, room for the
      few slots that fill-in moves.  [where.(r)] is row r's offset in the
      column being built or eliminated, and -1 otherwise. *)
-  let nnz = ref 0 in
-  for j = 0 to m - 1 do
-    column j (fun _ v -> if v <> 0. then incr nnz)
+  let c_beg = w.c_beg and c_cap = w.c_cap and colcnt = w.colcnt in
+  let where = w.where and rowcnt = w.rowcnt in
+  let r_beg = w.r_beg and r_len = w.r_len and r_cap = w.r_cap in
+  let entries = ref 0 in
+  for k = 0 to m - 1 do
+    let j = basis.(k) in
+    entries := !entries + col_start.(j + 1) - col_start.(j)
   done;
   let room n = n + (n / 4) + 64 in
-  let c_row = ref (Array.make (room !nnz) 0) in
-  let c_val = ref (Array.make (room !nnz) 0.) in
-  let c_beg = Array.make m 0 and c_cap = Array.make m 0 in
-  let colcnt = Array.make m 0 in
-  let where = Array.make m (-1) in
+  w.c_row <- ensure w.c_row (room !entries) 0;
+  w.c_val <- ensure w.c_val (room !entries) 0.;
+  Array.fill where 0 m (-1);
   let c_top = ref 0 in
-  for j = 0 to m - 1 do
-    let base = !c_top in
-    c_beg.(j) <- base;
-    column j (fun i v ->
-        if v <> 0. then begin
-          let q = where.(i) in
-          if q >= 0 then !c_val.(base + q) <- !c_val.(base + q) +. v
-          else begin
-            let n = colcnt.(j) in
-            !c_row.(base + n) <- i;
-            !c_val.(base + n) <- v;
-            where.(i) <- n;
-            colcnt.(j) <- n + 1
-          end
-        end);
-    let n = colcnt.(j) in
-    for p = base to base + n - 1 do
-      where.(!c_row.(p)) <- -1
+  let rows = w.c_row and vals = w.c_val in
+  for k = 0 to m - 1 do
+    let base = !c_top and j = basis.(k) and n = ref 0 in
+    c_beg.(k) <- base;
+    for p = col_start.(j) to col_start.(j + 1) - 1 do
+      let v = col_val.(p) in
+      if v <> 0. then begin
+        let i = col_row.(p) in
+        let q = where.(i) in
+        if q >= 0 then vals.(base + q) <- vals.(base + q) +. v
+        else begin
+          rows.(base + !n) <- i;
+          vals.(base + !n) <- v;
+          where.(i) <- !n;
+          incr n
+        end
+      end
     done;
-    c_cap.(j) <- n;
-    c_top := base + n
+    for p = base to base + !n - 1 do
+      where.(rows.(p)) <- -1
+    done;
+    colcnt.(k) <- !n;
+    c_cap.(k) <- !n;
+    c_top := base + !n
   done;
-  let rowcnt = Array.make m 0 in
+  Array.fill rowcnt 0 m 0;
   for p = 0 to !c_top - 1 do
-    let i = !c_row.(p) in
+    let i = rows.(p) in
     rowcnt.(i) <- rowcnt.(i) + 1
   done;
-  let r_beg = Array.make m 0 and r_len = Array.make m 0 in
-  let r_cap = Array.copy rowcnt in
+  Array.fill r_len 0 m 0;
+  Array.blit rowcnt 0 r_cap 0 m;
+  if m > 0 then r_beg.(0) <- 0;
   for i = 1 to m - 1 do
     r_beg.(i) <- r_beg.(i - 1) + rowcnt.(i - 1)
   done;
-  let r_col = ref (Array.make (room !c_top) 0) in
+  w.r_col <- ensure w.r_col (room !c_top) 0;
   let r_top = ref !c_top in
   for j = 0 to m - 1 do
     for p = c_beg.(j) to c_beg.(j) + colcnt.(j) - 1 do
-      let i = !c_row.(p) in
-      !r_col.(r_beg.(i) + r_len.(i)) <- j;
+      let i = rows.(p) in
+      w.r_col.(r_beg.(i) + r_len.(i)) <- j;
       r_len.(i) <- r_len.(i) + 1
     done
   done;
+  (* Entries moved within the arenas. *)
+  let moves = ref 0 in
   (* Move column j's first [len] entries to a slot of [cap] at the end
      of the arena. *)
   let move_col j len cap =
     let base = !c_top in
-    c_row := ensure !c_row (base + cap) 0;
-    c_val := ensure !c_val (base + cap) 0.;
-    Array.blit !c_row c_beg.(j) !c_row base len;
-    Array.blit !c_val c_beg.(j) !c_val base len;
+    w.c_row <- ensure w.c_row (base + cap) 0;
+    w.c_val <- ensure w.c_val (base + cap) 0.;
+    Array.blit w.c_row c_beg.(j) w.c_row base len;
+    Array.blit w.c_val c_beg.(j) w.c_val base len;
+    moves := !moves + len;
     c_beg.(j) <- base;
     c_cap.(j) <- cap;
     c_top := base + cap
@@ -277,8 +389,8 @@ let factorize m column =
     if r_len.(i) = r_cap.(i) then begin
       let cap = (2 * rowcnt.(i)) + 4 in
       let base = !r_top in
-      r_col := ensure !r_col (base + cap) 0;
-      let cols = !r_col and n = ref 0 in
+      w.r_col <- ensure w.r_col (base + cap) 0;
+      let cols = w.r_col and n = ref 0 in
       for p = r_beg.(i) to r_beg.(i) + r_len.(i) - 1 do
         let c = cols.(p) in
         if c >= 0 && colcnt.(c) >= 0 then begin
@@ -286,16 +398,17 @@ let factorize m column =
           incr n
         end
       done;
+      moves := !moves + !n;
       r_beg.(i) <- base;
       r_len.(i) <- !n;
       r_cap.(i) <- cap;
       r_top := base + cap
     end;
-    !r_col.(r_beg.(i) + r_len.(i)) <- j;
+    w.r_col.(r_beg.(i) + r_len.(i)) <- j;
     r_len.(i) <- r_len.(i) + 1
   in
   let row_remove i j =
-    let cols = !r_col in
+    let cols = w.r_col in
     let p = ref r_beg.(i) in
     while cols.(!p) <> j do
       incr p
@@ -303,9 +416,9 @@ let factorize m column =
     cols.(!p) <- -1
   in
   (* Count lists: [head.(c)] is the first column with c entries, and
-     [next] and [prev] link the columns of a list; -1 ends them. *)
-  let head = Array.make (m + 1) (-1) in
-  let next = Array.make m (-1) and prev = Array.make m (-1) in
+     [cnext] and [cprev] link the columns of a list; -1 ends them. *)
+  let head = w.head and next = w.cnext and prev = w.cprev in
+  Array.fill head 0 (m + 1) (-1);
   let link j =
     let c = colcnt.(j) in
     prev.(j) <- -1;
@@ -326,7 +439,7 @@ let factorize m column =
      [bc]. *)
   let bi = ref 0 and bv = ref 0. and bc = ref 0 in
   let best_in_col j =
-    let rows = !c_row and vals = !c_val in
+    let rows = w.c_row and vals = w.c_val in
     let base = c_beg.(j) and n = colcnt.(j) in
     let colmax = ref 0. in
     for p = base to base + n - 1 do
@@ -390,61 +503,75 @@ let factorize m column =
     done;
     !sel_j >= 0
   in
-  (* L and U are appended in step order; U entries name their column
-     until the last step fixes every column's step.  U has about one
-     entry per off-diagonal entry of B. *)
-  let l_start = Array.make (m + 1) 0 and u_start = Array.make (m + 1) 0 in
-  let l_row = ref (Array.make 64 0) and l_mult = ref (Array.make 64 0.) in
-  let u_col = ref (Array.make (room (max 0 (!c_top - m))) 0) in
-  let u_val = ref (Array.make (room (max 0 (!c_top - m))) 0.) in
+  (* L and U are appended in step order; U entries hold their column in
+     [u_step] until the last step fixes every column's step.  U has
+     about one entry per off-diagonal entry of B. *)
+  let l_start = t.l_start and u_start = t.u_start in
+  t.u_step <- ensure t.u_step (room (max 0 (!c_top - m))) 0;
+  t.u_val <- ensure t.u_val (room (max 0 (!c_top - m))) 0.;
   let l_len = ref 0 and u_len = ref 0 in
   (* Eliminate pivot row [i] from column [j] with the multipliers at
      [lb] .. [le - 1] of the L arrays.  The column's entry in row i
-     leaves the active submatrix as the next U entry. *)
+     leaves the active submatrix as the next U entry, and the shorter
+     side of the column closes its gap: a shifted prefix starts the
+     slot one entry later. *)
   let eliminate j i lb le =
     let c0 = colcnt.(j) and base = c_beg.(j) in
-    let rows = !c_row and vals = !c_val in
+    let rows = w.c_row and vals = w.c_val in
     let q = ref base in
     while rows.(!q) <> i do
       incr q
     done;
-    let u = vals.(!q) in
-    !u_col.(!u_len) <- j;
-    !u_val.(!u_len) <- u;
+    let q = !q and last = base + c0 - 1 in
+    let u = vals.(q) in
+    t.u_step.(!u_len) <- j;
+    t.u_val.(!u_len) <- u;
     incr u_len;
-    for p = !q to base + c0 - 2 do
-      rows.(p) <- rows.(p + 1);
-      vals.(p) <- vals.(p + 1)
-    done;
+    if q - base < last - q then begin
+      for p = q downto base + 1 do
+        rows.(p) <- rows.(p - 1);
+        vals.(p) <- vals.(p - 1)
+      done;
+      moves := !moves + q - base;
+      c_beg.(j) <- base + 1;
+      c_cap.(j) <- c_cap.(j) - 1
+    end
+    else begin
+      for p = q to last - 1 do
+        rows.(p) <- rows.(p + 1);
+        vals.(p) <- vals.(p + 1)
+      done;
+      moves := !moves + last - q
+    end;
     colcnt.(j) <- c0 - 1;
     if lb < le then begin
-      let base = ref base and len = ref (c0 - 1) in
+      let base = ref c_beg.(j) and len = ref (c0 - 1) in
       for q = 0 to !len - 1 do
         where.(rows.(!base + q)) <- q
       done;
-      let lrow = !l_row and lmult = !l_mult in
+      let lrow = t.l_row and lmult = t.l_mult in
       for p = lb to le - 1 do
         let r = lrow.(p) in
         let delta = -.(lmult.(p) *. u) in
         let q = where.(r) in
         if q >= 0 then begin
-          let nv = !c_val.(!base + q) +. delta in
+          let nv = w.c_val.(!base + q) +. delta in
           if Float.abs nv <= drop_tol then begin
-            !c_row.(!base + q) <- -1;
+            w.c_row.(!base + q) <- -1;
             where.(r) <- -1;
             colcnt.(j) <- colcnt.(j) - 1;
             row_remove r j;
             rowcnt.(r) <- rowcnt.(r) - 1
           end
-          else !c_val.(!base + q) <- nv
+          else w.c_val.(!base + q) <- nv
         end
         else if Float.abs delta > drop_tol then begin
           if !len = c_cap.(j) then begin
             move_col j !len ((2 * !len) + 4);
             base := c_beg.(j)
           end;
-          !c_row.(!base + !len) <- r;
-          !c_val.(!base + !len) <- delta;
+          w.c_row.(!base + !len) <- r;
+          w.c_val.(!base + !len) <- delta;
           where.(r) <- !len;
           incr len;
           colcnt.(j) <- colcnt.(j) + 1;
@@ -453,14 +580,17 @@ let factorize m column =
         end
       done;
       (* close the gaps left by cancelled rows, keeping the order *)
-      let rows = !c_row and vals = !c_val and w = ref !base in
+      let rows = w.c_row and vals = w.c_val and dst = ref !base in
       for p = !base to !base + !len - 1 do
         let r = rows.(p) in
         if r >= 0 then begin
           where.(r) <- -1;
-          rows.(!w) <- r;
-          vals.(!w) <- vals.(p);
-          incr w
+          if !dst < p then begin
+            rows.(!dst) <- r;
+            vals.(!dst) <- vals.(p);
+            incr moves
+          end;
+          incr dst
         end
       done
     end;
@@ -469,9 +599,7 @@ let factorize m column =
       link j
     end
   in
-  let pr = Array.make m (-1) in
-  let pc = Array.make m (-1) in
-  let pivots = Array.make m 0. in
+  let pr = t.pr and pc = t.pc and pivots = t.pivots in
   for k = 0 to m - 1 do
     if not (select ()) then raise Singular;
     let j = !sel_j and i = !sel_i and piv = !sel_v in
@@ -482,15 +610,15 @@ let factorize m column =
     (* L column k: the pivot column's other rows; they leave the row
        counts with it *)
     let base = c_beg.(j) and n = colcnt.(j) in
-    let rows = !c_row and vals = !c_val in
+    let rows = w.c_row and vals = w.c_val in
     l_start.(k) <- !l_len;
-    l_row := ensure !l_row (!l_len + n) 0;
-    l_mult := ensure !l_mult (!l_len + n) 0.;
+    t.l_row <- ensure t.l_row (!l_len + n) 0;
+    t.l_mult <- ensure t.l_mult (!l_len + n) 0.;
     for p = base to base + n - 1 do
       let r = rows.(p) in
       if r <> i then begin
-        !l_row.(!l_len) <- r;
-        !l_mult.(!l_len) <- vals.(p) /. piv;
+        t.l_row.(!l_len) <- r;
+        t.l_mult.(!l_len) <- vals.(p) /. piv;
         incr l_len;
         rowcnt.(r) <- rowcnt.(r) - 1
       end
@@ -500,10 +628,10 @@ let factorize m column =
        eliminated from it.  Fill-in moves other rows' slots, never row
        i's. *)
     u_start.(k) <- !u_len;
-    u_col := ensure !u_col (!u_len + r_len.(i)) 0;
-    u_val := ensure !u_val (!u_len + r_len.(i)) 0.;
+    t.u_step <- ensure t.u_step (!u_len + r_len.(i)) 0;
+    t.u_val <- ensure t.u_val (!u_len + r_len.(i)) 0.;
     for p = r_beg.(i) to r_beg.(i) + r_len.(i) - 1 do
-      let c = !r_col.(p) in
+      let c = w.r_col.(p) in
       if c >= 0 && colcnt.(c) >= 0 then eliminate c i l_start.(k) !l_len
     done
   done;
@@ -511,19 +639,28 @@ let factorize m column =
   u_start.(m) <- !u_len;
   (* Remap U entries from columns to elimination steps, so back
      substitution indexes the step-space solution vector directly. *)
-  let step_of_pos = where (* no longer needed for offsets *) in
-  Array.iteri (fun k j -> step_of_pos.(j) <- k) pc;
-  let step_of_row = Array.make m 0 in
-  Array.iteri (fun k i -> step_of_row.(i) <- k) pr;
-  let u_step = Array.init !u_len (fun p -> step_of_pos.(!u_col.(p))) in
+  let step_of_pos = t.step_of_pos and step_of_row = t.step_of_row in
+  for k = 0 to m - 1 do
+    step_of_pos.(pc.(k)) <- k;
+    step_of_row.(pr.(k)) <- k
+  done;
+  let u_step = t.u_step in
+  for p = 0 to !u_len - 1 do
+    u_step.(p) <- step_of_pos.(u_step.(p))
+  done;
   (* U's transpose structure, for FTRAN's search *)
-  let ut_start = Array.make (m + 1) 0 in
-  Array.iter (fun l -> ut_start.(l + 1) <- ut_start.(l + 1) + 1) u_step;
+  let ut_start = t.ut_start in
+  Array.fill ut_start 0 (m + 1) 0;
+  for p = 0 to !u_len - 1 do
+    let l = u_step.(p) in
+    ut_start.(l + 1) <- ut_start.(l + 1) + 1
+  done;
   for l = 0 to m - 1 do
     ut_start.(l + 1) <- ut_start.(l + 1) + ut_start.(l)
   done;
-  let ut_step = Array.make !u_len 0 in
-  let fill = Array.sub ut_start 0 m in
+  t.ut_step <- ensure t.ut_step !u_len 0;
+  let ut_step = t.ut_step and fill = r_beg in
+  Array.blit ut_start 0 fill 0 m;
   for k = 0 to m - 1 do
     for p = u_start.(k) to u_start.(k + 1) - 1 do
       let l = u_step.(p) in
@@ -535,47 +672,22 @@ let factorize m column =
   for k = 0 to m - 1 do
     if l_start.(k + 1) > l_start.(k) then incr n_lsteps
   done;
-  let l_steps = Array.make !n_lsteps 0 in
+  if Array.length t.l_steps <> !n_lsteps then
+    t.l_steps <- Array.make !n_lsteps 0;
   n_lsteps := 0;
   for k = 0 to m - 1 do
     if l_start.(k + 1) > l_start.(k) then begin
-      l_steps.(!n_lsteps) <- k;
+      t.l_steps.(!n_lsteps) <- k;
       incr n_lsteps
     end
   done;
+  t.lu_nnz <- m + !l_len + !u_len;
   Support.Metrics.observe h_factorize_us (Clock.since t0 *. 1e6);
   Support.Metrics.add m_search_reads !reads;
   Support.Metrics.add m_l_nnz !l_len;
   Support.Metrics.add m_u_nnz !u_len;
-  {
-    m;
-    pr;
-    pc;
-    step_of_row;
-    step_of_pos;
-    pivots;
-    l_start;
-    l_row = Array.sub !l_row 0 !l_len;
-    l_mult = Array.sub !l_mult 0 !l_len;
-    l_steps;
-    u_start;
-    u_step;
-    u_val = Array.sub !u_val 0 !u_len;
-    ut_start;
-    ut_step;
-    lu_nnz = m + !l_len + !u_len;
-    etas = Support.Vec.create ();
-    eta_nnz = 0;
-    eta_head = Array.make m (-1);
-    ws = Array.make m 0.;
-    visit = Array.make m 0;
-    mark = Array.make m 0;
-    stamp = 0;
-    reach = Array.make m 0;
-    stack = Array.make m 0;
-    next = Array.make m 0;
-    reads = 0;
-  }
+  Support.Metrics.add m_moves !moves;
+  t
 
 let n_etas t = Support.Vec.length t.etas
 

@@ -184,7 +184,8 @@ let test_revised_classic_bounded () =
   let s = Revised.create p in
   checkb "optimal" true (Revised.solve s = Revised.Optimal);
   check (Alcotest.float 1e-7) "objective" (-36.) (Revised.objective s);
-  let sol = Revised.primal s in
+  let sol = Array.make 2 0. in
+  Revised.primal_into s sol;
   check (Alcotest.float 1e-7) "x" 2. sol.(0);
   check (Alcotest.float 1e-7) "y" 6. sol.(1)
 
@@ -1025,10 +1026,17 @@ let priority_keeps_optimum =
 (* Sparse LU kernel                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Factor the basis whose position j holds the sparse column [cols.(j)]. *)
-let factorize cols =
-  Sparse_lu.factorize (Array.length cols) (fun j f ->
-      Array.iter (fun (i, v) -> f i v) cols.(j))
+(* Factor the basis whose position j holds the sparse column [cols.(j)],
+   its entries in the written order, in fresh storage or in [into]'s. *)
+let factorize ?into cols =
+  let col_start = Array.make (Array.length cols + 1) 0 in
+  Array.iteri
+    (fun j col -> col_start.(j + 1) <- col_start.(j) + Array.length col)
+    cols;
+  let entries = Array.concat (Array.to_list cols) in
+  Sparse_lu.factorize ?into ~col_start ~col_row:(Array.map fst entries)
+    ~col_val:(Array.map snd entries)
+    (Array.init (Array.length cols) Fun.id)
 
 (* Run the hypersparse [solve] on a copy of the dense vector [v], its
    nonzeros listed by a scan; returns the result and the positions the
@@ -1283,7 +1291,33 @@ let test_sparse_lu_scale () =
     (fun i v ->
       if Float.abs (v -. 1.) > 1e-9 then
         Alcotest.failf "ftran drift %g at %d" (Float.abs (v -. 1.)) i)
-    (fst (hyper Sparse_lu.ftran lu b))
+    (fst (hyper Sparse_lu.ftran lu b));
+  (* A column spanning 5 000 rows among 50 000 unit columns: the unit
+     columns pivot in index order, and each removes one of its rows,
+     from the front of its written order or from the back.  Closing
+     each gap from the column's shorter side keeps the entries moved
+     within a few times nnz(B); shifting the tail every time moves
+     about 12.5 M entries when the rows go from the front. *)
+  let units = 50_000 and span = 5_000 in
+  let moves = Support.Metrics.counter "lp.lu.moves" in
+  List.iter
+    (fun (side, rows) ->
+      let cols =
+        Array.init (units + 1) (fun j ->
+            if j < units then [| (j, 1.) |]
+            else Array.map (fun i -> (i, 1.)) rows)
+      in
+      let moves0 = Support.Metrics.counter_value moves in
+      ignore (factorize cols);
+      let moved = Support.Metrics.counter_value moves - moves0 in
+      let nnz = units + span in
+      if moved > 4 * nnz then
+        Alcotest.failf "rows removed from the %s: %d entries moved (limit %d)"
+          side moved (4 * nnz))
+    [
+      ("front", Array.init span (fun q -> units - span + 1 + q));
+      ("back", Array.init span (fun q -> units - q));
+    ]
 
 (* The rank of the m x m matrix whose nonzeros [b] maps (row, column)
    to, by Gaussian elimination over exact rationals.  Each column's
@@ -1410,11 +1444,101 @@ let random_col st m k value =
 
 let small_int st = float_of_int (Random.State.int st 5 - 2)
 
-(* [check_factorization] on seeded families of bases. *)
+(* The live part of factors [lu]: its permutations and the L and U
+   entries in use, with their structure. *)
+let factor_ints lu =
+  let open Sparse_lu in
+  let nl = lu.l_start.(lu.m) and nu = lu.u_start.(lu.m) in
+  [
+    ("pr", lu.pr);
+    ("pc", lu.pc);
+    ("L starts", lu.l_start);
+    ("L rows", Array.sub lu.l_row 0 nl);
+    ("L steps", lu.l_steps);
+    ("U starts", lu.u_start);
+    ("U steps", Array.sub lu.u_step 0 nu);
+    ("U' starts", lu.ut_start);
+    ("U' steps", Array.sub lu.ut_step 0 nu);
+  ]
+
+let factor_floats lu =
+  let open Sparse_lu in
+  let nl = lu.l_start.(lu.m) and nu = lu.u_start.(lu.m) in
+  [
+    ("pivots", lu.pivots);
+    ("L multipliers", Array.sub lu.l_mult 0 nl);
+    ("U values", Array.sub lu.u_val 0 nu);
+  ]
+
+(* Factors of a random nonsingular basis of [m] rows whose solve stamps
+   and eta file have advanced: a permuted upper-triangular basis, after
+   FTRANs, BTRANs and eta updates. *)
+let used_factors st m =
+  let perm = shuffled st m in
+  let cols =
+    Array.init m (fun j ->
+        Array.append
+          [| (perm.(j), 1. +. Random.State.float st 2.) |]
+          (Array.init (Random.State.int st 3) (fun _ ->
+               ( perm.(Random.State.int st (j + 1)),
+                 Random.State.float st 1. -. 0.5 ))))
+  in
+  let lu = factorize cols in
+  let vec () = Array.init m (fun _ -> Random.State.float st 2. -. 1.) in
+  for _ = 1 to 3 do
+    ignore (hyper Sparse_lu.ftran lu (vec ()));
+    ignore (hyper Sparse_lu.btran lu (vec ()));
+    let r = Random.State.int st m in
+    let a = Array.make m 0. in
+    a.(perm.(r)) <- 3.;
+    a.(Random.State.int st m) <- 0.5;
+    let w, nz = hyper Sparse_lu.ftran lu a in
+    try Sparse_lu.update lu ~r ~w ~nz ~nnz:(Array.length nz)
+    with Sparse_lu.Singular -> ()
+  done;
+  lu
+
+(* Factoring [cols] in the storage of [used_factors] of the same size
+   must give the fresh factors bit for bit, or raise [Singular] as the
+   fresh call does, and the reused factors must solve as the dense
+   passes do. *)
+let check_reuse ~tag st cols =
+  let m = Array.length cols in
+  let fresh = try Some (factorize cols) with Sparse_lu.Singular -> None in
+  let into = used_factors st m in
+  let stamp = into.Sparse_lu.stamp in
+  match (fresh, factorize ~into cols) with
+  | None, _ -> Alcotest.failf "%s: factored in reused storage only" tag
+  | Some fresh, lu ->
+      if lu != into then Alcotest.failf "%s: storage not reused" tag;
+      if lu.Sparse_lu.stamp <> stamp || Sparse_lu.n_etas lu <> 0 then
+        Alcotest.failf "%s: stamp not carried or etas kept" tag;
+      List.iter2
+        (fun (what, want) (_, got) ->
+          if want <> got then Alcotest.failf "%s: reused %s differ" tag what)
+        (factor_ints fresh) (factor_ints lu);
+      List.iter2
+        (fun (what, want) (_, got) ->
+          if
+            not
+              (Array.for_all2
+                 (fun a b -> Int64.bits_of_float a = Int64.bits_of_float b)
+                 want got)
+          then Alcotest.failf "%s: reused %s differ" tag what)
+        (factor_floats fresh) (factor_floats lu);
+      check_exact ~tag:(tag ^ " reused") (Random.State.make [| 31; m |]) lu
+  | exception Sparse_lu.Singular ->
+      if fresh <> None then
+        Alcotest.failf "%s: singular in reused storage only" tag
+
+(* [check_factorization] on seeded families of bases, each also factored
+   in reused storage ([check_reuse]). *)
 let test_sparse_lu_oracle () =
   let st = Random.State.make [| 15 |] in
+  let reuse_st = Random.State.make [| 16 |] in
   let factored = ref 0 and singular = ref 0 in
   let run tag cols =
+    check_reuse ~tag reuse_st cols;
     if check_factorization ~tag cols then incr factored else incr singular
   in
   (* slack-heavy, nearly triangular bases like the allocation models' *)
@@ -1500,6 +1624,7 @@ let test_sparse_lu_oracle () =
      columns, a column below the pivot tolerance *)
   List.iter
     (fun (tag, cols) ->
+      check_reuse ~tag reuse_st cols;
       if check_factorization ~tag cols then
         Alcotest.failf "%s: factored, expected Singular" tag
       else incr singular)
@@ -1559,16 +1684,19 @@ let test_sparse_lu_written_order () =
   let lu = factorize cols in
   let ints what want got = check Alcotest.(array int) what want got in
   let floats what want got = check Alcotest.(array (float 0.)) what want got in
+  (* L and U over their live lengths, 3 and 4 entries *)
+  let live a n = Array.sub a 0 n in
   ints "pivot rows" [| 3; 4; 2; 0; 1 |] lu.Sparse_lu.pr;
   ints "pivot columns" [| 3; 4; 0; 1; 2 |] lu.Sparse_lu.pc;
   floats "pivots" [| 1.; 1.; 1.; 3.; -1. |] lu.Sparse_lu.pivots;
   ints "L starts" [| 0; 1; 1; 3; 3; 3 |] lu.Sparse_lu.l_start;
-  ints "L rows" [| 4; 1; 0 |] lu.Sparse_lu.l_row;
-  floats "L multipliers" [| 1.; 1.; -1. |] lu.Sparse_lu.l_mult;
+  ints "L rows" [| 4; 1; 0 |] (live lu.Sparse_lu.l_row 3);
+  floats "L multipliers" [| 1.; 1.; -1. |] (live lu.Sparse_lu.l_mult 3);
   ints "U starts" [| 0; 1; 1; 3; 4; 4 |] lu.Sparse_lu.u_start;
-  ints "U steps" [| 1; 3; 4; 4 |] lu.Sparse_lu.u_step;
-  floats "U values" [| 1.; 1.; 2.; 3. |] lu.Sparse_lu.u_val;
-  checki "search reads" 8 (Support.Metrics.counter_value reads - reads0)
+  ints "U steps" [| 1; 3; 4; 4 |] (live lu.Sparse_lu.u_step 4);
+  floats "U values" [| 1.; 1.; 2.; 3. |] (live lu.Sparse_lu.u_val 4);
+  checki "search reads" 8 (Support.Metrics.counter_value reads - reads0);
+  check_reuse ~tag:"written order" (Random.State.make [| 17 |]) cols
 
 (* The pivot row is built from the nonzeros of rho = e_r' Binv alone.
    On a 20 000-row LP whose bases stay mostly slack -- 400 covering rows
@@ -1692,18 +1820,47 @@ let test_revised_vs_exact_seeded () =
 
 (* Warm-restart chains: random bound tightenings/relaxations re-solved
    incrementally must agree with a cold solver given identical bounds.
-   This exercises exactly the delta path branch and bound relies on. *)
+   This exercises exactly the delta path branch and bound relies on.
+   Some steps move a basic variable's bound past its value, as
+   branching on a basic variable does, so pricing must see its row; a
+   warm solve that reports [Optimal] must leave every basic value
+   within [feas_tol] of its bounds. *)
 let test_revised_warm_chain_seeded () =
   let st = Random.State.make [| 0xa11e5 |] in
+  let basic_feasible (s : Revised.t) =
+    Array.iteri
+      (fun i v ->
+        let x = s.Revised.xb.(i) in
+        if
+          x > s.Revised.hi.(v) +. Revised.feas_tol
+          || x < s.Revised.lo.(v) -. Revised.feas_tol
+        then
+          Alcotest.failf "basic variable %d at %g, outside [%g, %g]" v x
+            s.Revised.lo.(v) s.Revised.hi.(v))
+      s.Revised.basis
+  in
   for _case = 1 to 10 do
     let p = seeded_lp st in
     let n = Problem.num_vars p in
     let s = Revised.create p in
     ignore (Revised.solve s);
+    let x = Array.make n 0. in
     for _step = 1 to 25 do
       let j = Random.State.int st n in
       let lo0 = Problem.var_lo p j and hi0 = Problem.var_hi p j in
-      (match Random.State.int st 3 with
+      let basic =
+        List.filter (fun k -> s.Revised.in_basis.(k) >= 0) (List.init n Fun.id)
+      in
+      (match Random.State.int st 4 with
+      | 3 when basic <> [] ->
+          (* branch on a basic variable: move one bound past its value *)
+          let k = List.nth basic (Random.State.int st (List.length basic)) in
+          Revised.primal_into s x;
+          let lo, hi = Revised.bounds s k in
+          if Random.State.bool st then
+            Revised.set_bounds s k ~lo ~hi:(Float.max lo (ceil x.(k) -. 1.))
+          else
+            Revised.set_bounds s k ~lo:(Float.min hi (floor x.(k) +. 1.)) ~hi
       | 0 ->
           let v = float_of_int (Random.State.int st (int_of_float hi0 + 1)) in
           Revised.set_bounds s j ~lo:v ~hi:v
@@ -1718,6 +1875,7 @@ let test_revised_warm_chain_seeded () =
       done;
       match (Revised.solve s, Revised.solve fresh) with
       | Revised.Optimal, Revised.Optimal ->
+          basic_feasible s;
           let d = Float.abs (Revised.objective s -. Revised.objective fresh) in
           if d > 1e-6 then
             Alcotest.failf "warm vs fresh objective drift %g" d
@@ -1743,7 +1901,8 @@ let heuristic_is_sound =
       match Revised.solve s with
       | Revised.Infeasible | Revised.Iteration_limit -> true
       | Revised.Optimal ->
-          let r = Heuristic.dive s p in
+          let integer = Array.init n (Problem.var_integer p) in
+          let r = Heuristic.dive ~integer s p in
           let bounds_ok = ref true in
           for j = 0 to n - 1 do
             let l, h = Revised.bounds s j in

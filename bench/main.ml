@@ -98,13 +98,13 @@ let throughput () =
         let c = compile w in
         (* single-thread run *)
         let sim1 = Ixp.Simulator.create ~threads:1 c.Regalloc.Driver.physical in
-        w.init_sim sim1 ~payload_len;
+        init_sim w sim1 ~payload_len;
         let cycles = Ixp.Simulator.run_single sim1 in
         let mbps1 = Ixp.Simulator.mbps sim1 ~bytes:payload_len in
         (* 4-thread pipelined run over a packet burst; each thread has its
            own SDRAM packet image already initialized identically *)
         let sim4 = Ixp.Simulator.create ~threads:4 c.Regalloc.Driver.physical in
-        w.init_sim sim4 ~payload_len;
+        init_sim w sim4 ~payload_len;
         let sd0 = Ixp.Simulator.sdram_of_thread sim4 ~thread:0 in
         for t = 1 to 3 do
           let sd = Ixp.Simulator.sdram_of_thread sim4 ~thread:t in
@@ -161,7 +161,7 @@ let baseline () =
       let si = ilp.Regalloc.Driver.stats in
       match
         try Some (compile ~allocator:Regalloc.Driver.Baseline_allocator w)
-        with _ -> None
+        with Regalloc.Driver.Allocation_failed _ -> None
       with
       | Some base ->
           let sb = base.Regalloc.Driver.stats in
@@ -210,7 +210,7 @@ let rec rates ~full () =
           match
             try
               Some (compile ~allocator:alloc ~time_limit:1e9 ~node_limit w)
-            with _ -> None
+            with Regalloc.Driver.Allocation_failed _ -> None
           with
           | None ->
               Fmt.pr "%-8s %-5s (compile failed)@." w.name alloc_name
@@ -293,7 +293,7 @@ and cluster_rates ~full () =
     (fun (alloc_name, alloc) ->
       match
         try Some (compile ~allocator:alloc ~time_limit:1e9 ~node_limit w)
-        with _ -> None
+        with Regalloc.Driver.Allocation_failed _ -> None
       with
       | None -> Fmt.pr "%-10s %-5s (compile failed)@." "" alloc_name
       | Some c ->
@@ -375,61 +375,6 @@ let cluster_smoke () =
     exit 1
   end
 
-(* 10M-packet single-chip run: the scale target for the event-engine
-   rewrite.  Uses the small idempotent chip kernel (packet-independent
-   cost) so the run measures the event engine, and asserts the
-   steady-state loop allocated (essentially) no minor words per
-   packet. *)
-let mega () =
-  rule "Mega run: 10M packets through one chip";
-  let source =
-    {|
-fun main () : word {
-  let x = sram(64, 1);
-  let c = scratch(256, 1);
-  scratch(256) <- c + 1;
-  x + 1
-}
-|}
-  in
-  let c = Regalloc.Driver.compile ~file:"mega.nova" source in
-  let config =
-    { Ixp.Chip.default_config with Ixp.Chip.engines = 6; threads = 4 }
-  in
-  let chip = Ixp.Chip.create ~config c.Regalloc.Driver.physical in
-  let count = 10_000_000 in
-  let gen =
-    Ixp.Pktgen.create
-      {
-        Ixp.Pktgen.default_config with
-        Ixp.Pktgen.profile = Ixp.Pktgen.Fixed 64;
-        offered_mpps = 2.0;
-        seed = 42;
-        count;
-        ports = 4;
-      }
-  in
-  Ixp.Chip.prepare chip ~ports:4 ~expected:count;
-  let t0 = Unix.gettimeofday () in
-  Gc.full_major ();
-  let minor0 = Gc.minor_words () in
-  Ixp.Chip.drive chip ~deliver:Ixp.Chip.default_deliver gen;
-  let minor1 = Gc.minor_words () in
-  let wall = Unix.gettimeofday () -. t0 in
-  let r = Ixp.Chip.finish chip in
-  let words_per_packet = (minor1 -. minor0) /. float_of_int count in
-  Fmt.pr "%a" Ixp.Chip.pp_report r;
-  Fmt.pr "wall: %.1fs (%.2f Mpkt/s real time), %.4f minor words/packet@."
-    wall
-    (float_of_int count /. wall /. 1e6)
-    words_per_packet;
-  let ceiling = 300. in
-  if wall > ceiling || words_per_packet >= 1. then begin
-    Fmt.epr "mega FAILED (ceiling %.0fs, alloc budget 1 word/packet)@."
-      ceiling;
-    exit 1
-  end
-
 (* ---------------- §8 model-size reductions ---------------- *)
 
 let pruning () =
@@ -476,7 +421,7 @@ let remat () =
          image *)
       let run c =
         let sim = Ixp.Simulator.create c.Regalloc.Driver.physical in
-        w.init_sim sim ~payload_len:64;
+        init_sim w sim ~payload_len:64;
         let cycles = Ixp.Simulator.run_single sim in
         let sdram = Ixp.Simulator.sdram_of_thread sim ~thread:0 in
         ( cycles,
@@ -515,11 +460,10 @@ let remat () =
     node_limit;
   if !failed then exit 1
 
-(* ---------------- solver benchmark ---------------- *)
+(* ---------------- solver smoke ---------------- *)
 
-(* Root-LP and integer solve times on the paper models under the example
-   budgets (120 s / 20k nodes), plus seeded random 0-1 instances.
-   EXPERIMENTS.md records them next to the seed revision's. *)
+(* Root-LP and integer solve times on the paper models, plus seeded
+   random 0-1 instances, for the CI gate below. *)
 
 (* The LU work of one solve: LP rows after presolve, factorizations
    (the first one included) and refactorizations, active-submatrix
@@ -572,7 +516,7 @@ let solver_status_string = function
   | Lp.Mip.Infeasible -> "infeasible"
   | Lp.Mip.Limit -> "limit"
 
-let solve_workload_model ?(time_limit = 120.) ?rel_gap w =
+let solve_workload_model ~time_limit ?rel_gap w =
   let f = front w in
   let mg = Regalloc.Modelgen.build ~allow_spill:false f.Regalloc.Driver.f_graph in
   let ilp = Regalloc.Ilp.build mg in
@@ -647,14 +591,6 @@ let pp_solver_row r =
 let solver_header () =
   Fmt.pr "%-8s | %-8s | %10s %10s | %7s %7s | %6s %7s | %4s@." "" "status"
     "objective" "bound" "root(s)" "tot(s)" "nodes" "iters" "heur"
-
-let solver () =
-  rule "Solver: root-LP + integer solve times (120 s / 20k node budgets)";
-  solver_header ();
-  List.iter
-    (fun w -> pp_solver_row (solve_workload_model w))
-    [ kasumi; aes; nat ];
-  List.iter (fun s -> pp_solver_row (solve_random_instance s)) [ 1; 2; 3 ]
 
 (* CI gate: small models under a hard wall-clock ceiling, so a basis or
    pricing regression fails the build rather than just getting slower.
@@ -1043,94 +979,6 @@ let service_smoke () =
       Fmt.epr "service-smoke FAILED (%d)@." (List.length fs);
       exit 1
 
-(* ---------------- end-to-end correctness gate ---------------- *)
-
-let verify () =
-  rule "Correctness gate: simulator vs reference implementations";
-  let ok = ref true in
-  (* AES *)
-  let c = compile aes in
-  let sim = Ixp.Simulator.create c.Regalloc.Driver.physical in
-  aes.init_sim sim ~payload_len:64;
-  ignore (Ixp.Simulator.run_single sim);
-  let ct, _ = Workloads.Aes.expected ~payload_len:64 in
-  let sdram = Ixp.Simulator.sdram_of_thread sim ~thread:0 in
-  let aok = ref true in
-  Array.iteri
-    (fun i w ->
-      if Ixp.Memory.peek sdram Ixp.Insn.Sdram ((Workloads.Aes.ct_base / 4) + i) <> w
-      then aok := false)
-    ct;
-  Fmt.pr "AES ciphertext matches FIPS-derived reference: %b@." !aok;
-  (* Kasumi *)
-  let c = compile kasumi in
-  let sim = Ixp.Simulator.create c.Regalloc.Driver.physical in
-  kasumi.init_sim sim ~payload_len:64;
-  ignore (Ixp.Simulator.run_single sim);
-  let ct, _ = Workloads.Kasumi.expected ~payload_len:64 in
-  let sdram = Ixp.Simulator.sdram_of_thread sim ~thread:0 in
-  let kok = ref true in
-  Array.iteri
-    (fun i w ->
-      if
-        Ixp.Memory.peek sdram Ixp.Insn.Sdram ((Workloads.Kasumi.pkt_base / 4) + i)
-        <> w
-      then kok := false)
-    ct;
-  Fmt.pr "Kasumi ciphertext matches reference: %b@." !kok;
-  (* NAT *)
-  let c = compile nat in
-  let sim = Ixp.Simulator.create c.Regalloc.Driver.physical in
-  nat.init_sim sim ~payload_len:96;
-  ignore (Ixp.Simulator.run_single sim);
-  let image, _ =
-    Workloads.Nat.expected ~payload_len:96
-      ~sdram_words:Ixp.Memory.default_config.Ixp.Memory.sdram_words
-  in
-  let sdram = Ixp.Simulator.sdram_of_thread sim ~thread:0 in
-  let nok = ref true in
-  for i = 0 to (Workloads.Nat.in_base + 40 + 96) / 4 do
-    if Ixp.Memory.peek sdram Ixp.Insn.Sdram i <> image.(i) then nok := false
-  done;
-  Fmt.pr "NAT packet image matches reference: %b@." !nok;
-  (* dataplane portfolio: generic packet-image comparison against each
-     workload's reference transform *)
-  let dataplane_ok w ~payload_len ~in_base expected =
-    let c = compile w in
-    let sim = Ixp.Simulator.create c.Regalloc.Driver.physical in
-    w.init_sim sim ~payload_len;
-    ignore (Ixp.Simulator.run_single sim);
-    let image, _ =
-      expected ~payload_len
-        ~sdram_words:Ixp.Memory.default_config.Ixp.Memory.sdram_words
-    in
-    let sdram = Ixp.Simulator.sdram_of_thread sim ~thread:0 in
-    let wok = ref true in
-    for i = in_base / 4 to ((in_base + 20 + payload_len) / 4) + 1 do
-      if Ixp.Memory.peek sdram Ixp.Insn.Sdram i <> image.(i) then wok := false
-    done;
-    Fmt.pr "%s packet image matches reference: %b@." w.name !wok;
-    !wok
-  in
-  let lok =
-    dataplane_ok lpm ~payload_len:16 ~in_base:Workloads.Lpm.in_base
-      Workloads.Lpm.expected
-  in
-  let fok =
-    dataplane_ok firewall ~payload_len:16 ~in_base:Workloads.Firewall.in_base
-      Workloads.Firewall.expected
-  in
-  let cok =
-    dataplane_ok csum ~payload_len:24 ~in_base:Workloads.Csum.in_base
-      Workloads.Csum.expected
-  in
-  let qok =
-    dataplane_ok qos ~payload_len:16 ~in_base:Workloads.Qos.in_base
-      Workloads.Qos.expected
-  in
-  ok := !aok && !kok && !nok && lok && fok && cok && qok;
-  if not !ok then exit 1
-
 (* ---------------- driver ---------------- *)
 
 let every_experiment () =
@@ -1138,7 +986,6 @@ let every_experiment () =
   figure6 ();
   pruning ();
   figure7 ();
-  verify ();
   baseline ();
   ablation ();
   remat ();
@@ -1149,8 +996,8 @@ let every_experiment () =
 let commands =
   [
     ( "all",
-      "figure5, figure6, pruning, figure7, verify, baseline, ablation, remat \
-       and throughput",
+      "figure5, figure6, pruning, figure7, baseline, ablation, remat and \
+       throughput",
       every_experiment );
     ("figure5", "static program statistics (Figure 5)", figure5);
     ("figure6", "AMPL coloring statistics (Figure 6)", figure6);
@@ -1159,7 +1006,6 @@ let commands =
     ("rates", "chip and cluster forwarding rates, ILP and baseline",
       rates ~full:true);
     ("rates-smoke", "a smaller rates table (CI gate)", rates ~full:false);
-    ("solver", "root-LP and integer solve times", solver);
     ("solver-smoke", "solver under a hard ceiling (CI gate)", solver_smoke);
     ("incremental", "cold, no-op and edit rebuilds (CI gate)", incremental);
     ( "service-smoke",
@@ -1167,12 +1013,10 @@ let commands =
       service_smoke);
     ("cluster-smoke", "cluster determinism and ceiling (CI gate)",
       cluster_smoke);
-    ("mega", "10M packets through one chip", mega);
     ("ablation", "the spill-feasibility objective", ablation);
     ("baseline", "ILP against the eager-heuristic allocator", baseline);
     ("pruning", "§8 model-size reductions", pruning);
     ("remat", "§12 rematerialization through bank C", remat);
-    ("verify", "simulated output against the reference models", verify);
   ]
 
 let () =

@@ -1,5 +1,5 @@
 (* Shared benchmark plumbing: compile each paper workload once, cache the
-   result, and provide simulator harnesses for the throughput runs. *)
+   result, and provide simulator, chip and cluster harnesses. *)
 
 (* Run artifacts (cache stores, sockets, smoke reports) land in an
    ignored directory instead of littering the repo root. *)
@@ -17,8 +17,6 @@ type workload = {
   paper_fig6 : (int * int * int * int * int * int) option;
   (* paper Figure 7 row: root s, integer s, vars k, rows k, obj k, moves, spills *)
   paper_fig7 : (float * float * int * int * int * int * int) option;
-  init_sim : Ixp.Simulator.t -> payload_len:int -> unit;
-  init_interp : Cps.Interp.state -> payload_len:int -> unit;
   (* chip-level harness: payload sizes the workload accepts (block
      size), table setup into the chip's shared memory, and the
      per-packet header+payload image for a context's SDRAM buffer *)
@@ -27,171 +25,82 @@ type workload = {
   write_packet : (int -> int -> unit) -> payload_len:int -> unit;
 }
 
-let poke_scratch mem w v = Ixp.Memory.poke mem Ixp.Insn.Scratch w v
-
-let aes =
-  {
-    name = "AES";
-    source = Workloads.Aes.source;
-    paper_fig5 = Some (541, 588, "7/8", "5", "3", "1");
-    paper_fig6 = Some (68, 16, 84, 4, 10, 14);
-    paper_fig7 = Some (30.4, 35.9, 108, 102, 37, 25, 0);
-    init_sim =
-      (fun sim ~payload_len ->
-        let mem = Ixp.Simulator.shared_memory sim in
-        Workloads.Aes.init_tables (fun w v -> Ixp.Memory.poke mem Ixp.Insn.Sram w v);
-        let sdram = Ixp.Simulator.sdram_of_thread sim ~thread:0 in
-        ignore
-          (Workloads.Aes.init_payload
-             (fun w v -> Ixp.Memory.poke sdram Ixp.Insn.Sdram w v)
-             ~payload_len));
-    init_interp =
-      (fun st ~payload_len ->
-        let mem = Cps.Interp.memory st in
-        Workloads.Aes.init_tables (fun w v -> Ixp.Memory.poke mem Ixp.Insn.Sram w v);
-        ignore
-          (Workloads.Aes.init_payload
-             (fun w v -> Ixp.Memory.poke mem Ixp.Insn.Sdram w v)
-             ~payload_len));
-    size_align = 16;
-    init_chip_tables =
-      (fun mem ->
-        Workloads.Aes.init_tables (fun w v ->
-            Ixp.Memory.poke mem Ixp.Insn.Sram w v));
-    write_packet =
-      (fun load ~payload_len ->
-        ignore (Workloads.Aes.init_payload load ~payload_len));
-  }
-
-let kasumi =
-  {
-    name = "Kasumi";
-    source = Workloads.Kasumi.source;
-    paper_fig5 = Some (587, 538, "7/7", "4", "2", "2");
-    paper_fig6 = Some (44, 14, 58, 4, 14, 18);
-    paper_fig7 = Some (48.2, 59.2, 138, 131, 50, 20, 0);
-    init_sim =
-      (fun sim ~payload_len ->
-        let mem = Ixp.Simulator.shared_memory sim in
-        Workloads.Kasumi.init_tables
-          ~load_sram:(fun w v -> Ixp.Memory.poke mem Ixp.Insn.Sram w v)
-          ~load_scratch:(fun w v -> poke_scratch mem w v);
-        let sdram = Ixp.Simulator.sdram_of_thread sim ~thread:0 in
-        ignore
-          (Workloads.Kasumi.init_payload
-             (fun w v -> Ixp.Memory.poke sdram Ixp.Insn.Sdram w v)
-             ~payload_len));
-    init_interp =
-      (fun st ~payload_len ->
-        let mem = Cps.Interp.memory st in
-        Workloads.Kasumi.init_tables
-          ~load_sram:(fun w v -> Ixp.Memory.poke mem Ixp.Insn.Sram w v)
-          ~load_scratch:(fun w v -> poke_scratch mem w v);
-        ignore
-          (Workloads.Kasumi.init_payload
-             (fun w v -> Ixp.Memory.poke mem Ixp.Insn.Sdram w v)
-             ~payload_len));
-    size_align = 8;
-    init_chip_tables =
-      (fun mem ->
-        Workloads.Kasumi.init_tables
-          ~load_sram:(fun w v -> Ixp.Memory.poke mem Ixp.Insn.Sram w v)
-          ~load_scratch:(fun w v -> poke_scratch mem w v));
-    write_packet =
-      (fun load ~payload_len ->
-        ignore (Workloads.Kasumi.init_payload load ~payload_len));
-  }
-
-let nat =
-  {
-    name = "NAT";
-    source = Workloads.Nat.source;
-    paper_fig5 = Some (839, 740, "-", "-", "-", "-");
-    paper_fig6 = Some (43, 22, 65, 8, 60, 64);
-    paper_fig7 = Some (69.2, 155.6, 208, 203, 72, 60, 0);
-    init_sim =
-      (fun sim ~payload_len ->
-        let mem = Ixp.Simulator.shared_memory sim in
-        Workloads.Nat.init_tables (fun w v -> Ixp.Memory.poke mem Ixp.Insn.Sram w v);
-        let sdram = Ixp.Simulator.sdram_of_thread sim ~thread:0 in
-        ignore
-          (Workloads.Nat.init_payload
-             (fun w v -> Ixp.Memory.poke sdram Ixp.Insn.Sdram w v)
-             ~payload_len));
-    init_interp =
-      (fun st ~payload_len ->
-        let mem = Cps.Interp.memory st in
-        Workloads.Nat.init_tables (fun w v -> Ixp.Memory.poke mem Ixp.Insn.Sram w v);
-        ignore
-          (Workloads.Nat.init_payload
-             (fun w v -> Ixp.Memory.poke mem Ixp.Insn.Sdram w v)
-             ~payload_len));
-    size_align = 4;
-    init_chip_tables =
-      (fun mem ->
-        Workloads.Nat.init_tables (fun w v ->
-            Ixp.Memory.poke mem Ixp.Insn.Sram w v));
-    write_packet =
-      (fun load ~payload_len ->
-        ignore (Workloads.Nat.init_payload load ~payload_len));
-  }
-
-(* The dataplane portfolio workloads (LPM, firewall, csum, QoS) all share
-   the NAT-shaped init interface: one SRAM table loader and one SDRAM
-   packet writer.  No paper figures — they are ours, not the paper's. *)
-let dataplane name source ~size_align ~init_tables ~init_payload =
+let workload ?fig5 ?fig6 ?fig7 name source ~size_align ~tables ~packet =
   {
     name;
     source;
-    paper_fig5 = None;
-    paper_fig6 = None;
-    paper_fig7 = None;
-    init_sim =
-      (fun sim ~payload_len ->
-        let mem = Ixp.Simulator.shared_memory sim in
-        init_tables (fun w v -> Ixp.Memory.poke mem Ixp.Insn.Sram w v);
-        let sdram = Ixp.Simulator.sdram_of_thread sim ~thread:0 in
-        ignore
-          (init_payload
-             (fun w v -> Ixp.Memory.poke sdram Ixp.Insn.Sdram w v)
-             ~payload_len));
-    init_interp =
-      (fun st ~payload_len ->
-        let mem = Cps.Interp.memory st in
-        init_tables (fun w v -> Ixp.Memory.poke mem Ixp.Insn.Sram w v);
-        ignore
-          (init_payload
-             (fun w v -> Ixp.Memory.poke mem Ixp.Insn.Sdram w v)
-             ~payload_len));
+    paper_fig5 = fig5;
+    paper_fig6 = fig6;
+    paper_fig7 = fig7;
     size_align;
-    init_chip_tables =
-      (fun mem ->
-        init_tables (fun w v -> Ixp.Memory.poke mem Ixp.Insn.Sram w v));
-    write_packet =
-      (fun load ~payload_len -> ignore (init_payload load ~payload_len));
+    init_chip_tables = tables;
+    write_packet = (fun load ~payload_len -> ignore (packet load ~payload_len));
   }
 
+let poke_sram mem w v = Ixp.Memory.poke mem Ixp.Insn.Sram w v
+
+(* Every workload but Kasumi loads its tables into SRAM alone. *)
+let sram_tables init_tables mem = init_tables (poke_sram mem)
+
+let aes =
+  Workloads.Aes.(
+    workload "AES" source ~size_align:16
+      ~fig5:(541, 588, "7/8", "5", "3", "1")
+      ~fig6:(68, 16, 84, 4, 10, 14)
+      ~fig7:(30.4, 35.9, 108, 102, 37, 25, 0)
+      ~tables:(sram_tables init_tables) ~packet:init_payload)
+
+let kasumi =
+  Workloads.Kasumi.(
+    workload "Kasumi" source ~size_align:8
+      ~fig5:(587, 538, "7/7", "4", "2", "2")
+      ~fig6:(44, 14, 58, 4, 14, 18)
+      ~fig7:(48.2, 59.2, 138, 131, 50, 20, 0)
+      ~tables:(fun mem ->
+        init_tables ~load_sram:(poke_sram mem)
+          ~load_scratch:(fun w v -> Ixp.Memory.poke mem Ixp.Insn.Scratch w v))
+      ~packet:init_payload)
+
+let nat =
+  Workloads.Nat.(
+    workload "NAT" source ~size_align:4
+      ~fig5:(839, 740, "-", "-", "-", "-")
+      ~fig6:(43, 22, 65, 8, 60, 64)
+      ~fig7:(69.2, 155.6, 208, 203, 72, 60, 0)
+      ~tables:(sram_tables init_tables) ~packet:init_payload)
+
+(* The dataplane portfolio workloads (LPM, firewall, csum, QoS) have no
+   paper figures: they are ours, not the paper's. *)
 let lpm =
-  dataplane "LPM" Workloads.Lpm.source ~size_align:4
-    ~init_tables:Workloads.Lpm.init_tables
-    ~init_payload:Workloads.Lpm.init_payload
+  Workloads.Lpm.(
+    workload "LPM" source ~size_align:4 ~tables:(sram_tables init_tables)
+      ~packet:init_payload)
 
 let firewall =
-  dataplane "Firewall" Workloads.Firewall.source ~size_align:4
-    ~init_tables:Workloads.Firewall.init_tables
-    ~init_payload:Workloads.Firewall.init_payload
+  Workloads.Firewall.(
+    workload "Firewall" source ~size_align:4
+      ~tables:(sram_tables init_tables) ~packet:init_payload)
 
 let csum =
-  dataplane "Csum" Workloads.Csum.source ~size_align:8
-    ~init_tables:Workloads.Csum.init_tables
-    ~init_payload:Workloads.Csum.init_payload
+  Workloads.Csum.(
+    workload "Csum" source ~size_align:8 ~tables:(sram_tables init_tables)
+      ~packet:init_payload)
 
 let qos =
-  dataplane "QoS" Workloads.Qos.source ~size_align:4
-    ~init_tables:Workloads.Qos.init_tables
-    ~init_payload:Workloads.Qos.init_payload
+  Workloads.Qos.(
+    workload "QoS" source ~size_align:4 ~tables:(sram_tables init_tables)
+      ~packet:init_payload)
 
 let all = [ aes; kasumi; nat; lpm; firewall; csum; qos ]
+
+(* One packet of [payload_len] bytes for context 0 of a simulated
+   engine: the tables in its shared memory, the packet in its SDRAM. *)
+let init_sim w sim ~payload_len =
+  w.init_chip_tables (Ixp.Simulator.shared_memory sim);
+  let sdram = Ixp.Simulator.sdram_of_thread sim ~thread:0 in
+  w.write_packet
+    (fun a v -> Ixp.Memory.poke sdram Ixp.Insn.Sdram a v)
+    ~payload_len
 
 (* Compilation cache: each workload is compiled at most once per mode. *)
 let cache : (string, Regalloc.Driver.compiled) Hashtbl.t = Hashtbl.create 8

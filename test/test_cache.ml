@@ -897,6 +897,42 @@ let test_daemon_refuses_oversized_request () =
         (Printf.sprintf "bad request: line longer than %d bytes"
            Service.Daemon.max_request_bytes))
 
+(* [clear-cache] drops the in-memory tiers only: the same source sent
+   again re-runs the front end and rebuilds the model, replays the solve
+   from disk, and answers with the same code and move cost. *)
+let test_daemon_clear_cache () =
+  let module J = Support.Json in
+  let first, cleared, again =
+    with_daemon @@ fun socket_path ->
+    let t = Service.Client.connect_retry ~socket_path () in
+    let compile () =
+      match Service.Client.compile ~file:"test.nova" ~source:small_src t with
+      | Ok resp -> resp
+      | Error e -> Alcotest.fail e
+    in
+    let first = compile () in
+    let cleared = Service.Client.clear_cache t in
+    let again = compile () in
+    Service.Client.close t;
+    (first, cleared, again)
+  in
+  checkb "clear-cache answered ok" true
+    (Result.map (J.member "ok") cleared = Ok (Some (J.Bool true)));
+  List.iter
+    (fun (tier, hit) ->
+      checkb
+        (Printf.sprintf "after clear-cache: %s hit is %b" tier hit)
+        true
+        (Option.bind (J.member "cache" again) (J.member tier)
+        = Some (J.Bool hit)))
+    [ ("full", false); ("front", false); ("model", false); ("solve", true) ];
+  List.iter
+    (fun field ->
+      checkb (field ^ " unchanged") true
+        (J.member field first <> None
+        && J.member field first = J.member field again))
+    [ "asm"; "weighted_move_cost" ]
+
 let suites =
   [
     ( "cache.key",
@@ -952,5 +988,7 @@ let suites =
           test_daemon_survives_disconnect;
         Alcotest.test_case "an oversized request line is refused" `Quick
           test_daemon_refuses_oversized_request;
+        Alcotest.test_case "clear-cache keeps the disk tier" `Quick
+          test_daemon_clear_cache;
       ] );
   ]

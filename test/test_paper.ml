@@ -1,4 +1,5 @@
-(* Fidelity tests against the paper's own worked examples. *)
+(* Fidelity tests against the paper's own worked examples, and the
+   deterministic claims of its evaluation (§11). *)
 
 module Insn = Ixp.Insn
 module FG = Ixp.Flowgraph
@@ -189,6 +190,110 @@ fun main (sel : word) : word {
         (r = [ expected ]))
     [ (0, 0x1111); (1, 0x2222); (2, 0x2233) ]
 
+(* ------------------------------------------------------------------ *)
+(* §11: the evaluation's deterministic claims, on the seven workloads
+   as [Test_chip] compiles them (the ILP cold under a 128-node budget). *)
+(* ------------------------------------------------------------------ *)
+
+module C = Test_chip
+
+let sdram_words = Ixp.Memory.default_config.Ixp.Memory.sdram_words
+
+(* The SDRAM words each workload's reference model fixes after one packet
+   of [payload_len] bytes: the first word's address and the words. *)
+let reference_words =
+  let span (image, _) ~lo ~hi = (lo, Array.sub image lo (hi - lo + 1)) in
+  let dataplane expected in_base ~payload_len =
+    span
+      (expected ~payload_len ~sdram_words)
+      ~lo:(in_base / 4)
+      ~hi:(((in_base + 20 + payload_len) / 4) + 1)
+  in
+  [
+    ( C.w_aes,
+      fun ~payload_len ->
+        Workloads.Aes.(ct_base / 4, fst (expected ~payload_len)) );
+    ( C.w_kasumi,
+      fun ~payload_len ->
+        Workloads.Kasumi.(pkt_base / 4, fst (expected ~payload_len)) );
+    ( C.w_nat,
+      fun ~payload_len ->
+        Workloads.Nat.(
+          span
+            (expected ~payload_len ~sdram_words)
+            ~lo:0
+            ~hi:((in_base + 40 + payload_len) / 4)) );
+    (C.w_lpm, Workloads.Lpm.(dataplane expected in_base));
+    (C.w_firewall, Workloads.Firewall.(dataplane expected in_base));
+    (C.w_csum, Workloads.Csum.(dataplane expected in_base));
+    (C.w_qos, Workloads.Qos.(dataplane expected in_base));
+  ]
+
+(* Fig. 7: no spills, and the code computes what the reference model
+   does, word for word. *)
+let test_fig7_ilp_code () =
+  List.iter
+    (fun (w, reference) ->
+      let c = C.ilp_compiled w in
+      checki (w.C.w_name ^ ": spills") 0
+        c.Regalloc.Driver.stats.Regalloc.Driver.spills_inserted;
+      let payload_len = w.C.w_plen in
+      let sim, _ = C.run_one w c.Regalloc.Driver.physical ~payload_len in
+      let sdram = Ixp.Simulator.sdram_of_thread sim ~thread:0 in
+      let base, words = reference ~payload_len in
+      Array.iteri
+        (fun i v ->
+          checki
+            (Printf.sprintf "%s: sdram[%d]" w.C.w_name (base + i))
+            v
+            (Ixp.Memory.peek sdram Insn.Sdram (base + i)))
+        words)
+    reference_words
+
+(* Mpps of one engine of [threads] contexts, offered 32 packets of 64
+   bytes faster than it can take them. *)
+let saturated_mpps w physical ~threads =
+  let config =
+    { Ixp.Chip.default_config with Ixp.Chip.engines = 1; threads }
+  in
+  Ixp.Chip.achieved_mpps
+    (C.chip_leg ~config w physical ~offered:16.0 ~count:32)
+
+let test_ilp_rate_at_least_baseline () =
+  List.iter
+    (fun w ->
+      let rate code = saturated_mpps w (code w) ~threads:4 in
+      let ilp = rate C.ilp_code and base = rate C.baseline_code in
+      checkb
+        (Printf.sprintf "%s: ILP %.4f Mpps >= baseline %.4f" w.C.w_name ilp
+           base)
+        true (ilp >= base))
+    C.workloads
+
+(* §11 throughput: four contexts hide memory latency, and Kasumi's
+   cycles per packet grow in proportion to its payload. *)
+let test_throughput_shape () =
+  List.iter
+    (fun w ->
+      let rate threads = saturated_mpps w (C.ilp_code w) ~threads in
+      let one = rate 1 and four = rate 4 in
+      checkb
+        (Printf.sprintf "%s: 4 contexts %.4f Mpps >= 1.5 x 1 context %.4f"
+           w.C.w_name four one)
+        true
+        (four >= 1.5 *. one))
+    [ C.w_aes; C.w_kasumi ];
+  let cycles payload_len =
+    float_of_int
+      (snd (C.run_one C.w_kasumi (C.ilp_code C.w_kasumi) ~payload_len))
+  in
+  let ratio = cycles 256 /. cycles 8 in
+  checkb
+    (Printf.sprintf "Kasumi cycles 256 B / 8 B = %.2f, within 10%% of 32"
+       ratio)
+    true
+    (Float.abs (ratio -. 32.) <= 3.2)
+
 let suites =
   [
     ( "paper.figure3",
@@ -202,5 +307,13 @@ let suites =
           test_store_position_conflict;
         Alcotest.test_case "layout alignment dispatch" `Quick
           test_layout_alignment_example;
+      ] );
+    ( "paper.evaluation",
+      [
+        Alcotest.test_case "Fig. 7: zero spills, reference output" `Quick
+          test_fig7_ilp_code;
+        Alcotest.test_case "ILP rate at least the baseline's" `Quick
+          test_ilp_rate_at_least_baseline;
+        Alcotest.test_case "§11 throughput shape" `Quick test_throughput_shape;
       ] );
   ]

@@ -208,6 +208,7 @@ fun main () : word {
   in
   List.iteri (fun i v -> checki "baseline result" v sim_results.(i)) interp_result
 
+(* A small loop, then the seven workloads as [Test_chip] compiles them. *)
 let test_ilp_beats_baseline () =
   let src =
     {|
@@ -223,26 +224,47 @@ fun main () : word {
 }
 |}
   in
-  let ilp = compile src in
-  let base =
-    compile
-      ~options:
-        {
-          Regalloc.Driver.default_options with
-          allocator = Regalloc.Driver.Baseline_allocator;
-        }
-      src
+  let baseline =
+    {
+      Regalloc.Driver.default_options with
+      allocator = Regalloc.Driver.Baseline_allocator;
+    }
   in
-  checkb "ILP cost <= baseline cost" true
-    (ilp.Regalloc.Driver.stats.Regalloc.Driver.weighted_move_cost
-    <= base.Regalloc.Driver.stats.Regalloc.Driver.weighted_move_cost +. 1e-6)
+  let cost c = c.Regalloc.Driver.stats.Regalloc.Driver.weighted_move_cost in
+  List.iter
+    (fun (name, ilp, base) ->
+      checkb
+        (Printf.sprintf "%s: ILP cost %g <= baseline cost %g" name (cost ilp)
+           (cost base))
+        true
+        (cost ilp <= cost base +. 1e-6))
+    (("loop", compile src, compile ~options:baseline src)
+    :: List.map
+         (fun w ->
+           ( w.Test_chip.w_name,
+             Test_chip.ilp_compiled w,
+             Test_chip.baseline_compiled w ))
+         Test_chip.workloads)
 
 (* ---------------- model statistics ---------------- *)
 
+(* The coloring participants of a small program, and the Fig. 6 counts
+   of the paper's three workloads, pinned. *)
 let test_model_stats () =
-  let front =
-    Regalloc.Driver.front_end ~file:"t.nova"
-      {|
+  List.iter
+    (fun (name, source, (def_l, def_ld, use_s, use_sd)) ->
+      let front = Regalloc.Driver.front_end ~file:name source in
+      let mg = Regalloc.Modelgen.build front.Regalloc.Driver.f_graph in
+      let c = Regalloc.Modelgen.coloring_stats mg in
+      checki (name ^ ": DefL members") def_l c.Regalloc.Modelgen.def_l;
+      checki (name ^ ": DefLD members") def_ld c.Regalloc.Modelgen.def_ld;
+      checki (name ^ ": UseS members") use_s c.Regalloc.Modelgen.use_s;
+      checki (name ^ ": UseSD members") use_sd c.Regalloc.Modelgen.use_sd)
+    [
+      (* UseS: 2 from the sram store + 1 from the scratch write of main's
+         result *)
+      ( "t.nova",
+        {|
 fun main () : word {
   let (a, b, c, d) = sram(100);
   let (e, f) = sdram(0);
@@ -250,15 +272,12 @@ fun main () : word {
   sdram(8) <- (c & e, d & f);
   0
 }
-|}
-  in
-  let mg = Regalloc.Modelgen.build front.Regalloc.Driver.f_graph in
-  let c = Regalloc.Modelgen.coloring_stats mg in
-  checki "DefL members" 4 c.Regalloc.Modelgen.def_l;
-  checki "DefLD members" 2 c.Regalloc.Modelgen.def_ld;
-  (* 2 from the sram store + 1 from the scratch write of main's result *)
-  checki "UseS members" 3 c.Regalloc.Modelgen.use_s;
-  checki "UseSD members" 2 c.Regalloc.Modelgen.use_sd
+|},
+        (4, 2, 3, 2) );
+      ("aes.nova", Workloads.Aes.source, (44, 14, 6, 6));
+      ("kasumi.nova", Workloads.Kasumi.source, (32, 8, 4, 2));
+      ("nat.nova", Workloads.Nat.source, (2, 28, 2, 26));
+    ]
 
 let test_spill_fallback () =
   (* enormous register pressure: 20 values live across a loop forces the
@@ -872,58 +891,48 @@ let test_model_stage_allocation () =
       per_nonzero
 
 (* The code each workload compiles to, pinned by the MD5 of its assembly
-   text under both allocators: the ILP one cold on one domain under the
-   node budget, and the baseline heuristic.  A change to how the
-   solution is read back or emitted that moves a single register or
-   reorders a single move changes a digest.  All 14 digests are checked
-   before the test fails, and the failure lists every one that moved. *)
+   text under both allocators, as [Test_chip] compiles them: the ILP one
+   cold on one domain under the node budget, and the baseline heuristic.
+   A change to how the solution is read back or emitted that moves a
+   single register or reorders a single move changes a digest.  All 14
+   digests are checked before the test fails, and the failure lists
+   every one that moved. *)
 let test_emitted_code_pinned () =
-  let ilp =
-    {
-      Regalloc.Driver.default_options with
-      node_limit = node_budget;
-      time_limit = 1e9;
-    }
-  in
-  let baseline =
-    {
-      Regalloc.Driver.default_options with
-      allocator = Regalloc.Driver.Baseline_allocator;
-    }
-  in
   let moved =
     List.concat_map
-      (fun (name, source, ilp_md5, baseline_md5) ->
+      (fun (w, ilp_md5, baseline_md5) ->
         List.filter_map
-          (fun (allocator, options, pinned) ->
-            let c = Regalloc.Driver.compile ~options ~file:name source in
+          (fun (allocator, code, pinned) ->
             let md5 =
               Digest.to_hex
-                (Digest.string
-                   (Ixp.Asm.program_to_string c.Regalloc.Driver.physical))
+                (Digest.string (Ixp.Asm.program_to_string (code w)))
             in
             if md5 = pinned then None
             else
               Some
-                (Printf.sprintf "%s %s code: pinned %s, got %s" name allocator
-                   pinned md5))
-          [ ("ILP", ilp, ilp_md5); ("baseline", baseline, baseline_md5) ])
-    [
-      ( "aes.nova", Workloads.Aes.source,
-        "f3b46fc93858d39ba8f04e7e6ec6139c", "3263079d39414773fe27dac3aabb097b" );
-      ( "kasumi.nova", Workloads.Kasumi.source,
-        "ed15aab06b693161acba4673a37180cd", "2037edfaedad8f4770e42e25fed850cb" );
-      ( "lpm.nova", Workloads.Lpm.source,
-        "be9369c7e54477732db982805bc56041", "6de5daf2ee6f79fb9e062916862f7284" );
-      ( "firewall.nova", Workloads.Firewall.source,
-        "e42def278bb1d2e52ad3ce379b4d51fb", "aa0ad3657d948f695aa3781cc85a409f" );
-      ( "csum.nova", Workloads.Csum.source,
-        "ffe3fdc5536b52c84885fe18ba3bd9c0", "7f2c9d2c3371edd2efdc44cca198fe20" );
-      ( "qos.nova", Workloads.Qos.source,
-        "246e4bb862b7a72c4040e1f753e8c1a6", "6a56f95e3f26785f56c622cb98ca846f" );
-      ( "nat.nova", Workloads.Nat.source,
-        "3a07bc6536d8400045a8bf962c8fbe21", "1d844129dfc3ba4ec45047b6fbfa0ad0" );
-    ]
+                (Printf.sprintf "%s %s code: pinned %s, got %s"
+                   w.Test_chip.w_name allocator pinned md5))
+          [
+            ("ILP", Test_chip.ilp_code, ilp_md5);
+            ("baseline", Test_chip.baseline_code, baseline_md5);
+          ])
+      Test_chip.
+        [
+          ( w_aes, "f3b46fc93858d39ba8f04e7e6ec6139c",
+            "3263079d39414773fe27dac3aabb097b" );
+          ( w_kasumi, "ed15aab06b693161acba4673a37180cd",
+            "2037edfaedad8f4770e42e25fed850cb" );
+          ( w_lpm, "be9369c7e54477732db982805bc56041",
+            "6de5daf2ee6f79fb9e062916862f7284" );
+          ( w_firewall, "e42def278bb1d2e52ad3ce379b4d51fb",
+            "aa0ad3657d948f695aa3781cc85a409f" );
+          ( w_csum, "ffe3fdc5536b52c84885fe18ba3bd9c0",
+            "7f2c9d2c3371edd2efdc44cca198fe20" );
+          ( w_qos, "246e4bb862b7a72c4040e1f753e8c1a6",
+            "6a56f95e3f26785f56c622cb98ca846f" );
+          ( w_nat, "3a07bc6536d8400045a8bf962c8fbe21",
+            "1d844129dfc3ba4ec45047b6fbfa0ad0" );
+        ]
   in
   if moved <> [] then
     Alcotest.failf "%d of 14 digests moved:\n%s" (List.length moved)

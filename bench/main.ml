@@ -1,7 +1,6 @@
 (* Benchmark harness: regenerates every table and figure from the paper's
-   evaluation (§11) and runs the CI smoke gates.  See EXPERIMENTS.md for
-   paper-vs-measured records; timings with medians and verdicts come
-   from perfbench/.
+   evaluation (§11).  See EXPERIMENTS.md for paper-vs-measured records;
+   timings with medians and verdicts come from perfbench/.
 
      dune exec bench/main.exe -- COMMAND
 
@@ -183,14 +182,13 @@ let baseline () =
    synthetic packet generator.  The solver runs under a node budget --
    deterministic, unlike a wall-clock cutoff -- so the same seed
    reproduces identical numbers across runs. *)
-let rec rates ~full () =
+let rec rates () =
   rule "Forwarding rate: chip-level simulation (ILP vs baseline allocator)";
   let seed = 42 in
-  let packets = if full then 512 else 128 in
-  let node_limit = if full then 400 else 60 in
+  let packets = 512 in
+  let node_limit = 400 in
   let profile = Ixp.Pktgen.Fixed 64 in
-  let workloads = if full then all else [ kasumi; lpm; firewall; csum; qos ] in
-  let engine_counts = if full then [ 1; 2; 6 ] else [ 1; 2 ] in
+  let engine_counts = [ 1; 2; 6 ] in
   (* one load every configuration can sustain (achieved = offered, no
      drops) and one that saturates even six engines (achieved = capacity,
      RX rings overflow) *)
@@ -253,11 +251,11 @@ let rec rates ~full () =
                 engine_counts)
         [ ("ilp", Regalloc.Driver.Ilp_allocator);
           ("base", Regalloc.Driver.Baseline_allocator) ])
-    workloads;
+    all;
   Fmt.pr
     "(offered/achieved in Mpps at 233 MHz; p50 latency in cycles from \
      arrival to packet completion; drops are RX-ring overflows)@.";
-  cluster_rates ~full ()
+  cluster_rates ()
 
 (* ---------------- cluster forwarding rates ---------------- *)
 
@@ -267,12 +265,12 @@ let rec rates ~full () =
    rate, p99/p999 tail latency from the Support.Metrics histograms, and
    per-chip drop accounting.  Fully deterministic under the fixed
    seed. *)
-and cluster_rates ~full () =
+and cluster_rates () =
   rule "Cluster forwarding rate: adversarial traffic (ILP vs baseline)";
   let seed = 42 in
-  let packets = if full then 3000 else 600 in
-  let node_limit = if full then 400 else 60 in
-  let chips = if full then 4 else 2 in
+  let packets = 3000 in
+  let node_limit = 400 in
+  let chips = 4 in
   let engines = 2 in
   let offered = 0.6 in
   let w = kasumi in
@@ -324,56 +322,6 @@ and cluster_rates ~full () =
   Fmt.pr
     "(drops are balancer drops charged to the packet's natural target; \
      p99/p99.9 in cycles from the cluster.latency histogram)@."
-
-(* CI smoke: a small cluster under a hard wall-clock ceiling, run twice
-   to assert bit-identical reports under the fixed seed. *)
-let cluster_smoke () =
-  rule "Cluster smoke: determinism + wall-clock ceiling";
-  let ceiling = 60. in
-  let t0 = Unix.gettimeofday () in
-  let w = kasumi in
-  let c = compile ~allocator:Regalloc.Driver.Baseline_allocator w in
-  let run balancer =
-    cluster_run w c ~chips:2 ~balancer ~engines:2 ~threads:4 ~offered:0.6
-      ~packets:400 ~seed:7
-      ~profile:(Ixp.Pktgen.Syn_flood { size = 40 })
-      ~drop_budget:0
-  in
-  let key (r : Cluster.report) =
-    ( r.Cluster.cycles,
-      r.Cluster.generated,
-      r.Cluster.completed,
-      r.Cluster.bytes_completed,
-      Array.to_list r.Cluster.steered,
-      Array.to_list r.Cluster.lb_dropped,
-      (r.Cluster.p50, r.Cluster.p90, r.Cluster.p99, r.Cluster.p999) )
-  in
-  let r1 = run Cluster.Flow_hash in
-  let r2 = run Cluster.Flow_hash in
-  let rr = run Cluster.Round_robin in
-  Fmt.pr "%a" Cluster.pp_report r1;
-  Fmt.pr "round-robin: %d completed, %d dropped@." rr.Cluster.completed
-    (Cluster.dropped rr);
-  let deterministic = key r1 = key r2 in
-  let accounted =
-    r1.Cluster.generated = r1.Cluster.completed + Cluster.dropped r1
-  in
-  (* keep the full reports as a CI artifact *)
-  let oc = open_out (artifact "cluster_smoke.txt") in
-  let ppf = Format.formatter_of_out_channel oc in
-  Cluster.pp_report ppf r1;
-  Cluster.pp_report ppf rr;
-  Format.pp_print_flush ppf ();
-  close_out oc;
-  let wall = Unix.gettimeofday () -. t0 in
-  Fmt.pr
-    "smoke wall time: %.2fs (ceiling %.0fs), deterministic: %b, accounted: \
-     %b@."
-    wall ceiling deterministic accounted;
-  if wall > ceiling || (not deterministic) || not accounted then begin
-    Fmt.epr "cluster-smoke FAILED@.";
-    exit 1
-  end
 
 (* ---------------- §8 model-size reductions ---------------- *)
 
@@ -460,525 +408,6 @@ let remat () =
     node_limit;
   if !failed then exit 1
 
-(* ---------------- solver smoke ---------------- *)
-
-(* Root-LP and integer solve times on the paper models, plus seeded
-   random 0-1 instances, for the CI gate below. *)
-
-(* The LU work of one solve: LP rows after presolve, factorizations
-   (the first one included) and refactorizations, active-submatrix
-   entries moved, and L + U entries summed over the factorizations. *)
-type lu_work = {
-  lu_rows : int;
-  lu_factorizations : int;
-  lu_refactorizations : int;
-  lu_moves : int;
-  lu_entries : int;
-}
-
-type solver_row = {
-  sb_name : string;
-  sb_status : string;
-  sb_obj : float;
-  sb_bound : float;
-  sb_root : float;
-  sb_total : float;
-  sb_nodes : int;
-  sb_iters : int;
-  sb_heur : int;
-  sb_lu : lu_work;
-}
-
-(* [Lp.Mip.solve] by [solve], with the LU counters it advanced. *)
-let lu_measured solve =
-  let module M = Support.Metrics in
-  let counters () =
-    let c name = M.counter_value (M.counter name) in
-    ( M.histogram_count (M.histogram "lp.lu.factorize_us"),
-      c "lp.lu.refactorizations",
-      c "lp.lu.moves",
-      c "lp.lu.l_nnz" + c "lp.lu.u_nnz" )
-  in
-  let f0, r0, m0, e0 = counters () in
-  let r = solve () in
-  let f1, r1, m1, e1 = counters () in
-  ( r,
-    {
-      lu_rows = r.Lp.Mip.stats.Lp.Mip.rows_after;
-      lu_factorizations = f1 - f0;
-      lu_refactorizations = r1 - r0;
-      lu_moves = m1 - m0;
-      lu_entries = e1 - e0;
-    } )
-
-let solver_status_string = function
-  | Lp.Mip.Optimal -> "optimal"
-  | Lp.Mip.Infeasible -> "infeasible"
-  | Lp.Mip.Limit -> "limit"
-
-let solve_workload_model ~time_limit ?rel_gap w =
-  let f = front w in
-  let mg = Regalloc.Modelgen.build ~allow_spill:false f.Regalloc.Driver.f_graph in
-  let ilp = Regalloc.Ilp.build mg in
-  let p = ilp.Regalloc.Ilp.problem in
-  let r, lu =
-    lu_measured (fun () ->
-        Lp.Mip.solve ~time_limit ~node_limit:20_000 ?rel_gap
-          ~branch_first:ilp.Regalloc.Ilp.branch_first p)
-  in
-  let s = r.Lp.Mip.stats in
-  {
-    sb_name = w.name;
-    sb_status = solver_status_string r.Lp.Mip.status;
-    sb_obj = r.Lp.Mip.objective;
-    sb_bound = s.Lp.Mip.best_bound;
-    sb_root = s.Lp.Mip.root_time;
-    sb_total = s.Lp.Mip.total_time;
-    sb_nodes = s.Lp.Mip.nodes;
-    sb_iters = s.Lp.Mip.simplex_iterations;
-    sb_heur = s.Lp.Mip.heuristic_incumbents;
-    sb_lu = lu;
-  }
-
-(* seeded random set-packing/covering mixes, all solved to optimality *)
-let solver_random_instance seed =
-  let st = Random.State.make [| seed |] in
-  let p = Lp.Problem.create () in
-  let n = 40 in
-  let vars =
-    Array.init n (fun i ->
-        Lp.Problem.add_binary p
-          ~obj:(-.float_of_int (1 + Random.State.int st 9))
-          (Printf.sprintf "x%d" i))
-  in
-  for _ = 1 to 60 do
-    let k = 3 + Random.State.int st 5 in
-    let picked = Hashtbl.create 8 in
-    for _ = 1 to k do
-      Hashtbl.replace picked (Random.State.int st n) ()
-    done;
-    let terms = Hashtbl.fold (fun j () acc -> (vars.(j), 1.) :: acc) picked [] in
-    Lp.Problem.add_row p Lp.Problem.Le
-      (float_of_int (1 + Random.State.int st 2))
-      terms
-  done;
-  p
-
-let solve_random_instance seed =
-  let p = solver_random_instance seed in
-  let r, lu =
-    lu_measured (fun () -> Lp.Mip.solve ~time_limit:60. ~node_limit:100_000 p)
-  in
-  let s = r.Lp.Mip.stats in
-  {
-    sb_name = Printf.sprintf "rand-%d" seed;
-    sb_status = solver_status_string r.Lp.Mip.status;
-    sb_obj = r.Lp.Mip.objective;
-    sb_bound = s.Lp.Mip.best_bound;
-    sb_root = s.Lp.Mip.root_time;
-    sb_total = s.Lp.Mip.total_time;
-    sb_nodes = s.Lp.Mip.nodes;
-    sb_iters = s.Lp.Mip.simplex_iterations;
-    sb_heur = s.Lp.Mip.heuristic_incumbents;
-    sb_lu = lu;
-  }
-
-let pp_solver_row r =
-  Fmt.pr "%-8s | %-8s | %10.4f %10.4f | %7.2f %7.2f | %6d %7d | %4d@."
-    r.sb_name r.sb_status r.sb_obj r.sb_bound r.sb_root r.sb_total r.sb_nodes
-    r.sb_iters r.sb_heur
-
-let solver_header () =
-  Fmt.pr "%-8s | %-8s | %10s %10s | %7s %7s | %6s %7s | %4s@." "" "status"
-    "objective" "bound" "root(s)" "tot(s)" "nodes" "iters" "heur"
-
-(* CI gate: small models under a hard wall-clock ceiling, so a basis or
-   pricing regression fails the build rather than just getting slower.
-   The LU work of AES and NAT is printed, and AES may move at most four
-   times as many active-submatrix entries as its factorizations hold
-   (L + U entries plus m per factorization), a deterministic bound: AES
-   moves 0.14 M entries under a limit of 1.06 M, and a factorization
-   that shifts the whole column tail to close each gap moves 6.5 M.
-   At the default gap AES and NAT must prove optimal within a node cap
-   (AES 128 nodes in about 0.15 s, NAT 36 in about 0.35 s on a 2-vCPU
-   host), so a search that stops branching on the transfer-register
-   colors first (327 and 381 nodes) fails the gate.  AES under a 2 s
-   limit must stop with status [limit] within a second of the limit, so
-   a budget the search ignores fails the gate.  It is solved at a zero
-   gap, whose proof takes longer than 20 s. *)
-let solver_smoke () =
-  rule
-    "Solver smoke: Kasumi, AES, NAT + random instances + AES budget under \
-     a hard ceiling";
-  let ceiling = 60. in
-  let t0 = Unix.gettimeofday () in
-  solver_header ();
-  let searched =
-    List.map
-      (fun (w, cap) -> (solve_workload_model ~time_limit:20. w, cap))
-      [ (aes, 150); (nat, 40) ]
-  in
-  let rows =
-    (solve_workload_model ~time_limit:50. kasumi :: List.map fst searched)
-    @ List.map solve_random_instance [ 1; 2 ]
-  in
-  List.iter pp_solver_row rows;
-  let failures = ref [] in
-  List.iter
-    (fun ((r : solver_row), _) ->
-      let lu = r.sb_lu in
-      let limit =
-        4 * (lu.lu_entries + (lu.lu_rows * lu.lu_factorizations))
-      in
-      Fmt.pr
-        "%s LU: %d refactorizations, %d entries moved, %d L+U entries, m = \
-         %d@."
-        r.sb_name lu.lu_refactorizations lu.lu_moves lu.lu_entries lu.lu_rows;
-      if r.sb_name = aes.name && lu.lu_moves > limit then
-        failures :=
-          Printf.sprintf
-            "%s moved %d active-submatrix entries (limit 4 x (L+U + m per \
-             factorization) = %d)"
-            r.sb_name lu.lu_moves limit
-          :: !failures)
-    searched;
-  List.iter
-    (fun (r, cap) ->
-      if r.sb_nodes > cap then
-        failures :=
-          Printf.sprintf "%s at the default gap: %d nodes (cap %d)" r.sb_name
-            r.sb_nodes cap
-          :: !failures)
-    searched;
-  let budget = 2. in
-  let limited = solve_workload_model ~time_limit:budget ~rel_gap:0. aes in
-  pp_solver_row { limited with sb_name = "AES-2s" };
-  if limited.sb_status <> "limit" || limited.sb_total > budget +. 1. then
-    failures :=
-      Printf.sprintf
-        "AES under a %.0f s limit: status %s after %.2f s (want limit within \
-         %.0f s)"
-        budget limited.sb_status limited.sb_total (budget +. 1.)
-      :: !failures;
-  let wall = Unix.gettimeofday () -. t0 in
-  let all_optimal = List.for_all (fun r -> r.sb_status = "optimal") rows in
-  Fmt.pr "smoke wall time: %.2fs (ceiling %.0fs), all optimal: %b@." wall
-    ceiling all_optimal;
-  List.iter (fun f -> Fmt.epr "solver-smoke: %s@." f) (List.rev !failures);
-  if wall > ceiling || (not all_optimal) || !failures <> [] then begin
-    Fmt.epr "solver-smoke FAILED@.";
-    exit 1
-  end
-
-(* ---------------- incremental compilation bench + service smoke ------- *)
-
-(* The deterministic solver budget of the incremental bench and the
-   service smoke: AES and NAT branch under it, and both prove optimal
-   within it, AES at its last node. *)
-let node_budget = 128
-
-(* Cold / no-op / one-line-edit rebuild times through the stage-cached
-   driver ([Regalloc.Driver.compile_incremental]), per workload, under
-   [node_budget].  The one-line edit appends a `//` comment: the front
-   end re-runs (the source hash changed) but the flowgraph is unchanged,
-   so the model stage must replay from its memo and the solve stage from
-   the artifact store instead of invoking the solver.  Prints the table
-   and fails (exit 1) if
-     - the no-op rebuild is not a pure cache hit (full-compile memo,
-       i.e. no solver invocation at all), or
-     - the edit rebuild misses the model memo or the solve cache, or
-       changes the proven move cost / outcome versus the cold compile,
-       or
-     - the NAT edit rebuild is not >= 5x faster than its cold compile.
-   A last row makes a model-changing AES edit (one checksum line
-   deleted) in the same store, so the previous solve warm-starts it, and
-   compiles the edited source cold in a store of its own; it fails
-   unless the warm leg's warm start fired and its move cost is no higher
-   than the cold leg's. *)
-
-type inc_row = {
-  inc_name : string;
-  inc_cold : float;
-  inc_noop : float;
-  inc_edit : float;
-  inc_model_hit : bool; (* the edit leg replayed the model memo *)
-  inc_outcome : string;
-}
-
-let rec rm_rf path =
-  match Unix.lstat path with
-  | { Unix.st_kind = Unix.S_DIR; _ } ->
-      Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-      (try Unix.rmdir path with Unix.Unix_error _ -> ())
-  | _ -> ( try Unix.unlink path with Unix.Unix_error _ -> ())
-  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
-
-let incremental_options =
-  {
-    Regalloc.Driver.default_options with
-    time_limit = 1e9;
-    node_limit = node_budget;
-  }
-
-let measure_incremental ~store ~fail:(report : string -> unit) (w : workload)
-    =
-  let fail fmt = Printf.ksprintf report fmt in
-  let file = String.lowercase_ascii w.name ^ ".nova" in
-  let run source =
-    let t0 = Unix.gettimeofday () in
-    let r =
-      Regalloc.Driver.compile_incremental ~options:incremental_options ~store
-        ~file source
-    in
-    (Unix.gettimeofday () -. t0, r)
-  in
-  let cold_t, (c0, r0) = run w.source in
-  if r0.Regalloc.Driver.full_hit || r0.Regalloc.Driver.solve_hit then
-    fail "%s: cold leg hit the cache (stale store?)" w.name;
-  let noop_t, (_, r1) = run w.source in
-  if not r1.Regalloc.Driver.full_hit then
-    fail "%s: no-op rebuild was not a pure cache hit" w.name;
-  let edited = w.source ^ "\n// incremental bench probe\n" in
-  let edit_t, (c2, r2) = run edited in
-  if r2.Regalloc.Driver.full_hit then
-    fail "%s: edited source reported a full-compile cache hit" w.name;
-  if not r2.Regalloc.Driver.model_hit then
-    fail "%s: edit rebuild missed the model memo (graph drift?)" w.name;
-  if not r2.Regalloc.Driver.solve_hit then
-    fail "%s: edit rebuild missed the solve cache (fingerprint drift?)" w.name;
-  let cost c = c.Regalloc.Driver.stats.Regalloc.Driver.weighted_move_cost in
-  let outcome c =
-    Regalloc.Driver.solver_outcome_to_string
-      c.Regalloc.Driver.stats.Regalloc.Driver.solver_outcome
-  in
-  if Float.abs (cost c0 -. cost c2) > 1e-6 then
-    fail "%s: edit rebuild cost %.6f != cold %.6f" w.name (cost c2) (cost c0);
-  if outcome c0 <> outcome c2 then
-    fail "%s: edit rebuild outcome %s != cold %s" w.name (outcome c2)
-      (outcome c0);
-  {
-    inc_name = w.name;
-    inc_cold = cold_t;
-    inc_noop = noop_t;
-    inc_edit = edit_t;
-    inc_model_hit = r2.Regalloc.Driver.model_hit;
-    inc_outcome = outcome c0;
-  }
-
-let aes_c3_line = "csum := csum + (c3 >> 16) + (c3 & 0xFFFF);"
-
-let measure_model_edit ~store ~fail:(report : string -> unit) =
-  let fail fmt = Printf.ksprintf report fmt in
-  let edited =
-    String.split_on_char '\n' aes.source
-    |> List.filter (fun l -> String.trim l <> aes_c3_line)
-    |> String.concat "\n"
-  in
-  let run store =
-    Regalloc.Driver.clear_memos ();
-    let t0 = Unix.gettimeofday () in
-    let c, r =
-      Regalloc.Driver.compile_incremental ~options:incremental_options ~store
-        ~file:"aes.nova" edited
-    in
-    let s = c.Regalloc.Driver.stats in
-    let nodes = Option.fold ~none:0 ~some:(fun m -> m.Lp.Mip.nodes) s.mip in
-    (Unix.gettimeofday () -. t0, nodes, s.weighted_move_cost, r)
-  in
-  let warm_t, warm_nodes, warm_cost, warm_r = run store in
-  let cold_dir = artifact "cache-bench-cold" in
-  rm_rf cold_dir;
-  let cold_t, cold_nodes, cold_cost, _ =
-    run (Cache.Store.create ~dir:cold_dir ())
-  in
-  Fmt.pr "@.AES model edit (the c3 checksum line deleted):@.";
-  Fmt.pr "%-5s | %5s | %8s | %-10s | %s@." "" "nodes" "time(s)" "warm_start"
-    "move cost";
-  Fmt.pr "%-5s | %5d | %8.3f | %-10s | %.7f@." "cold" cold_nodes cold_t "no"
-    cold_cost;
-  Fmt.pr "%-5s | %5d | %8.3f | %-10s | %.7f@." "warm" warm_nodes warm_t
-    (if warm_r.Regalloc.Driver.warm_used then "yes" else "no")
-    warm_cost;
-  if not warm_r.Regalloc.Driver.warm_used then
-    fail "AES model edit: the warm leg did not use its warm start";
-  if warm_cost > cold_cost then
-    fail "AES model edit: warm move cost %.7f above cold %.7f" warm_cost
-      cold_cost
-
-let incremental () =
-  rule
-    (Printf.sprintf
-       "Incremental: cold / no-op / one-line-edit rebuilds (node budget %d)"
-       node_budget);
-  let dir = artifact "cache-bench" in
-  rm_rf dir;
-  Regalloc.Driver.clear_memos ();
-  let store = Cache.Store.create ~dir () in
-  let failures = ref [] in
-  let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
-  let rows =
-    List.map
-      (measure_incremental ~store ~fail:(fun s -> failures := s :: !failures))
-      [ kasumi; aes; nat; lpm; firewall; csum; qos ]
-  in
-  Fmt.pr "%-8s | %8s | %8s | %8s | %8s | %-5s | %-9s@." "" "cold(s)"
-    "noop(s)" "edit(s)" "speedup" "model" "outcome";
-  List.iter
-    (fun r ->
-      Fmt.pr "%-8s | %8.3f | %8.3f | %8.3f | %7.1fx | %-5s | %-9s@."
-        r.inc_name r.inc_cold r.inc_noop r.inc_edit
-        (r.inc_cold /. Float.max 1e-9 r.inc_edit)
-        (if r.inc_model_hit then "hit" else "miss")
-        r.inc_outcome)
-    rows;
-  (match List.find_opt (fun r -> r.inc_name = "NAT") rows with
-  | Some r when r.inc_cold /. Float.max 1e-9 r.inc_edit < 5. ->
-      fail "NAT edit rebuild only %.1fx faster than cold (need >= 5x)"
-        (r.inc_cold /. Float.max 1e-9 r.inc_edit)
-  | _ -> ());
-  measure_model_edit ~store ~fail:(fun s -> failures := s :: !failures);
-  match !failures with
-  | [] -> Fmt.pr "incremental PASSED@."
-  | fs ->
-      List.iter (fun f -> Fmt.epr "incremental: %s@." f) (List.rev fs);
-      Fmt.epr "incremental FAILED (%d)@." (List.length fs);
-      exit 1
-
-(* CI gate for `novac serve`: spawn the daemon in a domain, compile the
-   Kasumi workload twice over the socket, and assert the second response
-   is served entirely from the cache (full-compile memo hit -- the
-   solver never runs).  Then compile QoS over the socket: its code, move
-   cost and node count must equal a plain [Regalloc.Driver.compile] of
-   the same source and options, run here before the daemon starts, so
-   the daemon answers what `novac compile` does whatever it compiled
-   before.  Hard 60 s wall-clock ceiling like the other smoke jobs. *)
-let service_smoke () =
-  rule
-    "Service smoke: daemon cold compile, then pure cache hit, then the \
-     answer novac compile gives";
-  let ceiling = 60. in
-  let t0 = Unix.gettimeofday () in
-  let socket_path = artifact "novac-smoke.sock" in
-  let dir = artifact "cache-smoke" in
-  rm_rf dir;
-  Regalloc.Driver.clear_memos ();
-  let qos_file = "qos.nova" in
-  let qos_expected =
-    Regalloc.Driver.compile ~options:incremental_options ~file:qos_file
-      qos.source
-  in
-  let config =
-    {
-      Service.Daemon.socket_path;
-      cache_dir = Some dir;
-      base_options = incremental_options;
-      verbose = false;
-    }
-  in
-  let daemon = Domain.spawn (fun () -> Service.Daemon.run config) in
-  let failures = ref [] in
-  let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
-  let t = Service.Client.connect_retry ~socket_path () in
-  (match Service.Client.ping t with
-  | Ok _ -> ()
-  | Error e -> fail "ping: %s" e);
-  let flag resp path name =
-    Option.value ~default:false
-      (Option.bind
-         (Option.bind (Support.Json.member path resp)
-            (Support.Json.member name))
-         Support.Json.to_bool)
-  in
-  let compile_once label =
-    let c0 = Unix.gettimeofday () in
-    match
-      Service.Client.compile ~node_limit:node_budget
-        ~file:"kasumi.nova" ~source:kasumi.source t
-    with
-    | Error e ->
-        fail "%s compile: %s" label e;
-        None
-    | Ok resp ->
-        let elapsed = Unix.gettimeofday () -. c0 in
-        let ok =
-          Option.value ~default:false
-            (Option.bind (Support.Json.member "ok" resp) Support.Json.to_bool)
-        in
-        if not ok then fail "%s compile: response not ok" label;
-        Fmt.pr "%s: %.3fs (front=%b model=%b solve=%b full=%b)@." label
-          elapsed (flag resp "cache" "front") (flag resp "cache" "model")
-          (flag resp "cache" "solve") (flag resp "cache" "full");
-        Some resp
-  in
-  let cold = compile_once "cold" in
-  let warm = compile_once "warm" in
-  (match cold with
-  | Some resp when flag resp "cache" "full" ->
-      fail "cold compile reported a full cache hit (stale daemon state?)"
-  | _ -> ());
-  (match warm with
-  | Some resp when not (flag resp "cache" "full") ->
-      fail "second compile was not a pure cache hit (front=%b model=%b \
-            solve=%b)"
-        (flag resp "cache" "front") (flag resp "cache" "model")
-        (flag resp "cache" "solve")
-  | _ -> ());
-  (match
-     Service.Client.compile ~node_limit:node_budget ~file:qos_file
-       ~source:qos.source t
-   with
-  | Error e -> fail "QoS compile: %s" e
-  | Ok resp ->
-      let num path =
-        List.fold_left
-          (fun doc name -> Option.bind doc (Support.Json.member name))
-          (Some resp) path
-        |> Fun.flip Option.bind Support.Json.to_float
-      in
-      let show = Option.fold ~none:"none" ~some:(Printf.sprintf "%.17g") in
-      let stats = qos_expected.Regalloc.Driver.stats in
-      let asm =
-        Ixp.Asm.program_to_string qos_expected.Regalloc.Driver.physical
-      in
-      let cost = Some stats.Regalloc.Driver.weighted_move_cost in
-      let nodes =
-        Option.map
-          (fun m -> float_of_int m.Lp.Mip.nodes)
-          stats.Regalloc.Driver.mip
-      in
-      let same_asm =
-        Option.bind (Support.Json.member "asm" resp) Support.Json.to_string
-        = Some asm
-      in
-      if not same_asm then
-        fail "QoS: the daemon's code differs from novac compile's";
-      if num [ "weighted_move_cost" ] <> cost then
-        fail "QoS: daemon move cost %s, novac compile %s"
-          (show (num [ "weighted_move_cost" ]))
-          (show cost);
-      if num [ "solver"; "nodes" ] <> nodes then
-        fail "QoS: daemon searched %s nodes, novac compile %s"
-          (show (num [ "solver"; "nodes" ]))
-          (show nodes);
-      Fmt.pr "QoS through the daemon: %.3f move cost, %s nodes, same code \
-              as novac compile: %b@."
-        stats.Regalloc.Driver.weighted_move_cost (show nodes) same_asm);
-  (match Service.Client.shutdown t with
-  | Ok _ -> ()
-  | Error e -> fail "shutdown: %s" e);
-  Service.Client.close t;
-  Domain.join daemon;
-  let wall = Unix.gettimeofday () -. t0 in
-  Fmt.pr "smoke wall time: %.2fs (ceiling %.0fs)@." wall ceiling;
-  if wall > ceiling then fail "wall time %.1fs over the %.0fs ceiling" wall
-    ceiling;
-  match !failures with
-  | [] -> Fmt.pr "service-smoke PASSED@."
-  | fs ->
-      List.iter (fun f -> Fmt.epr "service-smoke: %s@." f) (List.rev fs);
-      Fmt.epr "service-smoke FAILED (%d)@." (List.length fs);
-      exit 1
-
 (* ---------------- driver ---------------- *)
 
 let every_experiment () =
@@ -1003,16 +432,7 @@ let commands =
     ("figure6", "AMPL coloring statistics (Figure 6)", figure6);
     ("figure7", "solver statistics (Figure 7)", figure7);
     ("throughput", "Mbit/s payload sweep on one engine", throughput);
-    ("rates", "chip and cluster forwarding rates, ILP and baseline",
-      rates ~full:true);
-    ("rates-smoke", "a smaller rates table (CI gate)", rates ~full:false);
-    ("solver-smoke", "solver under a hard ceiling (CI gate)", solver_smoke);
-    ("incremental", "cold, no-op and edit rebuilds (CI gate)", incremental);
-    ( "service-smoke",
-      "daemon compile, a cache hit, then novac's answer (CI gate)",
-      service_smoke);
-    ("cluster-smoke", "cluster determinism and ceiling (CI gate)",
-      cluster_smoke);
+    ("rates", "chip and cluster forwarding rates, ILP and baseline", rates);
     ("ablation", "the spill-feasibility objective", ablation);
     ("baseline", "ILP against the eager-heuristic allocator", baseline);
     ("pruning", "§8 model-size reductions", pruning);

@@ -1,13 +1,6 @@
 (* Shared benchmark plumbing: compile each paper workload once, cache the
    result, and provide simulator, chip and cluster harnesses. *)
 
-(* Run artifacts (cache stores, sockets, smoke reports) land in an
-   ignored directory instead of littering the repo root. *)
-let artifact name =
-  let dir = "_artifacts" in
-  (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-  Filename.concat dir name
-
 type workload = {
   name : string;
   source : string;

@@ -137,7 +137,9 @@ let solve ?(time_limit = 600.) ?(node_limit = 500_000)
       let root_t0 = Clock.now () in
       let root = solve_root sub in
       let root_time = Clock.since root_t0 in
-      let remaining = Float.max 1. (time_limit -. Clock.since t0) in
+      (* What presolve and the root LP left of the budget.  When nothing
+         is left, the search parks its root and stops at its limit. *)
+      let remaining = Float.max 0. (time_limit -. Clock.since t0) in
       let hints =
         List.filter_map
           (fun (j, x) -> if kept j then Some (keep_map.(j), x) else None)

@@ -1,7 +1,7 @@
 (* Minimal client for the `novac serve` daemon: connect over the Unix
    domain socket, send one JSON request per line, read one JSON
-   response per line.  Used by the service-smoke CI job and by tests;
-   external clients can speak the protocol from any language. *)
+   response per line.  Used by perfbench's serve-edit workload and by
+   tests; external clients can speak the protocol from any language. *)
 
 open Support
 

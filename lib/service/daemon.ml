@@ -9,8 +9,7 @@
 
    Every job runs under a `serve-job` trace span and is timed
    individually; the response carries the per-stage cache report so
-   clients (and the service-smoke CI job) can assert hit/miss
-   behavior. *)
+   clients (and the tests) can assert hit/miss behavior. *)
 
 open Support
 

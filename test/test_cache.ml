@@ -897,25 +897,51 @@ let test_daemon_refuses_oversized_request () =
         (Printf.sprintf "bad request: line longer than %d bytes"
            Service.Daemon.max_request_bytes))
 
-(* [clear-cache] drops the in-memory tiers only: the same source sent
-   again re-runs the front end and rebuilds the model, replays the solve
-   from disk, and answers with the same code and move cost. *)
+(* The same source sent twice is a full hit the second time.  After that
+   compile the daemon's answer for QoS is a plain compile's: the same
+   code, move cost and nodes.  [clear-cache] then drops the in-memory
+   tiers only: the first source sent again re-runs the front end and
+   rebuilds the model, replays the solve from disk, and answers with the
+   same code and move cost. *)
 let test_daemon_clear_cache () =
   let module J = Support.Json in
-  let first, cleared, again =
+  let qos =
+    Regalloc.Driver.compile ~options:fast_options ~file:"qos.nova"
+      Workloads.Qos.source
+  in
+  let first, second, daemon_qos, cleared, again =
     with_daemon @@ fun socket_path ->
     let t = Service.Client.connect_retry ~socket_path () in
-    let compile () =
-      match Service.Client.compile ~file:"test.nova" ~source:small_src t with
+    let compile ?(file = "test.nova") source =
+      match Service.Client.compile ~file ~source t with
       | Ok resp -> resp
       | Error e -> Alcotest.fail e
     in
-    let first = compile () in
+    let first = compile small_src in
+    let second = compile small_src in
+    let daemon_qos = compile ~file:"qos.nova" Workloads.Qos.source in
     let cleared = Service.Client.clear_cache t in
-    let again = compile () in
+    let again = compile small_src in
     Service.Client.close t;
-    (first, cleared, again)
+    (first, second, daemon_qos, cleared, again)
   in
+  let field path doc =
+    List.fold_left (fun doc name -> Option.bind doc (J.member name)) (Some doc)
+      path
+  in
+  checkb "second request: full hit" true
+    (field [ "cache"; "full" ] second = Some (J.Bool true));
+  let stats = qos.Regalloc.Driver.stats in
+  checkb "QoS: a plain compile's code" true
+    (field [ "asm" ] daemon_qos
+    = Some (J.Str (Ixp.Asm.program_to_string qos.Regalloc.Driver.physical)));
+  checkb "QoS: a plain compile's move cost" true
+    (Option.bind (field [ "weighted_move_cost" ] daemon_qos) J.to_float
+    = Some stats.Regalloc.Driver.weighted_move_cost);
+  checkb "QoS: a plain compile's nodes" true
+    (Option.bind (field [ "solver"; "nodes" ] daemon_qos) J.to_float
+    = Some
+        (float_of_int (Option.get stats.Regalloc.Driver.mip).Lp.Mip.nodes));
   checkb "clear-cache answered ok" true
     (Result.map (J.member "ok") cleared = Ok (Some (J.Bool true)));
   List.iter
@@ -923,14 +949,13 @@ let test_daemon_clear_cache () =
       checkb
         (Printf.sprintf "after clear-cache: %s hit is %b" tier hit)
         true
-        (Option.bind (J.member "cache" again) (J.member tier)
-        = Some (J.Bool hit)))
+        (field [ "cache"; tier ] again = Some (J.Bool hit)))
     [ ("full", false); ("front", false); ("model", false); ("solve", true) ];
   List.iter
-    (fun field ->
-      checkb (field ^ " unchanged") true
-        (J.member field first <> None
-        && J.member field first = J.member field again))
+    (fun name ->
+      checkb (name ^ " unchanged") true
+        (J.member name first <> None
+        && J.member name first = J.member name again))
     [ "asm"; "weighted_move_cost" ]
 
 let suites =

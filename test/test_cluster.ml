@@ -55,19 +55,25 @@ let run_cluster ?chips ?balancer ?engines ?threads ?rx_capacity ?drop_budget
   Cluster.run cl (Ixp.Pktgen.create (gen_config ?profile ?offered ~seed ~count ()))
 
 let test_cluster_determinism () =
-  (* bit-identical reports under the fixed seed, for both balancers;
-     the report is compared structurally, chip sub-reports included *)
-  let profile =
-    Ixp.Pktgen.Elephants { flows = 512; heavy = 4; heavy_pct = 80; size = 576 }
-  in
-  let a = run_cluster ~balancer:Cluster.Flow_hash ~profile () in
-  let b = run_cluster ~balancer:Cluster.Flow_hash ~profile () in
-  checkb "hash: same seed, bit-identical report" true (a = b);
-  let c = run_cluster ~balancer:Cluster.Round_robin ~profile () in
-  let d = run_cluster ~balancer:Cluster.Round_robin ~profile () in
-  checkb "rr: same seed, bit-identical report" true (c = d);
-  let e = run_cluster ~balancer:Cluster.Flow_hash ~profile ~seed:8 () in
-  checkb "different seed, different steering" true (a <> e)
+  (* bit-identical reports under the fixed seed, for both balancers and
+     both profiles; the report is compared structurally, chip
+     sub-reports included *)
+  List.iter
+    (fun profile ->
+      let what = Ixp.Pktgen.profile_to_string profile in
+      let a = run_cluster ~balancer:Cluster.Flow_hash ~profile () in
+      let b = run_cluster ~balancer:Cluster.Flow_hash ~profile () in
+      checkb (what ^ ": hash: same seed, bit-identical report") true (a = b);
+      let c = run_cluster ~balancer:Cluster.Round_robin ~profile () in
+      let d = run_cluster ~balancer:Cluster.Round_robin ~profile () in
+      checkb (what ^ ": rr: same seed, bit-identical report") true (c = d);
+      let e = run_cluster ~balancer:Cluster.Flow_hash ~profile ~seed:8 () in
+      checkb (what ^ ": different seed, different steering") true (a <> e))
+    [
+      Ixp.Pktgen.Elephants
+        { flows = 512; heavy = 4; heavy_pct = 80; size = 576 };
+      Ixp.Pktgen.Syn_flood { size = 40 };
+    ]
 
 let test_cluster_flow_affinity () =
   (* under the hash balancer at sustainable load with failover off,

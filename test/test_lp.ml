@@ -829,20 +829,20 @@ let test_bb_time_limit_honoured () =
   if r.Branch_bound.total_time > 1.0 then
     Alcotest.failf "ran %.3f s against a 0.5 s limit" r.Branch_bound.total_time
 
-(* Seeded random packing instance: negative costs, <= 1 or <= 2 rows
-   over small random subsets. *)
-let seeded_packing_mip seed =
+(* Seeded random packing instance: [n] binaries with negative costs,
+   [rows] <= 1 or <= 2 rows over random subsets of 3 to [2 + widths]
+   draws. *)
+let seeded_packing_mip ?(n = 20) ?(rows = 25) ?(widths = 4) seed =
   let st = Random.State.make [| seed |] in
   let p = Problem.create () in
-  let n = 20 in
   for j = 0 to n - 1 do
     ignore
       (Problem.add_binary p
          ~obj:(-.float_of_int (1 + Random.State.int st 9))
          (Printf.sprintf "x%d" j))
   done;
-  for _ = 1 to 25 do
-    let k = 3 + Random.State.int st 4 in
+  for _ = 1 to rows do
+    let k = 3 + Random.State.int st widths in
     let terms = List.init k (fun _ -> (Random.State.int st n, 1.)) in
     Problem.add_row p Problem.Le
       (float_of_int (1 + Random.State.int st 2))
@@ -853,15 +853,25 @@ let seeded_packing_mip seed =
 (* A solve never writes to the caller's problem: presolve reads it into
    working arrays of its own and builds the reduced problem anew, so the
    caller's problem keeps its rows, and solving it again proves the same
-   optimum. *)
+   optimum.  The larger two instances have 40 binaries and 60 rows. *)
 let test_mip_leaves_problem_untouched () =
-  let p = seeded_packing_mip 11 in
-  let rows = Problem.num_rows p in
-  let r = Mip.solve p in
-  checki "caller's rows unchanged" rows (Problem.num_rows p);
-  let again = Mip.solve p in
-  check (Alcotest.float 1e-9) "re-solve proves the same optimum"
-    r.Mip.objective again.Mip.objective
+  List.iter
+    (fun (what, p, optimum) ->
+      let rows = Problem.num_rows p in
+      let r = Mip.solve p in
+      checkb (what ^ ": optimal") true (r.Mip.status = Mip.Optimal);
+      check (Alcotest.float 1e-9) (what ^ ": objective") optimum
+        r.Mip.objective;
+      checki (what ^ ": caller's rows unchanged") rows (Problem.num_rows p);
+      let again = Mip.solve p in
+      check (Alcotest.float 1e-9)
+        (what ^ ": re-solve proves the same optimum")
+        r.Mip.objective again.Mip.objective)
+    [
+      ("seed 11", seeded_packing_mip 11, -32.);
+      ("seed 1", seeded_packing_mip ~n:40 ~rows:60 ~widths:5 1, -52.);
+      ("seed 2", seeded_packing_mip ~n:40 ~rows:60 ~widths:5 2, -73.);
+    ]
 
 (* The root LP is solved once: on a fractional root, branch and bound
    starts from the solver [Mip] solved the root with. *)

@@ -545,7 +545,11 @@ let required_spans =
    iteration counts, moves and move costs are pinned exactly: a solver
    change that reorders a floating-point sum, breaks a ratio-test tie
    differently or visits the tree in another order moves them.  Each
-   compile runs traced and must record every stage span. *)
+   compile runs traced and must record every stage span.  AES's LU
+   factorizations may move at most four times as many active-submatrix
+   entries as they hold (L + U entries plus m per factorization): it
+   moves 0.14 M under a bound of 1.06 M, and a factorization that closes
+   each gap by shifting the whole column tail moves 6.5 M. *)
 let test_cold_pivot_path () =
   let options =
     {
@@ -554,13 +558,22 @@ let test_cold_pivot_path () =
       time_limit = 1e9;
     }
   in
+  let lu_counters () =
+    let module M = Support.Metrics in
+    let c name = M.counter_value (M.counter name) in
+    ( M.histogram_count (M.histogram "lp.lu.factorize_us"),
+      c "lp.lu.moves",
+      c "lp.lu.l_nnz" + c "lp.lu.u_nnz" )
+  in
   List.iter
     (fun (name, source, outcome, nodes, iters, moves, cost) ->
+      let f0, m0, e0 = lu_counters () in
       Support.Trace.enable ();
       let c =
         Fun.protect ~finally:Support.Trace.disable (fun () ->
             Regalloc.Driver.compile ~options ~file:name source)
       in
+      let f1, m1, e1 = lu_counters () in
       let spans = Support.Trace.span_totals () in
       Support.Trace.reset ();
       List.iter
@@ -580,7 +593,10 @@ let test_cold_pivot_path () =
       checki (name ^ ": moves inserted") moves s.Regalloc.Driver.moves_inserted;
       let got = s.Regalloc.Driver.weighted_move_cost in
       if got <> cost then
-        Alcotest.failf "%s: move cost %.17g, expected %.17g" name got cost)
+        Alcotest.failf "%s: move cost %.17g, expected %.17g" name got cost;
+      let bound = 4 * (e1 - e0 + (mip.Lp.Mip.rows_after * (f1 - f0))) in
+      if name = "aes.nova" && m1 - m0 > bound then
+        Alcotest.failf "%s: LU moved %d entries, bound %d" name (m1 - m0) bound)
     Regalloc.Driver.
       [
         ( "kasumi.nova", Workloads.Kasumi.source, Outcome_optimal, 1, 353, 4,
@@ -601,10 +617,15 @@ let test_cold_pivot_path () =
       ]
 
 (* A compile's result depends on its source and options alone, not on
-   what the process compiled before: five workloads compiled in forward
-   order, then in reverse order, then each once more through the stage-
-   cached path the daemon serves (empty memos, fresh store) emit the same
-   code along the same search. *)
+   what the process compiled before.  Each workload's cold compile
+   ([Test_chip.ilp_compiled], one per process) is the reference.  Five
+   of them compiled again in reverse order emit the same code along the
+   same search, and so do all seven compiled through the stage-cached
+   path the daemon serves (empty memos, fresh store).  On that path the
+   cold compile is no hit, the rebuild of the same source is a full hit,
+   and a comment appended to the source hits the model memo and the
+   solve cache and emits the same code along the same search to the
+   same outcome; neither rebuild solves a root LP or expands a node. *)
 let test_history_independent () =
   let options =
     {
@@ -613,15 +634,7 @@ let test_history_independent () =
       time_limit = 1e9;
     }
   in
-  let workloads =
-    [
-      ("kasumi.nova", Workloads.Kasumi.source);
-      ("lpm.nova", Workloads.Lpm.source);
-      ("firewall.nova", Workloads.Firewall.source);
-      ("csum.nova", Workloads.Csum.source);
-      ("qos.nova", Workloads.Qos.source);
-    ]
-  in
+  let file (w : Test_chip.workload) = w.Test_chip.w_name ^ ".nova" in
   let summary (c : Regalloc.Driver.compiled) =
     let s = c.Regalloc.Driver.stats in
     let mip = Option.get s.Regalloc.Driver.mip in
@@ -630,38 +643,55 @@ let test_history_independent () =
       mip.Lp.Mip.nodes,
       s.Regalloc.Driver.weighted_move_cost )
   in
-  let run order =
-    List.map
-      (fun (name, source) ->
-        (name, summary (Regalloc.Driver.compile ~options ~file:name source)))
-      order
+  let outcome (c : Regalloc.Driver.compiled) =
+    Regalloc.Driver.solver_outcome_to_string
+      c.Regalloc.Driver.stats.Regalloc.Driver.solver_outcome
   in
-  let forward = run workloads in
-  let reverse = List.rev (run (List.rev workloads)) in
-  Regalloc.Driver.clear_memos ();
-  let incremental =
-    Test_cache.with_dir @@ fun dir ->
-    let store = Cache.Store.create ~dir () in
-    List.map
-      (fun (name, source) ->
-        ( name,
-          summary
-            (fst
-               (Regalloc.Driver.compile_incremental ~options ~store ~file:name
-                  source)) ))
-      workloads
-  in
-  let agree label (name, (asm, iters, nodes, cost))
-      (_, (asm', iters', nodes', cost')) =
-    let what = Printf.sprintf "%s: %s" name label in
+  let agree label w (asm, iters, nodes, cost) (asm', iters', nodes', cost') =
+    let what = Printf.sprintf "%s: %s" (file w) label in
     checkb (what ^ ": asm") true (String.equal asm asm');
     checki (what ^ ": simplex iterations") iters iters';
     checki (what ^ ": nodes") nodes nodes';
     if cost <> cost' then
       Alcotest.failf "%s: move cost %.17g against %.17g" what cost cost'
   in
-  List.iter2 (agree "reverse order") forward reverse;
-  List.iter2 (agree "incremental") forward incremental
+  let reference w = summary (Test_chip.ilp_compiled w) in
+  List.iter
+    (fun w ->
+      agree "reverse order" w (reference w)
+        (summary (Regalloc.Driver.compile ~options ~file:(file w) w.w_source)))
+    Test_chip.[ w_qos; w_csum; w_firewall; w_lpm; w_kasumi ];
+  let work () =
+    let c name = Support.Metrics.(counter_value (counter name)) in
+    (c "lp.root_solves", c "lp.bb.nodes")
+  in
+  Regalloc.Driver.clear_memos ();
+  Test_cache.with_dir @@ fun dir ->
+  let store = Cache.Store.create ~dir () in
+  List.iter
+    (fun w ->
+      let compile source =
+        Regalloc.Driver.compile_incremental ~options ~store ~file:(file w)
+          source
+      in
+      let what label = Printf.sprintf "%s: %s" (file w) label in
+      let cold, r0 = compile w.Test_chip.w_source in
+      checkb (what "cold compile is no hit") false
+        (r0.Regalloc.Driver.full_hit || r0.Regalloc.Driver.solve_hit);
+      agree "incremental" w (reference w) (summary cold);
+      let before = work () in
+      let _, r1 = compile w.Test_chip.w_source in
+      checkb (what "rebuild is a full hit") true r1.Regalloc.Driver.full_hit;
+      let edited, r2 = compile (w.Test_chip.w_source ^ "\n// edited\n") in
+      checkb (what "comment edit hits the model memo") true
+        r2.Regalloc.Driver.model_hit;
+      checkb (what "comment edit hits the solve cache") true
+        r2.Regalloc.Driver.solve_hit;
+      checkb (what "rebuilds solve nothing") true (work () = before);
+      agree "comment edit" w (summary cold) (summary edited);
+      Alcotest.(check string)
+        (what "comment edit: outcome") (outcome cold) (outcome edited))
+    Test_chip.workloads
 
 (* A budget that ends before any incumbent: 48 SRAM words live across a
    loop need spills, one node finds no allocation, and the baseline the
@@ -702,6 +732,24 @@ fun main () : word {
       checkb ("baseline diagnostic: " ^ msg) true
         (String.starts_with ~prefix:"baseline allocation failed" msg)
 
+(* A wall-clock budget under a second is the search's budget too: AES at
+   a zero gap, whose proof takes well over 20 s, stops with its best
+   incumbent within half a second of a 0.3 s limit. *)
+let test_subsecond_budget () =
+  let options =
+    { Regalloc.Driver.default_options with time_limit = 0.3; rel_gap = 0. }
+  in
+  let c =
+    Regalloc.Driver.compile ~options ~file:"aes.nova" Workloads.Aes.source
+  in
+  let s = c.Regalloc.Driver.stats in
+  Alcotest.(check string)
+    "outcome" "incumbent (budget hit)"
+    (Regalloc.Driver.solver_outcome_to_string s.Regalloc.Driver.solver_outcome);
+  let total = (Option.get s.Regalloc.Driver.mip).Lp.Mip.total_time in
+  if total > 0.8 then
+    Alcotest.failf "the solve ran %.3f s against a 0.3 s limit" total
+
 (* In-order digest of an LP: every variable's name, bounds, cost and
    integrality and every row's name, sense, rhs and terms, by index.
    Floats print in hex, so every bit counts. *)
@@ -721,18 +769,53 @@ let lp_digest (p : Lp.Problem.t) =
   done;
   Digest.to_hex (Digest.string (Buffer.contents b))
 
+(* The four models a compile of [file] can build, each built once and
+   kept as its in-order digest and its fingerprint: the spill-free model
+   a compile solves first, the spill model (scratch M allowed: the
+   NeedsSpill/Occ headroom rows and spill moves), the remat model
+   (constants through bank C, built on the constant-sharing graph) and
+   the spill model under the spill-feasibility objective. *)
+let model_prints =
+  let memo = Hashtbl.create 8 in
+  fun ~file source ->
+    match Hashtbl.find_opt memo file with
+    | Some prints -> prints
+    | None ->
+        let module R = Regalloc in
+        let print ?objective_mode mg =
+          let p = (R.Ilp.build ?objective_mode mg).R.Ilp.problem in
+          (lp_digest p, R.Modelhash.fingerprint p)
+        in
+        let f = R.Driver.front_end ~file source in
+        let plain = print (R.Modelgen.build f.R.Driver.f_graph) in
+        let fr = R.Driver.front_end ~rematerialize:true ~file source in
+        let spill_mg = R.Modelgen.build ~allow_spill:true f.R.Driver.f_graph in
+        let spill = print spill_mg in
+        let remat =
+          print (R.Modelgen.build ~rematerialize:true fr.R.Driver.f_graph)
+        in
+        let feasibility =
+          print ~objective_mode:R.Ilp.Spill_feasibility spill_mg
+        in
+        let prints =
+          [
+            ("spill-free", plain);
+            ("spill", spill);
+            ("remat", remat);
+            ("spill feasibility", feasibility);
+          ]
+        in
+        Hashtbl.replace memo file prints;
+        prints
+
 (* The model each workload instantiates, pinned by its in-order digest: a
    reordering of variables or rows moves pivots and budget-limited
    incumbents. *)
 let test_model_identity () =
   List.iter
     (fun (name, source, digest) ->
-      let f = Regalloc.Driver.front_end ~file:name source in
-      let mg = Regalloc.Modelgen.build f.Regalloc.Driver.f_graph in
-      let ilp = Regalloc.Ilp.build mg in
-      let p = ilp.Regalloc.Ilp.problem in
       Alcotest.(check string) (name ^ ": in-order LP digest") digest
-        (lp_digest p))
+        (fst (List.assoc "spill-free" (model_prints ~file:name source))))
     [
       ("aes.nova", Workloads.Aes.source, "a90a6a86be86cda00578c329da9e9161");
       ( "kasumi.nova", Workloads.Kasumi.source,
@@ -745,47 +828,16 @@ let test_model_identity () =
       ("nat.nova", Workloads.Nat.source, "b5097f33d72cc72a87f3b296aae6168d");
     ]
 
-let workloads =
-  [
-    ("aes.nova", Workloads.Aes.source);
-    ("kasumi.nova", Workloads.Kasumi.source);
-    ("lpm.nova", Workloads.Lpm.source);
-    ("firewall.nova", Workloads.Firewall.source);
-    ("csum.nova", Workloads.Csum.source);
-    ("qos.nova", Workloads.Qos.source);
-    ("nat.nova", Workloads.Nat.source);
-  ]
-
-(* The other three models a compile can build, pinned the same way: the
-   spill model (scratch M allowed: the NeedsSpill/Occ headroom rows and
-   spill moves), the remat model (constants through bank C, built on the
-   constant-sharing graph) and the spill model under the
-   spill-feasibility objective. *)
-let variant_models ~file source =
-  let module R = Regalloc in
-  let f = R.Driver.front_end ~file source in
-  let fr = R.Driver.front_end ~rematerialize:true ~file source in
-  let spill = R.Modelgen.build ~allow_spill:true f.R.Driver.f_graph in
-  let remat = R.Modelgen.build ~rematerialize:true fr.R.Driver.f_graph in
-  let problem ?objective_mode mg =
-    (R.Ilp.build ?objective_mode mg).R.Ilp.problem
-  in
-  [
-    ("spill", problem spill);
-    ("remat", problem remat);
-    ( "spill feasibility",
-      problem ~objective_mode:R.Ilp.Spill_feasibility spill );
-  ]
-
+(* The other three models, pinned the same way. *)
 let test_model_variants_pinned () =
   List.iter
     (fun (name, source, digests) ->
       List.iter2
-        (fun (variant, p) digest ->
+        (fun (variant, (digest, _)) pinned ->
           Alcotest.(check string)
             (Printf.sprintf "%s: %s model digest" name variant)
-            digest (lp_digest p))
-        (variant_models ~file:name source)
+            pinned digest)
+        (List.tl (model_prints ~file:name source))
         digests)
     [
       ( "aes.nova", Workloads.Aes.source,
@@ -834,27 +886,20 @@ let test_model_variants_pinned () =
 
 (* The fingerprint that keys solve artifacts means what [lp_digest]
    means, computed without printing: over the four models of every
-   workload, each built twice, two fingerprints are equal exactly when
-   the two digests are. *)
+   workload, two fingerprints are equal exactly when the two digests
+   are.  The 28 models are the ones the two pin tests above read. *)
 let test_fingerprint_matches_digest () =
   let models =
     List.concat_map
-      (fun (name, source) ->
-        List.concat_map
-          (fun build ->
-            let f = Regalloc.Driver.front_end ~file:name source in
-            let plain = Regalloc.Modelgen.build f.Regalloc.Driver.f_graph in
-            ( build ^ " spill-free",
-              (Regalloc.Ilp.build plain).Regalloc.Ilp.problem )
-            :: variant_models ~file:name source
-            |> List.map (fun (variant, p) ->
-                   ( Printf.sprintf "%s %s %s" name build variant,
-                     lp_digest p,
-                     Regalloc.Modelhash.fingerprint p )))
-          [ "first"; "second" ])
-      workloads
+      (fun (w : Test_chip.workload) ->
+        let name = w.Test_chip.w_name ^ ".nova" in
+        List.map
+          (fun (variant, (digest, fingerprint)) ->
+            (name ^ " " ^ variant, digest, fingerprint))
+          (model_prints ~file:name w.Test_chip.w_source))
+      Test_chip.workloads
   in
-  checki "models" 56 (List.length models);
+  checki "models" 28 (List.length models);
   List.iter
     (fun (a, da, fa) ->
       List.iter
@@ -1075,6 +1120,8 @@ let suites =
         Alcotest.test_case "high pressure" `Slow test_spill_fallback;
         Alcotest.test_case "no incumbent ends in a diagnostic" `Slow
           test_no_incumbent_fails_cleanly;
+        Alcotest.test_case "a sub-second budget is honoured" `Quick
+          test_subsecond_budget;
         Alcotest.test_case "cold compiles pin the pivot path" `Quick
           test_cold_pivot_path;
         Alcotest.test_case "compiles are history-independent" `Quick
